@@ -15,6 +15,8 @@ backed by a self-verifying synthetic scene generator (``sim``) and exact
 TUM / PFM / .flo readers and writers (``fileio``).
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import EndogeoError, FormatError, NumericError, ValidationError
 from .geometry import (
     CameraIntrinsics,
@@ -112,93 +114,9 @@ from .sim import (
 
 __version__ = "0.1.0"
 
+# every public name imported above; the submodules bound by those imports are not
 __all__ = [
-    "EndogeoError",
-    "FormatError",
-    "NumericError",
-    "ValidationError",
-    "CameraIntrinsics",
-    "Pose",
-    "Quaternion",
-    "SimilarityTransform",
-    "compose",
-    "inverse",
-    "pose_distance",
-    "pose_interp",
-    "project",
-    "slerp",
-    "umeyama_align",
-    "unproject",
-    "AnchorSet",
-    "LocalSegment",
-    "Trajectory",
-    "load_tum",
-    "parse_tum",
-    "save_tum",
-    "serialize_tum",
-    "split_into_segments",
-    "CorrectionReport",
-    "SegmentCorrection",
-    "align_segment_start",
-    "compute_drift_error",
-    "correct_long_trajectory",
-    "distribute_drift",
-    "DISPARITY_EPSILON",
-    "ConfidenceMap",
-    "DepthMap",
-    "DisparityMap",
-    "FlowField",
-    "Pointmap",
-    "MonoCalibration",
-    "RectifyMaps",
-    "StereoCalibration",
-    "compute_rectify_maps",
-    "disparity_to_depth",
-    "depth_to_disparity",
-    "distort_pixels",
-    "load_calibration",
-    "rectify_pixels",
-    "remap",
-    "save_calibration",
-    "undistort_pixels",
-    "LossConfig",
-    "NormalizationSpec",
-    "c_flow",
-    "c_prior",
-    "c_temp",
-    "conf_loss",
-    "consistency_total",
-    "induced_reprojection",
-    "point_set_scale",
-    "pose_loss",
-    "total_loss",
-    "DepthEvalConfig",
-    "DepthMetrics",
-    "ate",
-    "depth_metrics",
-    "resize_depth",
-    "rpe",
-    "rte",
-    "read_depth_pfm",
-    "read_disparity_pfm",
-    "read_flo",
-    "read_pfm",
-    "read_pointmap_pfm",
-    "write_depth_pfm",
-    "write_disparity_pfm",
-    "write_flo",
-    "write_pfm",
-    "write_pointmap_pfm",
-    "SplitMix64",
-    "DriftSpec",
-    "SceneSpec",
-    "default_intrinsics",
-    "gen_trajectory",
-    "induced_flow",
-    "inject_drift",
-    "look_at",
-    "relative_motion",
-    "render_depth",
-    "simulate_dataset",
-    "__version__",
-]
+    name
+    for name, obj in globals().items()
+    if not name.startswith("_") and not isinstance(obj, _ModuleType)
+] + ["__version__"]

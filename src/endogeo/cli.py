@@ -110,7 +110,6 @@ def _params_eval_consistency():
         _Param("flows", str, _REQUIRED, "directory of flow_NNNN_NNNN.flo files"),
         _Param("calib", str, _REQUIRED, "calibration JSON (left camera intrinsics are used)"),
         _Param("ref_depths", str, None, "reference depth directory for the prior term (default: prior skipped)"),
-        _Param("alpha", float, 0.2, "confidence regularizer weight (echoed, unused here)"),
         _Param("lambda_consist", float, 0.1, "consistency weight in the total objective"),
         _Param("w_flow", float, 1.0, "flow-consistency weight"),
         _Param("w_temp", float, 1.0, "temporal-consistency weight"),
@@ -324,7 +323,6 @@ _FLOW_RE = re.compile(r"^flow_(\d{4})_(\d{4})\.flo$")
 
 def _cmd_eval_consistency(cfg: dict) -> int:
     loss_cfg = losses.LossConfig(
-        alpha=cfg["alpha"],
         lambda_consist=cfg["lambda_consist"],
         w_flow=cfg["w_flow"],
         w_temp=cfg["w_temp"],

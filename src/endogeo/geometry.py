@@ -284,15 +284,33 @@ def project_with_mask(points, intrinsics: CameraIntrinsics):
     return uv, valid
 
 
+def pixel_grid(width: int, height: int) -> np.ndarray:
+    """(height, width, 2) array holding each pixel's own (u, v) coordinates.
+
+    u and v are stored as two planes, so ``grid[..., 0]`` and ``grid[..., 1]``
+    are contiguous (H, W) arrays.
+    """
+    return np.moveaxis(np.indices((height, width), dtype=np.float64)[::-1], 0, -1)
+
+
+def pixel_rays(pixels, intrinsics: CameraIntrinsics) -> np.ndarray:
+    """(..., 2) pixels -> (..., 3) camera-frame rays ((u - cx)/fx, (v - cy)/fy, 1).
+
+    The third component is 1, so a ray times a depth is the 3-D point.
+    """
+    px = np.asarray(pixels, dtype=np.float64)
+    rays = np.ones(px.shape[:-1] + (3,))
+    rays[..., 0] = (px[..., 0] - intrinsics.cx) / intrinsics.fx
+    rays[..., 1] = (px[..., 1] - intrinsics.cy) / intrinsics.fy
+    return rays
+
+
 def unproject(pixels, depth, intrinsics: CameraIntrinsics):
     """Back-project (..., 2) pixels at (...) depths into (..., 3) camera-frame points."""
-    px = np.asarray(pixels, dtype=np.float64)
     z = np.asarray(depth, dtype=np.float64)
     if np.any(z <= 0):
         raise ValidationError("cannot unproject non-positive depth")
-    x = (px[..., 0] - intrinsics.cx) / intrinsics.fx * z
-    y = (px[..., 1] - intrinsics.cy) / intrinsics.fy * z
-    return np.stack([x, y, z], axis=-1)
+    return pixel_rays(pixels, intrinsics) * z[..., None]
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import CameraIntrinsics, Pose
-from .rasters import ConfidenceMap, DepthMap, FlowField, Pointmap
+from .geometry import CameraIntrinsics, Pose, pixel_grid, pixel_rays, project_with_mask
+from .rasters import ConfidenceMap, DepthMap, FlowField, Pointmap, bilinear_sample
 
 
 @dataclass(frozen=True)
@@ -121,45 +121,6 @@ def pose_loss(pred, ref, norms: NormalizationSpec) -> float:
     return total
 
 
-def _pixel_grid(width: int, height: int):
-    return np.meshgrid(
-        np.arange(width, dtype=np.float64), np.arange(height, dtype=np.float64)
-    )
-
-
-def _unproject_values(depth_values: np.ndarray, intrinsics: CameraIntrinsics):
-    height, width = depth_values.shape
-    uu, vv = _pixel_grid(width, height)
-    x = (uu - intrinsics.cx) / intrinsics.fx * depth_values
-    y = (vv - intrinsics.cy) / intrinsics.fy * depth_values
-    return np.stack([x, y, depth_values], axis=-1)
-
-
-def _bilinear_masked(values: np.ndarray, valid: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """Bilinear sample with the strict validity rule: the location must lie in
-    [0, W-1] x [0, H-1] and all four surrounding cells must be valid."""
-    height, width = values.shape
-    ok = (x >= 0) & (x <= width - 1) & (y >= 0) & (y <= height - 1)
-    x0 = np.clip(np.floor(x).astype(np.int64), 0, max(width - 2, 0))
-    y0 = np.clip(np.floor(y).astype(np.int64), 0, max(height - 2, 0))
-    x1 = np.minimum(x0 + 1, width - 1)
-    y1 = np.minimum(y0 + 1, height - 1)
-    a = np.where(ok, x - x0, 0.0)
-    b = np.where(ok, y - y0, 0.0)
-    ok = ok & valid[y0, x0] & valid[y0, x1] & valid[y1, x0] & valid[y1, x1]
-    w00 = (1.0 - a) * (1.0 - b)
-    w10 = a * (1.0 - b)
-    w01 = (1.0 - a) * b
-    w11 = a * b
-    sample = (
-        w00 * values[y0, x0]
-        + w10 * values[y0, x1]
-        + w01 * values[y1, x0]
-        + w11 * values[y1, x1]
-    )
-    return np.where(ok, sample, 0.0), ok
-
-
 def induced_reprojection(
     depth: DepthMap,
     k_from: CameraIntrinsics,
@@ -172,15 +133,11 @@ def induced_reprojection(
     Returns absolute target coordinates (not deltas); pixels whose transformed
     z is non-positive, or whose depth is invalid, are masked out.
     """
-    points = _unproject_values(depth.values, k_from)
-    moved = motion.transform(points.reshape(-1, 3)).reshape(points.shape)
-    z = moved[..., 2]
-    mask = depth.valid & (z > 0)
-    z_safe = np.where(mask, z, 1.0)
-    u = k_to.fx * moved[..., 0] / z_safe + k_to.cx
-    v = k_to.fy * moved[..., 1] / z_safe + k_to.cy
-    targets = np.stack([np.where(mask, u, 0.0), np.where(mask, v, 0.0)], axis=-1)
-    return FlowField(targets, mask)
+    points = pixel_rays(pixel_grid(depth.width, depth.height), k_from)
+    # NaN at invalid depth keeps those pixels out of project_with_mask's z > 0 mask
+    points *= np.where(depth.valid, depth.values, np.nan)[..., None]
+    targets, in_front = project_with_mask(motion.transform(points), k_to)
+    return FlowField(targets, in_front)
 
 
 def c_flow(
@@ -194,9 +151,9 @@ def c_flow(
     flow target p' = p + flow; out-of-bounds targets are excluded."""
     _require_same_shape(depth, flow, "flow")
     induced = induced_reprojection(depth, k_from, k_to, motion)
-    uu, vv = _pixel_grid(depth.width, depth.height)
-    px = uu + flow.vectors[..., 0]
-    py = vv + flow.vectors[..., 1]
+    grid = pixel_grid(depth.width, depth.height)
+    px = grid[..., 0] + flow.vectors[..., 0]
+    py = grid[..., 1] + flow.vectors[..., 1]
     in_bounds = (px >= 0) & (px <= depth.width - 1) & (py >= 0) & (py <= depth.height - 1)
     mask = induced.valid & flow.valid & in_bounds
     if not mask.any():
@@ -221,13 +178,13 @@ def c_temp(
     any of the four neighbors is invalid or the location is out of bounds.
     """
     _require_same_shape(depth_i, flow, "flow")
-    points = _unproject_values(depth_i.values, k_i)
-    moved = motion.transform(points.reshape(-1, 3)).reshape(points.shape)
-    p_z = moved[..., 2]
-    uu, vv = _pixel_grid(depth_i.width, depth_i.height)
-    px = uu + flow.vectors[..., 0]
-    py = vv + flow.vectors[..., 1]
-    sample, ok = _bilinear_masked(depth_j.values, depth_j.valid, px, py)
+    grid = pixel_grid(depth_i.width, depth_i.height)
+    points = pixel_rays(grid, k_i)
+    points *= depth_i.values[..., None]
+    p_z = motion.transform(points)[..., 2]
+    px = grid[..., 0] + flow.vectors[..., 0]
+    py = grid[..., 1] + flow.vectors[..., 1]
+    sample, ok = bilinear_sample(depth_j.values, px, py, depth_j.valid)
     mask = depth_i.valid & flow.valid & (p_z > 0) & ok & (sample > 0)
     if not mask.any():
         raise ValidationError("no valid pixels for the temporal-consistency loss")
@@ -269,10 +226,9 @@ def _grad_term(grid: np.ndarray, valid: np.ndarray) -> float:
     return float((gx + gy)[ok].mean())
 
 
-def _normals(depth_values: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
+def _normals(points: np.ndarray) -> np.ndarray:
     """Unnormalized surface normals at interior pixels via central differences
-    of unprojected points; output shape (H-2, W-2, 3)."""
-    points = _unproject_values(depth_values, intrinsics)
+    of an (H, W, 3) pointmap; output shape (H-2, W-2, 3)."""
     tx = points[1:-1, 2:] - points[1:-1, :-2]
     ty = points[2:, 1:-1] - points[:-2, 1:-1]
     return np.cross(tx, ty)
@@ -318,8 +274,9 @@ def c_prior(depth: DepthMap, ref: DepthMap, intrinsics: CameraIntrinsics, cfg: L
             & mask[2:, 1:-1]
             & mask[:-2, 1:-1]
         )
-        n_d = _normals(depth.values, intrinsics)
-        n_r = _normals(ref.values, intrinsics)
+        rays = pixel_rays(pixel_grid(width, height), intrinsics)
+        n_d = _normals(rays * depth.values[..., None])
+        n_r = _normals(rays * ref.values[..., None])
         norm_d = np.sqrt((n_d**2).sum(axis=2))
         norm_r = np.sqrt((n_r**2).sum(axis=2))
         usable = cross5 & (norm_d > 0) & (norm_r > 0)

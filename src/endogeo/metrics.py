@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import compose, inverse, umeyama_align
-from .rasters import DepthMap
+from .rasters import DepthMap, _bilinear_taps
 from .trajectory import Trajectory
 
 RTE_DEFAULT_WINDOW = 16
@@ -122,35 +122,25 @@ def rpe(pred: Trajectory, gt: Trajectory, window: int = RTE_DEFAULT_WINDOW) -> t
 def resize_depth(depth: DepthMap, out_width: int, out_height: int) -> DepthMap:
     """Validity-aware bilinear resize; identity (bit-exact) when sizes match.
 
+    Output pixel centres map to input coordinates clamped into the image.
     Each output pixel averages its valid bilinear neighbors with renormalized
-    weights; it is invalid only when all contributing neighbors are invalid.
+    weights (normalized convolution); it is invalid only when all contributing
+    neighbors are invalid. Values under invalid pixels never enter the sum.
     """
     if (depth.width, depth.height) == (out_width, out_height):
         return depth
     in_h, in_w = depth.values.shape
     sx = in_w / out_width
     sy = in_h / out_height
-    u = (np.arange(out_width, dtype=np.float64) + 0.5) * sx - 0.5
-    v = (np.arange(out_height, dtype=np.float64) + 0.5) * sy - 0.5
-    uu, vv = np.meshgrid(u, v)
-    x0 = np.clip(np.floor(uu).astype(np.int64), 0, in_w - 1)
-    y0 = np.clip(np.floor(vv).astype(np.int64), 0, in_h - 1)
-    x1 = np.minimum(x0 + 1, in_w - 1)
-    y1 = np.minimum(y0 + 1, in_h - 1)
-    a = np.clip(uu - x0, 0.0, 1.0)
-    b = np.clip(vv - y0, 0.0, 1.0)
-    weights = [
-        ((1.0 - a) * (1.0 - b), y0, x0),
-        (a * (1.0 - b), y0, x1),
-        ((1.0 - a) * b, y1, x0),
-        (a * b, y1, x1),
-    ]
+    u = np.clip((np.arange(out_width, dtype=np.float64) + 0.5) * sx - 0.5, 0.0, in_w - 1)
+    v = np.clip((np.arange(out_height, dtype=np.float64) + 0.5) * sy - 0.5, 0.0, in_h - 1)
+    _, taps = _bilinear_taps(u[None, :], v[:, None], in_w, in_h)
+    values = np.where(depth.valid, depth.values, 0.0)
     total = np.zeros((out_height, out_width))
     wsum = np.zeros((out_height, out_width))
-    for w, yy, xx in weights:
-        m = depth.valid[yy, xx]
-        contrib = np.where(m, w, 0.0)
-        total += contrib * depth.values[yy, xx]
+    for w, row, col in taps:
+        contrib = np.where(depth.valid[row, col], w, 0.0)
+        total += contrib * values[row, col]
         wsum += contrib
     ok = wsum > 1e-12
     values = np.where(ok, total / np.where(ok, wsum, 1.0), 0.0)

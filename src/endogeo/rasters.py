@@ -5,6 +5,8 @@ boolean validity mask. Constructors intersect the given mask with the type's
 own validity rule (finite, positive where required), so a raster can never
 hold a "valid" entry that violates its invariant. Arrays are copied and
 frozen; instances are immutable and safe to share across threads.
+
+The bilinear stencil that every resampler in the package uses lives here too.
 """
 
 from __future__ import annotations
@@ -42,8 +44,23 @@ def _as_mask(valid, shape, name: str) -> np.ndarray:
     return mask
 
 
+class _Raster:
+    """``width``/``height`` of the (H, W[, C]) array held in the field named
+    by ``_array``."""
+
+    _array = "values"
+
+    @property
+    def width(self) -> int:
+        return getattr(self, self._array).shape[1]
+
+    @property
+    def height(self) -> int:
+        return getattr(self, self._array).shape[0]
+
+
 @dataclass(frozen=True)
-class DepthMap:
+class DepthMap(_Raster):
     values: np.ndarray
     valid: np.ndarray = None
 
@@ -55,20 +72,12 @@ class DepthMap:
         object.__setattr__(self, "valid", _freeze(mask))
 
     @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def n_valid(self) -> int:
         return int(self.valid.sum())
 
 
 @dataclass(frozen=True)
-class DisparityMap:
+class DisparityMap(_Raster):
     values: np.ndarray
     valid: np.ndarray = None
 
@@ -80,22 +89,16 @@ class DisparityMap:
         object.__setattr__(self, "valid", _freeze(mask))
 
     @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def n_valid(self) -> int:
         return int(self.valid.sum())
 
 
 @dataclass(frozen=True)
-class FlowField:
+class FlowField(_Raster):
     """Per-pixel 2-vectors. Used both for flow deltas (du, dv) and, by the
     reprojection helpers, for absolute target coordinates."""
+
+    _array = "vectors"
 
     vectors: np.ndarray
     valid: np.ndarray = None
@@ -107,17 +110,11 @@ class FlowField:
         object.__setattr__(self, "vectors", _freeze(vectors))
         object.__setattr__(self, "valid", _freeze(mask))
 
-    @property
-    def width(self) -> int:
-        return self.vectors.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.vectors.shape[0]
-
 
 @dataclass(frozen=True)
-class Pointmap:
+class Pointmap(_Raster):
+    _array = "points"
+
     points: np.ndarray
     valid: np.ndarray = None
 
@@ -128,17 +125,9 @@ class Pointmap:
         object.__setattr__(self, "points", _freeze(points))
         object.__setattr__(self, "valid", _freeze(mask))
 
-    @property
-    def width(self) -> int:
-        return self.points.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.points.shape[0]
-
 
 @dataclass(frozen=True)
-class ConfidenceMap:
+class ConfidenceMap(_Raster):
     values: np.ndarray
 
     def __post_init__(self):
@@ -147,10 +136,49 @@ class ConfidenceMap:
             raise ValidationError("confidence values must all be finite and positive")
         object.__setattr__(self, "values", _freeze(values))
 
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
 
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
+def _bilinear_taps(x, y, width: int, height: int):
+    """The bilinear stencil at float coordinates (x, y) on a width x height grid.
+
+    Returns ``(inside, taps)``: ``inside`` marks locations in [0, W-1] x [0, H-1],
+    and ``taps`` lists ``(weight, row, col)`` for the four corners. The top-left
+    corner is clamped to at most (W-2, H-2), so a location on the far edge
+    still uses an in-bounds 2x2 block; outside locations get weight 1 on that
+    clamped corner.
+    """
+    inside = (x >= 0) & (x <= width - 1) & (y >= 0) & (y <= height - 1)
+    x0 = np.clip(np.floor(x).astype(np.int64), 0, max(width - 2, 0))
+    y0 = np.clip(np.floor(y).astype(np.int64), 0, max(height - 2, 0))
+    x1 = np.minimum(x0 + 1, width - 1)
+    y1 = np.minimum(y0 + 1, height - 1)
+    a = np.where(inside, x - x0, 0.0)
+    b = np.where(inside, y - y0, 0.0)
+    return inside, (
+        ((1.0 - a) * (1.0 - b), y0, x0),
+        (a * (1.0 - b), y0, x1),
+        ((1.0 - a) * b, y1, x0),
+        (a * b, y1, x1),
+    )
+
+
+def bilinear_sample(values, x, y, valid=None):
+    """Bilinearly sample (H, W) or (H, W, C) ``values`` at float coordinates (x, y).
+
+    Returns ``(sample, ok)``. ``ok`` is False where (x, y) lies outside
+    [0, W-1] x [0, H-1] and, when a ``valid`` mask is given, where any of the
+    four surrounding cells is invalid (the strict 4-cell rule). ``sample`` is
+    0 wherever ``ok`` is False.
+    """
+    height, width = values.shape[:2]
+    ok, taps = _bilinear_taps(x, y, width, height)
+    if valid is not None:
+        for _, row, col in taps:
+            ok = ok & valid[row, col]
+    channel = (...,) + (None,) * (values.ndim - 2)
+    terms = (w[channel] * values[row, col] for w, row, col in taps)
+    # summed left to right from the first term, not from 0.0, so a -0.0
+    # sample keeps its sign; in place, so no term outlives the next
+    sample = next(terms)
+    for term in terms:
+        sample += term
+    return np.where(ok[channel], sample, 0.0), ok

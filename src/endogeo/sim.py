@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import CameraIntrinsics, Pose, Quaternion, compose, inverse
-from .losses import induced_reprojection, _pixel_grid
+from .geometry import CameraIntrinsics, Pose, Quaternion, compose, inverse, pixel_grid, pixel_rays
+from .losses import induced_reprojection
 from .rasters import DepthMap, FlowField
 from .rng import SplitMix64
 from .trajectory import Trajectory
@@ -99,16 +99,7 @@ def surface_height(scene: SceneSpec, x, y):
 
 def render_depth(scene: SceneSpec, pose: Pose, intrinsics: CameraIntrinsics) -> DepthMap:
     """Exact per-pixel depth of the scene seen from ``pose`` (camera-to-world)."""
-    uu, vv = _pixel_grid(intrinsics.width, intrinsics.height)
-    dirs_cam = np.stack(
-        [
-            (uu - intrinsics.cx) / intrinsics.fx,
-            (vv - intrinsics.cy) / intrinsics.fy,
-            np.ones_like(uu),
-        ],
-        axis=-1,
-    )
-    d = pose.rotation.rotate(dirs_cam.reshape(-1, 3)).reshape(dirs_cam.shape)
+    d = pose.rotation.rotate(pixel_rays(pixel_grid(intrinsics.width, intrinsics.height), intrinsics))
     o = pose.translation
 
     if scene.kind == "plane":
@@ -141,14 +132,15 @@ def render_depth(scene: SceneSpec, pose: Pose, intrinsics: CameraIntrinsics) -> 
         z = o[2] + lam * d[..., 2]
         return z - surface_height(scene, x, y)
 
-    lam_lo = np.full(uu.shape, 0.2 * scene.extent)
-    lam_hi = np.full(uu.shape, 3.0 * scene.extent)
+    shape = d.shape[:-1]
+    lam_lo = np.full(shape, 0.2 * scene.extent)
+    lam_hi = np.full(shape, 3.0 * scene.extent)
     steps = np.linspace(0.2 * scene.extent, 3.0 * scene.extent, _MARCH_STEPS)
-    found = np.zeros(uu.shape, dtype=bool)
+    found = np.zeros(shape, dtype=bool)
     prev = steps[0]
-    res_prev = residual(np.full(uu.shape, prev))
+    res_prev = residual(np.full(shape, prev))
     for lam in steps[1:]:
-        cur = np.full(uu.shape, lam)
+        cur = np.full(shape, lam)
         res_cur = residual(cur)
         crossing = ~found & (np.sign(res_prev) != np.sign(res_cur))
         lam_lo = np.where(crossing, prev, lam_lo)
@@ -268,10 +260,7 @@ def induced_flow(
     depth_i = render_depth(scene, pose_i, intrinsics)
     motion = compose(inverse(pose_j), pose_i)
     targets = induced_reprojection(depth_i, intrinsics, intrinsics, motion)
-    uu, vv = _pixel_grid(intrinsics.width, intrinsics.height)
-    vectors = np.stack(
-        [targets.vectors[..., 0] - uu, targets.vectors[..., 1] - vv], axis=-1
-    )
+    vectors = targets.vectors - pixel_grid(intrinsics.width, intrinsics.height)
     return FlowField(np.where(targets.valid[..., None], vectors, 0.0), targets.valid)
 
 

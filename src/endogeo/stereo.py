@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .geometry import CameraIntrinsics, Quaternion, slerp
-from .rasters import DISPARITY_EPSILON, DepthMap, DisparityMap
+from .geometry import CameraIntrinsics, Quaternion, pixel_grid, pixel_rays, slerp
+from .rasters import DISPARITY_EPSILON, DepthMap, DisparityMap, bilinear_sample
 
 _UNDISTORT_MAX_ITER = 20
 _UNDISTORT_TOL_PX = 1e-8
@@ -119,11 +119,9 @@ def undistort_normalized(xd, yd, dist, fx: float, fy: float):
 
 def undistort_pixels(cam: MonoCalibration, pixels):
     """Distorted pixel coordinates -> undistorted normalized coordinates (..., 2)."""
-    px = np.asarray(pixels, dtype=np.float64)
     k = cam.intrinsics
-    xd = (px[..., 0] - k.cx) / k.fx
-    yd = (px[..., 1] - k.cy) / k.fy
-    x, y = undistort_normalized(xd, yd, cam.dist, k.fx, k.fy)
+    rays = pixel_rays(pixels, k)
+    x, y = undistort_normalized(rays[..., 0], rays[..., 1], cam.dist, k.fx, k.fy)
     return np.stack([x, y], axis=-1)
 
 
@@ -158,15 +156,9 @@ def compute_rectify_maps(calib: StereoCalibration) -> RectifyMaps:
     r_rel = calib.rotation.to_rotation_matrix()
     k = calib.left.intrinsics
     rect_k = CameraIntrinsics(k.fx, k.fy, k.cx, k.cy, k.width, k.height)
+    dirs = pixel_rays(pixel_grid(rect_k.width, rect_k.height), rect_k)
 
     def maps_for(cam: MonoCalibration, basis: np.ndarray):
-        kk = rect_k
-        uu, vv = np.meshgrid(
-            np.arange(kk.width, dtype=np.float64), np.arange(kk.height, dtype=np.float64)
-        )
-        dirs = np.stack(
-            [(uu - kk.cx) / kk.fx, (vv - kk.cy) / kk.fy, np.ones_like(uu)], axis=-1
-        )
         cam_dirs = dirs @ basis.T
         z = cam_dirs[..., 2]
         ok = z > 0
@@ -230,52 +222,30 @@ def remap(image, map_x, map_y, *, fill: float = 0.0):
         raise ValidationError(f"map shapes differ: {mx.shape} vs {my.shape}")
     if img.ndim not in (2, 3):
         raise ValidationError(f"image must be (H, W) or (H, W, C), got {img.shape}")
-    height, width = img.shape[:2]
-    ok = (mx >= 0) & (mx <= width - 1) & (my >= 0) & (my <= height - 1)
-    x0 = np.clip(np.floor(mx).astype(np.int64), 0, max(width - 2, 0))
-    y0 = np.clip(np.floor(my).astype(np.int64), 0, max(height - 2, 0))
-    a = np.where(ok, mx - x0, 0.0)
-    b = np.where(ok, my - y0, 0.0)
-    x1 = np.minimum(x0 + 1, width - 1)
-    y1 = np.minimum(y0 + 1, height - 1)
-    w00 = (1.0 - a) * (1.0 - b)
-    w10 = a * (1.0 - b)
-    w01 = (1.0 - a) * b
-    w11 = a * b
-    if img.ndim == 3:
-        w00, w10, w01, w11 = (w[..., None] for w in (w00, w10, w01, w11))
-        ok_b = ok[..., None]
-    else:
-        ok_b = ok
-    out = (
-        w00 * img[y0, x0] + w10 * img[y0, x1] + w01 * img[y1, x0] + w11 * img[y1, x1]
-    )
-    return np.where(ok_b, out, fill)
+    sample, ok = bilinear_sample(img, mx, my)
+    return np.where(ok[..., None] if img.ndim == 3 else ok, sample, fill)
+
+
+def _bf_over(raster, baseline: float, focal: float) -> np.ndarray:
+    """baseline * focal / value on valid pixels, 0 elsewhere: the one formula
+    behind both directions of the depth <-> disparity conversion."""
+    if not baseline > 0:
+        raise ValidationError(f"baseline must be positive, got {baseline}")
+    if not focal > 0:
+        raise ValidationError(f"focal length must be positive, got {focal}")
+    safe = np.where(raster.valid, raster.values, 1.0)
+    return np.where(raster.valid, baseline * focal / safe, 0.0)
 
 
 def disparity_to_depth(disparity: DisparityMap, baseline: float, focal: float) -> DepthMap:
     """Depth = baseline * focal / disparity on valid pixels; invalid pixels
     (including d <= DISPARITY_EPSILON, already masked by DisparityMap) stay
     invalid and serialize as 0."""
-    if not baseline > 0:
-        raise ValidationError(f"baseline must be positive, got {baseline}")
-    if not focal > 0:
-        raise ValidationError(f"focal length must be positive, got {focal}")
-    bf = baseline * focal
-    safe = np.where(disparity.valid, disparity.values, 1.0)
-    values = np.where(disparity.valid, bf / safe, 0.0)
-    return DepthMap(values, disparity.valid)
+    return DepthMap(_bf_over(disparity, baseline, focal), disparity.valid)
 
 
 def depth_to_disparity(depth: DepthMap, baseline: float, focal: float) -> DisparityMap:
-    if not baseline > 0:
-        raise ValidationError(f"baseline must be positive, got {baseline}")
-    if not focal > 0:
-        raise ValidationError(f"focal length must be positive, got {focal}")
-    bf = baseline * focal
-    safe = np.where(depth.valid, depth.values, 1.0)
-    values = np.where(depth.valid, bf / safe, 0.0)
-    return DisparityMap(values, depth.valid)
+    return DisparityMap(_bf_over(depth, baseline, focal), depth.valid)
 
 
 def _camera_from_dict(obj: dict, path, side: str) -> MonoCalibration:

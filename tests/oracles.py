@@ -64,6 +64,57 @@ def _bilinear(values, valid, width, height, u, v):
     return sample, True
 
 
+def oracle_resize_depth(values, valid, width, height, out_width, out_height):
+    """Validity-aware bilinear resize by normalized convolution.
+
+    Output pixel (i, j) samples the input at u = (j + 0.5) * width / out_width
+    - 0.5 and v = (i + 0.5) * height / out_height - 0.5, each clamped into
+    [0, width-1] x [0, height-1]. The corner index is clamped as in
+    `_bilinear`. Only valid neighbors contribute, and the weighted sum is
+    divided by their summed weight; the pixel is invalid when that sum is at
+    most 1e-12. Values under invalid pixels are never read. Returns
+    (values, valid) as nested lists; identical sizes return the input.
+    """
+    if (width, height) == (out_width, out_height):
+        return (
+            [[float(values[i][j]) for j in range(width)] for i in range(height)],
+            [[bool(valid[i][j]) for j in range(width)] for i in range(height)],
+        )
+    sx = width / out_width
+    sy = height / out_height
+    out_values = []
+    out_valid = []
+    for i in range(out_height):
+        v = min(max((i + 0.5) * sy - 0.5, 0.0), height - 1)
+        y0 = min(int(math.floor(v)), max(height - 2, 0))
+        y1 = min(y0 + 1, height - 1)
+        b = v - y0
+        row_values = []
+        row_valid = []
+        for j in range(out_width):
+            u = min(max((j + 0.5) * sx - 0.5, 0.0), width - 1)
+            x0 = min(int(math.floor(u)), max(width - 2, 0))
+            x1 = min(x0 + 1, width - 1)
+            a = u - x0
+            total = 0.0
+            wsum = 0.0
+            for w, yy, xx in (
+                ((1.0 - a) * (1.0 - b), y0, x0),
+                (a * (1.0 - b), y0, x1),
+                ((1.0 - a) * b, y1, x0),
+                (a * b, y1, x1),
+            ):
+                if valid[yy][xx]:
+                    total += w * float(values[yy][xx])
+                    wsum += w
+            ok = wsum > 1e-12
+            row_values.append(total / wsum if ok else 0.0)
+            row_valid.append(ok)
+        out_values.append(row_values)
+        out_valid.append(row_valid)
+    return out_values, out_valid
+
+
 def oracle_point_set_scale(points, valid, width, height):
     total = 0.0
     count = 0

@@ -372,9 +372,14 @@ class TestConfigMechanics:
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"pred": "x", "gt": "y", "windoww": 4}))
-        code, _, _ = run(["eval-traj", "--config", str(cfg_path)], capsys)
-        assert code == 3
+        for command, cfg in (
+            ("eval-traj", {"pred": "x", "gt": "y", "windoww": 4}),
+            # eval-consistency no longer takes alpha
+            ("eval-consistency", {"depths": "d", "poses": "p", "flows": "f", "calib": "c", "alpha": 0.2}),
+        ):
+            cfg_path.write_text(json.dumps(cfg))
+            code, _, _ = run([command, "--config", str(cfg_path)], capsys)
+            assert code == 3, command
 
     def test_wrong_config_value_type_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

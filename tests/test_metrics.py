@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from endogeo.errors import ValidationError
 from endogeo.geometry import Pose, Quaternion
@@ -16,7 +19,7 @@ from endogeo.metrics import (
 from endogeo.rasters import DepthMap
 from endogeo.trajectory import Trajectory
 
-from oracles import oracle_depth_metrics
+from oracles import oracle_depth_metrics, oracle_resize_depth
 
 
 def line_trajectory(n, step=1.0):
@@ -242,6 +245,35 @@ class TestResizeDepth:
         out = resize_depth(DepthMap(values, valid), 4, 2)
         # wherever the sample is computable it uses only the valid column
         assert np.abs(out.values[out.valid] - 10.0).max() < 1e-12
+
+    def test_nonfinite_value_under_invalid_pixel_stays_out(self):
+        # 0 * inf in the weighted sum used to turn valid neighbors into NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = resize_depth(DepthMap([[np.inf, 1, 1, 1], [1, 1, 1, 1]]), 8, 4)
+            assert out.valid.sum() == 31 and not out.valid[0, 0]
+            assert (out.values[out.valid] == 1.0).all()
+            out = resize_depth(DepthMap([[np.nan, 2, 3, 4], [1, 1, 1, 1]]), 2, 1)
+        assert out.valid.tolist() == [[True, True]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_straight_loop_oracle(self, data):
+        in_h, in_w = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+        # both directions in one size range: below, equal to and above the input
+        out_h, out_w = data.draw(st.integers(1, 14)), data.draw(st.integers(1, 14))
+        cells = in_h * in_w
+        values = np.array(data.draw(st.lists(st.floats(0.5, 100.0), min_size=cells, max_size=cells)))
+        valid = np.array(data.draw(st.lists(st.booleans(), min_size=cells, max_size=cells)))
+        junk = data.draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -3.0]), min_size=cells, max_size=cells))
+        values = np.where(valid, values, junk).reshape(in_h, in_w)
+        depth = DepthMap(values, valid.reshape(in_h, in_w))
+        out = resize_depth(depth, out_w, out_h)
+        expected, expected_valid = oracle_resize_depth(
+            depth.values.tolist(), depth.valid.tolist(), in_w, in_h, out_w, out_h
+        )
+        assert out.valid.tolist() == expected_valid
+        assert np.array_equal(out.values[out.valid], np.array(expected)[out.valid])
 
     def test_all_invalid_region_stays_invalid(self):
         values = np.full((2, 4), 5.0)
