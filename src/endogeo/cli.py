@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import argparse
 import glob
-import json
 import logging
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import fileio, losses, metrics, sim, stereo
 from .drift import correct_long_trajectory
@@ -152,11 +151,7 @@ def _add_command(subparsers, name: str, help_text: str, params):
 
 
 def _load_config_file(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON config: {exc}", path=path, line=exc.lineno) from None
+    obj = fileio.read_json(path)
     if not isinstance(obj, dict):
         raise FormatError("config file must contain a JSON object", path=path)
     return obj
@@ -175,8 +170,8 @@ def _coerce(value, param: _Param, source: str):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValidationError(f"{source}: {param.name} must be a number, got {value!r}")
         return float(value)
-    if not isinstance(value, str):
-        raise ValidationError(f"{source}: {param.name} must be a string, got {value!r}")
+    if not isinstance(value, str) or "\0" in value:  # a path with NUL cannot be opened
+        raise ValidationError(f"{source}: {param.name} must be a string without NUL, got {value!r}")
     return value
 
 
@@ -207,13 +202,13 @@ def _effective_config(args, params) -> dict:
     return cfg
 
 
-def _emit_report(report: dict, out_path) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+def _emit_report(report: dict, cfg: dict, out_path) -> None:
+    """Write ``report`` plus its ``config_echo`` to ``out_path``, or to stdout."""
+    report = {**report, "config_echo": dict(cfg)}
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        fileio.write_json(out_path, report)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(fileio.format_json(report))
 
 
 def _cmd_simulate(cfg: dict) -> int:
@@ -244,9 +239,7 @@ def _cmd_correct(cfg: dict) -> int:
     segments.sort(key=lambda s: s.start_anchor_frame)
     corrected, report = correct_long_trajectory(anchors, segments)
     save_tum(cfg["out"], corrected)
-    payload = report.to_dict()
-    payload["config_echo"] = dict(cfg)
-    _emit_report(payload, cfg["report"])
+    _emit_report(report.to_dict(), cfg, cfg["report"])
     log.info("corrected %d poses across %d segments", len(corrected), len(segments))
     return EXIT_OK
 
@@ -267,10 +260,9 @@ def _cmd_eval_traj(cfg: dict) -> int:
         "rte_mm": rte_mm,
         "rte_rot_rad": rte_rot,
         "n_frames": len(pred),
-        "config_echo": dict(cfg),
     }
     _log_table([("ate_mm", ate_mm), ("rte_mm", rte_mm), ("rte_rot_rad", rte_rot)])
-    _emit_report(report, cfg["out"])
+    _emit_report(report, cfg, cfg["out"])
     return EXIT_OK
 
 
@@ -310,10 +302,9 @@ def _cmd_eval_depth(cfg: dict) -> int:
             "n_frames": len(names),
             "n_pixels": n_pixels,
             "per_frame": per_frame,
-            "config_echo": dict(cfg),
         }
     )
-    _emit_report(report, cfg["out"])
+    _emit_report(report, cfg, cfg["out"])
     return EXIT_OK
 
 
@@ -413,9 +404,8 @@ def _cmd_eval_consistency(cfg: dict) -> int:
         "aggregate": {**means, "weighted": agg_weighted, "total": agg_total},
         "prior_skipped": prior_skipped,
         "n_pairs": n,
-        "config_echo": dict(cfg),
     }
-    _emit_report(report, cfg["out"])
+    _emit_report(report, cfg, cfg["out"])
     return EXIT_OK
 
 
@@ -430,9 +420,8 @@ def _cmd_disparity2depth(cfg: dict) -> int:
         "baseline_mm": calib.baseline,
         "focal_px": focal,
         "n_valid": depth.n_valid,
-        "config_echo": dict(cfg),
     }
-    _emit_report(report, None)
+    _emit_report(report, cfg, None)
     return EXIT_OK
 
 
@@ -450,27 +439,10 @@ def _cmd_rectify_maps(cfg: dict) -> int:
         path = f"{prefix}_{name}.pfm"
         fileio.write_pfm(path, data)
         outputs[name] = path
-    k = maps.intrinsics
     intr_path = f"{prefix}_intrinsics.json"
-    with open(intr_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(
-            {
-                "fx": k.fx,
-                "fy": k.fy,
-                "cx": k.cx,
-                "cy": k.cy,
-                "width": k.width,
-                "height": k.height,
-                "baseline_mm": maps.baseline,
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    fileio.write_json(intr_path, {**asdict(maps.intrinsics), "baseline_mm": maps.baseline})
     outputs["intrinsics"] = intr_path
-    report = {"outputs": outputs, "config_echo": dict(cfg)}
-    _emit_report(report, None)
+    _emit_report({"outputs": outputs}, cfg, None)
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ parameter is linear in frame index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import NumericError, ValidationError
 from .geometry import Pose, compose, inverse, pose_distance, pose_interp
@@ -48,22 +48,7 @@ class CorrectionReport:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "segments": [
-                {
-                    "start_frame": s.start_frame,
-                    "end_frame": s.end_frame,
-                    "drift_rot_rad": s.drift_rot_rad,
-                    "drift_trans_mm": s.drift_trans_mm,
-                    "residual_rot_rad": s.residual_rot_rad,
-                    "residual_trans_mm": s.residual_trans_mm,
-                }
-                for s in self.segments
-            ],
-            "n_segments": len(self.segments),
-            "max_anchor_residual_rot_rad": self.max_anchor_residual_rot_rad,
-            "max_anchor_residual_trans_mm": self.max_anchor_residual_trans_mm,
-        }
+        return {**asdict(self), "n_segments": len(self.segments)}
 
 
 def align_segment_start(segment: LocalSegment, anchor_pose: Pose) -> LocalSegment:

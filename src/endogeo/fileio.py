@@ -9,10 +9,16 @@ serialize invalid pixels as 0.0; pointmap wrappers use the all-zero vector.
 interleaved float32 (du, dv) top-to-bottom, always little-endian. Components
 with magnitude >= 1e9 mark a pixel invalid (the Middlebury "unknown flow"
 sentinel); invalid pixels are written as 1e10.
+
+JSON (configs, calibrations, reports) is read and written here too, so the
+package has one text form and one rule for malformed input.
 """
 
 from __future__ import annotations
 
+import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -20,9 +26,77 @@ import numpy as np
 from .errors import FormatError
 from .rasters import DepthMap, DisparityMap, FlowField, Pointmap
 
+_PFM_CHANNELS = {b"Pf": (), b"PF": (3,)}  # magic -> channel axis of the array
+_FLO_HEADER = struct.Struct("<fii")  # magic, width, height
 _FLO_MAGIC = 202021.25
 _FLO_INVALID_READ = 1e9
 _FLO_INVALID_WRITE = 1e10
+
+
+def format_json(obj) -> str:
+    """The one JSON text form the package writes: sorted keys, two-space
+    indentation, trailing newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(path, obj) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(format_json(obj))
+
+
+def _finite_literal(text: str) -> str:
+    # float() saturates to inf instead of raising, so this also catches
+    # overflowing literals such as 1e999 or a 400-digit integer
+    if not math.isfinite(float(text)):
+        raise ValueError(f"non-finite number {text}")
+    return text
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of a file; bytes that are not UTF-8 raise :class:`FormatError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 text: {exc}", path=path) from None
+
+
+def read_json(path):
+    """Parse a UTF-8 JSON file. Malformed JSON, non-UTF-8 bytes and
+    non-finite numbers (NaN, Infinity, literals beyond the float range) raise
+    :class:`FormatError`."""
+    text = read_text(path)
+    try:
+        return json.loads(
+            text,
+            parse_float=lambda t: float(_finite_literal(t)),
+            parse_int=lambda t: int(_finite_literal(t)),
+            parse_constant=_finite_literal,
+        )
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        line = getattr(exc, "lineno", None)
+        raise FormatError(f"invalid JSON: {exc}", path=path, line=line) from None
+
+
+def _check_scale(scale, path) -> None:
+    if not (math.isfinite(scale) and scale != 0):
+        raise FormatError(f"PFM scale must be finite and nonzero, got {scale}", path=path)
+
+
+def _read_payload(fh, shape, dtype, what: str, path) -> np.ndarray:
+    """The float32 payload of ``shape`` (H, W[, C]) at the current position
+    of ``fh``. Both the dimensions and the bytes left in the file are checked
+    before reading, so a hostile header cannot request a huge read."""
+    height, width = shape[:2]
+    if width <= 0 or height <= 0:
+        raise FormatError(f"non-positive {what} dimensions {width}x{height}", path=path)
+    expected = math.prod(shape) * 4
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if left < expected:
+        raise FormatError(
+            f"truncated {what} payload: expected {expected} bytes, got {left}", path=path
+        )
+    return np.frombuffer(fh.read(expected), dtype=dtype).reshape(shape)
 
 
 def write_pfm(path, array, *, scale: float = -1.0) -> None:
@@ -37,8 +111,7 @@ def write_pfm(path, array, *, scale: float = -1.0) -> None:
         raise FormatError(
             f"PFM supports (H, W) or (H, W, 3) arrays, got shape {data.shape}", path=path
         )
-    if scale == 0:
-        raise FormatError("PFM scale must be nonzero", path=path)
+    _check_scale(scale, path)
     dtype = "<f4" if scale < 0 else ">f4"
     height, width = data.shape[:2]
     with open(path, "wb") as fh:
@@ -52,11 +125,8 @@ def read_pfm(path):
     """Returns (float32 array of shape (H, W) or (H, W, 3), scale magnitude)."""
     with open(path, "rb") as fh:
         magic = fh.readline().rstrip()
-        if magic == b"Pf":
-            channels = 1
-        elif magic == b"PF":
-            channels = 3
-        else:
+        channels = _PFM_CHANNELS.get(magic)
+        if channels is None:
             raise FormatError(f"not a PFM file (magic {magic!r})", path=path)
         dims = fh.readline().split()
         if len(dims) != 2:
@@ -65,50 +135,39 @@ def read_pfm(path):
             width, height = int(dims[0]), int(dims[1])
         except ValueError:
             raise FormatError(f"non-integer PFM dimensions {dims}", path=path) from None
-        if width <= 0 or height <= 0:
-            raise FormatError(f"non-positive PFM dimensions {width}x{height}", path=path)
         try:
             scale = float(fh.readline())
         except ValueError:
             raise FormatError("malformed PFM scale line", path=path) from None
-        if scale == 0:
-            raise FormatError("PFM scale must be nonzero", path=path)
+        _check_scale(scale, path)
         dtype = "<f4" if scale < 0 else ">f4"
-        count = width * height * channels
-        raw = fh.read(count * 4)
-        if len(raw) != count * 4:
-            raise FormatError(
-                f"truncated PFM payload: expected {count * 4} bytes, got {len(raw)}",
-                path=path,
-            )
-    data = np.frombuffer(raw, dtype=dtype).reshape(
-        (height, width) if channels == 1 else (height, width, 3)
-    )
+        data = _read_payload(fh, (height, width) + channels, dtype, "PFM", path)
     return np.flipud(data).astype(np.float32), abs(scale)
 
 
 def write_depth_pfm(path, depth: DepthMap) -> None:
+    """Write a depth (or disparity) map; invalid pixels are stored as 0.0."""
     write_pfm(path, np.where(depth.valid, depth.values, 0.0))
 
 
-def read_depth_pfm(path) -> DepthMap:
+write_disparity_pfm = write_depth_pfm
+
+
+def _read_pfm_values(path, what: str, ndim: int) -> np.ndarray:
     data, _ = read_pfm(path)
-    if data.ndim != 2:
-        raise FormatError("depth PFM must be single-channel", path=path)
-    values = data.astype(np.float64)
-    return DepthMap(values, values > 0)
+    if data.ndim != ndim:
+        channels = "single-channel" if ndim == 2 else "3-channel"
+        raise FormatError(f"{what} PFM must be {channels}", path=path)
+    return data.astype(np.float64)
 
 
-def write_disparity_pfm(path, disparity: DisparityMap) -> None:
-    write_pfm(path, np.where(disparity.valid, disparity.values, 0.0))
+def read_depth_pfm(path) -> DepthMap:
+    # the stored 0.0 of an invalid pixel is below the raster's own floor
+    return DepthMap(_read_pfm_values(path, "depth", 2))
 
 
 def read_disparity_pfm(path) -> DisparityMap:
-    data, _ = read_pfm(path)
-    if data.ndim != 2:
-        raise FormatError("disparity PFM must be single-channel", path=path)
-    values = data.astype(np.float64)
-    return DisparityMap(values, values > 0)
+    return DisparityMap(_read_pfm_values(path, "disparity", 2))
 
 
 def write_pointmap_pfm(path, pointmap: Pointmap) -> None:
@@ -116,10 +175,7 @@ def write_pointmap_pfm(path, pointmap: Pointmap) -> None:
 
 
 def read_pointmap_pfm(path) -> Pointmap:
-    data, _ = read_pfm(path)
-    if data.ndim != 3:
-        raise FormatError("pointmap PFM must be 3-channel", path=path)
-    points = data.astype(np.float64)
+    points = _read_pfm_values(path, "pointmap", 3)
     return Pointmap(points, np.any(points != 0.0, axis=2))
 
 
@@ -127,28 +183,19 @@ def write_flo(path, flow: FlowField) -> None:
     height, width = flow.vectors.shape[:2]
     data = np.where(flow.valid[..., None], flow.vectors, _FLO_INVALID_WRITE)
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<f", _FLO_MAGIC))
-        fh.write(struct.pack("<ii", width, height))
+        fh.write(_FLO_HEADER.pack(_FLO_MAGIC, width, height))
         fh.write(data.astype("<f4").tobytes())
 
 
 def read_flo(path) -> FlowField:
     with open(path, "rb") as fh:
-        head = fh.read(12)
-        if len(head) != 12:
+        head = fh.read(_FLO_HEADER.size)
+        if len(head) != _FLO_HEADER.size:
             raise FormatError("truncated .flo header", path=path)
-        magic, width, height = struct.unpack("<fii", head)
+        magic, width, height = _FLO_HEADER.unpack(head)
         if magic != _FLO_MAGIC:
             raise FormatError(f"not a .flo file (magic {magic!r})", path=path)
-        if width <= 0 or height <= 0:
-            raise FormatError(f"non-positive .flo dimensions {width}x{height}", path=path)
-        count = width * height * 2
-        raw = fh.read(count * 4)
-        if len(raw) != count * 4:
-            raise FormatError(
-                f"truncated .flo payload: expected {count * 4} bytes, got {len(raw)}",
-                path=path,
-            )
-    vectors = np.frombuffer(raw, dtype="<f4").reshape(height, width, 2).astype(np.float64)
+        data = _read_payload(fh, (height, width, 2), "<f4", ".flo", path)
+    vectors = data.astype(np.float64)
     valid = np.all(np.abs(vectors) < _FLO_INVALID_READ, axis=2)
     return FlowField(vectors, valid)

@@ -185,22 +185,26 @@ def slerp(q0: Quaternion, q1: Quaternion, t: float) -> Quaternion:
     )
 
 
+def vec3(value, what: str) -> np.ndarray:
+    """``value`` as a read-only, finite float64 3-vector; ``what`` names it
+    in the error message."""
+    t = np.array(value, dtype=np.float64)
+    if t.shape != (3,):
+        raise ValidationError(f"{what} must be a 3-vector, got shape {t.shape}")
+    if not np.all(np.isfinite(t)):
+        raise ValidationError(f"{what} must be finite")
+    t.flags.writeable = False
+    return t
+
+
 @dataclass(frozen=True)
 class Pose:
     rotation: Quaternion
     translation: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        t = np.array(
-            self.translation if self.translation is not None else (0.0, 0.0, 0.0),
-            dtype=np.float64,
-        )
-        if t.shape != (3,):
-            raise ValidationError(f"translation must be a 3-vector, got shape {t.shape}")
-        if not np.all(np.isfinite(t)):
-            raise ValidationError("translation must be finite")
-        t.flags.writeable = False
-        object.__setattr__(self, "translation", t)
+        t = self.translation if self.translation is not None else (0.0, 0.0, 0.0)
+        object.__setattr__(self, "translation", vec3(t, "translation"))
 
     @staticmethod
     def identity() -> "Pose":
@@ -249,8 +253,10 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValidationError(f"focal lengths must be positive: fx={self.fx} fy={self.fy}")
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
+            raise ValidationError(
+                f"focal lengths must be positive and finite: fx={self.fx} fy={self.fy}"
+            )
         if not (isinstance(self.width, int) and isinstance(self.height, int)):
             raise ValidationError("width/height must be integers")
         if self.width <= 0 or self.height <= 0:
@@ -322,11 +328,7 @@ class SimilarityTransform:
     def __post_init__(self):
         if not (self.scale > 0 and math.isfinite(self.scale)):
             raise ValidationError(f"scale must be positive, got {self.scale}")
-        t = np.array(self.translation, dtype=np.float64)
-        if t.shape != (3,):
-            raise ValidationError(f"translation must be a 3-vector, got shape {t.shape}")
-        t.flags.writeable = False
-        object.__setattr__(self, "translation", t)
+        object.__setattr__(self, "translation", vec3(self.translation, "translation"))
 
     def apply(self, points):
         return self.scale * self.rotation.rotate(points) + self.translation

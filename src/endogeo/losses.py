@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import CameraIntrinsics, Pose, pixel_grid, pixel_rays, project_with_mask
-from .rasters import ConfidenceMap, DepthMap, FlowField, Pointmap, bilinear_sample
+from .rasters import ConfidenceMap, DepthMap, FlowField, Pointmap, bilinear_sample, in_bounds
 
 
 @dataclass(frozen=True)
@@ -154,8 +154,7 @@ def c_flow(
     grid = pixel_grid(depth.width, depth.height)
     px = grid[..., 0] + flow.vectors[..., 0]
     py = grid[..., 1] + flow.vectors[..., 1]
-    in_bounds = (px >= 0) & (px <= depth.width - 1) & (py >= 0) & (py <= depth.height - 1)
-    mask = induced.valid & flow.valid & in_bounds
+    mask = induced.valid & flow.valid & in_bounds(px, py, depth.width, depth.height)
     if not mask.any():
         raise ValidationError("no valid pixels for the flow-consistency loss")
     l1 = np.abs(induced.vectors[..., 0] - px) + np.abs(induced.vectors[..., 1] - py)

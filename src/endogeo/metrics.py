@@ -10,7 +10,7 @@ resolution (default 256x192) with optional per-map median scaling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,14 +51,7 @@ class DepthMetrics:
     n_pixels: int
 
     def to_dict(self) -> dict:
-        return {
-            "abs_rel": self.abs_rel,
-            "sq_rel": self.sq_rel,
-            "rmse": self.rmse,
-            "rmse_log": self.rmse_log,
-            "delta_1_25": self.delta_1_25,
-            "n_pixels": self.n_pixels,
-        }
+        return asdict(self)
 
 
 def _common_positions(pred: Trajectory, gt: Trajectory):

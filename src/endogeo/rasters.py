@@ -35,15 +35,6 @@ def _as_values(values, ndim_tail: int, name: str) -> np.ndarray:
     return arr
 
 
-def _as_mask(valid, shape, name: str) -> np.ndarray:
-    if valid is None:
-        return np.ones(shape, dtype=bool)
-    mask = np.array(valid, dtype=bool)
-    if mask.shape != shape:
-        raise ValidationError(f"{name} mask shape {mask.shape} does not match values {shape}")
-    return mask
-
-
 class _Raster:
     """``width``/``height`` of the (H, W[, C]) array held in the field named
     by ``_array``."""
@@ -59,16 +50,26 @@ class _Raster:
         return getattr(self, self._array).shape[0]
 
 
-@dataclass(frozen=True)
-class DepthMap(_Raster):
-    values: np.ndarray
-    valid: np.ndarray = None
+class _MaskedRaster(_Raster):
+    """The one validity rule of the masked rasters: a pixel is valid where the
+    given mask (default: all) says so, every channel is finite and, for
+    scalar rasters, the value exceeds ``_floor``."""
+
+    _name = ""
+    _channels = 0  # 0 for an (H, W) raster, else C of an (H, W, C) raster
+    _floor = None  # scalar rasters only: valid values must exceed it
 
     def __post_init__(self):
-        values = _as_values(self.values, 0, "depth")
-        mask = _as_mask(self.valid, values.shape, "depth")
-        mask &= np.isfinite(values) & (values > 0)
-        object.__setattr__(self, "values", _freeze(values))
+        array = _as_values(getattr(self, self._array), self._channels, self._name)
+        shape = array.shape[:2]
+        mask = np.ones(shape, dtype=bool) if self.valid is None else np.array(self.valid, dtype=bool)
+        if mask.shape != shape:
+            raise ValidationError(f"{self._name} mask shape {mask.shape} does not match values {shape}")
+        if self._channels:
+            mask &= np.all(np.isfinite(array), axis=2)
+        else:
+            mask &= np.isfinite(array) & (array > self._floor)
+        object.__setattr__(self, self._array, _freeze(array))
         object.__setattr__(self, "valid", _freeze(mask))
 
     @property
@@ -77,53 +78,44 @@ class DepthMap(_Raster):
 
 
 @dataclass(frozen=True)
-class DisparityMap(_Raster):
+class DepthMap(_MaskedRaster):
+    _name = "depth"
+    _floor = 0.0
+
     values: np.ndarray
     valid: np.ndarray = None
 
-    def __post_init__(self):
-        values = _as_values(self.values, 0, "disparity")
-        mask = _as_mask(self.valid, values.shape, "disparity")
-        mask &= np.isfinite(values) & (values > DISPARITY_EPSILON)
-        object.__setattr__(self, "values", _freeze(values))
-        object.__setattr__(self, "valid", _freeze(mask))
 
-    @property
-    def n_valid(self) -> int:
-        return int(self.valid.sum())
+@dataclass(frozen=True)
+class DisparityMap(_MaskedRaster):
+    _name = "disparity"
+    _floor = DISPARITY_EPSILON
+
+    values: np.ndarray
+    valid: np.ndarray = None
 
 
 @dataclass(frozen=True)
-class FlowField(_Raster):
+class FlowField(_MaskedRaster):
     """Per-pixel 2-vectors. Used both for flow deltas (du, dv) and, by the
     reprojection helpers, for absolute target coordinates."""
 
     _array = "vectors"
+    _name = "flow"
+    _channels = 2
 
     vectors: np.ndarray
     valid: np.ndarray = None
 
-    def __post_init__(self):
-        vectors = _as_values(self.vectors, 2, "flow")
-        mask = _as_mask(self.valid, vectors.shape[:2], "flow")
-        mask &= np.all(np.isfinite(vectors), axis=2)
-        object.__setattr__(self, "vectors", _freeze(vectors))
-        object.__setattr__(self, "valid", _freeze(mask))
-
 
 @dataclass(frozen=True)
-class Pointmap(_Raster):
+class Pointmap(_MaskedRaster):
     _array = "points"
+    _name = "pointmap"
+    _channels = 3
 
     points: np.ndarray
     valid: np.ndarray = None
-
-    def __post_init__(self):
-        points = _as_values(self.points, 3, "pointmap")
-        mask = _as_mask(self.valid, points.shape[:2], "pointmap")
-        mask &= np.all(np.isfinite(points), axis=2)
-        object.__setattr__(self, "points", _freeze(points))
-        object.__setattr__(self, "valid", _freeze(mask))
 
 
 @dataclass(frozen=True)
@@ -137,6 +129,12 @@ class ConfidenceMap(_Raster):
         object.__setattr__(self, "values", _freeze(values))
 
 
+def in_bounds(x, y, width: int, height: int):
+    """True where (x, y) lies in [0, W-1] x [0, H-1], the area a bilinear
+    sample can cover."""
+    return (x >= 0) & (x <= width - 1) & (y >= 0) & (y <= height - 1)
+
+
 def _bilinear_taps(x, y, width: int, height: int):
     """The bilinear stencil at float coordinates (x, y) on a width x height grid.
 
@@ -146,7 +144,7 @@ def _bilinear_taps(x, y, width: int, height: int):
     still uses an in-bounds 2x2 block; outside locations get weight 1 on that
     clamped corner.
     """
-    inside = (x >= 0) & (x <= width - 1) & (y >= 0) & (y <= height - 1)
+    inside = in_bounds(x, y, width, height)
     x0 = np.clip(np.floor(x).astype(np.int64), 0, max(width - 2, 0))
     y0 = np.clip(np.floor(y).astype(np.int64), 0, max(height - 2, 0))
     x1 = np.minimum(x0 + 1, width - 1)

@@ -301,7 +301,7 @@ def simulate_dataset(
     import os
 
     from . import fileio
-    from .stereo import MonoCalibration, StereoCalibration, calibration_to_dict
+    from .stereo import MonoCalibration, StereoCalibration, save_calibration
     from .trajectory import AnchorSet, save_tum, split_into_segments
 
     if n_frames < 2:
@@ -354,12 +354,7 @@ def simulate_dataset(
     calib = StereoCalibration(
         camera, camera, Quaternion.identity(), np.array([5.0, 0.0, 0.0])
     )
-    emit(
-        "calib.json",
-        lambda p: _write_json(
-            p, calibration_to_dict(calib)
-        ),
-    )
+    emit("calib.json", lambda p: save_calibration(p, calib))
 
     artifacts = []
     for name in sorted(written):
@@ -371,16 +366,8 @@ def simulate_dataset(
     manifest = {"artifacts": artifacts}
     if config_echo is not None:
         manifest["config_echo"] = config_echo
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    fileio.write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return manifest
-
-
-def _write_json(path, obj) -> None:
-    import json
-
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def inject_drift(gt: Trajectory, spec: DriftSpec) -> Trajectory:

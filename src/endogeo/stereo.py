@@ -12,14 +12,14 @@ a 1e-8 px step tolerance.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .geometry import CameraIntrinsics, Quaternion, pixel_grid, pixel_rays, slerp
+from .fileio import read_json, write_json
+from .geometry import CameraIntrinsics, Quaternion, pixel_grid, pixel_rays, project, slerp, vec3
 from .rasters import DISPARITY_EPSILON, DepthMap, DisparityMap, bilinear_sample
 
 _UNDISTORT_MAX_ITER = 20
@@ -53,12 +53,9 @@ class StereoCalibration:
             object.__setattr__(
                 self, "rotation", Quaternion.from_rotation_matrix(np.asarray(rot, dtype=np.float64))
             )
-        t = np.array(self.translation, dtype=np.float64)
-        if t.shape != (3,):
-            raise ValidationError(f"extrinsic translation must be a 3-vector, got {t.shape}")
+        t = vec3(self.translation, "extrinsic translation")
         if float(np.linalg.norm(t)) <= 0:
             raise ValidationError("degenerate rig: zero baseline")
-        t.flags.writeable = False
         object.__setattr__(self, "translation", t)
 
     @property
@@ -125,12 +122,17 @@ def undistort_pixels(cam: MonoCalibration, pixels):
     return np.stack([x, y], axis=-1)
 
 
+def _distorted_pixel_planes(cam: MonoCalibration, xn, yn):
+    """Undistorted normalized x/y planes -> distorted pixel u/v planes."""
+    xd, yd = distort_normalized(xn, yn, cam.dist)
+    k = cam.intrinsics
+    return k.fx * xd + k.cx, k.fy * yd + k.cy
+
+
 def distort_pixels(cam: MonoCalibration, normalized):
     """Undistorted normalized coordinates -> distorted pixel coordinates (..., 2)."""
     n = np.asarray(normalized, dtype=np.float64)
-    xd, yd = distort_normalized(n[..., 0], n[..., 1], cam.dist)
-    k = cam.intrinsics
-    return np.stack([k.fx * xd + k.cx, k.fy * yd + k.cy], axis=-1)
+    return np.stack(_distorted_pixel_planes(cam, n[..., 0], n[..., 1]), axis=-1)
 
 
 def _rectifying_rotation(calib: StereoCalibration) -> np.ndarray:
@@ -154,8 +156,7 @@ def compute_rectify_maps(calib: StereoCalibration) -> RectifyMaps:
     x along the baseline; rectified intrinsics are the left camera's."""
     r_rect = _rectifying_rotation(calib)
     r_rel = calib.rotation.to_rotation_matrix()
-    k = calib.left.intrinsics
-    rect_k = CameraIntrinsics(k.fx, k.fy, k.cx, k.cy, k.width, k.height)
+    rect_k = calib.left.intrinsics
     dirs = pixel_rays(pixel_grid(rect_k.width, rect_k.height), rect_k)
 
     def maps_for(cam: MonoCalibration, basis: np.ndarray):
@@ -163,13 +164,8 @@ def compute_rectify_maps(calib: StereoCalibration) -> RectifyMaps:
         z = cam_dirs[..., 2]
         ok = z > 0
         z_safe = np.where(ok, z, 1.0)
-        xn = cam_dirs[..., 0] / z_safe
-        yn = cam_dirs[..., 1] / z_safe
-        xd, yd = distort_normalized(xn, yn, cam.dist)
-        ki = cam.intrinsics
-        map_x = np.where(ok, ki.fx * xd + ki.cx, -1e9)
-        map_y = np.where(ok, ki.fy * yd + ki.cy, -1e9)
-        return map_x, map_y
+        u, v = _distorted_pixel_planes(cam, cam_dirs[..., 0] / z_safe, cam_dirs[..., 1] / z_safe)
+        return np.where(ok, u, -1e9), np.where(ok, v, -1e9)
 
     left_x, left_y = maps_for(calib.left, r_rect)
     basis_right = r_rel.T @ r_rect
@@ -196,18 +192,7 @@ def rectify_pixels(calib: StereoCalibration, maps: RectifyMaps, side: str, pixel
         raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
     norm = undistort_pixels(cam, pixels)
     dirs = np.concatenate([norm, np.ones(norm.shape[:-1] + (1,))], axis=-1)
-    rect_dirs = dirs @ rot.to_rotation_matrix()
-    z = rect_dirs[..., 2]
-    if np.any(z <= 0):
-        raise ValidationError("point behind the rectified camera")
-    k = maps.intrinsics
-    return np.stack(
-        [
-            k.fx * rect_dirs[..., 0] / z + k.cx,
-            k.fy * rect_dirs[..., 1] / z + k.cy,
-        ],
-        axis=-1,
-    )
+    return project(dirs @ rot.to_rotation_matrix(), maps.intrinsics)
 
 
 def remap(image, map_x, map_y, *, fill: float = 0.0):
@@ -268,29 +253,31 @@ def _camera_from_dict(obj: dict, path, side: str) -> MonoCalibration:
             int(obj["width"]),
             int(obj["height"]),
         )
+        dist = tuple(float(v) for v in dist)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"calibration {side} camera: {exc}", path=path) from None
-    return MonoCalibration(intr, tuple(float(v) for v in dist))
+    return MonoCalibration(intr, dist)
 
 
 def load_calibration(path) -> StereoCalibration:
     """JSON schema: {"left": {fx, fy, cx, cy, width, height, dist},
     "right": {...}, "extrinsics": {"R": 3x3 row-major, "T": [tx, ty, tz]}}."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}", path=path, line=exc.lineno) from None
+    obj = read_json(path)
     for key in ("left", "right", "extrinsics"):
-        if key not in obj:
-            raise FormatError(f"calibration missing key {key!r}", path=path)
+        if not (isinstance(obj, dict) and isinstance(obj.get(key), dict)):
+            raise FormatError(f"calibration key {key!r} missing or not a JSON object", path=path)
     ext = obj["extrinsics"]
     if "R" not in ext or "T" not in ext:
         raise FormatError("calibration extrinsics must contain 'R' and 'T'", path=path)
-    r = np.array(ext["R"], dtype=np.float64)
+    try:
+        r = np.array(ext["R"], dtype=np.float64)
+        t = np.array(ext["T"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"extrinsics R and T must be numeric: {exc}", path=path) from None
+    if not (np.isfinite(r).all() and np.isfinite(t).all()):  # a JSON null becomes NaN
+        raise FormatError("extrinsics R and T must be numeric, not null", path=path)
     if r.shape != (3, 3):
         raise FormatError(f"extrinsics R must be 3x3, got shape {r.shape}", path=path)
-    t = np.array(ext["T"], dtype=np.float64)
     if t.shape != (3,):
         raise FormatError(f"extrinsics T must be a 3-vector, got shape {t.shape}", path=path)
     ortho = float(np.abs(r @ r.T - np.eye(3)).max())
@@ -306,16 +293,7 @@ def load_calibration(path) -> StereoCalibration:
 
 def calibration_to_dict(calib: StereoCalibration) -> dict:
     def cam(mono: MonoCalibration) -> dict:
-        k = mono.intrinsics
-        return {
-            "fx": k.fx,
-            "fy": k.fy,
-            "cx": k.cx,
-            "cy": k.cy,
-            "width": k.width,
-            "height": k.height,
-            "dist": list(mono.dist),
-        }
+        return {**asdict(mono.intrinsics), "dist": list(mono.dist)}
 
     return {
         "left": cam(calib.left),
@@ -328,6 +306,4 @@ def calibration_to_dict(calib: StereoCalibration) -> dict:
 
 
 def save_calibration(path, calib: StereoCalibration) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(calibration_to_dict(calib), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, calibration_to_dict(calib))

@@ -10,11 +10,13 @@ bit for bit.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import FormatError, ValidationError
+from .fileio import read_text
 from .geometry import Pose, Quaternion
 
 log = logging.getLogger(__name__)
@@ -177,6 +179,8 @@ def parse_tum(text: str, *, path=None) -> Trajectory:
             values = [float(p) for p in parts]
         except ValueError as exc:
             raise FormatError(f"non-numeric field: {exc}", path=path, line=line_no) from None
+        if not all(map(math.isfinite, values)):
+            raise FormatError("non-finite field", path=path, line=line_no)
         t_field = values[0]
         frame = int(round(t_field))
         if frame != t_field or frame < 0:
@@ -209,8 +213,7 @@ def parse_tum(text: str, *, path=None) -> Trajectory:
 
 
 def load_tum(path) -> Trajectory:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_tum(fh.read(), path=str(path))
+    return parse_tum(read_text(path), path=str(path))
 
 
 def save_tum(path, trajectory: Trajectory) -> None:

@@ -1,5 +1,6 @@
 import json
 import logging
+import struct
 
 import numpy as np
 import pytest
@@ -383,9 +384,13 @@ class TestConfigMechanics:
 
     def test_wrong_config_value_type_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"pred": "x", "gt": "y", "window": "wide"}))
-        code, _, _ = run(["eval-traj", "--config", str(cfg_path)], capsys)
-        assert code == 3
+        for cfg in (
+            {"pred": "x", "gt": "y", "window": "wide"},
+            {"pred": "x\0", "gt": "y"},  # used to escape open() as ValueError
+        ):
+            cfg_path.write_text(json.dumps(cfg))
+            code, _, _ = run(["eval-traj", "--config", str(cfg_path)], capsys)
+            assert code == 3
 
     def test_malformed_config_json(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -452,3 +457,73 @@ class TestExitCodes:
             capsys,
         )
         assert code == 3  # too short for the window
+
+
+def _write(tmp_path, name, data: bytes) -> str:
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
+def _eval_traj_on(tmp_path, tum: bytes):
+    path = _write(tmp_path, "bad.tum", tum)
+    return ["eval-traj", "--pred", path, "--gt", path]
+
+
+def _eval_traj_config(tmp_path, cfg: bytes):
+    return ["eval-traj", "--config", _write(tmp_path, "cfg.json", cfg)]
+
+
+def _calib_with_fx(tmp_path, fx: str):
+    ideal_calib(tmp_path / "calib.json", f=700.0)
+    text = (tmp_path / "calib.json").read_text().replace('"fx": 700.0', f'"fx": {fx}', 1)
+    return _write(tmp_path, "calib.json", text.encode())
+
+
+def _disparity2depth(tmp_path, calib, disparity_pfm: bytes):
+    return ["disparity2depth", "--calib", calib, "--input", _write(tmp_path, "disp.pfm", disparity_pfm),
+            "--out", str(tmp_path / "depth.pfm")]
+
+
+def _eval_consistency_on_flo(tmp_path, flo: bytes):
+    args = TestEvalConsistency().write_fixture(tmp_path)
+    _write(tmp_path, "flows/flow_0000_0001.flo", flo)
+    return args
+
+
+def _ideal(tmp_path):
+    ideal_calib(tmp_path / "calib.json")
+    return str(tmp_path / "calib.json")
+
+
+_PFM_1x1 = b"Pf\n1 1\n-1.0\n" + struct.pack("<f", 10.0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # each exited 1 with a traceback, 3, or even 0 before readers rejected it
+        lambda p: _eval_traj_on(p, b"0 0 0 0 0 0 0 1\ninf 0 0 0 0 0 0 1\n"),
+        lambda p: _eval_traj_on(p, b"0 0 0 0 0 0 0 1\n1 nan 0 0 0 0 0 1\n"),
+        lambda p: _eval_traj_on(p, b"0 0 0 0 0 0 0 1\n1 0 0 inf 0 0 0 1\n"),
+        lambda p: _eval_traj_on(p, b"0 0 0 0 0 0 0 1\n# \xff\xfe\n"),
+        lambda p: _eval_traj_config(p, b'{"pred": "\xe9.tum", "gt": "g.tum"}'),
+        lambda p: _eval_traj_config(p, b'{"pred": "p.tum", "gt": "g.tum", "window": NaN}'),
+        lambda p: ["eval-depth", "--pred", str(p), "--gt", str(p),
+                   "--config", _write(p, "cfg.json", b'{"depth_max": 1e999}')],
+        lambda p: ["rectify-maps", "--calib", _calib_with_fx(p, "Infinity"), "--out-prefix", str(p / "r")],
+        lambda p: _disparity2depth(p, _calib_with_fx(p, "1e999"), _PFM_1x1),
+        lambda p: ["rectify-maps", "--calib", _write(p, "calib.json", b"0"), "--out-prefix", str(p / "r")],
+        lambda p: _disparity2depth(p, _ideal(p), b"Pf\n99999999999 99999999999\n-1.0\n" + b"\0" * 16),
+        lambda p: _eval_consistency_on_flo(p, struct.pack("<fii", 202021.25, 2147483647, 2147483647)),
+    ],
+    ids=[
+        "tum-inf-frame", "tum-nan-field", "tum-inf-field", "tum-not-utf8",
+        "config-not-utf8", "config-nan", "config-overflow",
+        "calib-inf-fx", "calib-overflow-fx", "calib-not-object",
+        "pfm-huge-header", "flo-huge-header",
+    ],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, argv):
+    code, _, _ = run(argv(tmp_path), capsys)
+    assert code == 2

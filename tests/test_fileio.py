@@ -5,14 +5,17 @@ import pytest
 
 from endogeo.errors import FormatError
 from endogeo.fileio import (
+    format_json,
     read_depth_pfm,
     read_disparity_pfm,
     read_flo,
+    read_json,
     read_pfm,
     read_pointmap_pfm,
     write_depth_pfm,
     write_disparity_pfm,
     write_flo,
+    write_json,
     write_pfm,
     write_pointmap_pfm,
 )
@@ -201,3 +204,68 @@ class TestFlo:
         path.write_bytes(b"\0" * 5)
         with pytest.raises(FormatError, match="header"):
             read_flo(path)
+
+
+class TestHostileHeaders:
+    """Declared sizes are checked against the file before anything is read."""
+
+    def test_huge_pfm_dimensions(self, tmp_path):
+        path = tmp_path / "x.pfm"
+        path.write_bytes(b"Pf\n99999999999 99999999999\n-1.0\n" + b"\0" * 16)
+        with pytest.raises(FormatError, match="truncated"):
+            read_pfm(path)
+
+    def test_huge_flo_dimensions(self, tmp_path):
+        path = tmp_path / "f.flo"
+        path.write_bytes(struct.pack("<fii", 202021.25, 2147483647, 2147483647) + b"\0" * 16)
+        with pytest.raises(FormatError, match="truncated"):
+            read_flo(path)
+
+    @pytest.mark.parametrize("dims", [(0, 2), (-3, 2)])
+    def test_non_positive_flo_dimensions(self, tmp_path, dims):
+        path = tmp_path / "f.flo"
+        path.write_bytes(struct.pack("<fii", 202021.25, *dims) + b"\0" * 16)
+        with pytest.raises(FormatError, match="dimensions"):
+            read_flo(path)
+
+    @pytest.mark.parametrize("scale", [b"inf", b"-inf", b"nan", b"0"])
+    def test_pfm_scale_must_be_finite_and_nonzero(self, tmp_path, scale):
+        path = tmp_path / "x.pfm"
+        path.write_bytes(b"Pf\n1 1\n" + scale + b"\n" + b"\0" * 4)
+        with pytest.raises(FormatError, match="scale"):
+            read_pfm(path)
+
+
+class TestJson:
+    def test_text_form(self, tmp_path):
+        path = tmp_path / "x.json"
+        write_json(path, {"b": [1, 2.5], "a": "x"})
+        assert path.read_bytes() == b'{\n  "a": "x",\n  "b": [\n    1,\n    2.5\n  ]\n}\n'
+        assert format_json({"b": 1, "a": 2}) == '{\n  "a": 2,\n  "b": 1\n}\n'
+        assert read_json(path) == {"a": "x", "b": [1, 2.5]}
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b"{broken",
+            b'{"fx": NaN}',
+            b'{"fx": Infinity}',
+            b'{"fx": -Infinity}',
+            b'{"fx": 1e999}',
+            b'{"fx": ' + b"9" * 400 + b"}",
+            b'{"name": "\xff\xfe"}',
+            b"[" * 100_000,
+        ],
+        ids=["syntax", "nan", "inf", "-inf", "overflow", "huge-int", "not-utf8", "deep"],
+    )
+    def test_malformed_is_format_error(self, tmp_path, text):
+        path = tmp_path / "x.json"
+        path.write_bytes(text)
+        with pytest.raises(FormatError, match="JSON|UTF-8"):
+            read_json(path)
+
+    def test_syntax_error_names_the_line(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text('{\n  "a": 1,\n  oops\n}\n')
+        with pytest.raises(FormatError, match=r"x\.json:3: invalid JSON"):
+            read_json(path)

@@ -219,6 +219,9 @@ class TestProjection:
             CameraIntrinsics(fx=0.0, fy=1.0, cx=0.0, cy=0.0, width=2, height=2)
         with pytest.raises(ValidationError):
             CameraIntrinsics(fx=1.0, fy=1.0, cx=5.0, cy=0.0, width=2, height=2)
+        for fx, fy in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0)):
+            with pytest.raises(ValidationError, match="focal"):
+                CameraIntrinsics(fx=fx, fy=fy, cx=0.0, cy=0.0, width=2, height=2)
 
 
 class TestUmeyama:
@@ -292,3 +295,10 @@ class TestSimilarityTransform:
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValidationError):
             SimilarityTransform(0.0, Quaternion.identity(), (0, 0, 0))
+
+    @pytest.mark.parametrize("t", [(0.0, math.nan, 0.0), (math.inf, 0.0, 0.0), (0.0, 0.0), [[0.0, 0.0, 0.0]]])
+    def test_rejects_bad_translation(self, t):
+        with pytest.raises(ValidationError, match="translation"):
+            SimilarityTransform(1.0, Quaternion.identity(), t)
+        with pytest.raises(ValidationError, match="translation"):
+            Pose(Quaternion.identity(), t)

@@ -163,6 +163,12 @@ class TestRectification:
         with pytest.raises(ValidationError, match="baseline"):
             StereoCalibration(cam, cam, Quaternion.identity(), (0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("t", [(math.inf, 0.0, 0.0), (5.0, math.nan, 0.0), (5.0, 0.0)])
+    def test_bad_translation_rejected(self, t):
+        cam = MonoCalibration(make_intr(), NO_DIST)
+        with pytest.raises(ValidationError, match="extrinsic translation"):
+            StereoCalibration(cam, cam, Quaternion.identity(), t)
+
     def test_rotation_matrix_input_coerced(self):
         cam = MonoCalibration(make_intr(), NO_DIST)
         angle = 0.3
@@ -256,6 +262,31 @@ class TestCalibrationIO:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(obj), encoding="utf-8")
         with pytest.raises(FormatError, match="rotation"):
+            load_calibration(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda obj: 0,
+            lambda obj: ["left", "right", "extrinsics"],
+            lambda obj: {**obj, "left": 1.5},
+            lambda obj: {**obj, "extrinsics": "R T"},
+            lambda obj: {**obj, "extrinsics": {"R": [[1, "a", 0]] * 3, "T": [5, 0, 0]}},
+            lambda obj: {**obj, "extrinsics": {"R": [[1, 0, 0], [0, 1, 0], [0, 0, None]], "T": [5, 0, 0]}},
+            lambda obj: {**obj, "extrinsics": {"R": {}, "T": [5, 0, 0]}},
+            lambda obj: {**obj, "extrinsics": {**obj["extrinsics"], "T": [5, None, 0]}},
+            lambda obj: {**obj, "left": {**obj["left"], "dist": [{}, 0, 0, 0, 0]}},
+            lambda obj: {**obj, "left": {**obj["left"], "fx": [700.0]}},
+        ],
+        ids=["number", "list", "camera-number", "extrinsics-string", "R-string", "R-null",
+             "R-object", "T-null", "dist-object", "fx-list"],
+    )
+    def test_wrong_json_structure(self, tmp_path, edit):
+        from endogeo.stereo import calibration_to_dict
+
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(edit(calibration_to_dict(self.make_calib()))), encoding="utf-8")
+        with pytest.raises(FormatError):
             load_calibration(path)
 
     def test_wrong_dist_length(self, tmp_path):

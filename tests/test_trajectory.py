@@ -121,6 +121,21 @@ class TestTumFormat:
         with pytest.raises(FormatError, match="quaternion"):
             parse_tum("0 0 0 0 0 0 0 0\n")
 
+    @pytest.mark.parametrize(
+        "line",
+        ["inf 0 0 0 0 0 0 1", "nan 0 0 0 0 0 0 1", "0 nan 0 0 0 0 0 1", "0 0 -inf 0 0 0 0 1",
+         "0 0 0 0 0 0 1e999 1", "0 0 0 0 0 0 0 nan"],
+    )
+    def test_non_finite_field_error(self, line):
+        with pytest.raises(FormatError, match=":2: non-finite"):
+            parse_tum("0 0 0 0 0 0 0 1\n" + line + "\n", path="t.tum")
+
+    def test_non_utf8_file_error(self, tmp_path):
+        path = tmp_path / "t.tum"
+        path.write_bytes(b"0 0 0 0 0 0 0 1\n# caf\xe9\n")
+        with pytest.raises(FormatError, match="UTF-8"):
+            load_tum(path)
+
     def test_norm_deviation_warns_but_parses(self, caplog):
         with caplog.at_level(logging.WARNING):
             traj = parse_tum("0 0 0 0 0 0 0 1.01\n")
