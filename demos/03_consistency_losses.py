@@ -42,7 +42,7 @@ def main():
 
     depth_i = render_depth(scene, pose_i, intr)
     depth_j = render_depth(scene, pose_j, intr)
-    flow = induced_flow(scene, pose_i, pose_j, intr)
+    flow = induced_flow(depth_i, pose_i, pose_j, intr)
     motion = relative_motion(pose_i, pose_j)
 
     print("exact rendered inputs:")

@@ -24,6 +24,10 @@ from .errors import ValidationError
 _RENORM_EPS = 1e-12
 # |dot| above 1 - this falls back to normalized lerp (tiny-angle regime).
 _SLERP_PARALLEL_EPS = 1e-10
+# Largest image width or height, px. CameraIntrinsics and the depth
+# evaluation size enforce it, so a size from a calibration file or the
+# command line is rejected before any array of that size is allocated.
+MAX_IMAGE_SIDE = 2**15
 
 
 @dataclass(frozen=True)
@@ -257,10 +261,12 @@ class CameraIntrinsics:
             raise ValidationError(
                 f"focal lengths must be positive and finite: fx={self.fx} fy={self.fy}"
             )
-        if not (isinstance(self.width, int) and isinstance(self.height, int)):
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (self.width, self.height)):
             raise ValidationError("width/height must be integers")
-        if self.width <= 0 or self.height <= 0:
-            raise ValidationError(f"image size must be positive: {self.width}x{self.height}")
+        if not (0 < self.width <= MAX_IMAGE_SIDE and 0 < self.height <= MAX_IMAGE_SIDE):
+            raise ValidationError(
+                f"image size must be 1..{MAX_IMAGE_SIDE} px per side: {self.width}x{self.height}"
+            )
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValidationError(
                 f"principal point ({self.cx}, {self.cy}) outside {self.width}x{self.height}"

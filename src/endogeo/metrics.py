@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import compose, inverse, umeyama_align
+from .geometry import MAX_IMAGE_SIDE, compose, inverse, umeyama_align
 from .rasters import DepthMap, _bilinear_taps
 from .trajectory import Trajectory
 
@@ -31,9 +31,10 @@ class DepthEvalConfig:
     median_scaling: bool = True
 
     def __post_init__(self):
-        if self.eval_width <= 0 or self.eval_height <= 0:
+        if not (0 < self.eval_width <= MAX_IMAGE_SIDE and 0 < self.eval_height <= MAX_IMAGE_SIDE):
             raise ValidationError(
-                f"eval resolution must be positive, got {self.eval_width}x{self.eval_height}"
+                f"eval resolution must be 1..{MAX_IMAGE_SIDE} px per side, "
+                f"got {self.eval_width}x{self.eval_height}"
             )
         if not (0 < self.depth_min < self.depth_max):
             raise ValidationError(

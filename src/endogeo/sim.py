@@ -10,8 +10,12 @@ Scene geometry lives in the world frame:
 
 Rays are parameterized as X_cam = lambda * ((u - cx)/fx, (v - cy)/fy, 1), so
 the ray parameter IS the depth. Plane and sphere intersections are closed
-form; the heightfield uses a coarse march plus bisection and is accurate to
-~1e-12 of the ray parameter.
+form. The heightfield lies inside the slab extent +- (sum of amplitudes), so
+each ray marches a fixed grid on [0.2, 3] * extent only where it borders the
+ray's stretch inside that slab; the first sign change of the residual
+brackets the hit, and Newton steps on the analytic slope, falling back to
+bisection whenever a step leaves the bracket, refine it to ~1e-15 of the ray
+parameter.
 
 All randomness comes from the package splitmix64 generator (see rng module);
 nothing here touches the platform RNG.
@@ -19,6 +23,7 @@ nothing here touches the platform RNG.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,10 +39,21 @@ from .trajectory import Trajectory
 _SCENE_KINDS = ("plane", "sphere", "heightfield")
 _PATH_KINDS = ("orbit", "spline", "linear")
 
-# heightfield ray march: bracket the first crossing on [0.2, 3] * extent,
-# then bisect the bracket down to ~1e-12 relative
+# heightfield ray march: the first crossing is bracketed between two
+# neighbours of a fixed _MARCH_STEPS-point grid on [0.2, 3] * extent, but a
+# ray evaluates only the grid points inside the relief slab and the one on
+# each side of it (outside the slab the residual's sign is known). Newton
+# then refines the bracket, bisecting whenever a step would leave it.
 _MARCH_STEPS = 200
-_BISECT_ITERS = 48
+# Newton stops early once no ray's update exceeds _NEWTON_RTOL of its depth
+_NEWTON_ITERS = 8
+_NEWTON_RTOL = 1e-15
+# the slab is widened by this fraction of extent, far above the rounding
+# error of a residual, so no rounding flips the sign of one outside it
+_SLAB_MARGIN = 1e-6
+# rays solved together; bounds the solver's temporaries to a few MB at any
+# image size
+_RAY_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -71,7 +87,11 @@ def default_intrinsics(width: int = 64, height: int = 48, focal: float = 700.0) 
     return CameraIntrinsics(focal, focal, width / 2.0, height / 2.0, width, height)
 
 
-def _heightfield_components(spec: SceneSpec):
+@functools.lru_cache(maxsize=16)
+def _heightfield_components(spec: SceneSpec) -> np.ndarray:
+    """Read-only (4, 3) array: per cosine component m, the rows hold the
+    amplitude, the angular wavenumbers along x and y, and the phase, so the
+    surface is z = extent + sum_m a_m cos(kx_m x + ky_m y + phase_m)."""
     stream = SplitMix64(spec.seed).derive("heightfield")
     components = []
     for m in range(3):
@@ -79,22 +99,92 @@ def _heightfield_components(spec: SceneSpec):
         freq_x = stream.uniform_in(0.3, 0.9) * (m + 1) / spec.extent
         freq_y = stream.uniform_in(0.3, 0.9) * (m + 1) / spec.extent
         phase = stream.uniform_in(0.0, 2.0 * math.pi)
-        components.append((amplitude, freq_x, freq_y, phase))
-    return components
+        components.append((amplitude, 2.0 * math.pi * freq_x, 2.0 * math.pi * freq_y, phase))
+    table = np.array(components).T
+    table.setflags(write=False)
+    return table
 
 
-def surface_height(scene: SceneSpec, x, y):
-    """z of the scene surface above world (x, y); plane and heightfield only."""
-    if scene.kind == "plane":
-        return np.full_like(np.asarray(x, dtype=np.float64), scene.extent)
-    if scene.kind == "heightfield":
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        z = np.full(np.broadcast(x, y).shape, scene.extent)
-        for amplitude, fx, fy, phase in _heightfield_components(scene):
-            z = z + amplitude * np.cos(2.0 * math.pi * (fx * x + fy * y) + phase)
-        return z
-    raise ValidationError(f"{scene.kind!r} has no height function")
+def _render_heightfield(scene: SceneSpec, o, d):
+    """Ray parameter and hit mask of rays o + lambda * d, d of shape (..., 3)."""
+    rays = d.reshape(-1, 3)
+    depth = np.zeros(len(rays))
+    found = np.zeros(len(rays), dtype=bool)
+    for start in range(0, len(rays), _RAY_CHUNK):
+        chunk = slice(start, start + _RAY_CHUNK)
+        depth[chunk], found[chunk] = _heightfield_hits(scene, o, rays[chunk])
+    return depth.reshape(d.shape[:-1]), found.reshape(d.shape[:-1])
+
+
+def _heightfield_hits(scene: SceneSpec, o, rays):
+    """Ray parameter and hit mask of rays o + lambda * d for the (n, 3) d.
+
+    Along a ray the cosine arguments are c_m + lambda * s_m, so the residual
+    f(lambda) = ray z - surface z and its slope are closed form.
+    """
+    amplitude, kx, ky, phase = (row[:, None] for row in _heightfield_components(scene))
+    dx, dy, dz = rays.T
+    c = kx * o[0] + ky * o[1] + phase
+    s = kx * dx + ky * dy
+    base = o[2] - scene.extent
+
+    def residual(lam, s, dz):
+        # on the rays whose phase rates and direction z are s and dz
+        angle = c + lam * s
+        return base + lam * dz - (amplitude * np.cos(angle)).sum(axis=0), angle
+
+    # the lambda-interval where the ray is inside the widened slab
+    relief = float(np.abs(amplitude).sum()) + _SLAB_MARGIN * scene.extent
+    moving = dz != 0
+    safe_dz = np.where(moving, dz, 1.0)
+    with np.errstate(over="ignore"):
+        t_a = (-relief - base) / safe_dz
+        t_b = (relief - base) / safe_dz
+    inside = abs(base) <= relief
+    enter = np.where(moving, np.minimum(t_a, t_b), -np.inf if inside else np.inf)
+    leave = np.where(moving, np.maximum(t_a, t_b), np.inf if inside else -np.inf)
+    # march from the last grid point before the slab to the first one after it
+    steps = np.linspace(0.2 * scene.extent, 3.0 * scene.extent, _MARCH_STEPS)
+    first = np.maximum(np.searchsorted(steps, enter, "left") - 1, 0)
+    last = np.minimum(np.searchsorted(steps, leave, "right"), _MARCH_STEPS - 1)
+
+    n = dz.size
+    lo, hi, f_lo, f_hi = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
+    found = np.zeros(n, dtype=bool)
+    ray = np.flatnonzero(last > first)
+    k, ray_s, ray_dz = first[ray], s[:, ray], dz[ray]
+    f_prev, _ = residual(steps[k], ray_s, ray_dz)
+    while ray.size:
+        k = k + 1
+        f, _ = residual(steps[k], ray_s, ray_dz)
+        hit = np.sign(f) != np.sign(f_prev)
+        hits = ray[hit]
+        found[hits] = True
+        lo[hits], hi[hits] = steps[k[hit] - 1], steps[k[hit]]
+        f_lo[hits], f_hi[hits] = f_prev[hit], f[hit]
+        more = ~hit & (k < last[ray])
+        ray, k, f_prev, ray_s, ray_dz = ray[more], k[more], f[more], ray_s[:, more], ray_dz[more]
+
+    ray = np.flatnonzero(found)
+    lo, hi, f_lo, f_hi, ray_s, ray_dz = lo[ray], hi[ray], f_lo[ray], f_hi[ray], s[:, ray], dz[ray]
+    lam = lo - f_lo * (hi - lo) / (f_hi - f_lo)  # the secant, inside the bracket
+    for _ in range(_NEWTON_ITERS):
+        f, angle = residual(lam, ray_s, ray_dz)
+        slope = ray_dz + (amplitude * ray_s * np.sin(angle)).sum(axis=0)
+        same_side = np.sign(f) == np.sign(f_lo)
+        lo, f_lo = np.where(same_side, lam, lo), np.where(same_side, f, f_lo)
+        hi = np.where(same_side, hi, lam)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam_next = lam - f / slope
+        lam_next = np.where((lo <= lam_next) & (lam_next <= hi), lam_next, 0.5 * (lo + hi))
+        settled = np.all(np.abs(lam_next - lam) <= _NEWTON_RTOL * lam)
+        lam = lam_next
+        if settled:
+            break
+
+    depth = np.zeros(n)
+    depth[ray] = lam
+    return depth, found
 
 
 def render_depth(scene: SceneSpec, pose: Pose, intrinsics: CameraIntrinsics) -> DepthMap:
@@ -125,41 +215,7 @@ def render_depth(scene: SceneSpec, pose: Pose, intrinsics: CameraIntrinsics) -> 
         ok &= lam > 0
         return DepthMap(np.where(ok, lam, 0.0), ok)
 
-    # heightfield: f(lam) = ray_z(lam) - surface(ray_xy(lam)) changes sign at the hit
-    def residual(lam):
-        x = o[0] + lam * d[..., 0]
-        y = o[1] + lam * d[..., 1]
-        z = o[2] + lam * d[..., 2]
-        return z - surface_height(scene, x, y)
-
-    shape = d.shape[:-1]
-    lam_lo = np.full(shape, 0.2 * scene.extent)
-    lam_hi = np.full(shape, 3.0 * scene.extent)
-    steps = np.linspace(0.2 * scene.extent, 3.0 * scene.extent, _MARCH_STEPS)
-    found = np.zeros(shape, dtype=bool)
-    prev = steps[0]
-    res_prev = residual(np.full(shape, prev))
-    for lam in steps[1:]:
-        cur = np.full(shape, lam)
-        res_cur = residual(cur)
-        crossing = ~found & (np.sign(res_prev) != np.sign(res_cur))
-        lam_lo = np.where(crossing, prev, lam_lo)
-        lam_hi = np.where(crossing, lam, lam_hi)
-        found |= crossing
-        prev = lam
-        res_prev = res_cur
-    lo, hi = lam_lo, lam_hi
-    res_lo = residual(lo)
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        res_mid = residual(mid)
-        same_side = np.sign(res_mid) == np.sign(res_lo)
-        lo = np.where(same_side, mid, lo)
-        res_lo = np.where(same_side, res_mid, res_lo)
-        hi = np.where(same_side, hi, mid)
-    lam = 0.5 * (lo + hi)
-    ok = found & (lam > 0)
-    return DepthMap(np.where(ok, lam, 0.0), ok)
+    return DepthMap(*_render_heightfield(scene, o, d))
 
 
 def look_at(position, target, up=(0.0, 1.0, 0.0)) -> Pose:
@@ -252,14 +308,15 @@ def gen_trajectory(
 
 
 def induced_flow(
-    scene: SceneSpec, pose_i: Pose, pose_j: Pose, intrinsics: CameraIntrinsics
+    depth_i: DepthMap, pose_i: Pose, pose_j: Pose, intrinsics: CameraIntrinsics
 ) -> FlowField:
-    """Exact optical flow i -> j from rendered depth and the true relative
-    pose. Feeding (depth_i, relative pose, this flow) back into the flow
+    """Exact optical flow i -> j of a frame with depth ``depth_i`` (as rendered
+    by :func:`render_depth` at ``pose_i``) under the true relative pose.
+    Feeding (depth_i, relative pose, this flow) back into the flow
     consistency loss yields zero by construction."""
-    depth_i = render_depth(scene, pose_i, intrinsics)
-    motion = compose(inverse(pose_j), pose_i)
-    targets = induced_reprojection(depth_i, intrinsics, intrinsics, motion)
+    targets = induced_reprojection(
+        depth_i, intrinsics, intrinsics, relative_motion(pose_i, pose_j)
+    )
     vectors = targets.vectors - pixel_grid(intrinsics.width, intrinsics.height)
     return FlowField(np.where(targets.valid[..., None], vectors, 0.0), targets.valid)
 
@@ -344,7 +401,7 @@ def simulate_dataset(
         )
     for frame in range(depth_count - 1):
         flow = induced_flow(
-            scene_spec, gt.pose_at(frame), gt.pose_at(frame + 1), intrinsics
+            depths[frame], gt.pose_at(frame), gt.pose_at(frame + 1), intrinsics
         )
         emit(
             f"flow_{frame:04d}_{frame + 1:04d}.flo",

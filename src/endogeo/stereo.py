@@ -244,14 +244,15 @@ def _camera_from_dict(obj: dict, path, side: str) -> MonoCalibration:
             f"calibration {side} camera dist must be a 5-element list [k1, k2, p1, p2, k3]",
             path=path,
         )
+    width, height = obj["width"], obj["height"]
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (width, height)):
+        raise FormatError(
+            f"calibration {side} camera width/height must be integers, got {width!r}x{height!r}",
+            path=path,
+        )
     try:
         intr = CameraIntrinsics(
-            float(obj["fx"]),
-            float(obj["fy"]),
-            float(obj["cx"]),
-            float(obj["cy"]),
-            int(obj["width"]),
-            int(obj["height"]),
+            float(obj["fx"]), float(obj["fy"]), float(obj["cx"]), float(obj["cy"]), width, height
         )
         dist = tuple(float(v) for v in dist)
     except (TypeError, ValueError) as exc:

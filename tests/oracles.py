@@ -422,3 +422,69 @@ def oracle_depth_metrics(
         "delta_1_25": hits / n,
         "n_pixels": n,
     }
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def oracle_heightfield_depth(components, extent, quat, origin, fx, fy, cx, cy, width, height):
+    """Depth of the heightfield z = extent + sum of a * cos(kx * x + ky * y + phase)
+    over `components` (amplitude, kx, ky, phase), seen by a pinhole camera at
+    `origin` whose camera-to-world rotation is the unit quaternion `quat`
+    (w, x, y, z).
+
+    The ray of pixel (u, v) is X = origin + lam * R ((u - cx)/fx, (v - cy)/fy, 1).
+    Its residual, ray z minus surface z, is sampled at 200 evenly spaced lam
+    on [0.2, 3] * extent (numpy.linspace's points: start + k * step, with the
+    last point exactly the stop). The first neighbouring pair whose signs
+    differ (a zero counts as a sign of its own) brackets the hit, and 48
+    bisections keep the half whose ends differ in sign; the depth is the
+    middle of the last bracket. A ray with no sign change is invalid with
+    depth 0. Returns (values, valid) as nested lists.
+    """
+    rot = _quat_to_matrix(*quat)
+    start, stop = 0.2 * extent, 3.0 * extent
+    step = (stop - start) / 199
+    grid = [k * step + start for k in range(199)] + [stop]
+    values = []
+    valid = []
+    for v in range(height):
+        row_values = []
+        row_valid = []
+        for u in range(width):
+            d = _apply_pose(rot, (0.0, 0.0, 0.0), ((u - cx) / fx, (v - cy) / fy, 1.0))
+
+            def residual(lam):
+                x = origin[0] + lam * d[0]
+                y = origin[1] + lam * d[1]
+                surface = extent
+                for amplitude, kx, ky, phase in components:
+                    surface += amplitude * math.cos(kx * x + ky * y + phase)
+                return origin[2] + lam * d[2] - surface
+
+            bracket = None
+            prev = residual(grid[0])
+            for k in range(1, len(grid)):
+                cur = residual(grid[k])
+                if _sign(cur) != _sign(prev):
+                    bracket = grid[k - 1], grid[k], prev
+                    break
+                prev = cur
+            if bracket is None:
+                row_values.append(0.0)
+                row_valid.append(False)
+                continue
+            lo, hi, res_lo = bracket
+            for _ in range(48):
+                mid = 0.5 * (lo + hi)
+                res_mid = residual(mid)
+                if _sign(res_mid) == _sign(res_lo):
+                    lo, res_lo = mid, res_mid
+                else:
+                    hi = mid
+            row_values.append(0.5 * (lo + hi))
+            row_valid.append(True)
+        values.append(row_values)
+        valid.append(row_valid)
+    return values, valid

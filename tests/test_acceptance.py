@@ -115,7 +115,7 @@ def test_consistency_losses_vanish_on_rendered_scenes():
         pose_i, pose_j = traj.pose_at(0), traj.pose_at(1)
         depth_i = render_depth(scene, pose_i, intr)
         depth_j = render_depth(scene, pose_j, intr)
-        flow = induced_flow(scene, pose_i, pose_j, intr)
+        flow = induced_flow(depth_i, pose_i, pose_j, intr)
         motion = relative_motion(pose_i, pose_j)
 
         flow_term, _, _ = c_flow(depth_i, intr, intr, motion, flow)

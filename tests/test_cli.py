@@ -480,6 +480,12 @@ def _calib_with_fx(tmp_path, fx: str):
     return _write(tmp_path, "calib.json", text.encode())
 
 
+def _calib_with_width(tmp_path, width: str):
+    ideal_calib(tmp_path / "calib.json")
+    text = (tmp_path / "calib.json").read_text().replace('"width": 16', f'"width": {width}', 1)
+    return _write(tmp_path, "calib.json", text.encode())
+
+
 def _disparity2depth(tmp_path, calib, disparity_pfm: bytes):
     return ["disparity2depth", "--calib", calib, "--input", _write(tmp_path, "disp.pfm", disparity_pfm),
             "--out", str(tmp_path / "depth.pfm")]
@@ -516,14 +522,35 @@ _PFM_1x1 = b"Pf\n1 1\n-1.0\n" + struct.pack("<f", 10.0)
         lambda p: ["rectify-maps", "--calib", _write(p, "calib.json", b"0"), "--out-prefix", str(p / "r")],
         lambda p: _disparity2depth(p, _ideal(p), b"Pf\n99999999999 99999999999\n-1.0\n" + b"\0" * 16),
         lambda p: _eval_consistency_on_flo(p, struct.pack("<fii", 202021.25, 2147483647, 2147483647)),
+        lambda p: ["rectify-maps", "--calib", _calib_with_width(p, "16.7"), "--out-prefix", str(p / "r")],
+        lambda p: ["rectify-maps", "--calib", _calib_with_width(p, "true"), "--out-prefix", str(p / "r")],
     ],
     ids=[
         "tum-inf-frame", "tum-nan-field", "tum-inf-field", "tum-not-utf8",
         "config-not-utf8", "config-nan", "config-overflow",
         "calib-inf-fx", "calib-overflow-fx", "calib-not-object",
         "pfm-huge-header", "flo-huge-header",
+        "calib-fractional-width", "calib-bool-width",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
     code, _, _ = run(argv(tmp_path), capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the calibration used to exit 1 with numpy's "array is too big"
+        lambda p: ["rectify-maps", "--calib", _calib_with_width(p, "1000000000"), "--out-prefix", str(p / "r")],
+        lambda p: ["simulate", "--out", str(p / "sim"), "--width", "32769"],
+        lambda p: ["simulate", "--out", str(p / "sim"), "--height", "1000000000"],
+        lambda p: ["eval-depth", "--pred", str(p), "--gt", str(p), "--eval-width", "1000000000"],
+    ],
+    ids=["calib-huge-width", "simulate-width", "simulate-height", "eval-depth-width"],
+)
+def test_image_larger_than_ceiling_exits_3(tmp_path, capsys, caplog, argv):
+    code, _, _ = run(argv(tmp_path), capsys)
+    assert code == 3
+    assert "32768" in caplog.text
+    assert not (tmp_path / "sim").exists()

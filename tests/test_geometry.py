@@ -5,6 +5,7 @@ import pytest
 
 from endogeo.errors import ValidationError
 from endogeo.geometry import (
+    MAX_IMAGE_SIDE,
     CameraIntrinsics,
     Pose,
     Quaternion,
@@ -222,6 +223,16 @@ class TestProjection:
         for fx, fy in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0)):
             with pytest.raises(ValidationError, match="focal"):
                 CameraIntrinsics(fx=fx, fy=fy, cx=0.0, cy=0.0, width=2, height=2)
+        # only the numbers are checked, so the largest size costs nothing
+        side = MAX_IMAGE_SIDE
+        assert side == 2**15
+        CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=side, height=side)
+        for width, height in ((side + 1, 2), (2, side + 1), (10**9, 10**9)):
+            with pytest.raises(ValidationError, match="32768"):
+                CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=width, height=height)
+        for width, height in ((True, 2), (2, False), (2.0, 2)):
+            with pytest.raises(ValidationError, match="integers"):
+                CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=width, height=height)
 
 
 class TestUmeyama:

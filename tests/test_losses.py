@@ -245,7 +245,7 @@ class TestFlowConsistency:
             Quaternion.from_axis_angle((0, 1, 0), 0.001), (0.3, 0.15, 0.1)
         )
         depth = render_depth(scene, pose_i, intr)
-        flow = induced_flow(scene, pose_i, pose_j, intr)
+        flow = induced_flow(depth, pose_i, pose_j, intr)
         value, _, mask = c_flow(depth, intr, intr, relative_motion(pose_i, pose_j), flow)
         assert mask.sum() > 0.7 * mask.size
         assert value < 1e-9

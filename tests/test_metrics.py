@@ -225,6 +225,10 @@ class TestDepthMetrics:
             DepthEvalConfig(eval_width=0)
         with pytest.raises(ValidationError):
             DepthEvalConfig(depth_min=5.0, depth_max=1.0)
+        with pytest.raises(ValidationError, match="32768"):
+            DepthEvalConfig(eval_width=2**15 + 1)
+        with pytest.raises(ValidationError, match="32768"):
+            DepthEvalConfig(eval_height=10**9)
 
 
 class TestResizeDepth:

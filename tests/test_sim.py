@@ -1,11 +1,18 @@
 import hashlib
 import json
+import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from endogeo import sim
 from endogeo.errors import ValidationError
-from endogeo.geometry import Pose, Quaternion
+from endogeo.fileio import read_flo
+from endogeo.geometry import CameraIntrinsics, Pose, Quaternion, pixel_grid, pixel_rays
 from endogeo.metrics import ate
 from endogeo.sim import (
     DriftSpec,
@@ -20,6 +27,8 @@ from endogeo.sim import (
     simulate_dataset,
 )
 from endogeo.trajectory import Trajectory
+
+from oracles import oracle_heightfield_depth
 
 
 class TestGenTrajectory:
@@ -118,12 +127,97 @@ class TestRenderDepth:
             assert render_depth(scene, pose, intr).valid.all()
 
 
+def assert_heightfield_matches_oracle(scene, pose, intr):
+    """Same hit mask as the straight-loop march-and-bisect renderer, depth
+    within 1e-12 relative, and no floating-point warning. Returns both
+    depth rasters."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        depth = render_depth(scene, pose, intr)
+    q = pose.rotation
+    values, valid = oracle_heightfield_depth(
+        sim._heightfield_components(scene).T.tolist(),
+        scene.extent,
+        (q.w, q.x, q.y, q.z),
+        pose.translation.tolist(),
+        intr.fx, intr.fy, intr.cx, intr.cy, intr.width, intr.height,
+    )
+    values, valid = np.array(values), np.array(valid)
+    assert np.array_equal(depth.valid, valid)
+    assert (depth.values[~valid] == 0.0).all()
+    gap = np.abs(depth.values - values)[valid] / values[valid]
+    assert gap.max(initial=0.0) <= 1e-12
+    return depth.values, values
+
+
+@st.composite
+def heightfield_views(draw):
+    """A heightfield scene and a small camera below, inside or above the slab
+    that holds its relief, turned from facing the slab by up to pi: past
+    pi/2 less half the field of view every ray grazes or looks away. Focal
+    lengths run from narrow to very wide."""
+    scene = SceneSpec("heightfield", draw(st.floats(10.0, 1000.0)), draw(st.integers(0, 2**32)))
+    relief = float(np.abs(sim._heightfield_components(scene)[0]).sum()) / scene.extent
+    level = draw(st.sampled_from(["below", "inside", "above"]))
+    offset = draw(
+        {
+            "below": st.floats(-1.5, -1.01 * relief),
+            "inside": st.floats(-relief, relief),
+            "above": st.floats(1.01 * relief, 1.0),
+        }[level]
+    )
+    up = Quaternion.identity()
+    down = Quaternion.from_axis_angle((1.0, 0.0, 0.0), math.pi)
+    facing = draw(st.sampled_from([up, down])) if level == "inside" else (up if offset < 0 else down)
+    tilt = draw(st.one_of(st.floats(0.0, math.pi / 2), st.floats(0.0, math.pi), st.just(math.pi / 2)))
+    azimuth = draw(st.floats(0.0, 2.0 * math.pi))
+    roll = draw(st.floats(0.0, 2.0 * math.pi))
+    rotation = (
+        Quaternion.from_axis_angle((math.cos(azimuth), math.sin(azimuth), 0.0), tilt)
+        .multiply(facing)
+        .multiply(Quaternion.from_axis_angle((0.0, 0.0, 1.0), roll))
+    )
+    lateral = st.floats(-scene.extent, scene.extent)
+    origin = (draw(lateral), draw(lateral), scene.extent * (1.0 + offset))
+    width, height = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    focal = draw(st.floats(1.0, 50.0))
+    cx = draw(st.floats(0.0, width, exclude_max=True))
+    cy = draw(st.floats(0.0, height, exclude_max=True))
+    return scene, Pose(rotation, origin), CameraIntrinsics(focal, focal, cx, cy, width, height)
+
+
+class TestHeightfieldOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(heightfield_views(), st.integers(1, 64))
+    def test_matches_straight_loop_march(self, view, chunk):
+        # small chunks put chunk boundaries inside these small rasters
+        with mock.patch.object(sim, "_RAY_CHUNK", chunk):
+            assert_heightfield_matches_oracle(*view)
+
+    @pytest.mark.parametrize("height", [0.0, 1.0, 1.2])
+    def test_level_rays(self, height):
+        # this view has rays with a direction z of exactly 0: level rays
+        # inside the slab march all 200 steps, outside it they cannot hit
+        scene = SceneSpec("heightfield", 100.0, 3)
+        pose = look_at((0.0, 0.0, 100.0 * height), (50.0, 50.0, 100.0 * height), up=(0.0, 0.0, 1.0))
+        intr = CameraIntrinsics(4.0, 4.0, 3.0, 2.0, 8, 6)
+        assert (pose.rotation.rotate(pixel_rays(pixel_grid(8, 6), intr))[..., 2] == 0.0).any()
+        assert_heightfield_matches_oracle(scene, pose, intr)
+
+    def test_simulated_pose_matches_in_float32(self):
+        # depth files hold float32, which cannot tell the two solvers apart
+        scene = SceneSpec("heightfield", 100.0, 1)
+        traj = gen_trajectory(2000, path="orbit", seed=1, target=(0.0, 0.0, 100.0))
+        depth, expected = assert_heightfield_matches_oracle(scene, traj.pose_at(0), default_intrinsics(8, 6))
+        assert np.array_equal(depth.astype(np.float32), expected.astype(np.float32))
+
+
 class TestInducedFlow:
     def test_zero_motion_zero_flow(self):
         scene = SceneSpec(kind="plane", extent=100.0)
         intr = default_intrinsics(32, 24)
         pose = Pose(Quaternion.identity(), (1.0, 2.0, -3.0))
-        flow = induced_flow(scene, pose, pose, intr)
+        flow = induced_flow(render_depth(scene, pose, intr), pose, pose, intr)
         assert flow.valid.all()
         assert np.abs(flow.vectors).max() < 1e-12
 
@@ -132,7 +226,7 @@ class TestInducedFlow:
         intr = default_intrinsics(32, 24)
         pose_i = Pose.identity()
         pose_j = Pose(Quaternion.identity(), (1.0, 0.0, 0.0))
-        flow = induced_flow(scene, pose_i, pose_j, intr)
+        flow = induced_flow(render_depth(scene, pose_i, intr), pose_i, pose_j, intr)
         # camera moves +x, the image content slides -x by fx * t / z
         assert np.abs(flow.vectors[..., 0] + intr.fx * 1.0 / 100.0).max() < 1e-9
         assert np.abs(flow.vectors[..., 1]).max() < 1e-9
@@ -242,6 +336,29 @@ class TestSimulateDataset:
             config_echo={"seed": 2, "n_frames": 4},
         )
         assert manifest["config_echo"] == {"seed": 2, "n_frames": 4}
+
+    def test_each_depth_map_rendered_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_render(*args):
+            calls.append(args)
+            return render_depth(*args)
+
+        monkeypatch.setattr(sim, "render_depth", counting_render)
+        simulate_dataset(
+            str(tmp_path), seed=3, n_frames=6, stride=2, scene="heightfield",
+            width=16, height=12, depth_count=3,
+        )
+        assert len(calls) == 3
+        for frame in range(2):
+            (_, pose_i, intr), (_, pose_j, _) = calls[frame], calls[frame + 1]
+            expected = induced_flow(render_depth(*calls[frame]), pose_i, pose_j, intr)
+            written = read_flo(tmp_path / f"flow_{frame:04d}_{frame + 1:04d}.flo")
+            assert np.array_equal(written.valid, expected.valid)
+            assert np.array_equal(
+                written.vectors[written.valid],
+                expected.vectors[expected.valid].astype(np.float32),
+            )
 
     def test_too_short_rejected(self, tmp_path):
         with pytest.raises(ValidationError):

@@ -277,9 +277,14 @@ class TestCalibrationIO:
             lambda obj: {**obj, "extrinsics": {**obj["extrinsics"], "T": [5, None, 0]}},
             lambda obj: {**obj, "left": {**obj["left"], "dist": [{}, 0, 0, 0, 0]}},
             lambda obj: {**obj, "left": {**obj["left"], "fx": [700.0]}},
+            lambda obj: {**obj, "right": {**obj["right"], "width": 640.7}},
+            lambda obj: {**obj, "right": {**obj["right"], "width": 640.0}},
+            lambda obj: {**obj, "right": {**obj["right"], "height": True}},
+            lambda obj: {**obj, "right": {**obj["right"], "height": "480"}},
         ],
         ids=["number", "list", "camera-number", "extrinsics-string", "R-string", "R-null",
-             "R-object", "T-null", "dist-object", "fx-list"],
+             "R-object", "T-null", "dist-object", "fx-list",
+             "width-fractional", "width-float", "height-bool", "height-string"],
     )
     def test_wrong_json_structure(self, tmp_path, edit):
         from endogeo.stereo import calibration_to_dict
@@ -287,6 +292,17 @@ class TestCalibrationIO:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(edit(calibration_to_dict(self.make_calib()))), encoding="utf-8")
         with pytest.raises(FormatError):
+            load_calibration(path)
+
+    @pytest.mark.parametrize("key", ["width", "height"])
+    def test_image_larger_than_ceiling(self, tmp_path, key):
+        from endogeo.stereo import calibration_to_dict
+
+        obj = calibration_to_dict(self.make_calib())
+        obj["left"][key] = 10**9
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ValidationError, match="32768"):
             load_calibration(path)
 
     def test_wrong_dist_length(self, tmp_path):
