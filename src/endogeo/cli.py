@@ -84,7 +84,7 @@ def _params_eval_traj():
         _Param("pred", str, _REQUIRED, "predicted trajectory (.tum)"),
         _Param("gt", str, _REQUIRED, "ground-truth trajectory (.tum)"),
         _Param("align", str, "sim3", "ATE alignment mode", ("sim3", "se3")),
-        _Param("window", int, 16, "RTE window size, frames"),
+        _Param("window", int, 16, "RTE window: the frame delta between paired poses"),
         _Param("out", str, None, "metrics report JSON (default: stdout)"),
     ]
 
@@ -225,8 +225,7 @@ def _cmd_correct(cfg: dict) -> int:
     anchors_traj = load_tum(cfg["anchors"])
     if len(anchors_traj) < 2:
         raise ValidationError("anchor trajectory must contain at least 2 poses")
-    gaps = [b - a for a, b in zip(anchors_traj.frames, anchors_traj.frames[1:])]
-    anchors = AnchorSet(anchors_traj, gaps[0])
+    anchors = AnchorSet(anchors_traj, int(anchors_traj.frames[1] - anchors_traj.frames[0]))
     paths = sorted(glob.glob(cfg["segments"]))
     if not paths:
         raise ValidationError(f"no segment files match {cfg['segments']!r}")
@@ -235,7 +234,7 @@ def _cmd_correct(cfg: dict) -> int:
         traj = load_tum(p)
         if len(traj) < 2:
             raise ValidationError(f"segment {p} has fewer than 2 poses")
-        segments.append(LocalSegment(traj, traj.frames[0], traj.frames[-1]))
+        segments.append(LocalSegment(traj, int(traj.frames[0]), int(traj.frames[-1])))
     segments.sort(key=lambda s: s.start_anchor_frame)
     corrected, report = correct_long_trajectory(anchors, segments)
     save_tum(cfg["out"], corrected)

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from .errors import NumericError, ValidationError
-from .geometry import Pose, compose, inverse, pose_distance, pose_interp
+from .geometry import Pose, PoseBatch, compose, inverse, pose_distance, pose_interp, quat_angles
 from .trajectory import AnchorSet, LocalSegment, Trajectory
 
 # stitched output must sit on every anchor to within this
@@ -51,56 +53,69 @@ class CorrectionReport:
         return {**asdict(self), "n_segments": len(self.segments)}
 
 
+def _segment_of(starts, n: int) -> np.ndarray:
+    """The segment of each of ``n`` rows, for segments beginning at ``starts``."""
+    return np.searchsorted(starts, np.arange(n), side="right") - 1
+
+
+def _align(poses: PoseBatch, starts, anchors: PoseBatch) -> PoseBatch:
+    """Left-multiply the rows of each segment so its first row, at ``starts``,
+    becomes the segment's anchor. The first rows are replaced by the anchors
+    themselves, so the pass-through is bit-exact."""
+    moved = compose(compose(anchors, inverse(poses[starts]))[_segment_of(starts, len(poses))], poses)
+    return moved.with_rows(starts, anchors)
+
+
+def _distribute(frames, poses: PoseBatch, starts, ends, errors: PoseBatch) -> PoseBatch:
+    """Apply pose_interp(error, t) to each row of a segment, t linear in frame
+    index from 0 at its first row to 1 at its last; first rows stay as they are."""
+    segment_of = _segment_of(starts, len(poses))
+    f0 = frames[starts]
+    t = (frames - f0[segment_of]) / (frames[ends] - f0)[segment_of]
+    moved = compose(pose_interp(errors[segment_of], t), poses)
+    return moved.with_rows(starts, poses[starts])
+
+
 def align_segment_start(segment: LocalSegment, anchor_pose: Pose) -> LocalSegment:
     """Left-multiply every pose so the first one equals ``anchor_pose`` exactly.
 
     Relative poses inside the segment are untouched; the first entry is
     replaced by ``anchor_pose`` itself so the pass-through is bit-exact.
     """
-    t = compose(anchor_pose, inverse(segment.first_pose()))
-    aligned = [(segment.trajectory.entries[0][0], anchor_pose)]
-    for frame, pose in segment.trajectory.entries[1:]:
-        aligned.append((frame, compose(t, pose)))
-    return LocalSegment(
-        Trajectory(tuple(aligned)), segment.start_anchor_frame, segment.end_anchor_frame
+    return segment.with_poses(
+        _align(segment.trajectory.poses, [0], PoseBatch.stack([anchor_pose]))
     )
 
 
-def compute_drift_error(aligned_end: Pose, next_anchor: Pose) -> Pose:
+def compute_drift_error(aligned_end, next_anchor):
     """E = next_anchor o inverse(aligned_end); composing E with the end pose
-    recovers the anchor."""
+    recovers the anchor. Poses or PoseBatches."""
     return compose(next_anchor, inverse(aligned_end))
 
 
 def distribute_drift(segment: LocalSegment, error: Pose) -> LocalSegment:
     """Apply pose_interp(error, t_i) to each pose, t_i linear in frame index.
 
-    The first pose receives t = 0 and is left untouched (same object); the
-    last receives the full error.
+    The first pose receives t = 0 and is left untouched; the last receives
+    the full error.
     """
-    entries = segment.trajectory.entries
-    if len(entries) < 2:
+    traj = segment.trajectory
+    if len(traj) < 2:
         raise ValidationError(
-            f"cannot distribute drift over a segment of length {len(entries)}"
+            f"cannot distribute drift over a segment of length {len(traj)}"
         )
-    f0 = entries[0][0]
-    f1 = entries[-1][0]
-    span = f1 - f0
-    corrected = [entries[0]]
-    for frame, pose in entries[1:]:
-        t = (frame - f0) / span
-        corrected.append((frame, compose(pose_interp(error, t), pose)))
-    return LocalSegment(
-        Trajectory(tuple(corrected)), segment.start_anchor_frame, segment.end_anchor_frame
+    return segment.with_poses(
+        _distribute(traj.frames, traj.poses, [0], [len(traj) - 1], PoseBatch.stack([error]))
     )
 
 
 def correct_long_trajectory(anchors: AnchorSet, segments) -> tuple:
-    """Run align -> drift error -> distribute per segment and stitch.
+    """Run align -> drift error -> distribute on every segment and stitch.
 
     Segments must cover every consecutive anchor gap in order. Duplicate
     boundary frames are resolved in favor of the exact anchor pose. Returns
-    (corrected Trajectory, CorrectionReport).
+    (corrected Trajectory, CorrectionReport). All segments are corrected in
+    one batch: each step is a handful of array operations over every frame.
     """
     anchor_frames = anchors.frames
     if len(anchor_frames) < 2:
@@ -111,46 +126,49 @@ def correct_long_trajectory(anchors: AnchorSet, segments) -> tuple:
             f"expected {len(anchor_frames) - 1} segments for {len(anchor_frames)} "
             f"anchors, got {len(segments)}"
         )
-    for seg, (fa, fb) in zip(segments, zip(anchor_frames, anchor_frames[1:])):
+    for seg, fa, fb in zip(segments, anchor_frames.tolist(), anchor_frames[1:].tolist()):
         if seg.start_anchor_frame != fa or seg.end_anchor_frame != fb:
             raise ValidationError(
                 f"no segment covering anchor gap {fa}..{fb} "
                 f"(got segment {seg.start_anchor_frame}..{seg.end_anchor_frame})"
             )
 
-    out_entries = []
+    lengths = np.array([len(seg.trajectory) for seg in segments])
+    ends = np.cumsum(lengths) - 1
+    starts = ends - lengths + 1
+    frames = np.concatenate([seg.trajectory.frames for seg in segments])
+    poses = PoseBatch.stack(seg.trajectory.poses for seg in segments)
+    a_start = anchors.trajectory.poses[:-1]
+    a_end = anchors.trajectory.poses[1:]
+
+    aligned = _align(poses, starts, a_start)
+    errors = compute_drift_error(aligned[ends], a_end)
+    corrected = _distribute(frames, aligned, starts, ends, errors)
+    res_rot, res_trans = pose_distance(corrected[ends], a_end)
+    drift_rot = quat_angles(errors.quat)
+    tx, ty, tz = errors.trans.T
+    # ** 0.5 on a float is libm's pow, which these reports have always used;
+    # np.sqrt differs from it in the last bit on some inputs
+    drift_trans = [sq**0.5 for sq in (tx * tx + ty * ty + tz * tz).tolist()]
+
     reports = []
     max_res_rot = 0.0
     max_res_trans = 0.0
-    for i, seg in enumerate(segments):
-        a_start = anchors.trajectory.pose_at(seg.start_anchor_frame)
-        a_end = anchors.trajectory.pose_at(seg.end_anchor_frame)
-        aligned = align_segment_start(seg, a_start)
-        error = compute_drift_error(aligned.last_pose(), a_end)
-        corrected = distribute_drift(aligned, error)
-        res_rot, res_trans = pose_distance(corrected.last_pose(), a_end)
-        drift_rot = error.rotation.angle()
-        drift_trans = float((error.translation**2).sum() ** 0.5)
+    for seg, d_rot, d_trans, r_rot, r_trans in zip(
+        segments, drift_rot.tolist(), drift_trans, res_rot.tolist(), res_trans.tolist()
+    ):
         reports.append(
             SegmentCorrection(
-                seg.start_anchor_frame,
-                seg.end_anchor_frame,
-                drift_rot,
-                drift_trans,
-                res_rot,
-                res_trans,
+                seg.start_anchor_frame, seg.end_anchor_frame, d_rot, d_trans, r_rot, r_trans
             )
         )
-        max_res_rot = max(max_res_rot, res_rot)
-        max_res_trans = max(max_res_trans, res_trans)
+        max_res_rot = max(max_res_rot, r_rot)
+        max_res_trans = max(max_res_trans, r_trans)
 
-        entries = list(corrected.trajectory.entries)
-        # exact anchor pass-through at both boundaries
-        entries[0] = (entries[0][0], a_start)
-        entries[-1] = (entries[-1][0], a_end)
-        if i > 0:
-            entries = entries[1:]  # boundary frame already emitted by previous segment
-        out_entries.extend(entries)
-
+    # exact anchor pass-through at both boundaries; each inner boundary frame
+    # is emitted once, by the segment that ends there
+    corrected = corrected.with_rows(starts, a_start).with_rows(ends, a_end)
+    keep = np.ones(len(frames), dtype=bool)
+    keep[starts[1:]] = False
     report = CorrectionReport(tuple(reports), max_res_rot, max_res_trans)
-    return Trajectory(tuple(out_entries)), report
+    return Trajectory.from_poses(frames[keep], corrected[keep]), report

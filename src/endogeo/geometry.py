@@ -7,6 +7,20 @@ Conventions used throughout the package:
 - Poses are camera-to-world unless a function documents otherwise;
   ``compose(a, b)`` is the transform that maps ``x`` to ``a(b(x))``.
 - Translations are in millimeters, angles in radians, axes right-handed.
+
+Batch shapes: a :class:`PoseBatch` holds N poses as ``quat`` (N, 4), canonical
+(w, x, y, z) rows, and ``trans`` (N, 3). :func:`compose`, :func:`inverse`,
+:func:`pose_interp` and :func:`pose_distance` take a single :class:`Pose` or a
+:class:`PoseBatch` for each pose argument and broadcast a single pose against a
+batch; ``pose_interp`` also takes an (N,) array of fractions. A batch in gives
+a batch out, and ``pose_distance`` then returns two (N,) arrays.
+
+Every formula is written once, as a kernel on components: a quaternion is a
+4-tuple (w, x, y, z) and a vector a 3-tuple, each component a float or an (N,)
+array. The scalar classes and the batched paths call the same kernels, so a
+pose gets the same bits alone or in a batch. Trigonometric functions run
+through ``math`` on floats, also for a batch, because numpy's ``arccos`` and
+``arctan2`` may differ from libm in the last bit.
 """
 
 from __future__ import annotations
@@ -29,6 +43,177 @@ _SLERP_PARALLEL_EPS = 1e-10
 # command line is rejected before any array of that size is allocated.
 MAX_IMAGE_SIDE = 2**15
 
+_IDENTITY = (1.0, 0.0, 0.0, 0.0)
+
+
+# -- kernels on components (floats or (N,) arrays) ---------------------------
+
+
+def _where(cond, a, b):
+    """``np.where`` for arrays; a plain choice for a scalar condition."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def _map_floats(fn, *arrays, width=None):
+    """``fn`` applied on floats to each element of the broadcast ``arrays``.
+    With ``width``, ``fn`` returns that many values, stacked on a last axis."""
+    arrays = np.broadcast_arrays(*arrays)
+    out = [fn(*args) for args in zip(*(a.ravel().tolist() for a in arrays))]
+    shape = arrays[0].shape if width is None else arrays[0].shape + (width,)
+    return np.array(out, dtype=np.float64).reshape(shape)
+
+
+def _hamilton(a, b):
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    )
+
+
+def _conjugate(q):
+    w, x, y, z = q
+    return w, -x, -y, -z
+
+
+def _canonical(q):
+    """The unit, w >= 0 representative of ``q``. Components whose squared
+    norm is within _RENORM_EPS of 1 are kept bit for bit."""
+    w, x, y, z = q
+    n2 = w * w + x * x + y * y + z * z
+    if isinstance(n2, np.ndarray):
+        ok = np.isfinite(n2) & (n2 != 0.0)
+        safe = np.where(ok, n2, 1.0)  # the bad entries raise below
+        scale = np.where(np.abs(n2 - 1.0) >= _RENORM_EPS, 1.0 / np.sqrt(safe), 1.0)
+    else:  # the same rule on floats, without numpy's per-call cost
+        ok = math.isfinite(n2) and n2 != 0.0
+        scale = 1.0 / math.sqrt(n2) if ok and abs(n2 - 1.0) >= _RENORM_EPS else 1.0
+    if not np.all(ok):
+        first = int(np.argmin(ok))
+        bad = ", ".join(str(float(np.ravel(c)[first])) for c in q)
+        raise ValidationError(f"quaternion not normalizable: ({bad})")
+    scale = _where(w * scale < 0.0, -scale, scale)
+    return w * scale, x * scale, y * scale, z * scale
+
+
+def _cross(a, b):
+    """a x b with the arithmetic of ``np.cross``."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+
+
+def _rotate(q, v):
+    """v rotated by the unit quaternion q: v + w t + u x t with t = 2 u x v."""
+    w, *u = q
+    t = tuple(2.0 * c for c in _cross(u, v))
+    return tuple(vc + w * tc + cc for vc, tc, cc in zip(v, t, _cross(u, t)))
+
+
+def _compose(a, b):
+    """(quaternion, translation) of a o b before canonicalization."""
+    (qa, ta), (qb, tb) = a, b
+    return _hamilton(qa, qb), tuple(r + s for r, s in zip(_rotate(qa, tb), ta))
+
+
+def _slerp_weights(d, t):
+    """(a, b) such that slerp = a q0 + b q1, for q0 . q1 = d >= 0, on floats."""
+    if d > 1.0 - _SLERP_PARALLEL_EPS:
+        # near-parallel: nlerp, renormalized by the canonicalization
+        return 1.0 - t, t
+    theta = math.acos(min(d, 1.0))
+    s = math.sin(theta)
+    return math.sin((1.0 - t) * theta) / s, math.sin(t * theta) / s
+
+
+def _slerp(q0, q1, t):
+    """Shortest-arc slerp before canonicalization; ``t`` a float or an array."""
+    d = q0[0] * q1[0] + q0[1] * q1[1] + q0[2] * q1[2] + q0[3] * q1[3]
+    sign = _where(d < 0.0, -1.0, 1.0)
+    d = d * sign
+    if isinstance(d, np.ndarray) or isinstance(t, np.ndarray):
+        weights = _map_floats(_slerp_weights, d, t, width=2)
+        a, b = weights[..., 0], weights[..., 1]
+    else:
+        a, b = _slerp_weights(d, t)
+    return tuple(a * c0 + b * (c1 * sign) for c0, c1 in zip(q0, q1))
+
+
+def _angle_of(w, x, y, z):
+    return 2.0 * math.atan2(math.sqrt(x**2 + y**2 + z**2), abs(w))
+
+
+def _angle(q):
+    """Rotation angle in [0, pi]; a float, or an array for array components."""
+    if isinstance(q[0], np.ndarray):
+        return _map_floats(_angle_of, *q)
+    return _angle_of(*(float(c) for c in q))  # ** on a numpy float is not pow
+
+
+def norms3(v):
+    """Euclidean norm of each (..., 3) row of ``v``. The stacked matmul uses
+    the BLAS dot that ``np.linalg.norm`` uses for one vector, so a row has the
+    same norm alone or in a batch."""
+    v = np.asarray(v, dtype=np.float64)
+    return np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
+
+
+def quats_from_axis_angle(axis, angle) -> np.ndarray:
+    """(..., 4) canonical quaternions of rotations by (...) ``angle`` about
+    the nonzero (..., 3) ``axis``."""
+    axis = np.asarray(axis, dtype=np.float64)
+    n = norms3(axis)
+    if np.any(n == 0.0):
+        raise ValidationError("rotation axis must be nonzero")
+    half = 0.5 * np.asarray(angle, dtype=np.float64)
+    s = _map_floats(math.sin, half) / n
+    q = (_map_floats(math.cos, half), axis[..., 0] * s, axis[..., 1] * s, axis[..., 2] * s)
+    return np.stack(_canonical(q), axis=-1)
+
+
+def quats_from_rotation_vectors(vectors) -> np.ndarray:
+    """(N, 4) canonical quaternions of the (N, 3) axis * angle ``vectors``
+    (exponential map); zero vectors give the identity."""
+    v = np.asarray(vectors, dtype=np.float64).reshape(-1, 3)
+    angle = norms3(v)
+    zero = angle == 0.0
+    q = quats_from_axis_angle(np.where(zero[:, None], 1.0, v), np.where(zero, 1.0, angle))
+    q[zero] = _IDENTITY
+    return q
+
+
+def quats_from_rotation_matrices(matrices) -> np.ndarray:
+    """(..., 4) canonical quaternions of (..., 3, 3) rotation matrices, each
+    row taking the branch (trace, or the largest diagonal entry) that keeps
+    its divisor away from zero."""
+    m = np.asarray(matrices, dtype=np.float64)
+    m00, m01, m02 = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
+    m10, m11, m12 = m[..., 1, 0], m[..., 1, 1], m[..., 1, 2]
+    m20, m21, m22 = m[..., 2, 0], m[..., 2, 1], m[..., 2, 2]
+    t = m00 + m11 + m22
+    with np.errstate(invalid="ignore", divide="ignore"):
+        s0 = np.sqrt(t + 1.0) * 2.0
+        s1 = np.sqrt(1.0 + m00 - m11 - m22) * 2.0
+        s2 = np.sqrt(1.0 + m11 - m00 - m22) * 2.0
+        s3 = np.sqrt(1.0 + m22 - m00 - m11) * 2.0
+        branches = [
+            (0.25 * s0, (m21 - m12) / s0, (m02 - m20) / s0, (m10 - m01) / s0),
+            ((m21 - m12) / s1, 0.25 * s1, (m01 + m10) / s1, (m02 + m20) / s1),
+            ((m02 - m20) / s2, (m01 + m10) / s2, 0.25 * s2, (m12 + m21) / s2),
+            ((m10 - m01) / s3, (m02 + m20) / s3, (m12 + m21) / s3, 0.25 * s3),
+        ]
+    pick = np.select([t > 0.0, (m00 >= m11) & (m00 >= m22), m11 >= m22], [0, 1, 2], 3)
+    q = tuple(np.choose(pick, [b[k] for b in branches]) for k in range(4))
+    return np.stack(_canonical(q), axis=-1)
+
+
+# -- scalar types -------------------------------------------------------------
+
 
 @dataclass(frozen=True)
 class Quaternion:
@@ -38,113 +223,47 @@ class Quaternion:
     z: float
 
     def __post_init__(self):
-        w = float(self.w)
-        x = float(self.x)
-        y = float(self.y)
-        z = float(self.z)
-        n2 = w * w + x * x + y * y + z * z
-        if not math.isfinite(n2) or n2 == 0.0:
-            raise ValidationError(f"quaternion not normalizable: ({w}, {x}, {y}, {z})")
-        if abs(n2 - 1.0) >= _RENORM_EPS:
-            inv = 1.0 / math.sqrt(n2)
-            w *= inv
-            x *= inv
-            y *= inv
-            z *= inv
-        if w < 0.0:
-            w, x, y, z = -w, -x, -y, -z
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
+        q = _canonical((float(self.w), float(self.x), float(self.y), float(self.z)))
+        for name, value in zip("wxyz", q):
+            object.__setattr__(self, name, float(value))
+
+    @property
+    def wxyz(self) -> tuple:
+        return self.w, self.x, self.y, self.z
 
     @staticmethod
     def identity() -> "Quaternion":
-        return Quaternion(1.0, 0.0, 0.0, 0.0)
+        return Quaternion(*_IDENTITY)
 
     @staticmethod
     def from_axis_angle(axis, angle: float) -> "Quaternion":
-        a = np.asarray(axis, dtype=np.float64)
-        n = float(np.linalg.norm(a))
-        if n == 0.0:
-            raise ValidationError("rotation axis must be nonzero")
-        half = 0.5 * float(angle)
-        s = math.sin(half) / n
-        return Quaternion(math.cos(half), a[0] * s, a[1] * s, a[2] * s)
+        return Quaternion(*quats_from_axis_angle(axis, float(angle)))
 
     @staticmethod
     def from_rotation_vector(vec) -> "Quaternion":
         """Exponential map: ``vec`` is axis * angle."""
-        v = np.asarray(vec, dtype=np.float64)
-        angle = float(np.linalg.norm(v))
-        if angle == 0.0:
-            return Quaternion.identity()
-        return Quaternion.from_axis_angle(v, angle)
+        return Quaternion(*quats_from_rotation_vectors(vec)[0])
 
     @staticmethod
     def from_rotation_matrix(matrix) -> "Quaternion":
         m = np.asarray(matrix, dtype=np.float64)
         if m.shape != (3, 3):
             raise ValidationError(f"rotation matrix must be 3x3, got {m.shape}")
-        t = m[0, 0] + m[1, 1] + m[2, 2]
-        if t > 0.0:
-            s = math.sqrt(t + 1.0) * 2.0
-            return Quaternion(
-                0.25 * s,
-                (m[2, 1] - m[1, 2]) / s,
-                (m[0, 2] - m[2, 0]) / s,
-                (m[1, 0] - m[0, 1]) / s,
-            )
-        if m[0, 0] >= m[1, 1] and m[0, 0] >= m[2, 2]:
-            s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-            return Quaternion(
-                (m[2, 1] - m[1, 2]) / s,
-                0.25 * s,
-                (m[0, 1] + m[1, 0]) / s,
-                (m[0, 2] + m[2, 0]) / s,
-            )
-        if m[1, 1] >= m[2, 2]:
-            s = math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-            return Quaternion(
-                (m[0, 2] - m[2, 0]) / s,
-                (m[0, 1] + m[1, 0]) / s,
-                0.25 * s,
-                (m[1, 2] + m[2, 1]) / s,
-            )
-        s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-        return Quaternion(
-            (m[1, 0] - m[0, 1]) / s,
-            (m[0, 2] + m[2, 0]) / s,
-            (m[1, 2] + m[2, 1]) / s,
-            0.25 * s,
-        )
+        return Quaternion(*quats_from_rotation_matrices(m))
 
     def norm(self) -> float:
         return math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
 
     def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def dot(self, other: "Quaternion") -> float:
-        return (
-            self.w * other.w + self.x * other.x + self.y * other.y + self.z * other.z
-        )
+        return Quaternion(*_conjugate(self.wxyz))
 
     def multiply(self, other: "Quaternion") -> "Quaternion":
-        a, b = self, other
-        return Quaternion(
-            a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
-            a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
-            a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
-            a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
-        )
+        return Quaternion(*_hamilton(self.wxyz, other.wxyz))
 
     def rotate(self, vectors):
         """Rotate one 3-vector or an (..., 3) stack of vectors."""
         v = np.asarray(vectors, dtype=np.float64)
-        u = np.array([self.x, self.y, self.z])
-        t = 2.0 * np.cross(u, v)
-        return v + self.w * t + np.cross(u, t)
+        return np.stack(_rotate(self.wxyz, tuple(np.moveaxis(v, -1, 0))), axis=-1)
 
     def to_rotation_matrix(self) -> np.ndarray:
         w, x, y, z = self.w, self.x, self.y, self.z
@@ -158,8 +277,7 @@ class Quaternion:
 
     def angle(self) -> float:
         """Rotation angle in [0, pi]."""
-        s = math.sqrt(self.x**2 + self.y**2 + self.z**2)
-        return 2.0 * math.atan2(s, abs(self.w))
+        return _angle(self.wxyz)
 
     def angle_to(self, other: "Quaternion") -> float:
         return self.conjugate().multiply(other).angle()
@@ -167,26 +285,12 @@ class Quaternion:
 
 def slerp(q0: Quaternion, q1: Quaternion, t: float) -> Quaternion:
     """Shortest-arc spherical interpolation at constant angular velocity."""
-    d = q0.dot(q1)
-    w1, x1, y1, z1 = q1.w, q1.x, q1.y, q1.z
-    if d < 0.0:
-        d = -d
-        w1, x1, y1, z1 = -w1, -x1, -y1, -z1
-    if d > 1.0 - _SLERP_PARALLEL_EPS:
-        # near-parallel: nlerp, renormalized by the constructor
-        a = 1.0 - t
-        b = t
-    else:
-        theta = math.acos(min(d, 1.0))
-        s = math.sin(theta)
-        a = math.sin((1.0 - t) * theta) / s
-        b = math.sin(t * theta) / s
-    return Quaternion(
-        a * q0.w + b * w1,
-        a * q0.x + b * x1,
-        a * q0.y + b * y1,
-        a * q0.z + b * z1,
-    )
+    return Quaternion(*_slerp(q0.wxyz, q1.wxyz, t))
+
+
+def quat_angles(quat) -> np.ndarray:
+    """(N,) rotation angles in [0, pi] of the (N, 4) quaternions ``quat``."""
+    return _angle(tuple(np.asarray(quat, dtype=np.float64).T))
 
 
 def vec3(value, what: str) -> np.ndarray:
@@ -225,26 +329,124 @@ class Pose:
         )
 
 
-def compose(a: Pose, b: Pose) -> Pose:
-    return Pose(a.rotation.multiply(b.rotation), a.rotation.rotate(b.translation) + a.translation)
+class PoseBatch:
+    """N poses: ``quat`` (N, 4) canonical (w, x, y, z) rows and ``trans``
+    (N, 3) finite translations, both read-only. Construction canonicalizes
+    ``quat`` the way :class:`Quaternion` does; indexing with an int gives a
+    :class:`Pose`, with a slice, mask or index array a PoseBatch."""
+
+    __slots__ = ("quat", "trans")
+
+    def __init__(self, quat, trans):
+        quat = np.asarray(quat, dtype=np.float64)
+        trans = np.array(trans, dtype=np.float64)
+        if quat.ndim != 2 or quat.shape[1] != 4 or trans.shape != (len(quat), 3):
+            raise ValidationError(
+                f"a pose batch needs (N, 4) quaternions and (N, 3) translations, "
+                f"got {quat.shape} and {trans.shape}"
+            )
+        if not np.all(np.isfinite(trans)):
+            raise ValidationError("translation must be finite")
+        self._set(np.stack(_canonical(tuple(quat.T)), axis=-1), trans)
+
+    def _set(self, quat, trans):
+        quat.flags.writeable = False
+        trans.flags.writeable = False
+        self.quat, self.trans = quat, trans
+
+    @classmethod
+    def _of(cls, quat, trans) -> "PoseBatch":
+        """Wrap arrays that already hold canonical, finite poses."""
+        batch = object.__new__(cls)
+        batch._set(quat, trans)
+        return batch
+
+    @classmethod
+    def stack(cls, items) -> "PoseBatch":
+        """The poses of ``items`` (each a Pose or a PoseBatch), in order."""
+        parts = [
+            (np.array([p.rotation.wxyz]), p.translation[None, :])
+            if isinstance(p, Pose)
+            else (p.quat, p.trans)
+            for p in items
+        ]
+        if not parts:
+            return cls._of(np.zeros((0, 4)), np.zeros((0, 3)))
+        return cls._of(*(np.concatenate(a) for a in zip(*parts)))
+
+    def __len__(self):
+        return len(self.quat)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return Pose(Quaternion(*self.quat[index]), self.trans[index])
+        return PoseBatch._of(self.quat[index], self.trans[index])
+
+    def with_rows(self, index, rows: "PoseBatch") -> "PoseBatch":
+        """A copy with the poses at ``index`` replaced by ``rows``."""
+        quat, trans = self.quat.copy(), self.trans.copy()
+        quat[index] = rows.quat
+        trans[index] = rows.trans
+        return PoseBatch._of(quat, trans)
 
 
-def inverse(p: Pose) -> Pose:
-    qi = p.rotation.conjugate()
-    return Pose(qi, -qi.rotate(p.translation))
+def _parts(p):
+    """(quaternion components, translation components) of a Pose or PoseBatch."""
+    if isinstance(p, Pose):
+        return p.rotation.wxyz, tuple(p.translation.tolist())
+    return tuple(p.quat.T), tuple(p.trans.T)
 
 
-def pose_interp(error: Pose, t: float) -> Pose:
-    """Fraction ``t`` of the transform ``error``: slerp on rotation, linear on translation."""
-    return Pose(slerp(Quaternion.identity(), error.rotation, t), t * error.translation)
+def _pose(q, t):
+    """A Pose from float components, a PoseBatch from array components; the
+    constructors canonicalize ``q``."""
+    if any(isinstance(c, np.ndarray) for c in q + t):
+        q = np.broadcast_arrays(*q, *t)
+        return PoseBatch(np.stack(q[:4], axis=-1), np.stack(q[4:], axis=-1))
+    return Pose(Quaternion(*q), t)
 
 
-def pose_distance(a: Pose, b: Pose) -> tuple[float, float]:
-    """(rotation angle rad, translation norm mm) between two poses."""
-    return (
-        a.rotation.angle_to(b.rotation),
-        float(np.linalg.norm(a.translation - b.translation)),
-    )
+def compose(a, b):
+    """a o b: the transform x -> a(b(x)); Poses or PoseBatches, broadcast."""
+    return _pose(*_compose(_parts(a), _parts(b)))
+
+
+def inverse(p):
+    q, t = _parts(p)
+    qi = _conjugate(q)
+    return _pose(qi, tuple(-c for c in _rotate(qi, t)))
+
+
+def compose_cumulative(first: Pose, steps: PoseBatch) -> PoseBatch:
+    """The N + 1 poses first, first o steps[0], first o steps[0] o steps[1], ...
+
+    Each product depends on the one before, so the scan runs on floats, with
+    the same kernels as :func:`compose`.
+    """
+    current = _parts(first)
+    quats, transes = [current[0]], [current[1]]
+    for q, t in zip(steps.quat.tolist(), steps.trans.tolist()):
+        q_raw, t = _compose(current, (q, t))
+        current = tuple(float(c) for c in _canonical(q_raw)), t
+        quats.append(current[0])
+        transes.append(t)
+    return PoseBatch(np.array(quats), np.array(transes))
+
+
+def pose_interp(error, t):
+    """Fraction ``t`` of the transform ``error``: slerp on rotation, linear on
+    translation. ``t`` may be an array, ``error`` a batch; they broadcast."""
+    q, tr = _parts(error)
+    return _pose(_slerp(_IDENTITY, q, t), tuple(t * c for c in tr))
+
+
+def pose_distance(a, b):
+    """(rotation angle rad, translation norm mm) between two poses; for
+    batches, two arrays."""
+    (qa, ta), (qb, tb) = _parts(a), _parts(b)
+    rot = _angle(_canonical(_hamilton(_conjugate(qa), qb)))
+    trans = norms3(np.stack(np.broadcast_arrays(*(r - s for r, s in zip(ta, tb))), axis=-1))
+    return rot, (float(trans) if trans.ndim == 0 else trans)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 
 ATE aligns predicted positions to ground truth (similarity by default, to
 absorb monocular scale; rigid available) and reports the position RMSE in mm.
-RTE compares relative poses over a fixed frame window (default 16) and
-reports the RMSE of the translational error norm; the rotational component is
-available as a secondary diagnostic. Depth evaluation runs at a fixed
-resolution (default 256x192) with optional per-map median scaling.
+RTE compares relative poses of the entries a fixed number of frames apart
+(default 16) and reports the RMSE of the translational error norm; the
+rotational component is available as a secondary diagnostic. Depth
+evaluation runs at a fixed resolution (default 256x192) with optional
+per-map median scaling.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import MAX_IMAGE_SIDE, compose, inverse, umeyama_align
+from .geometry import MAX_IMAGE_SIDE, compose, inverse, quat_angles, umeyama_align
 from .rasters import DepthMap, _bilinear_taps
 from .trajectory import Trajectory
 
@@ -56,7 +57,7 @@ class DepthMetrics:
 
 
 def _common_positions(pred: Trajectory, gt: Trajectory):
-    if pred.frames != gt.frames:
+    if not np.array_equal(pred.frames, gt.frames):
         raise ValidationError(
             "trajectories cover different frame sets "
             f"({len(pred)} vs {len(gt)} entries)"
@@ -83,30 +84,39 @@ def rte(pred: Trajectory, gt: Trajectory, window: int = RTE_DEFAULT_WINDOW) -> f
     return rpe(pred, gt, window)[0]
 
 
+def _rpe_pairs(frames: np.ndarray, window: int):
+    """(i, j) index arrays of the entries whose frames are ``window`` apart,
+    frames[j] = frames[i] + window, as the TUM benchmark pairs them."""
+    if not len(frames) or window > int(frames[-1] - frames[0]):
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    j = np.searchsorted(frames, frames + window)
+    paired = j < len(frames)
+    paired[paired] = frames[j[paired]] == frames[paired] + window
+    return np.flatnonzero(paired), j[paired]
+
+
 def rpe(pred: Trajectory, gt: Trajectory, window: int = RTE_DEFAULT_WINDOW) -> tuple:
     """(translation RMSE mm, rotation RMSE rad) of windowed relative-pose errors.
 
-    For each entry pair (i, i+window): E = inverse(rel_gt) o rel_pred with
-    rel = inverse(pose_i) o pose_{i+window}.
+    ``window`` is a frame delta: each entry i is paired with the entry j whose
+    frame is frame_i + window, if there is one. Then E = inverse(rel_gt) o
+    rel_pred with rel = inverse(pose_i) o pose_j.
     """
     if window <= 0:
         raise ValidationError(f"window must be positive, got {window}")
     pred, gt = _common_positions(pred, gt)
-    n = len(pred)
-    if n <= window:
+    i, j = _rpe_pairs(pred.frames, window)
+    if not len(i):
         raise ValidationError(
-            f"trajectory too short for window {window}: {n} entries"
+            f"trajectory too short for window {window}: no two of its {len(pred)} "
+            f"entries are {window} frames apart"
         )
-    trans_sq = []
-    rot_sq = []
-    pred_poses = pred.poses
-    gt_poses = gt.poses
-    for i in range(n - window):
-        rel_pred = compose(inverse(pred_poses[i]), pred_poses[i + window])
-        rel_gt = compose(inverse(gt_poses[i]), gt_poses[i + window])
-        err = compose(inverse(rel_gt), rel_pred)
-        trans_sq.append(float((err.translation**2).sum()))
-        rot_sq.append(err.rotation.angle() ** 2)
+    rel_pred = compose(inverse(pred.poses[i]), pred.poses[j])
+    rel_gt = compose(inverse(gt.poses[i]), gt.poses[j])
+    err = compose(inverse(rel_gt), rel_pred)
+    tx, ty, tz = err.trans.T
+    trans_sq = tx * tx + ty * ty + tz * tz
+    rot_sq = [a**2 for a in quat_angles(err.quat).tolist()]
     return (
         float(np.sqrt(np.mean(trans_sq))),
         float(np.sqrt(np.mean(rot_sq))),

@@ -30,7 +30,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import CameraIntrinsics, Pose, Quaternion, compose, inverse, pixel_grid, pixel_rays
+from .geometry import (
+    CameraIntrinsics,
+    Pose,
+    PoseBatch,
+    Quaternion,
+    compose,
+    compose_cumulative,
+    inverse,
+    norms3,
+    pixel_grid,
+    pixel_rays,
+    quats_from_rotation_matrices,
+    quats_from_rotation_vectors,
+)
 from .losses import induced_reprojection
 from .rasters import DepthMap, FlowField
 from .rng import SplitMix64
@@ -218,22 +231,29 @@ def render_depth(scene: SceneSpec, pose: Pose, intrinsics: CameraIntrinsics) -> 
     return DepthMap(*_render_heightfield(scene, o, d))
 
 
-def look_at(position, target, up=(0.0, 1.0, 0.0)) -> Pose:
-    """Camera-to-world pose at ``position`` with +z toward ``target``."""
+def look_at(position, target, up=(0.0, 1.0, 0.0)):
+    """Camera-to-world pose at ``position`` with +z toward ``target``.
+
+    ``position`` is one 3-vector, giving a Pose, or an (N, 3) array, giving a
+    PoseBatch with one pose per row.
+    """
     position = np.asarray(position, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     forward = target - position
-    n = float(np.linalg.norm(forward))
-    if n <= 0:
+    n = norms3(forward)
+    if np.any(n <= 0):
         raise ValidationError("look_at target coincides with the camera position")
-    z = forward / n
+    z = forward / n[..., None]
     x = np.cross(np.asarray(up, dtype=np.float64), z)
-    nx = float(np.linalg.norm(x))
-    if nx <= 1e-12:
+    nx = norms3(x)
+    if np.any(nx <= 1e-12):
         raise ValidationError("look_at up vector is parallel to the view direction")
-    x = x / nx
+    x = x / nx[..., None]
     y = np.cross(z, x)
-    return Pose(Quaternion.from_rotation_matrix(np.column_stack([x, y, z])), position)
+    quat = quats_from_rotation_matrices(np.stack([x, y, z], axis=-1))
+    if position.ndim == 1:
+        return Pose(Quaternion(*quat), position)
+    return PoseBatch(quat, position)
 
 
 def gen_trajectory(
@@ -256,27 +276,25 @@ def gen_trajectory(
     if n_frames <= 0:
         raise ValidationError(f"n_frames must be positive, got {n_frames}")
     stream = SplitMix64(seed).derive(f"trajectory-{path}")
-    entries = []
+    frames = np.arange(n_frames)
+    # the path parameter, 0 at the first frame and 1 at the last
+    t = frames / (n_frames - 1) if n_frames > 1 else np.zeros(1)
 
     if path == "linear":
         step = np.asarray(step, dtype=np.float64)
-        for k in range(n_frames):
-            entries.append((k, Pose(Quaternion.identity(), k * step)))
-        return Trajectory(tuple(entries))
+        quat = np.tile(Quaternion.identity().wxyz, (n_frames, 1))
+        return Trajectory.from_poses(frames, PoseBatch(quat, frames[:, None] * step))
 
     if path == "orbit":
         if radius <= 0:
             raise ValidationError(f"orbit radius must be positive, got {radius}")
         theta0 = stream.uniform_in(0.0, 2.0 * math.pi)
         arc = math.radians(stream.uniform_in(25.0, 45.0))
-        for k in range(n_frames):
-            t = k / (n_frames - 1) if n_frames > 1 else 0.0
-            theta = theta0 + arc * t
-            position = np.array(
-                [radius * math.cos(theta), radius * math.sin(theta), 0.0]
-            )
-            entries.append((k, look_at(position, target)))
-        return Trajectory(tuple(entries))
+        theta = (theta0 + arc * t).tolist()
+        position = np.array(
+            [[radius * math.cos(th), radius * math.sin(th), 0.0] for th in theta]
+        )
+        return Trajectory.from_poses(frames, look_at(position, target))
 
     # spline: Catmull-Rom through seeded control points near the origin
     n_ctrl = 5
@@ -291,20 +309,17 @@ def gen_trajectory(
         ]
     )
     padded = np.vstack([ctrl[0], ctrl, ctrl[-1]])
-    for k in range(n_frames):
-        t = k / (n_frames - 1) if n_frames > 1 else 0.0
-        s = t * (n_ctrl - 1)
-        i = min(int(math.floor(s)), n_ctrl - 2)
-        f = s - i
-        p0, p1, p2, p3 = padded[i], padded[i + 1], padded[i + 2], padded[i + 3]
-        position = 0.5 * (
-            2.0 * p1
-            + (-p0 + p2) * f
-            + (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3) * f * f
-            + (-p0 + 3.0 * p1 - 3.0 * p2 + p3) * f * f * f
-        )
-        entries.append((k, look_at(position, target)))
-    return Trajectory(tuple(entries))
+    s = t * (n_ctrl - 1)
+    i = np.minimum(np.floor(s).astype(np.int64), n_ctrl - 2)
+    f = (s - i)[:, None]
+    p0, p1, p2, p3 = padded[i], padded[i + 1], padded[i + 2], padded[i + 3]
+    position = 0.5 * (
+        2.0 * p1
+        + (-p0 + p2) * f
+        + (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3) * f * f
+        + (-p0 + 3.0 * p1 - 3.0 * p2 + p3) * f * f * f
+    )
+    return Trajectory.from_poses(frames, look_at(position, target))
 
 
 def induced_flow(
@@ -430,20 +445,22 @@ def simulate_dataset(
 def inject_drift(gt: Trajectory, spec: DriftSpec) -> Trajectory:
     """Perturb each ground-truth relative pose with seeded noise and
     re-accumulate from the true first pose. Zero sigmas return the input
-    object unchanged (bit-exact identity)."""
+    object unchanged (bit-exact identity).
+
+    Per frame step the stream gives three translation normals, then three
+    rotation normals. The relative poses and their noise are computed as one
+    batch; only the running product is a sequential scan.
+    """
     if spec.sigma_rot == 0.0 and spec.sigma_trans == 0.0:
         return gt
-    entries = gt.entries
-    if len(entries) == 0:
+    if len(gt) == 0:
         raise ValidationError("cannot inject drift into an empty trajectory")
     stream = SplitMix64(spec.seed).derive("drift")
-    out = [entries[0]]
-    current = entries[0][1]
-    for (f_prev, p_prev), (f_cur, p_cur) in zip(entries, entries[1:]):
-        rel = compose(inverse(p_prev), p_cur)
-        t_noise = np.array(stream.normals(3)) * spec.sigma_trans
-        omega = np.array(stream.normals(3)) * spec.sigma_rot
-        noise = Pose(Quaternion.from_rotation_vector(omega), t_noise)
-        current = compose(current, compose(rel, noise))
-        out.append((f_cur, current))
-    return Trajectory(tuple(out))
+    normals = np.array(stream.normals(6 * (len(gt) - 1))).reshape(-1, 6)
+    noise = PoseBatch(
+        quats_from_rotation_vectors(normals[:, 3:] * spec.sigma_rot),
+        normals[:, :3] * spec.sigma_trans,
+    )
+    poses = gt.poses
+    rel = compose(inverse(poses[:-1]), poses[1:])
+    return Trajectory.from_poses(gt.frames, compose_cumulative(poses[0], compose(rel, noise)))

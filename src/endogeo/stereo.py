@@ -233,6 +233,20 @@ def depth_to_disparity(depth: DepthMap, baseline: float, focal: float) -> Dispar
     return DisparityMap(_bf_over(depth, baseline, focal), depth.valid)
 
 
+def _is_number(value, kinds=(int, float)) -> bool:
+    """A JSON number of one of ``kinds``; read_json has already rejected
+    non-finite ones. A bool is an int in Python but does not count, nor
+    does a numeric string."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _all_numbers(value) -> bool:
+    """``value`` is a JSON number or a (nested) list of them."""
+    if isinstance(value, list):
+        return all(_all_numbers(v) for v in value)
+    return _is_number(value)
+
+
 def _camera_from_dict(obj: dict, path, side: str) -> MonoCalibration:
     required = {"fx", "fy", "cx", "cy", "width", "height", "dist"}
     missing = required - obj.keys()
@@ -245,24 +259,30 @@ def _camera_from_dict(obj: dict, path, side: str) -> MonoCalibration:
             path=path,
         )
     width, height = obj["width"], obj["height"]
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (width, height)):
+    if not all(_is_number(v, int) for v in (width, height)):
         raise FormatError(
             f"calibration {side} camera width/height must be integers, got {width!r}x{height!r}",
             path=path,
         )
-    try:
-        intr = CameraIntrinsics(
-            float(obj["fx"]), float(obj["fy"]), float(obj["cx"]), float(obj["cy"]), width, height
+    for key in ("fx", "fy", "cx", "cy"):
+        if not _is_number(obj[key]):
+            raise FormatError(
+                f"calibration {side} camera {key} must be a number, got {obj[key]!r}", path=path
+            )
+    if not _all_numbers(dist):
+        raise FormatError(
+            f"calibration {side} camera dist entries must be numbers, got {dist!r}", path=path
         )
-        dist = tuple(float(v) for v in dist)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"calibration {side} camera: {exc}", path=path) from None
-    return MonoCalibration(intr, dist)
+    intr = CameraIntrinsics(
+        float(obj["fx"]), float(obj["fy"]), float(obj["cx"]), float(obj["cy"]), width, height
+    )
+    return MonoCalibration(intr, tuple(float(v) for v in dist))
 
 
 def load_calibration(path) -> StereoCalibration:
     """JSON schema: {"left": {fx, fy, cx, cy, width, height, dist},
-    "right": {...}, "extrinsics": {"R": 3x3 row-major, "T": [tx, ty, tz]}}."""
+    "right": {...}, "extrinsics": {"R": 3x3 row-major, "T": [tx, ty, tz]}}.
+    Every numeric field is a JSON number; booleans and strings are rejected."""
     obj = read_json(path)
     for key in ("left", "right", "extrinsics"):
         if not (isinstance(obj, dict) and isinstance(obj.get(key), dict)):
@@ -270,13 +290,13 @@ def load_calibration(path) -> StereoCalibration:
     ext = obj["extrinsics"]
     if "R" not in ext or "T" not in ext:
         raise FormatError("calibration extrinsics must contain 'R' and 'T'", path=path)
+    if not (_all_numbers(ext["R"]) and _all_numbers(ext["T"])):
+        raise FormatError("extrinsics R and T must hold JSON numbers only", path=path)
     try:
         r = np.array(ext["R"], dtype=np.float64)
         t = np.array(ext["T"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"extrinsics R and T must be numeric: {exc}", path=path) from None
-    if not (np.isfinite(r).all() and np.isfinite(t).all()):  # a JSON null becomes NaN
-        raise FormatError("extrinsics R and T must be numeric, not null", path=path)
+    except ValueError as exc:  # ragged nested lists
+        raise FormatError(f"extrinsics R and T must be numeric arrays: {exc}", path=path) from None
     if r.shape != (3, 3):
         raise FormatError(f"extrinsics R must be 3x3, got shape {r.shape}", path=path)
     if t.shape != (3,):

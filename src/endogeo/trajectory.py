@@ -11,90 +11,139 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError, ValidationError
 from .fileio import read_text
-from .geometry import Pose, Quaternion
+from .geometry import Pose, PoseBatch
 
 log = logging.getLogger(__name__)
 
 # warn when a parsed quaternion deviates from unit norm by more than this
 _NORM_WARN_TOL = 1e-3
+_TUM_LINE = "%d" + " %.17g" * 7  # the same digits as format(value, ".17g")
 
 
-@dataclass(frozen=True)
+def _check_frames(frames: np.ndarray) -> None:
+    """Frames must be non-negative and strictly increasing; after a
+    non-negative first frame, a negative one is a decrease."""
+    if len(frames) and frames[0] < 0:
+        raise ValidationError(f"negative frame index {frames[0]}")
+    steps = np.flatnonzero(frames[1:] <= frames[:-1])
+    if steps.size:
+        i = steps[0] + 1
+        raise ValidationError(
+            f"frame indices must be strictly increasing: {frames[i]} after {frames[i - 1]}"
+        )
+
+
 class Trajectory:
-    entries: tuple
+    """Poses at strictly increasing, non-negative frame indices, held as
+    read-only arrays: ``frames`` (N,) int64 and ``poses``, a
+    :class:`~endogeo.geometry.PoseBatch` whose ``quat`` (N, 4) and ``trans``
+    (N, 3) are also reachable as ``Trajectory.quat`` and ``Trajectory.trans``.
 
-    # frame -> position in entries, built once; excluded from equality/repr
-    _index: dict = field(default=None, compare=False, repr=False)
+    ``Trajectory(entries)`` takes ``(frame, Pose)`` pairs;
+    :meth:`from_poses` takes the arrays. Iteration and ``entries`` give the
+    pairs back, with each Pose a scalar view of one row.
+    """
 
-    def __post_init__(self):
-        entries = tuple((int(f), p) for f, p in self.entries)
-        index = {}
-        prev = -1
+    __slots__ = ("frames", "poses")
+    __hash__ = None
+
+    def __init__(self, entries=()):
+        entries = tuple(entries)
         for frame, pose in entries:
-            if frame < 0:
-                raise ValidationError(f"negative frame index {frame}")
-            if frame <= prev:
-                raise ValidationError(
-                    f"frame indices must be strictly increasing: {frame} after {prev}"
-                )
             if not isinstance(pose, Pose):
                 raise ValidationError(f"entry at frame {frame} is not a Pose")
-            index[frame] = pose
-            prev = frame
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_index", index)
+        self.frames = np.array([int(f) for f, _ in entries], dtype=np.int64)
+        _check_frames(self.frames)
+        self.frames.flags.writeable = False
+        self.poses = PoseBatch.stack(p for _, p in entries)
+
+    @classmethod
+    def from_poses(cls, frames, poses: PoseBatch) -> "Trajectory":
+        """The trajectory with ``poses[i]`` at ``frames[i]``."""
+        frames = np.array(frames, dtype=np.int64).reshape(-1)
+        if len(frames) != len(poses):
+            raise ValidationError(f"{len(frames)} frames for {len(poses)} poses")
+        _check_frames(frames)
+        return cls._of(frames, poses)
+
+    @classmethod
+    def _of(cls, frames: np.ndarray, poses: PoseBatch) -> "Trajectory":
+        traj = object.__new__(cls)
+        frames.flags.writeable = False
+        traj.frames, traj.poses = frames, poses
+        return traj
+
+    @property
+    def quat(self) -> np.ndarray:
+        return self.poses.quat
+
+    @property
+    def trans(self) -> np.ndarray:
+        return self.poses.trans
+
+    @property
+    def entries(self) -> tuple:
+        return tuple((frame, self.poses[i]) for i, frame in enumerate(self.frames.tolist()))
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.frames)
 
     def __iter__(self):
         return iter(self.entries)
 
-    @property
-    def frames(self) -> tuple:
-        return tuple(f for f, _ in self.entries)
+    def __eq__(self, other):
+        if not isinstance(other, Trajectory):
+            return NotImplemented
+        return (
+            np.array_equal(self.frames, other.frames)
+            and np.array_equal(self.quat, other.quat)
+            and np.array_equal(self.trans, other.trans)
+        )
 
-    @property
-    def poses(self) -> tuple:
-        return tuple(p for _, p in self.entries)
+    def __repr__(self):
+        if not len(self):
+            return "Trajectory(empty)"
+        return f"Trajectory({len(self)} poses, frames {self.frames[0]}..{self.frames[-1]})"
+
+    def subset(self, index) -> "Trajectory":
+        """The entries at ``index``: a slice, a boolean mask or sorted positions."""
+        return Trajectory._of(self.frames[index], self.poses[index])
+
+    def _rows(self, frames) -> np.ndarray:
+        """Positions of ``frames`` in the trajectory, -1 where absent."""
+        frames = np.asarray(frames)
+        rows = np.searchsorted(self.frames, frames)
+        found = (rows < len(self)) & (np.append(self.frames, 0)[rows] == frames)
+        return np.where(found, rows, -1)
 
     def pose_at(self, frame: int) -> Pose:
-        try:
-            return self._index[frame]
-        except KeyError:
-            raise ValidationError(f"frame {frame} not present in trajectory") from None
+        i = int(self._rows(frame))
+        if i < 0:
+            raise ValidationError(f"frame {frame} not present in trajectory")
+        return self.poses[i]
 
     def has_frame(self, frame: int) -> bool:
-        return frame in self._index
-
-    def first(self):
-        self._require_nonempty()
-        return self.entries[0]
-
-    def last(self):
-        self._require_nonempty()
-        return self.entries[-1]
+        return int(self._rows(frame)) >= 0
 
     def positions(self) -> np.ndarray:
-        self._require_nonempty()
-        return np.stack([p.translation for _, p in self.entries])
+        """The (N, 3) read-only translations."""
+        if not len(self):
+            raise ValidationError("trajectory is empty")
+        return self.trans
 
     def restricted_to(self, frames) -> "Trajectory":
-        wanted = set(int(f) for f in frames)
-        missing = wanted - set(self._index)
-        if missing:
-            raise ValidationError(f"frames not in trajectory: {sorted(missing)}")
-        return Trajectory(tuple(e for e in self.entries if e[0] in wanted))
-
-    def _require_nonempty(self):
-        if not self.entries:
-            raise ValidationError("trajectory is empty")
+        wanted = sorted(set(int(f) for f in frames))
+        rows = self._rows(wanted)
+        if np.any(rows < 0):
+            missing = [f for f, r in zip(wanted, rows.tolist()) if r < 0]
+            raise ValidationError(f"frames not in trajectory: {missing}")
+        return self.subset(rows)
 
 
 @dataclass(frozen=True)
@@ -106,20 +155,22 @@ class AnchorSet:
         if self.stride <= 0:
             raise ValidationError(f"anchor stride must be positive, got {self.stride}")
         frames = self.trajectory.frames
-        if not frames:
+        if not len(frames):
             raise ValidationError("anchor trajectory is empty")
-        gaps = [b - a for a, b in zip(frames, frames[1:])]
-        for i, gap in enumerate(gaps):
-            is_tail = i == len(gaps) - 1
-            if gap != self.stride and not (is_tail and gap < self.stride):
-                raise ValidationError(
-                    f"anchor gap {frames[i]}..{frames[i + 1]} is {gap}, "
-                    f"expected stride {self.stride}"
-                    + (" (only the final gap may be shorter)" if is_tail else "")
-                )
+        gaps = np.diff(frames)
+        tail = len(gaps) - 1
+        bad = np.flatnonzero(gaps != self.stride)
+        bad = bad[~((bad == tail) & (gaps[bad] < self.stride))]
+        if bad.size:
+            i = bad[0]
+            raise ValidationError(
+                f"anchor gap {frames[i]}..{frames[i + 1]} is {gaps[i]}, "
+                f"expected stride {self.stride}"
+                + (" (only the final gap may be shorter)" if i == tail else "")
+            )
 
     @property
-    def frames(self) -> tuple:
+    def frames(self) -> np.ndarray:
         return self.trajectory.frames
 
 
@@ -131,40 +182,44 @@ class LocalSegment:
 
     def __post_init__(self):
         frames = self.trajectory.frames
-        if not frames:
+        if not len(frames):
             raise ValidationError("segment trajectory is empty")
         if frames[0] != self.start_anchor_frame or frames[-1] != self.end_anchor_frame:
             raise ValidationError(
                 f"segment frames {frames[0]}..{frames[-1]} do not match anchor "
                 f"frames {self.start_anchor_frame}..{self.end_anchor_frame}"
             )
+        object.__setattr__(self, "start_anchor_frame", int(self.start_anchor_frame))
+        object.__setattr__(self, "end_anchor_frame", int(self.end_anchor_frame))
 
     def first_pose(self) -> Pose:
-        return self.trajectory.entries[0][1]
+        return self.trajectory.poses[0]
 
     def last_pose(self) -> Pose:
-        return self.trajectory.entries[-1][1]
+        return self.trajectory.poses[-1]
 
-
-def _format_float(value: float) -> str:
-    return format(float(value), ".17g")
+    def with_poses(self, poses: PoseBatch) -> "LocalSegment":
+        """The same frames and anchor frames carrying ``poses``."""
+        return LocalSegment(
+            Trajectory.from_poses(self.trajectory.frames, poses),
+            self.start_anchor_frame,
+            self.end_anchor_frame,
+        )
 
 
 def serialize_tum(trajectory: Trajectory) -> str:
     """One line per pose: ``frame tx ty tz qx qy qz qw`` (17-digit floats)."""
     lines = ["# frame tx ty tz qx qy qz qw"]
-    for frame, pose in trajectory:
-        t = pose.translation
-        q = pose.rotation
-        fields = [str(frame)] + [
-            _format_float(v) for v in (t[0], t[1], t[2], q.x, q.y, q.z, q.w)
-        ]
-        lines.append(" ".join(fields))
+    for frame, (tx, ty, tz), (qw, qx, qy, qz) in zip(
+        trajectory.frames.tolist(), trajectory.trans.tolist(), trajectory.quat.tolist()
+    ):
+        lines.append(_TUM_LINE % (frame, tx, ty, tz, qx, qy, qz, qw))
     return "\n".join(lines) + "\n"
 
 
 def parse_tum(text: str, *, path=None) -> Trajectory:
-    entries = []
+    frames = []
+    rows = []
     prev_frame = -1
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -196,7 +251,7 @@ def parse_tum(text: str, *, path=None) -> Trajectory:
                 line=line_no,
             )
         prev_frame = frame
-        tx, ty, tz, qx, qy, qz, qw = values[1:]
+        _, tx, ty, tz, qx, qy, qz, qw = values
         norm = (qw * qw + qx * qx + qy * qy + qz * qz) ** 0.5
         if abs(norm - 1.0) > _NORM_WARN_TOL:
             log.warning(
@@ -207,9 +262,13 @@ def parse_tum(text: str, *, path=None) -> Trajectory:
             )
         if norm == 0.0:
             raise FormatError("zero quaternion", path=path, line=line_no)
-        pose = Pose(Quaternion(qw, qx, qy, qz), np.array([tx, ty, tz]))
-        entries.append((frame, pose))
-    return Trajectory(tuple(entries))
+        if norm == math.inf:
+            raise FormatError("quaternion norm overflows", path=path, line=line_no)
+        frames.append(frame)
+        rows.append((qw, qx, qy, qz, tx, ty, tz))
+    table = np.array(rows, dtype=np.float64).reshape(-1, 7)
+    poses = PoseBatch(table[:, :4], table[:, 4:])
+    return Trajectory._of(np.array(frames, dtype=np.int64), poses)
 
 
 def load_tum(path) -> Trajectory:
@@ -228,11 +287,15 @@ def split_into_segments(local: Trajectory, anchors: AnchorSet) -> list:
         raise ValidationError(
             f"need at least 2 anchors to form segments, got {len(anchor_frames)}"
         )
-    for frame in anchor_frames:
-        if not local.has_frame(frame):
-            raise ValidationError(f"anchor frame {frame} missing from local trajectory")
-    segments = []
-    for start, end in zip(anchor_frames, anchor_frames[1:]):
-        part = tuple(e for e in local.entries if start <= e[0] <= end)
-        segments.append(LocalSegment(Trajectory(part), start, end))
-    return segments
+    rows = np.searchsorted(local.frames, anchor_frames)
+    found = rows < len(local)
+    found[found] = local.frames[rows[found]] == anchor_frames[found]
+    if not found.all():
+        missing = anchor_frames[np.argmin(found)]
+        raise ValidationError(f"anchor frame {missing} missing from local trajectory")
+    return [
+        LocalSegment(local.subset(slice(a, b + 1)), start, end)
+        for a, b, start, end in zip(
+            rows.tolist(), rows[1:].tolist(), anchor_frames.tolist(), anchor_frames[1:].tolist()
+        )
+    ]

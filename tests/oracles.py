@@ -7,9 +7,17 @@ before the library and are the ground truth the vectorized code must match.
 
 Array arguments are indexed but never fed to numpy ufuncs, so the arithmetic
 below is exactly the scalar formula it spells out.
+
+The pose oracles at the end are the exception: they are the per-pose loops
+the package ran before its trajectories became arrays, kept verbatim as the
+reference the batched code must reproduce bit for bit. They call numpy where
+those loops did (``np.cross`` on one 3-vector, ``np.linalg.norm``,
+``np.mean``), because those calls fix the bits of the result.
 """
 
 import math
+
+import numpy as np
 
 
 def _quat_to_matrix(w, x, y, z):
@@ -488,3 +496,250 @@ def oracle_heightfield_depth(components, extent, quat, origin, fx, fy, cx, cy, w
         values.append(row_values)
         valid.append(row_valid)
     return values, valid
+
+
+# -- pose oracles: the former per-pose loops ---------------------------------
+#
+# A quaternion is a (w, x, y, z) tuple of floats, a pose a (quaternion,
+# translation 3-vector) pair, and a trajectory a list of (frame, pose).
+
+_RENORM_EPS = 1e-12
+_SLERP_PARALLEL_EPS = 1e-10
+_IDENTITY = (1.0, 0.0, 0.0, 0.0)
+
+
+def oracle_quat(w, x, y, z):
+    """The canonical quaternion: unit norm unless already within 1e-12 of
+    it, then w >= 0."""
+    w, x, y, z = float(w), float(x), float(y), float(z)
+    n2 = w * w + x * x + y * y + z * z
+    if not math.isfinite(n2) or n2 == 0.0:
+        raise ValueError(f"quaternion not normalizable: ({w}, {x}, {y}, {z})")
+    if abs(n2 - 1.0) >= _RENORM_EPS:
+        inv = 1.0 / math.sqrt(n2)
+        w *= inv
+        x *= inv
+        y *= inv
+        z *= inv
+    if w < 0.0:
+        w, x, y, z = -w, -x, -y, -z
+    return w, x, y, z
+
+
+def oracle_quat_multiply(a, b):
+    return oracle_quat(
+        a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3],
+        a[0] * b[1] + a[1] * b[0] + a[2] * b[3] - a[3] * b[2],
+        a[0] * b[2] - a[1] * b[3] + a[2] * b[0] + a[3] * b[1],
+        a[0] * b[3] + a[1] * b[2] - a[2] * b[1] + a[3] * b[0],
+    )
+
+
+def oracle_rotate(q, vector):
+    v = np.asarray(vector, dtype=np.float64)
+    u = np.array([q[1], q[2], q[3]])
+    t = 2.0 * np.cross(u, v)
+    return v + q[0] * t + np.cross(u, t)
+
+
+def oracle_angle(q):
+    s = math.sqrt(q[1] ** 2 + q[2] ** 2 + q[3] ** 2)
+    return 2.0 * math.atan2(s, abs(q[0]))
+
+
+def oracle_compose(a, b):
+    return oracle_quat_multiply(a[0], b[0]), oracle_rotate(a[0], b[1]) + a[1]
+
+
+def oracle_inverse(p):
+    w, x, y, z = p[0]
+    qi = oracle_quat(w, -x, -y, -z)
+    return qi, -oracle_rotate(qi, p[1])
+
+
+def oracle_slerp(q0, q1, t):
+    d = q0[0] * q1[0] + q0[1] * q1[1] + q0[2] * q1[2] + q0[3] * q1[3]
+    w1, x1, y1, z1 = q1
+    if d < 0.0:
+        d = -d
+        w1, x1, y1, z1 = -w1, -x1, -y1, -z1
+    if d > 1.0 - _SLERP_PARALLEL_EPS:
+        a = 1.0 - t
+        b = t
+    else:
+        theta = math.acos(min(d, 1.0))
+        s = math.sin(theta)
+        a = math.sin((1.0 - t) * theta) / s
+        b = math.sin(t * theta) / s
+    return oracle_quat(a * q0[0] + b * w1, a * q0[1] + b * x1, a * q0[2] + b * y1, a * q0[3] + b * z1)
+
+
+def oracle_pose_interp(error, t):
+    return oracle_slerp(_IDENTITY, error[0], t), t * error[1]
+
+
+def oracle_pose_distance(a, b):
+    w, x, y, z = a[0]
+    rot = oracle_angle(oracle_quat_multiply(oracle_quat(w, -x, -y, -z), b[0]))
+    return rot, float(np.linalg.norm(a[1] - b[1]))
+
+
+def oracle_from_axis_angle(axis, angle):
+    a = np.asarray(axis, dtype=np.float64)
+    n = float(np.linalg.norm(a))
+    half = 0.5 * float(angle)
+    s = math.sin(half) / n
+    return oracle_quat(math.cos(half), a[0] * s, a[1] * s, a[2] * s)
+
+
+def oracle_from_rotation_vector(vector):
+    v = np.asarray(vector, dtype=np.float64)
+    angle = float(np.linalg.norm(v))
+    if angle == 0.0:
+        return _IDENTITY
+    return oracle_from_axis_angle(v, angle)
+
+
+def oracle_from_rotation_matrix(m):
+    t = m[0][0] + m[1][1] + m[2][2]
+    if t > 0.0:
+        s = math.sqrt(t + 1.0) * 2.0
+        return oracle_quat(
+            0.25 * s, (m[2][1] - m[1][2]) / s, (m[0][2] - m[2][0]) / s, (m[1][0] - m[0][1]) / s
+        )
+    if m[0][0] >= m[1][1] and m[0][0] >= m[2][2]:
+        s = math.sqrt(1.0 + m[0][0] - m[1][1] - m[2][2]) * 2.0
+        return oracle_quat(
+            (m[2][1] - m[1][2]) / s, 0.25 * s, (m[0][1] + m[1][0]) / s, (m[0][2] + m[2][0]) / s
+        )
+    if m[1][1] >= m[2][2]:
+        s = math.sqrt(1.0 + m[1][1] - m[0][0] - m[2][2]) * 2.0
+        return oracle_quat(
+            (m[0][2] - m[2][0]) / s, (m[0][1] + m[1][0]) / s, 0.25 * s, (m[1][2] + m[2][1]) / s
+        )
+    s = math.sqrt(1.0 + m[2][2] - m[0][0] - m[1][1]) * 2.0
+    return oracle_quat(
+        (m[1][0] - m[0][1]) / s, (m[0][2] + m[2][0]) / s, (m[1][2] + m[2][1]) / s, 0.25 * s
+    )
+
+
+def oracle_look_at(position, target, up=(0.0, 1.0, 0.0)):
+    position = np.asarray(position, dtype=np.float64)
+    forward = np.asarray(target, dtype=np.float64) - position
+    z = forward / float(np.linalg.norm(forward))
+    x = np.cross(np.asarray(up, dtype=np.float64), z)
+    x = x / float(np.linalg.norm(x))
+    y = np.cross(z, x)
+    return oracle_from_rotation_matrix(np.column_stack([x, y, z])), position
+
+
+def oracle_gen_trajectory(n_frames, path, stream, radius, target, step):
+    """``stream`` is the trajectory's random stream (``uniform_in(low, high)``)."""
+    if path == "linear":
+        step = np.asarray(step, dtype=np.float64)
+        return [(k, (_IDENTITY, k * step)) for k in range(n_frames)]
+    entries = []
+    if path == "orbit":
+        theta0 = stream.uniform_in(0.0, 2.0 * math.pi)
+        arc = math.radians(stream.uniform_in(25.0, 45.0))
+        for k in range(n_frames):
+            t = k / (n_frames - 1) if n_frames > 1 else 0.0
+            theta = theta0 + arc * t
+            position = np.array([radius * math.cos(theta), radius * math.sin(theta), 0.0])
+            entries.append((k, oracle_look_at(position, target)))
+        return entries
+    n_ctrl = 5
+    ctrl = np.array(
+        [
+            [
+                stream.uniform_in(-radius, radius),
+                stream.uniform_in(-radius, radius),
+                stream.uniform_in(-0.25 * radius, 0.25 * radius),
+            ]
+            for _ in range(n_ctrl)
+        ]
+    )
+    padded = np.vstack([ctrl[0], ctrl, ctrl[-1]])
+    for k in range(n_frames):
+        t = k / (n_frames - 1) if n_frames > 1 else 0.0
+        s = t * (n_ctrl - 1)
+        i = min(int(math.floor(s)), n_ctrl - 2)
+        f = s - i
+        p0, p1, p2, p3 = padded[i], padded[i + 1], padded[i + 2], padded[i + 3]
+        position = 0.5 * (
+            2.0 * p1
+            + (-p0 + p2) * f
+            + (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3) * f * f
+            + (-p0 + 3.0 * p1 - 3.0 * p2 + p3) * f * f * f
+        )
+        entries.append((k, oracle_look_at(position, target)))
+    return entries
+
+
+def oracle_inject_drift(entries, sigma_rot, sigma_trans, stream):
+    """``stream`` is the drift stream (``normals(count)``)."""
+    out = [entries[0]]
+    current = entries[0][1]
+    for (_, p_prev), (f_cur, p_cur) in zip(entries, entries[1:]):
+        rel = oracle_compose(oracle_inverse(p_prev), p_cur)
+        t_noise = np.array(stream.normals(3)) * sigma_trans
+        omega = np.array(stream.normals(3)) * sigma_rot
+        noise = (oracle_from_rotation_vector(omega), t_noise)
+        current = oracle_compose(current, oracle_compose(rel, noise))
+        out.append((f_cur, current))
+    return out
+
+
+def oracle_correct_long_trajectory(anchors, segments):
+    """Align, measure and spread the drift of each segment (a trajectory from
+    one anchor frame to the next), then stitch. Returns (entries, per-segment
+    (drift rot, drift trans, residual rot, residual trans))."""
+    anchor_poses = dict(anchors)
+    out = []
+    reports = []
+    for i, seg in enumerate(segments):
+        a_start = anchor_poses[seg[0][0]]
+        a_end = anchor_poses[seg[-1][0]]
+        t = oracle_compose(a_start, oracle_inverse(seg[0][1]))
+        aligned = [(seg[0][0], a_start)] + [(f, oracle_compose(t, p)) for f, p in seg[1:]]
+        error = oracle_compose(a_end, oracle_inverse(aligned[-1][1]))
+        f0, f1 = seg[0][0], seg[-1][0]
+        corrected = [aligned[0]] + [
+            (f, oracle_compose(oracle_pose_interp(error, (f - f0) / (f1 - f0)), p))
+            for f, p in aligned[1:]
+        ]
+        res_rot, res_trans = oracle_pose_distance(corrected[-1][1], a_end)
+        drift_trans = float((error[1] ** 2).sum() ** 0.5)
+        reports.append((oracle_angle(error[0]), drift_trans, res_rot, res_trans))
+        corrected[0] = (corrected[0][0], a_start)
+        corrected[-1] = (corrected[-1][0], a_end)
+        out.extend(corrected if i == 0 else corrected[1:])
+    return out, reports
+
+
+def oracle_rpe(pred, gt, window):
+    """(translation RMSE, rotation RMSE) over the entry pairs whose frames
+    are ``window`` apart; None when there is no pair."""
+    gt_at = dict(gt)
+    pred_at = dict(pred)
+    trans_sq = []
+    rot_sq = []
+    for frame, _ in pred:
+        if frame + window not in pred_at:
+            continue
+        rel_pred = oracle_compose(oracle_inverse(pred_at[frame]), pred_at[frame + window])
+        rel_gt = oracle_compose(oracle_inverse(gt_at[frame]), gt_at[frame + window])
+        err = oracle_compose(oracle_inverse(rel_gt), rel_pred)
+        trans_sq.append(float((err[1] ** 2).sum()))
+        rot_sq.append(oracle_angle(err[0]) ** 2)
+    if not trans_sq:
+        return None
+    return float(np.sqrt(np.mean(trans_sq))), float(np.sqrt(np.mean(rot_sq)))
+
+
+def oracle_serialize_tum(entries):
+    lines = ["# frame tx ty tz qx qy qz qw"]
+    for frame, (q, t) in entries:
+        values = (t[0], t[1], t[2], q[1], q[2], q[3], q[0])
+        lines.append(" ".join([str(frame)] + [format(float(v), ".17g") for v in values]))
+    return "\n".join(lines) + "\n"

@@ -75,7 +75,7 @@ class TestCorrect:
             capsys,
         )
         corrected = load_tum(out)
-        assert corrected.frames == gt.frames
+        assert corrected.frames.tolist() == gt.frames.tolist()
         for frame in gt.frames:
             rot, trans = pose_distance(corrected.pose_at(frame), gt.pose_at(frame))
             assert rot < 1e-9 and trans < 1e-9
@@ -480,6 +480,13 @@ def _calib_with_fx(tmp_path, fx: str):
     return _write(tmp_path, "calib.json", text.encode())
 
 
+def _calib_edited(tmp_path, side: str, key: str, value):
+    ideal_calib(tmp_path / "calib.json")
+    obj = json.loads((tmp_path / "calib.json").read_text())
+    obj[side][key] = value
+    return _write(tmp_path, "calib.json", json.dumps(obj).encode())
+
+
 def _calib_with_width(tmp_path, width: str):
     ideal_calib(tmp_path / "calib.json")
     text = (tmp_path / "calib.json").read_text().replace('"width": 16', f'"width": {width}', 1)
@@ -524,6 +531,10 @@ _PFM_1x1 = b"Pf\n1 1\n-1.0\n" + struct.pack("<f", 10.0)
         lambda p: _eval_consistency_on_flo(p, struct.pack("<fii", 202021.25, 2147483647, 2147483647)),
         lambda p: ["rectify-maps", "--calib", _calib_with_width(p, "16.7"), "--out-prefix", str(p / "r")],
         lambda p: ["rectify-maps", "--calib", _calib_with_width(p, "true"), "--out-prefix", str(p / "r")],
+        lambda p: ["rectify-maps", "--calib", _calib_with_fx(p, '" 7e2 "'), "--out-prefix", str(p / "r")],
+        lambda p: ["rectify-maps", "--calib", _calib_edited(p, "left", "cy", True), "--out-prefix", str(p / "r")],
+        lambda p: _disparity2depth(p, _calib_edited(p, "right", "dist", ["0", 0, 0, 0, 0]), _PFM_1x1),
+        lambda p: _disparity2depth(p, _calib_edited(p, "extrinsics", "T", ["5", "0", "0"]), _PFM_1x1),
     ],
     ids=[
         "tum-inf-frame", "tum-nan-field", "tum-inf-field", "tum-not-utf8",
@@ -531,6 +542,7 @@ _PFM_1x1 = b"Pf\n1 1\n-1.0\n" + struct.pack("<f", 10.0)
         "calib-inf-fx", "calib-overflow-fx", "calib-not-object",
         "pfm-huge-header", "flo-huge-header",
         "calib-fractional-width", "calib-bool-width",
+        "calib-string-fx", "calib-bool-cy", "calib-string-dist", "calib-string-T",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv):

@@ -144,7 +144,7 @@ class TestCorrectLongTrajectory:
         anchors = AnchorSet(gt.restricted_to([0, 4, 8, 12, 16]), 4)
         segments = split_into_segments(gt, anchors)
         corrected, report = correct_long_trajectory(anchors, segments)
-        assert corrected.frames == gt.frames
+        assert corrected.frames.tolist() == gt.frames.tolist()
         for frame in gt.frames:
             rot, trans = pose_distance(corrected.pose_at(frame), gt.pose_at(frame))
             assert rot < 1e-9 and trans < 1e-9

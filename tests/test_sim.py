@@ -34,7 +34,7 @@ from oracles import oracle_heightfield_depth
 class TestGenTrajectory:
     def test_linear_path(self):
         traj = gen_trajectory(3, path="linear", step=(1.0, 0.0, 0.0))
-        assert traj.frames == (0, 1, 2)
+        assert traj.frames.tolist() == [0, 1, 2]
         for k in range(3):
             pose = traj.pose_at(k)
             assert pose.rotation == Quaternion.identity()
@@ -59,7 +59,7 @@ class TestGenTrajectory:
     def test_spline_path_has_requested_length(self):
         traj = gen_trajectory(25, path="spline", seed=4)
         assert len(traj) == 25
-        assert traj.frames == tuple(range(25))
+        assert traj.frames.tolist() == list(range(25))
 
     def test_bad_arguments(self):
         with pytest.raises(ValidationError):

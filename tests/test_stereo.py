@@ -281,10 +281,16 @@ class TestCalibrationIO:
             lambda obj: {**obj, "right": {**obj["right"], "width": 640.0}},
             lambda obj: {**obj, "right": {**obj["right"], "height": True}},
             lambda obj: {**obj, "right": {**obj["right"], "height": "480"}},
+            lambda obj: {**obj, "left": {**obj["left"], "fx": " 7e2 "}},
+            lambda obj: {**obj, "left": {**obj["left"], "cy": True}},
+            lambda obj: {**obj, "right": {**obj["right"], "dist": ["0", 0, 0, 0, 0]}},
+            lambda obj: {**obj, "extrinsics": {**obj["extrinsics"], "T": ["5", "0", "0"]}},
+            lambda obj: {**obj, "extrinsics": {**obj["extrinsics"], "R": [[True, 0, 0], [0, 1, 0], [0, 0, 1]]}},
         ],
         ids=["number", "list", "camera-number", "extrinsics-string", "R-string", "R-null",
              "R-object", "T-null", "dist-object", "fx-list",
-             "width-fractional", "width-float", "height-bool", "height-string"],
+             "width-fractional", "width-float", "height-bool", "height-string",
+             "fx-string", "cy-bool", "dist-string", "T-strings", "R-bool"],
     )
     def test_wrong_json_structure(self, tmp_path, edit):
         from endogeo.stereo import calibration_to_dict

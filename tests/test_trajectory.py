@@ -54,7 +54,7 @@ class TestTrajectory:
     def test_restricted_to(self):
         traj = rand_traj(1, 10)
         sub = traj.restricted_to([2, 5, 7])
-        assert sub.frames == (2, 5, 7)
+        assert sub.frames.tolist() == [2, 5, 7]
         assert sub.pose_at(5) == traj.pose_at(5)
         with pytest.raises(ValidationError):
             traj.restricted_to([2, 99])
@@ -69,7 +69,7 @@ class TestTrajectory:
 class TestTumFormat:
     def test_single_identity_line(self):
         traj = parse_tum("0 0 0 0 0 0 0 1\n")
-        assert traj.frames == (0,)
+        assert traj.frames.tolist() == [0]
         assert traj.pose_at(0) == Pose.identity()
 
     def test_empty_text_gives_empty_trajectory(self):
@@ -120,6 +120,11 @@ class TestTumFormat:
     def test_zero_quaternion_error(self):
         with pytest.raises(FormatError, match="quaternion"):
             parse_tum("0 0 0 0 0 0 0 0\n")
+
+    def test_overflowing_quaternion_error(self):
+        # the squared norm overflows to inf, so the quaternion cannot be normalized
+        with pytest.raises(FormatError, match=":2: quaternion norm overflows"):
+            parse_tum("0 0 0 0 0 0 0 1\n1 0 0 0 1e200 0 0 1\n", path="t.tum")
 
     @pytest.mark.parametrize(
         "line",
@@ -188,8 +193,8 @@ class TestSplitIntoSegments:
         anchors = AnchorSet(identity_traj([0, 4, 8]), 4)
         segments = split_into_segments(local, anchors)
         assert len(segments) == 2
-        assert segments[0].trajectory.frames == (0, 1, 2, 3, 4)
-        assert segments[1].trajectory.frames == (4, 5, 6, 7, 8)
+        assert segments[0].trajectory.frames.tolist() == [0, 1, 2, 3, 4]
+        assert segments[1].trajectory.frames.tolist() == [4, 5, 6, 7, 8]
         assert segments[0].start_anchor_frame == 0
         assert segments[1].end_anchor_frame == 8
 
@@ -203,7 +208,7 @@ class TestSplitIntoSegments:
         anchors = AnchorSet(identity_traj([0, 3, 6, 7]), 3)
         segments = split_into_segments(local, anchors)
         assert len(segments) == 3
-        assert segments[-1].trajectory.frames == (6, 7)
+        assert segments[-1].trajectory.frames.tolist() == [6, 7]
 
     def test_missing_coverage_rejected(self):
         local = identity_traj([0, 1, 2, 3, 5, 6, 7, 8])  # frame 4 missing
