@@ -21,6 +21,12 @@ array. The scalar classes and the batched paths call the same kernels, so a
 pose gets the same bits alone or in a batch. Trigonometric functions run
 through ``math`` on floats, also for a batch, because numpy's ``arccos`` and
 ``arctan2`` may differ from libm in the last bit.
+
+Raster geometry takes and returns (H, W) planes, one array per coordinate:
+:func:`pixel_grid` (u, v), :func:`pixel_rays` (x, y; z is 1),
+:meth:`Pose.transform_planes` (x, y, z) and :func:`project_planes`. At the API
+boundary results stay interleaved: ``Pointmap`` (H, W, 3), ``FlowField``
+(H, W, 2), and :func:`project`/:func:`unproject` on (..., 3)/(..., 2) arrays.
 """
 
 from __future__ import annotations
@@ -321,6 +327,11 @@ class Pose:
     def transform(self, points):
         return self.rotation.rotate(points) + self.translation
 
+    def transform_planes(self, x, y, z):
+        """The pose applied to the points with x, y and z planes ``x, y, z``."""
+        rotated = _rotate(self.rotation.wxyz, (x, y, z))
+        return tuple(c + t for c, t in zip(rotated, self.translation.tolist()))
+
     def __eq__(self, other):
         if not isinstance(other, Pose):
             return NotImplemented
@@ -475,48 +486,39 @@ class CameraIntrinsics:
             )
 
 
+def pixel_grid(width: int, height: int):
+    """The (u, v) planes: each pixel's own column and row, as (height, width) arrays."""
+    v, u = np.indices((height, width), dtype=np.float64)
+    return u, v
+
+
+def pixel_rays(u, v, intrinsics: CameraIntrinsics):
+    """The (x, y) planes of the camera-frame rays ((u - cx)/fx, (v - cy)/fy, 1)
+    through the pixels (u, v); z is 1, so (x * depth, y * depth, depth) is the point."""
+    return (u - intrinsics.cx) / intrinsics.fx, (v - intrinsics.cy) / intrinsics.fy
+
+
+def project_planes(x, y, z, intrinsics: CameraIntrinsics):
+    """Pinhole projection of camera-frame point planes: ``(u, v, valid)`` with
+    ``valid`` = z > 0, and u and v set to 0 where it is False."""
+    valid = z > 0
+    z_safe = np.where(valid, z, 1.0)
+    u = intrinsics.fx * x / z_safe + intrinsics.cx
+    v = intrinsics.fy * y / z_safe + intrinsics.cy
+    return np.where(valid, u, 0.0), np.where(valid, v, 0.0), valid
+
+
 def project(points, intrinsics: CameraIntrinsics):
     """Pinhole projection of (..., 3) camera-frame points to (..., 2) pixels.
 
-    Raises when any point has z <= 0; use :func:`project_with_mask` for
+    Raises when any point has z <= 0; use :func:`project_planes` for
     per-pixel handling.
     """
-    uv, valid = project_with_mask(points, intrinsics)
+    p = np.asarray(points, dtype=np.float64)
+    u, v, valid = project_planes(p[..., 0], p[..., 1], p[..., 2], intrinsics)
     if not np.all(valid):
         raise ValidationError("cannot project points with non-positive depth")
-    return uv
-
-
-def project_with_mask(points, intrinsics: CameraIntrinsics):
-    p = np.asarray(points, dtype=np.float64)
-    z = p[..., 2]
-    valid = z > 0
-    z_safe = np.where(valid, z, 1.0)
-    u = intrinsics.fx * p[..., 0] / z_safe + intrinsics.cx
-    v = intrinsics.fy * p[..., 1] / z_safe + intrinsics.cy
-    uv = np.stack([np.where(valid, u, 0.0), np.where(valid, v, 0.0)], axis=-1)
-    return uv, valid
-
-
-def pixel_grid(width: int, height: int) -> np.ndarray:
-    """(height, width, 2) array holding each pixel's own (u, v) coordinates.
-
-    u and v are stored as two planes, so ``grid[..., 0]`` and ``grid[..., 1]``
-    are contiguous (H, W) arrays.
-    """
-    return np.moveaxis(np.indices((height, width), dtype=np.float64)[::-1], 0, -1)
-
-
-def pixel_rays(pixels, intrinsics: CameraIntrinsics) -> np.ndarray:
-    """(..., 2) pixels -> (..., 3) camera-frame rays ((u - cx)/fx, (v - cy)/fy, 1).
-
-    The third component is 1, so a ray times a depth is the 3-D point.
-    """
-    px = np.asarray(pixels, dtype=np.float64)
-    rays = np.ones(px.shape[:-1] + (3,))
-    rays[..., 0] = (px[..., 0] - intrinsics.cx) / intrinsics.fx
-    rays[..., 1] = (px[..., 1] - intrinsics.cy) / intrinsics.fy
-    return rays
+    return np.stack([u, v], axis=-1)
 
 
 def unproject(pixels, depth, intrinsics: CameraIntrinsics):
@@ -524,7 +526,9 @@ def unproject(pixels, depth, intrinsics: CameraIntrinsics):
     z = np.asarray(depth, dtype=np.float64)
     if np.any(z <= 0):
         raise ValidationError("cannot unproject non-positive depth")
-    return pixel_rays(pixels, intrinsics) * z[..., None]
+    px = np.asarray(pixels, dtype=np.float64)
+    x, y = pixel_rays(px[..., 0], px[..., 1], intrinsics)
+    return np.stack(np.broadcast_arrays(x * z, y * z, z), axis=-1)
 
 
 @dataclass(frozen=True)

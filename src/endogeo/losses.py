@@ -14,12 +14,12 @@ pixels that entered the reduction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import CameraIntrinsics, Pose, pixel_grid, pixel_rays, project_with_mask
+from .geometry import CameraIntrinsics, Pose, _cross, pixel_grid, pixel_rays, project_planes
 from .rasters import ConfidenceMap, DepthMap, FlowField, Pointmap, bilinear_sample, in_bounds
 
 
@@ -38,19 +38,10 @@ class LossConfig:
     def __post_init__(self):
         if not self.alpha > 0:
             raise ValidationError(f"alpha must be positive, got {self.alpha}")
-        for name in (
-            "lambda_consist",
-            "w_flow",
-            "w_temp",
-            "w_prior",
-            "w_si",
-            "w_grad",
-            "w_normal",
-            "uncertainty_constant",
-        ):
-            value = getattr(self, name)
+        for f in fields(self)[1:]:  # every weight after alpha
+            value = getattr(self, f.name)
             if not (math.isfinite(value) and value >= 0):
-                raise ValidationError(f"{name} must be non-negative, got {value}")
+                raise ValidationError(f"{f.name} must be non-negative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -133,11 +124,11 @@ def induced_reprojection(
     Returns absolute target coordinates (not deltas); pixels whose transformed
     z is non-positive, or whose depth is invalid, are masked out.
     """
-    points = pixel_rays(pixel_grid(depth.width, depth.height), k_from)
-    # NaN at invalid depth keeps those pixels out of project_with_mask's z > 0 mask
-    points *= np.where(depth.valid, depth.values, np.nan)[..., None]
-    targets, in_front = project_with_mask(motion.transform(points), k_to)
-    return FlowField(targets, in_front)
+    x, y = pixel_rays(*pixel_grid(depth.width, depth.height), k_from)
+    # NaN at invalid depth keeps those pixels out of project_planes' z > 0 mask
+    z = np.where(depth.valid, depth.values, np.nan)
+    u, v, in_front = project_planes(*motion.transform_planes(x * z, y * z, z), k_to)
+    return FlowField(np.stack([u, v], axis=-1), in_front)
 
 
 def c_flow(
@@ -151,9 +142,9 @@ def c_flow(
     flow target p' = p + flow; out-of-bounds targets are excluded."""
     _require_same_shape(depth, flow, "flow")
     induced = induced_reprojection(depth, k_from, k_to, motion)
-    grid = pixel_grid(depth.width, depth.height)
-    px = grid[..., 0] + flow.vectors[..., 0]
-    py = grid[..., 1] + flow.vectors[..., 1]
+    u, v = pixel_grid(depth.width, depth.height)
+    px = u + flow.vectors[..., 0]
+    py = v + flow.vectors[..., 1]
     mask = induced.valid & flow.valid & in_bounds(px, py, depth.width, depth.height)
     if not mask.any():
         raise ValidationError("no valid pixels for the flow-consistency loss")
@@ -177,12 +168,12 @@ def c_temp(
     any of the four neighbors is invalid or the location is out of bounds.
     """
     _require_same_shape(depth_i, flow, "flow")
-    grid = pixel_grid(depth_i.width, depth_i.height)
-    points = pixel_rays(grid, k_i)
-    points *= depth_i.values[..., None]
-    p_z = motion.transform(points)[..., 2]
-    px = grid[..., 0] + flow.vectors[..., 0]
-    py = grid[..., 1] + flow.vectors[..., 1]
+    u, v = pixel_grid(depth_i.width, depth_i.height)
+    x, y = pixel_rays(u, v, k_i)
+    z = depth_i.values
+    p_z = motion.transform_planes(x * z, y * z, z)[2]
+    px = u + flow.vectors[..., 0]
+    py = v + flow.vectors[..., 1]
     sample, ok = bilinear_sample(depth_j.values, px, py, depth_j.valid)
     mask = depth_i.valid & flow.valid & (p_z > 0) & ok & (sample > 0)
     if not mask.any():
@@ -225,12 +216,17 @@ def _grad_term(grid: np.ndarray, valid: np.ndarray) -> float:
     return float((gx + gy)[ok].mean())
 
 
-def _normals(points: np.ndarray) -> np.ndarray:
+def _normals(points):
     """Unnormalized surface normals at interior pixels via central differences
-    of an (H, W, 3) pointmap; output shape (H-2, W-2, 3)."""
-    tx = points[1:-1, 2:] - points[1:-1, :-2]
-    ty = points[2:, 1:-1] - points[:-2, 1:-1]
-    return np.cross(tx, ty)
+    of the x, y, z planes of an (H, W) pointmap; three (H-2, W-2) planes."""
+    tx = tuple(c[1:-1, 2:] - c[1:-1, :-2] for c in points)
+    ty = tuple(c[2:, 1:-1] - c[:-2, 1:-1] for c in points)
+    return _cross(tx, ty)
+
+
+def _sq_norm(v):
+    """Squared Euclidean norm of the 3-plane vector ``v``, summed left to right."""
+    return v[0] ** 2 + v[1] ** 2 + v[2] ** 2
 
 
 def c_prior(depth: DepthMap, ref: DepthMap, intrinsics: CameraIntrinsics, cfg: LossConfig):
@@ -273,19 +269,18 @@ def c_prior(depth: DepthMap, ref: DepthMap, intrinsics: CameraIntrinsics, cfg: L
             & mask[2:, 1:-1]
             & mask[:-2, 1:-1]
         )
-        rays = pixel_rays(pixel_grid(width, height), intrinsics)
-        n_d = _normals(rays * depth.values[..., None])
-        n_r = _normals(rays * ref.values[..., None])
-        norm_d = np.sqrt((n_d**2).sum(axis=2))
-        norm_r = np.sqrt((n_r**2).sum(axis=2))
+        x, y = pixel_rays(*pixel_grid(width, height), intrinsics)
+        n_d = _normals((x * depth.values, y * depth.values, depth.values))
+        n_r = _normals((x * ref.values, y * ref.values, ref.values))
+        norm_d = np.sqrt(_sq_norm(n_d))
+        norm_r = np.sqrt(_sq_norm(n_r))
         usable = cross5 & (norm_d > 0) & (norm_r > 0)
         if usable.any():
             # 1 - cos(angle) computed as 0.5 * ||u_d - u_r||^2 on the unit
             # normals: algebraically identical, but exactly 0 for identical
             # maps and never negative under rounding.
-            u_d = n_d / np.where(usable, norm_d, 1.0)[..., None]
-            u_r = n_r / np.where(usable, norm_r, 1.0)[..., None]
-            half_sq = 0.5 * ((u_d - u_r) ** 2).sum(axis=2)
+            safe_d, safe_r = np.where(usable, norm_d, 1.0), np.where(usable, norm_r, 1.0)
+            half_sq = 0.5 * _sq_norm([a / safe_d - b / safe_r for a, b in zip(n_d, n_r)])
             c_normal = float(half_sq[usable].mean())
 
     total = cfg.w_si * c_si + cfg.w_grad * c_grad + cfg.w_normal * c_normal

@@ -84,15 +84,14 @@ def rte(pred: Trajectory, gt: Trajectory, window: int = RTE_DEFAULT_WINDOW) -> f
     return rpe(pred, gt, window)[0]
 
 
-def _rpe_pairs(frames: np.ndarray, window: int):
+def _rpe_pairs(traj: Trajectory, window: int):
     """(i, j) index arrays of the entries whose frames are ``window`` apart,
     frames[j] = frames[i] + window, as the TUM benchmark pairs them."""
+    frames = traj.frames
     if not len(frames) or window > int(frames[-1] - frames[0]):
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    j = np.searchsorted(frames, frames + window)
-    paired = j < len(frames)
-    paired[paired] = frames[j[paired]] == frames[paired] + window
-    return np.flatnonzero(paired), j[paired]
+    j = traj._rows(frames + window)
+    return np.flatnonzero(j >= 0), j[j >= 0]
 
 
 def rpe(pred: Trajectory, gt: Trajectory, window: int = RTE_DEFAULT_WINDOW) -> tuple:
@@ -105,7 +104,7 @@ def rpe(pred: Trajectory, gt: Trajectory, window: int = RTE_DEFAULT_WINDOW) -> t
     if window <= 0:
         raise ValidationError(f"window must be positive, got {window}")
     pred, gt = _common_positions(pred, gt)
-    i, j = _rpe_pairs(pred.frames, window)
+    i, j = _rpe_pairs(pred, window)
     if not len(i):
         raise ValidationError(
             f"trajectory too short for window {window}: no two of its {len(pred)} "

@@ -35,6 +35,7 @@ from .geometry import (
     Pose,
     PoseBatch,
     Quaternion,
+    _rotate,
     compose,
     compose_cumulative,
     inverse,
@@ -119,24 +120,22 @@ def _heightfield_components(spec: SceneSpec) -> np.ndarray:
 
 
 def _render_heightfield(scene: SceneSpec, o, d):
-    """Ray parameter and hit mask of rays o + lambda * d, d of shape (..., 3)."""
-    rays = d.reshape(-1, 3)
-    depth = np.zeros(len(rays))
-    found = np.zeros(len(rays), dtype=bool)
-    for start in range(0, len(rays), _RAY_CHUNK):
-        chunk = slice(start, start + _RAY_CHUNK)
-        depth[chunk], found[chunk] = _heightfield_hits(scene, o, rays[chunk])
-    return depth.reshape(d.shape[:-1]), found.reshape(d.shape[:-1])
+    """Ray parameter and hit mask of rays o + lambda * d, d the x, y, z planes."""
+    dx, dy, dz = (c.ravel() for c in d)
+    depth, found = np.zeros(dz.size), np.zeros(dz.size, dtype=bool)
+    for start in range(0, dz.size, _RAY_CHUNK):
+        at = slice(start, start + _RAY_CHUNK)
+        depth[at], found[at] = _heightfield_hits(scene, o, dx[at], dy[at], dz[at])
+    return depth.reshape(d[2].shape), found.reshape(d[2].shape)
 
 
-def _heightfield_hits(scene: SceneSpec, o, rays):
-    """Ray parameter and hit mask of rays o + lambda * d for the (n, 3) d.
+def _heightfield_hits(scene: SceneSpec, o, dx, dy, dz):
+    """Ray parameter and hit mask of rays o + lambda * d, d the (n,) dx, dy, dz.
 
     Along a ray the cosine arguments are c_m + lambda * s_m, so the residual
     f(lambda) = ray z - surface z and its slope are closed form.
     """
     amplitude, kx, ky, phase = (row[:, None] for row in _heightfield_components(scene))
-    dx, dy, dz = rays.T
     c = kx * o[0] + ky * o[1] + phase
     s = kx * dx + ky * dy
     base = o[2] - scene.extent
@@ -202,11 +201,12 @@ def _heightfield_hits(scene: SceneSpec, o, rays):
 
 def render_depth(scene: SceneSpec, pose: Pose, intrinsics: CameraIntrinsics) -> DepthMap:
     """Exact per-pixel depth of the scene seen from ``pose`` (camera-to-world)."""
-    d = pose.rotation.rotate(pixel_rays(pixel_grid(intrinsics.width, intrinsics.height), intrinsics))
+    x, y = pixel_rays(*pixel_grid(intrinsics.width, intrinsics.height), intrinsics)
+    d = _rotate(pose.rotation.wxyz, (x, y, 1.0))
     o = pose.translation
 
     if scene.kind == "plane":
-        dz = d[..., 2]
+        dz = d[2]
         ok = dz > 0 if o[2] < scene.extent else dz < 0
         lam = np.where(ok, (scene.extent - o[2]) / np.where(ok, dz, 1.0), 0.0)
         ok &= lam > 0
@@ -216,8 +216,8 @@ def render_depth(scene: SceneSpec, pose: Pose, intrinsics: CameraIntrinsics) -> 
         center = np.array([0.0, 0.0, 1.5 * scene.extent])
         radius = 0.5 * scene.extent
         oc = o - center
-        a = (d**2).sum(axis=-1)
-        b = 2.0 * (d * oc).sum(axis=-1)
+        a = d[0] ** 2 + d[1] ** 2 + d[2] ** 2
+        b = 2.0 * (d[0] * oc[0] + d[1] * oc[1] + d[2] * oc[2])
         c = float((oc**2).sum()) - radius**2
         disc = b * b - 4.0 * a * c
         ok = disc >= 0
@@ -332,8 +332,10 @@ def induced_flow(
     targets = induced_reprojection(
         depth_i, intrinsics, intrinsics, relative_motion(pose_i, pose_j)
     )
-    vectors = targets.vectors - pixel_grid(intrinsics.width, intrinsics.height)
-    return FlowField(np.where(targets.valid[..., None], vectors, 0.0), targets.valid)
+    u, v = pixel_grid(intrinsics.width, intrinsics.height)
+    du = np.where(targets.valid, targets.vectors[..., 0] - u, 0.0)
+    dv = np.where(targets.valid, targets.vectors[..., 1] - v, 0.0)
+    return FlowField(np.stack([du, dv], axis=-1), targets.valid)
 
 
 def relative_motion(pose_i: Pose, pose_j: Pose) -> Pose:

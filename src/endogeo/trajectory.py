@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +27,24 @@ _NORM_WARN_TOL = 1e-3
 _TUM_LINE = "%d" + " %.17g" * 7  # the same digits as format(value, ".17g")
 
 
-def _check_frames(frames: np.ndarray) -> None:
-    """Frames must be non-negative and strictly increasing; after a
-    non-negative first frame, a negative one is a decrease."""
+def _check_frames(frames) -> np.ndarray:
+    """``frames`` as a new (N,) int64 array: integral numbers within int64, not
+    bools or strings, each above the one before and the first non-negative."""
+    shown = frames  # what an error message quotes
+    if not isinstance(frames, np.ndarray) or frames.dtype == object:
+        # one by one, as numpy would read a bool among numbers as a number;
+        # each entry that is no number within int64 becomes NaN
+        shown = np.array(frames, dtype=object).reshape(-1).tolist()
+        frames = np.array([f if isinstance(f, numbers.Real) and not isinstance(f, (bool, np.bool_))
+                           and abs(f) < 2**63 else math.nan for f in shown])
+    values = frames.reshape(-1) if frames.dtype.kind in "iuf" else np.full(frames.size, math.nan)
+    # NaN fails every comparison, and inf the last one
+    ok = (np.floor(values) == values) & (values >= -(2**63)) & (values < 2**63)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        bad = shown[i] if isinstance(shown, list) else shown.reshape(-1)[i].item()
+        raise ValidationError(f"frame index must be a finite integral number, got {bad!r}")
+    frames = values.astype(np.int64)
     if len(frames) and frames[0] < 0:
         raise ValidationError(f"negative frame index {frames[0]}")
     steps = np.flatnonzero(frames[1:] <= frames[:-1])
@@ -37,6 +53,7 @@ def _check_frames(frames: np.ndarray) -> None:
         raise ValidationError(
             f"frame indices must be strictly increasing: {frames[i]} after {frames[i - 1]}"
         )
+    return frames
 
 
 class Trajectory:
@@ -58,18 +75,16 @@ class Trajectory:
         for frame, pose in entries:
             if not isinstance(pose, Pose):
                 raise ValidationError(f"entry at frame {frame} is not a Pose")
-        self.frames = np.array([int(f) for f, _ in entries], dtype=np.int64)
-        _check_frames(self.frames)
+        self.frames = _check_frames([f for f, _ in entries])
         self.frames.flags.writeable = False
         self.poses = PoseBatch.stack(p for _, p in entries)
 
     @classmethod
     def from_poses(cls, frames, poses: PoseBatch) -> "Trajectory":
         """The trajectory with ``poses[i]`` at ``frames[i]``."""
-        frames = np.array(frames, dtype=np.int64).reshape(-1)
+        frames = _check_frames(frames)
         if len(frames) != len(poses):
             raise ValidationError(f"{len(frames)} frames for {len(poses)} poses")
-        _check_frames(frames)
         return cls._of(frames, poses)
 
     @classmethod
@@ -238,9 +253,9 @@ def parse_tum(text: str, *, path=None) -> Trajectory:
             raise FormatError("non-finite field", path=path, line=line_no)
         t_field = values[0]
         frame = int(round(t_field))
-        if frame != t_field or frame < 0:
+        if frame != t_field or not 0 <= frame < 2**63:
             raise FormatError(
-                f"frame index must be a non-negative integer, got {parts[0]}",
+                f"frame index must be an integer in [0, 2**63), got {parts[0]}",
                 path=path,
                 line=line_no,
             )
@@ -287,11 +302,9 @@ def split_into_segments(local: Trajectory, anchors: AnchorSet) -> list:
         raise ValidationError(
             f"need at least 2 anchors to form segments, got {len(anchor_frames)}"
         )
-    rows = np.searchsorted(local.frames, anchor_frames)
-    found = rows < len(local)
-    found[found] = local.frames[rows[found]] == anchor_frames[found]
-    if not found.all():
-        missing = anchor_frames[np.argmin(found)]
+    rows = local._rows(anchor_frames)
+    if np.any(rows < 0):
+        missing = anchor_frames[np.argmax(rows < 0)]
         raise ValidationError(f"anchor frame {missing} missing from local trajectory")
     return [
         LocalSegment(local.subset(slice(a, b + 1)), start, end)

@@ -227,6 +227,55 @@ def oracle_c_temp(
     return total / count
 
 
+def oracle_c_flow(
+    depth,
+    valid,
+    intr_from,
+    intr_to,
+    quat,
+    translation,
+    flow,
+    flow_valid,
+    width,
+    height,
+):
+    """Mean over usable pixels of |u_ind - u'| + |v_ind - v'|.
+
+    intr_* = (fx, fy, cx, cy); quat = (w, x, y, z) of the source-to-target
+    motion. (u_ind, v_ind) is the pinhole projection, with intr_to, of the
+    pixel unprojected with intr_from and moved; (u', v') = p + flow. A pixel
+    is usable when: depth valid, flow valid, moved z > 0, and (u', v') inside
+    [0, width-1] x [0, height-1].
+    """
+    fx_i, fy_i, cx_i, cy_i = intr_from
+    fx_j, fy_j, cx_j, cy_j = intr_to
+    rot = _quat_to_matrix(*quat)
+    total = 0.0
+    count = 0
+    for i in range(height):
+        for j in range(width):
+            if not valid[i][j]:
+                continue
+            if not flow_valid[i][j]:
+                continue
+            z = float(depth[i][j])
+            point = [(j - cx_i) / fx_i * z, (i - cy_i) / fy_i * z, z]
+            moved = _apply_pose(rot, translation, point)
+            if moved[2] <= 0.0:
+                continue
+            u = j + float(flow[i][j][0])
+            v = i + float(flow[i][j][1])
+            if not (0.0 <= u <= width - 1 and 0.0 <= v <= height - 1):
+                continue
+            u_ind = fx_j * moved[0] / moved[2] + cx_j
+            v_ind = fy_j * moved[1] / moved[2] + cy_j
+            total += abs(u_ind - u) + abs(v_ind - v)
+            count += 1
+    if count == 0:
+        raise ValueError("no usable pixels")
+    return total / count
+
+
 def _pool2x2(grid, valid, width, height):
     out_w = width // 2
     out_h = height // 2

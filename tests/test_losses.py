@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from endogeo.errors import ValidationError
 from endogeo.geometry import CameraIntrinsics, Pose, Quaternion
@@ -21,7 +23,7 @@ from endogeo.losses import (
 from endogeo.rasters import ConfidenceMap, DepthMap, FlowField, Pointmap
 from endogeo.sim import SceneSpec, default_intrinsics, induced_flow, relative_motion, render_depth
 
-from oracles import oracle_c_prior, oracle_conf_loss
+from oracles import oracle_c_flow, oracle_c_prior, oracle_conf_loss
 
 CFG = LossConfig()
 
@@ -256,6 +258,64 @@ class TestFlowConsistency:
         motion = Pose(Quaternion.identity(), (0.0, 0.0, -20.0))  # all behind camera
         with pytest.raises(ValidationError):
             c_flow(depth, k, k, motion, zero_flow(k.width, k.height))
+
+
+@st.composite
+def flow_cases(draw):
+    """Random inputs for c_flow. About one entry in ten is special: a masked
+    pixel, or a depth of 0, -2 or NaN, or a flow of NaN, inf or one that
+    lands far outside the image. Rotations stay within 120 degrees, and the
+    translation's z reaches past many depths, so some points move behind
+    the camera, and in one case in four some land exactly on its plane."""
+    height, width = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+
+    def raster(values, specials, *channels):
+        count = height * width * int(np.prod(channels))
+        drawn = draw(st.lists(values, min_size=count, max_size=count))
+        codes = draw(st.lists(st.integers(0, 9 * len(specials)), min_size=count, max_size=count))
+        picked = [specials[c] if c < len(specials) else x for x, c in zip(drawn, codes)]
+        return np.array(picked).reshape((height, width) + channels)
+
+    def camera():
+        f = st.floats(5.0, 80.0)
+        return CameraIntrinsics(draw(f), draw(f), draw(st.floats(0.0, width - 0.01)),
+                                draw(st.floats(0.0, height - 0.01)), width, height)
+
+    depth = DepthMap(raster(st.floats(0.5, 30.0), [0.0, -2.0, math.nan]),
+                     raster(st.just(True), [False]))
+    flow = FlowField(raster(st.floats(-1.0, 1.0), [math.nan, math.inf, -20.0], 2),
+                     raster(st.just(True), [False]))
+    quat = [draw(st.floats(1.0, 3.0))] + [draw(st.floats(-1.0, 1.0)) for _ in range(3)]
+    translation = [draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)), draw(st.floats(-12.0, 3.0))]
+    depths = depth.values[depth.valid].tolist()
+    if depths and draw(st.integers(0, 3)) == 0:
+        # no rotation: the points at this depth land exactly on the plane z = 0
+        quat, translation[2] = [1.0, 0.0, 0.0, 0.0], -draw(st.sampled_from(depths))
+    return depth, camera(), camera(), Pose(Quaternion(*quat), translation), flow
+
+
+class TestFlowOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(flow_cases())
+    def test_matches_straight_loop_oracle(self, case):
+        depth, k_from, k_to, motion, flow = case
+        q = motion.rotation
+        try:
+            want = oracle_c_flow(
+                depth.values.tolist(), depth.valid.tolist(),
+                (k_from.fx, k_from.fy, k_from.cx, k_from.cy), (k_to.fx, k_to.fy, k_to.cx, k_to.cy),
+                (q.w, q.x, q.y, q.z), motion.translation.tolist(),
+                flow.vectors.tolist(), flow.valid.tolist(), depth.width, depth.height,
+            )
+        except ValueError:
+            with pytest.raises(ValidationError, match="no valid pixels"):
+                c_flow(depth, k_from, k_to, motion, flow)
+            return
+        got, raster, mask = c_flow(depth, k_from, k_to, motion, flow)
+        # the relative 1e-12 of the c_temp oracle test, taken against at least
+        # 1 px, so a mean that nearly cancels is compared to 1e-12 px
+        assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+        assert not raster[~mask].any()
 
 
 class TestTemporalConsistency:

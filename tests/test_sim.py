@@ -201,7 +201,8 @@ class TestHeightfieldOracle:
         scene = SceneSpec("heightfield", 100.0, 3)
         pose = look_at((0.0, 0.0, 100.0 * height), (50.0, 50.0, 100.0 * height), up=(0.0, 0.0, 1.0))
         intr = CameraIntrinsics(4.0, 4.0, 3.0, 2.0, 8, 6)
-        assert (pose.rotation.rotate(pixel_rays(pixel_grid(8, 6), intr))[..., 2] == 0.0).any()
+        x, y = pixel_rays(*pixel_grid(8, 6), intr)
+        assert (pose.rotation.rotate(np.stack([x, y, np.ones_like(x)], axis=-1))[..., 2] == 0.0).any()
         assert_heightfield_matches_oracle(scene, pose, intr)
 
     def test_simulated_pose_matches_in_float32(self):

@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -43,6 +44,32 @@ class TestTrajectory:
     def test_rejects_negative_frames(self):
         with pytest.raises(ValidationError):
             Trajectory([(-1, Pose.identity())])
+
+    @pytest.mark.parametrize(
+        "frame",
+        [1.5, -0.5, math.nan, math.inf, -math.inf, 1e30, 2**63, 2**70, "3", True, np.bool_(False), None],
+    )
+    def test_rejects_frames_that_are_not_integral_numbers(self, frame):
+        poses = identity_traj([0, 1]).poses
+        for build in (
+            lambda: Trajectory([(0, Pose.identity()), (frame, Pose.identity())]),
+            lambda: Trajectory.from_poses([0, frame], poses),
+        ):
+            with pytest.raises(ValidationError, match="finite integral number"):
+                build()
+
+    @pytest.mark.parametrize(
+        "frames", [np.array([0.0, 2.5]), np.array([0.0, np.nan]), np.array([False, True]), np.array(["0", "1"])]
+    )
+    def test_rejects_frame_arrays_that_are_not_integral(self, frames):
+        with pytest.raises(ValidationError, match="finite integral number"):
+            Trajectory.from_poses(frames, identity_traj([0, 1]).poses)
+
+    def test_integral_floats_are_frames(self):
+        poses = identity_traj([0, 1]).poses
+        assert Trajectory.from_poses([0.0, 3.0], poses).frames.tolist() == [0, 3]
+        assert Trajectory([(2.0, Pose.identity())]).frames.tolist() == [2]
+        assert Trajectory.from_poses(np.arange(2, dtype=np.uint8), poses).frames.tolist() == [0, 1]
 
     def test_lookup(self):
         traj = identity_traj([0, 2, 5])
@@ -112,6 +139,10 @@ class TestTumFormat:
     def test_non_integer_frame_error(self):
         with pytest.raises(FormatError, match="frame"):
             parse_tum("0.5 0 0 0 0 0 0 1\n")
+
+    def test_frame_beyond_int64_error(self):
+        with pytest.raises(FormatError, match=":2: frame index"):
+            parse_tum("0 0 0 0 0 0 0 1\n1e30 0 0 0 0 0 0 1\n", path="t.tum")
 
     def test_non_monotone_frames_error(self):
         with pytest.raises(FormatError, match="increas"):
