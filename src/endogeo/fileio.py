@@ -158,7 +158,7 @@ def _read_pfm_values(path, what: str, ndim: int) -> np.ndarray:
     if data.ndim != ndim:
         channels = "single-channel" if ndim == 2 else "3-channel"
         raise FormatError(f"{what} PFM must be {channels}", path=path)
-    return data.astype(np.float64)
+    return data  # float32: the raster constructors convert it to float64
 
 
 def read_depth_pfm(path) -> DepthMap:
@@ -196,6 +196,7 @@ def read_flo(path) -> FlowField:
         if magic != _FLO_MAGIC:
             raise FormatError(f"not a .flo file (magic {magic!r})", path=path)
         data = _read_payload(fh, (height, width, 2), "<f4", ".flo", path)
-    vectors = data.astype(np.float64)
-    valid = np.all(np.abs(vectors) < _FLO_INVALID_READ, axis=2)
-    return FlowField(vectors, valid)
+    # per channel, as np.all over a last axis of 2 is slow; on the float32
+    # payload, as 1e9 is a float32 and the comparison is exact either way
+    valid = (np.abs(data[..., 0]) < _FLO_INVALID_READ) & (np.abs(data[..., 1]) < _FLO_INVALID_READ)
+    return FlowField(data, valid)

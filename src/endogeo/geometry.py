@@ -486,9 +486,12 @@ class CameraIntrinsics:
             )
 
 
-def pixel_grid(width: int, height: int):
-    """The (u, v) planes: each pixel's own column and row, as (height, width) arrays."""
-    v, u = np.indices((height, width), dtype=np.float64)
+def pixel_grid(width: int, height: int, rows: slice = slice(None)):
+    """The (u, v) planes: each pixel's own column and row, as (height, width)
+    arrays; with ``rows``, only the rows of the planes in that slice."""
+    start, stop, _ = rows.indices(height)
+    v, u = np.indices((stop - start, width), dtype=np.float64)
+    v += start
     return u, v
 
 

@@ -9,6 +9,12 @@ rasters; none of this is differentiable machinery.
 Loss functions that reduce over pixels return ``(value, raster, mask)``:
 the per-pixel contribution raster (zero outside the mask) and the mask of
 pixels that entered the reduction.
+
+:func:`c_flow`, :func:`c_temp` and the normal term of :func:`c_prior` run in
+the row bands of :func:`~endogeo.rasters.row_blocks`: each band builds its own
+pixel grid and rays and writes its rows of a full-size raster and mask. Every
+scalar is still one mean over the full raster and mask, so the values, rasters
+and masks do not depend on the band size.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import CameraIntrinsics, Pose, _cross, pixel_grid, pixel_rays, project_planes
-from .rasters import ConfidenceMap, DepthMap, FlowField, Pointmap, bilinear_sample, in_bounds
+from .rasters import ConfidenceMap, DepthMap, FlowField, Pointmap, bilinear_sample, in_bounds, row_blocks
 
 
 @dataclass(frozen=True)
@@ -124,11 +130,26 @@ def induced_reprojection(
     Returns absolute target coordinates (not deltas); pixels whose transformed
     z is non-positive, or whose depth is invalid, are masked out.
     """
-    x, y = pixel_rays(*pixel_grid(depth.width, depth.height), k_from)
-    # NaN at invalid depth keeps those pixels out of project_planes' z > 0 mask
-    z = np.where(depth.valid, depth.values, np.nan)
-    u, v, in_front = project_planes(*motion.transform_planes(x * z, y * z, z), k_to)
+    _, _, (u, v, in_front) = _reproject(depth, k_from, k_to, motion)
     return FlowField(np.stack([u, v], axis=-1), in_front)
+
+
+def _reproject(
+    depth: DepthMap, k_from: CameraIntrinsics, k_to: CameraIntrinsics, motion: Pose, rows: slice = slice(None)
+):
+    """The pixel planes (u, v) of ``rows`` and their reprojection
+    ``(u', v', in_front)`` by :func:`induced_reprojection`."""
+    u, v = pixel_grid(depth.width, depth.height, rows)
+    # NaN at invalid depth keeps those pixels out of project_planes' z > 0 mask
+    z = np.where(depth.valid[rows], depth.values[rows], np.nan)
+    return u, v, project_planes(*_moved_points(u, v, z, k_from, motion), k_to)
+
+
+def _moved_points(u, v, z, intrinsics: CameraIntrinsics, motion: Pose):
+    """The x, y and z planes of the points at depth ``z`` on the rays through
+    pixels (u, v), moved by ``motion``."""
+    x, y = pixel_rays(u, v, intrinsics)
+    return motion.transform_planes(x * z, y * z, z)
 
 
 def c_flow(
@@ -138,18 +159,24 @@ def c_flow(
     motion: Pose,
     flow: FlowField,
 ):
-    """Mean L1 distance between the depth/pose-induced reprojection and the
-    flow target p' = p + flow; out-of-bounds targets are excluded."""
+    """Mean L1 distance between the depth/pose-induced reprojection of
+    :func:`induced_reprojection` and the flow target p' = p + flow. A pixel
+    counts where the moved point is in front of the camera, its reprojection
+    is finite, its flow is valid and p' is in bounds."""
     _require_same_shape(depth, flow, "flow")
-    induced = induced_reprojection(depth, k_from, k_to, motion)
-    u, v = pixel_grid(depth.width, depth.height)
-    px = u + flow.vectors[..., 0]
-    py = v + flow.vectors[..., 1]
-    mask = induced.valid & flow.valid & in_bounds(px, py, depth.width, depth.height)
+    height, width = depth.values.shape
+    raster = np.empty((height, width))
+    mask = np.empty((height, width), dtype=bool)
+    for rows in row_blocks(height, width):
+        u, v, (tu, tv, in_front) = _reproject(depth, k_from, k_to, motion, rows)
+        px = u + flow.vectors[rows, :, 0]
+        py = v + flow.vectors[rows, :, 1]
+        ok = in_front & np.isfinite(tu) & np.isfinite(tv) & flow.valid[rows]
+        ok &= in_bounds(px, py, width, height)
+        mask[rows] = ok
+        raster[rows] = np.where(ok, np.abs(tu - px) + np.abs(tv - py), 0.0)
     if not mask.any():
         raise ValidationError("no valid pixels for the flow-consistency loss")
-    l1 = np.abs(induced.vectors[..., 0] - px) + np.abs(induced.vectors[..., 1] - py)
-    raster = np.where(mask, l1, 0.0)
     return float(raster[mask].mean()), raster, mask
 
 
@@ -168,20 +195,23 @@ def c_temp(
     any of the four neighbors is invalid or the location is out of bounds.
     """
     _require_same_shape(depth_i, flow, "flow")
-    u, v = pixel_grid(depth_i.width, depth_i.height)
-    x, y = pixel_rays(u, v, k_i)
-    z = depth_i.values
-    p_z = motion.transform_planes(x * z, y * z, z)[2]
-    px = u + flow.vectors[..., 0]
-    py = v + flow.vectors[..., 1]
-    sample, ok = bilinear_sample(depth_j.values, px, py, depth_j.valid)
-    mask = depth_i.valid & flow.valid & (p_z > 0) & ok & (sample > 0)
+    height, width = depth_i.values.shape
+    raster = np.empty((height, width))
+    mask = np.empty((height, width), dtype=bool)
+    for rows in row_blocks(height, width):
+        u, v = pixel_grid(width, height, rows)
+        p_z = _moved_points(u, v, depth_i.values[rows], k_i, motion)[2]
+        px = u + flow.vectors[rows, :, 0]
+        py = v + flow.vectors[rows, :, 1]
+        sample, ok = bilinear_sample(depth_j.values, px, py, depth_j.valid)
+        ok &= depth_i.valid[rows] & flow.valid[rows] & (p_z > 0) & (sample > 0)
+        pz_safe = np.where(ok, p_z, 1.0)
+        s_safe = np.where(ok, sample, 1.0)
+        ratio = np.maximum(pz_safe / s_safe, s_safe / pz_safe)
+        mask[rows] = ok
+        raster[rows] = np.where(ok, np.abs(ratio - 1.0), 0.0)
     if not mask.any():
         raise ValidationError("no valid pixels for the temporal-consistency loss")
-    pz_safe = np.where(mask, p_z, 1.0)
-    s_safe = np.where(mask, sample, 1.0)
-    ratio = np.maximum(pz_safe / s_safe, s_safe / pz_safe)
-    raster = np.where(mask, np.abs(ratio - 1.0), 0.0)
     return float(raster[mask].mean()), raster, mask
 
 
@@ -229,6 +259,34 @@ def _sq_norm(v):
     return v[0] ** 2 + v[1] ** 2 + v[2] ** 2
 
 
+def _normal_term(depth: DepthMap, ref: DepthMap, mask, intrinsics: CameraIntrinsics) -> float:
+    """Mean (1 - cos angle) between the surface normals of ``depth`` and
+    ``ref`` over the interior pixels whose 5-point cross lies in ``mask`` and
+    whose normals are both nonzero; 0 when there are none. Needs H, W >= 3."""
+    height, width = mask.shape
+    half_sq = np.empty((height - 2, width - 2))
+    usable = np.empty((height - 2, width - 2), dtype=bool)
+    for rows in row_blocks(height - 2, width):
+        # interior row i is image row i + 1: its normals read image rows i..i+2
+        halo = slice(rows.start, rows.stop + 2)
+        m = mask[halo]
+        x, y = pixel_rays(*pixel_grid(width, height, halo), intrinsics)
+        d, r = depth.values[halo], ref.values[halo]
+        n_d = _normals((x * d, y * d, d))
+        n_r = _normals((x * r, y * r, r))
+        norm_d = np.sqrt(_sq_norm(n_d))
+        norm_r = np.sqrt(_sq_norm(n_r))
+        ok = m[1:-1, 1:-1] & m[1:-1, 2:] & m[1:-1, :-2] & m[2:, 1:-1] & m[:-2, 1:-1]
+        ok &= (norm_d > 0) & (norm_r > 0)
+        # 1 - cos(angle) computed as 0.5 * ||u_d - u_r||^2 on the unit
+        # normals: algebraically identical, but exactly 0 for identical
+        # maps and never negative under rounding.
+        safe_d, safe_r = np.where(ok, norm_d, 1.0), np.where(ok, norm_r, 1.0)
+        half_sq[rows] = 0.5 * _sq_norm([a / safe_d - b / safe_r for a, b in zip(n_d, n_r)])
+        usable[rows] = ok
+    return float(half_sq[usable].mean()) if usable.any() else 0.0
+
+
 def c_prior(depth: DepthMap, ref: DepthMap, intrinsics: CameraIntrinsics, cfg: LossConfig):
     """Depth-prior composite against a reference depth map.
 
@@ -259,29 +317,8 @@ def c_prior(depth: DepthMap, ref: DepthMap, intrinsics: CameraIntrinsics, cfg: L
             grid, valid = _pool2x2(grid, valid)
         c_grad += _grad_term(grid, valid)
 
-    height, width = depth.values.shape
-    c_normal = 0.0
-    if height >= 3 and width >= 3:
-        cross5 = (
-            mask[1:-1, 1:-1]
-            & mask[1:-1, 2:]
-            & mask[1:-1, :-2]
-            & mask[2:, 1:-1]
-            & mask[:-2, 1:-1]
-        )
-        x, y = pixel_rays(*pixel_grid(width, height), intrinsics)
-        n_d = _normals((x * depth.values, y * depth.values, depth.values))
-        n_r = _normals((x * ref.values, y * ref.values, ref.values))
-        norm_d = np.sqrt(_sq_norm(n_d))
-        norm_r = np.sqrt(_sq_norm(n_r))
-        usable = cross5 & (norm_d > 0) & (norm_r > 0)
-        if usable.any():
-            # 1 - cos(angle) computed as 0.5 * ||u_d - u_r||^2 on the unit
-            # normals: algebraically identical, but exactly 0 for identical
-            # maps and never negative under rounding.
-            safe_d, safe_r = np.where(usable, norm_d, 1.0), np.where(usable, norm_r, 1.0)
-            half_sq = 0.5 * _sq_norm([a / safe_d - b / safe_r for a, b in zip(n_d, n_r)])
-            c_normal = float(half_sq[usable].mean())
+    height, width = mask.shape
+    c_normal = _normal_term(depth, ref, mask, intrinsics) if height >= 3 and width >= 3 else 0.0
 
     total = cfg.w_si * c_si + cfg.w_grad * c_grad + cfg.w_normal * c_normal
     return total, {"c_si": c_si, "c_grad": c_grad, "c_normal": c_normal}

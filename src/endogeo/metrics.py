@@ -138,12 +138,13 @@ def resize_depth(depth: DepthMap, out_width: int, out_height: int) -> DepthMap:
     u = np.clip((np.arange(out_width, dtype=np.float64) + 0.5) * sx - 0.5, 0.0, in_w - 1)
     v = np.clip((np.arange(out_height, dtype=np.float64) + 0.5) * sy - 0.5, 0.0, in_h - 1)
     _, taps = _bilinear_taps(u[None, :], v[:, None], in_w, in_h)
-    values = np.where(depth.valid, depth.values, 0.0)
+    valid = depth.valid.reshape(-1)
+    values = np.where(valid, depth.values.reshape(-1), 0.0)
     total = np.zeros((out_height, out_width))
     wsum = np.zeros((out_height, out_width))
-    for w, row, col in taps:
-        contrib = np.where(depth.valid[row, col], w, 0.0)
-        total += contrib * values[row, col]
+    for w, index in taps:
+        contrib = np.where(valid.take(index), w, 0.0)
+        total += contrib * values.take(index)
         wsum += contrib
     ok = wsum > 1e-12
     values = np.where(ok, total / np.where(ok, wsum, 1.0), 0.0)

@@ -6,7 +6,13 @@ own validity rule (finite, positive where required), so a raster can never
 hold a "valid" entry that violates its invariant. Arrays are copied and
 frozen; instances are immutable and safe to share across threads.
 
-The bilinear stencil that every resampler in the package uses lives here too.
+The bilinear stencil that every resampler in the package uses lives here too,
+and so does :func:`row_blocks`, the row-band iterator of the per-pixel
+kernels. ``losses.c_flow``, ``losses.c_temp`` and the normal term of
+``losses.c_prior`` run band by band: each band's temporaries fit in cache and
+reuse freed memory, where whole-image temporaries would each fault in fresh
+pages. The bands fill full-size rasters and masks, and every reduction stays
+one mean over those full arrays, so results do not depend on the band size.
 """
 
 from __future__ import annotations
@@ -19,6 +25,9 @@ from .errors import ValidationError
 
 # disparities at or below this are unusable (depth = b*f/d diverges)
 DISPARITY_EPSILON = 1e-3
+
+# bytes of one float64 plane of a row band (see row_blocks)
+BAND_BYTES = 128 * 1024
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
@@ -66,7 +75,9 @@ class _MaskedRaster(_Raster):
         if mask.shape != shape:
             raise ValidationError(f"{self._name} mask shape {mask.shape} does not match values {shape}")
         if self._channels:
-            mask &= np.all(np.isfinite(array), axis=2)
+            # one channel at a time: np.all over a short last axis is slow
+            for k in range(self._channels):
+                mask &= np.isfinite(array[..., k])
         else:
             mask &= np.isfinite(array) & (array > self._floor)
         object.__setattr__(self, self._array, _freeze(array))
@@ -129,6 +140,15 @@ class ConfidenceMap(_Raster):
         object.__setattr__(self, "values", _freeze(values))
 
 
+def row_blocks(height: int, width: int):
+    """Row slices that tile ``range(height)`` top to bottom, each with as
+    many rows as keep one float64 plane of the band within BAND_BYTES, and
+    at least one row."""
+    rows = max(1, BAND_BYTES // (8 * max(width, 1)))
+    for start in range(0, height, rows):
+        yield slice(start, min(start + rows, height))
+
+
 def in_bounds(x, y, width: int, height: int):
     """True where (x, y) lies in [0, W-1] x [0, H-1], the area a bilinear
     sample can cover."""
@@ -139,23 +159,27 @@ def _bilinear_taps(x, y, width: int, height: int):
     """The bilinear stencil at float coordinates (x, y) on a width x height grid.
 
     Returns ``(inside, taps)``: ``inside`` marks locations in [0, W-1] x [0, H-1],
-    and ``taps`` lists ``(weight, row, col)`` for the four corners. The top-left
-    corner is clamped to at most (W-2, H-2), so a location on the far edge
-    still uses an in-bounds 2x2 block; outside locations get weight 1 on that
-    clamped corner.
+    and ``taps`` lists ``(weight, index)`` for the four corners, ``index``
+    into the row-major flattened grid (a flat ``take`` gathers faster than a
+    (row, col) index pair). The top-left corner is clamped to at most
+    (W-2, H-2), so a location on the far edge still uses an in-bounds 2x2
+    block; outside locations get weight 1 on that clamped corner. On a grid
+    one pixel wide (or high) the right (or lower) corners repeat the left
+    (or upper) ones.
     """
     inside = in_bounds(x, y, width, height)
     x0 = np.clip(np.floor(x).astype(np.int64), 0, max(width - 2, 0))
     y0 = np.clip(np.floor(y).astype(np.int64), 0, max(height - 2, 0))
-    x1 = np.minimum(x0 + 1, width - 1)
-    y1 = np.minimum(y0 + 1, height - 1)
     a = np.where(inside, x - x0, 0.0)
     b = np.where(inside, y - y0, 0.0)
+    i00 = y0 * width + x0
+    right = 1 if width > 1 else 0
+    down = width if height > 1 else 0
     return inside, (
-        ((1.0 - a) * (1.0 - b), y0, x0),
-        (a * (1.0 - b), y0, x1),
-        ((1.0 - a) * b, y1, x0),
-        (a * b, y1, x1),
+        ((1.0 - a) * (1.0 - b), i00),
+        (a * (1.0 - b), i00 + right),
+        ((1.0 - a) * b, i00 + down),
+        (a * b, i00 + (down + right)),
     )
 
 
@@ -170,10 +194,12 @@ def bilinear_sample(values, x, y, valid=None):
     height, width = values.shape[:2]
     ok, taps = _bilinear_taps(x, y, width, height)
     if valid is not None:
-        for _, row, col in taps:
-            ok = ok & valid[row, col]
+        valid = valid.reshape(-1)
+        for _, index in taps:
+            ok = ok & valid.take(index)
     channel = (...,) + (None,) * (values.ndim - 2)
-    terms = (w[channel] * values[row, col] for w, row, col in taps)
+    values = values.reshape((height * width,) + values.shape[2:])
+    terms = (w[channel] * values.take(index, axis=0) for w, index in taps)
     # summed left to right from the first term, not from 0.0, so a -0.0
     # sample keeps its sign; in place, so no term outlives the next
     sample = next(terms)

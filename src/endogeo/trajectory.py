@@ -72,7 +72,11 @@ class Trajectory:
 
     def __init__(self, entries=()):
         entries = tuple(entries)
-        for frame, pose in entries:
+        for i, entry in enumerate(entries):
+            try:
+                frame, pose = entry
+            except (TypeError, ValueError):
+                raise ValidationError(f"entry {i} is not a (frame, Pose) pair") from None
             if not isinstance(pose, Pose):
                 raise ValidationError(f"entry at frame {frame} is not a Pose")
         self.frames = _check_frames([f for f, _ in entries])

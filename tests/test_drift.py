@@ -12,6 +12,7 @@ from endogeo.drift import (
 from endogeo.errors import ValidationError
 from endogeo.geometry import Pose, Quaternion, compose, pose_distance
 from endogeo.rng import SplitMix64
+from endogeo.sim import DriftSpec, gen_trajectory, inject_drift
 from endogeo.trajectory import AnchorSet, LocalSegment, Trajectory, split_into_segments
 
 
@@ -205,3 +206,40 @@ class TestCorrectLongTrajectory:
         assert payload["n_segments"] == 1
         assert payload["segments"][0]["start_frame"] == 0
         assert payload["max_anchor_residual_trans_mm"] <= 1e-9
+
+
+class TestBrownianBridge:
+    """Translation-only drift is a Gaussian random walk of the position with
+    per-frame covariance sigma^2 I (the rotations stay the ground truth's, so
+    the walk is isotropic in the world frame). Aligning each segment to its
+    start anchor and spreading the end residual linearly turns it into a
+    Brownian bridge: at offset t of a stride-S segment each coordinate of the
+    corrected position residual is N(0, sigma^2 t (S - t) / S), independent
+    across segments and seeds. The sum of squared residuals over all samples,
+    scaled by that variance, is chi-square with 3 degrees of freedom a sample.
+    The seeds, offsets and bound below were fixed before the test first ran."""
+
+    SIGMA = 0.05
+    STRIDE = 16
+    SEGMENTS = 64
+    SEEDS = range(40)
+    OFFSETS = (1, 4, 8, 12, 15)
+    BOUND_SIGMAS = 5.0  # |chi2 - dof| <= 5 sqrt(2 dof), the normal approximation
+
+    def test_corrected_residual_is_a_brownian_bridge(self):
+        n_frames = self.SEGMENTS * self.STRIDE + 1
+        chi2 = dict.fromkeys(self.OFFSETS, 0.0)
+        for seed in self.SEEDS:
+            gt = gen_trajectory(n_frames, "orbit", seed)
+            drifted = inject_drift(gt, DriftSpec(0.0, self.SIGMA, seed))
+            anchors = AnchorSet(gt.restricted_to(range(0, n_frames, self.STRIDE)), self.STRIDE)
+            corrected, _ = correct_long_trajectory(anchors, split_into_segments(drifted, anchors))
+            assert np.array_equal(corrected.frames, gt.frames)
+            residual = corrected.trans - gt.trans
+            for t in self.OFFSETS:
+                rows = np.arange(self.SEGMENTS) * self.STRIDE + t
+                variance = self.SIGMA**2 * t * (self.STRIDE - t) / self.STRIDE
+                chi2[t] += float((residual[rows] ** 2).sum()) / variance
+        dof = 3 * self.SEGMENTS * len(self.SEEDS)
+        for t, value in chi2.items():
+            assert abs(value - dof) <= self.BOUND_SIGMAS * math.sqrt(2 * dof), (t, value, dof)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from endogeo import rasters
 from endogeo.errors import ValidationError
 from endogeo.geometry import CameraIntrinsics, Pose, Quaternion
 from endogeo.losses import (
@@ -316,6 +317,105 @@ class TestFlowOracle:
         # 1 px, so a mean that nearly cancels is compared to 1e-12 px
         assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
         assert not raster[~mask].any()
+
+
+def _band_case(width, height, seed):
+    """Seeded inputs for every banded loss on a width x height image: about
+    one entry in ten of each raster is special (masked, 0, -2, NaN, inf, or a
+    flow far out of the image), and the motion moves some points behind the
+    camera."""
+    rng = np.random.default_rng(seed)
+    shape = (height, width)
+
+    def with_specials(values, specials):
+        pick = rng.integers(0, 10 * len(specials), size=values.shape)
+        return np.where(pick < len(specials), np.array(specials)[np.minimum(pick, len(specials) - 1)], values)
+
+    def depth():
+        return DepthMap(with_specials(rng.uniform(0.5, 30.0, shape), [0.0, -2.0, math.nan]),
+                        rng.uniform(size=shape) > 0.1)
+
+    def camera():
+        fx, fy = rng.uniform(5.0, 80.0, 2)
+        return CameraIntrinsics(fx, fy, rng.uniform(0.0, width - 0.01), rng.uniform(0.0, height - 0.01),
+                                width, height)
+
+    flow = FlowField(with_specials(rng.uniform(-1.0, 1.0, shape + (2,)), [math.nan, math.inf, -20.0]),
+                     rng.uniform(size=shape) > 0.1)
+    quat = Quaternion(rng.uniform(1.0, 3.0), *rng.uniform(-1.0, 1.0, 3))
+    motion = Pose(quat, (*rng.uniform(-3.0, 3.0, 2), rng.uniform(-12.0, 3.0)))
+    return depth(), depth(), camera(), camera(), motion, flow
+
+
+def _outcomes(case):
+    """Each banded loss's result on ``case``, or the message it raised."""
+    depth_i, depth_j, k_i, k_j, motion, flow = case
+    calls = (
+        lambda: c_flow(depth_i, k_i, k_j, motion, flow),
+        lambda: c_temp(depth_i, depth_j, k_i, k_j, motion, flow),
+        lambda: c_prior(depth_i, depth_j, k_i, CFG),
+    )
+    results = []
+    # the stencil's integer cast warns on NaN and inf targets, which it masks
+    with np.errstate(invalid="ignore"):
+        for call in calls:
+            try:
+                results.append(call())
+            except ValidationError as err:
+                results.append(str(err))
+    return results
+
+
+def _identical(a, b):
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and np.array_equal(a, b)
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_identical, a, b))
+    return a == b
+
+
+def _outcomes_at(budgets, case):
+    """``_outcomes(case)`` with the band budget set to each of ``budgets``."""
+    with pytest.MonkeyPatch.context() as patch:
+        results = []
+        for budget in budgets:
+            patch.setattr(rasters, "BAND_BYTES", budget)
+            results.append(_outcomes(case))
+    return results
+
+
+_BAND = 16  # rows of a band of a one-pixel-wide image at the test budget
+_BUDGET = 8 * _BAND
+_DEFAULT_BAND = rasters.BAND_BYTES // 8  # the same at the default budget
+
+
+class TestRowBands:
+    """c_flow, c_temp and c_prior give the same values, rasters and masks
+    whatever the row bands, and so the same as on the whole image at once."""
+
+    @pytest.mark.parametrize(
+        "width, height",
+        [(1, h) for h in (1, 2, 3, _BAND - 1, _BAND, _BAND + 1)]
+        # wider than the budget, so that a band is a single row
+        + [(_BAND + 1, h) for h in (1, 2, 3, 4)]
+        + [(5, h) for h in (1, 2, 3, 4, 6, 7)],  # three rows a band
+    )
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_one_row_bands_equal_one_band(self, width, height, seed):
+        case = _band_case(width, height, seed)
+        one_row, banded, whole = _outcomes_at((1, _BUDGET, 8 * width * height), case)
+        assert _identical(one_row, whole)
+        assert _identical(banded, whole)
+        assert _identical(_outcomes(case), whole)
+
+    @pytest.mark.parametrize("height", [_DEFAULT_BAND - 1, _DEFAULT_BAND, _DEFAULT_BAND + 1])
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_default_band_edge(self, height, seed):
+        case = _band_case(1, height, seed)
+        (whole,) = _outcomes_at((8 * height,), case)
+        assert _identical(_outcomes(case), whole)
 
 
 class TestTemporalConsistency:

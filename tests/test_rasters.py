@@ -1,8 +1,14 @@
+import math
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endogeo.rasters import bilinear_sample
+from endogeo.fileio import read_flo
+from endogeo.rasters import FlowField, Pointmap, bilinear_sample
 
 from oracles import _bilinear
 
@@ -68,3 +74,49 @@ class TestBilinearSample:
         expected, expected_ok = oracle_sample(values, np.ones_like(valid), x, y)
         assert np.array_equal(ok, expected_ok)
         assert np.array_equal(sample, expected)
+
+
+# every value a channel validity rule can turn on: NaN, infinities, the .flo
+# "unknown flow" threshold 1e9 and its float32 neighbours, the written
+# sentinel 1e10, and both zeros
+_SPECIALS = [math.nan, math.inf, -math.inf, 1e9, -1e9, 1e10, -1e10, -0.0, 0.0,
+             float(np.nextafter(np.float32(1e9), np.float32(0))),
+             float(np.nextafter(np.float32(1e9), np.float32(np.inf)))]
+
+
+@st.composite
+def channel_arrays(draw, channels):
+    """An (H, W, channels) float64 array, about one entry in three special,
+    and a given validity mask."""
+    height, width = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    count = height * width * channels
+    entry = st.one_of(st.sampled_from(_SPECIALS), st.floats(-1e12, 1e12), st.floats(-1e12, 1e12))
+    values = np.array(draw(st.lists(entry, min_size=count, max_size=count)))
+    valid = np.array(draw(st.lists(st.booleans(), min_size=height * width, max_size=height * width)))
+    return values.reshape(height, width, channels), valid.reshape(height, width)
+
+
+class TestChannelValidity:
+    """The per-channel masks equal the np.all(..., axis=2) expressions they replace."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([(FlowField, 2), (Pointmap, 3)]).flatmap(
+        lambda kind: st.tuples(st.just(kind[0]), channel_arrays(kind[1]))))
+    def test_constructor_mask(self, case):
+        kind, (values, valid) = case
+        got = kind(values, valid).valid
+        assert np.array_equal(got, valid & np.all(np.isfinite(values), axis=2))
+
+    @settings(max_examples=100, deadline=None)
+    @given(channel_arrays(2))
+    def test_read_flo_mask(self, case):
+        values, _ = case
+        height, width = values.shape[:2]
+        payload = values.astype("<f4")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.flo"
+            path.write_bytes(struct.pack("<fii", 202021.25, width, height) + payload.tobytes())
+            back = read_flo(path)
+        wide = payload.astype(np.float64)
+        assert np.array_equal(back.valid, np.all(np.abs(wide) < 1e9, axis=2))
+        assert np.array_equal(back.vectors, wide, equal_nan=True)

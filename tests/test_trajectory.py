@@ -65,6 +65,11 @@ class TestTrajectory:
         with pytest.raises(ValidationError, match="finite integral number"):
             Trajectory.from_poses(frames, identity_traj([0, 1]).poses)
 
+    @pytest.mark.parametrize("entry", [(1,), (1, Pose.identity(), 3), 1])
+    def test_rejects_entries_that_are_not_pairs(self, entry):
+        with pytest.raises(ValidationError, match=r"entry 1 is not a \(frame, Pose\) pair"):
+            Trajectory([(0, Pose.identity()), entry])
+
     def test_integral_floats_are_frames(self):
         poses = identity_traj([0, 1]).poses
         assert Trajectory.from_poses([0.0, 3.0], poses).frames.tolist() == [0, 3]
