@@ -8,6 +8,11 @@ are no hidden defaults. Logs go to stderr; data goes to files or stdout.
 Outputs are deterministic: rerunning a command on the same inputs produces
 byte-identical files.
 
+Defaults are the library's own: a parameter that a library function or
+config class consumes takes its default and type from that consumer's
+signature or fields, and its choices from the library's tuple. Only the file
+paths are the CLI's own parameters.
+
 Exit codes: 0 success, 2 input/format error, 3 precondition/validation error,
 4 internal numeric failure.
 """
@@ -16,11 +21,11 @@ from __future__ import annotations
 
 import argparse
 import glob
+import inspect
 import logging
 import os
-import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 from . import fileio, losses, metrics, sim, stereo
 from .drift import correct_long_trajectory
@@ -36,14 +41,18 @@ EXIT_VALIDATION = 3
 EXIT_NUMERIC = 4
 
 _REQUIRED = object()
+# what a config-file value of each parameter type must be, as error messages say it
+_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string without NUL"}
+# the library's choice tuples, by the name of the parameter they constrain
+_CHOICES = {"path": sim.PATH_KINDS, "scene": sim.SCENE_KINDS, "align": metrics.ALIGN_MODES}
 
 
 @dataclass(frozen=True)
 class _Param:
-    name: str               # argparse dest and config-file key
-    kind: type              # str, int, float, or bool
-    default: object         # _REQUIRED for mandatory parameters
+    name: str                    # argparse dest and config-file key
     help: str
+    default: object = _REQUIRED  # mandatory unless given a default
+    kind: type = str             # str, int, float, or bool
     choices: tuple = None
 
     @property
@@ -51,88 +60,19 @@ class _Param:
         return "--" + self.name.replace("_", "-")
 
 
-def _params_simulate():
+def _consumed(consumer, **helps) -> list:
+    """A parameter for each keyword of ``helps``, in order, with the default
+    and type (a deferred annotation) that ``consumer``, a function or a
+    config dataclass, declares for it."""
+    if is_dataclass(consumer):
+        declared = {f.name: (f.default, f.type) for f in fields(consumer)}
+    else:
+        signature = inspect.signature(consumer)
+        declared = {p.name: (p.default, p.annotation) for p in signature.parameters.values()}
+    kinds = {kind.__name__: kind for kind in _KIND_NAMES}
     return [
-        _Param("out", str, _REQUIRED, "output dataset directory"),
-        _Param("seed", int, 0, "master seed for all generators"),
-        _Param("n_frames", int, 200, "trajectory length in frames"),
-        _Param("stride", int, 16, "anchor stride in frames"),
-        _Param("path", str, "orbit", "camera path kind", ("orbit", "spline", "linear")),
-        _Param("scene", str, "plane", "scene geometry", ("plane", "sphere", "heightfield")),
-        _Param("extent", float, 100.0, "scene extent / working distance, mm"),
-        _Param("sigma_rot", float, 0.002, "drift rotation noise, rad/frame"),
-        _Param("sigma_trans", float, 0.05, "drift translation noise, mm/frame"),
-        _Param("width", int, 64, "render width, px"),
-        _Param("height", int, 48, "render height, px"),
-        _Param("focal", float, 700.0, "render focal length, px"),
-        _Param("orbit_radius", float, 8.0, "camera path radius, mm"),
-        _Param("depth_count", int, 4, "number of leading frames to render depth/flow for"),
-    ]
-
-
-def _params_correct():
-    return [
-        _Param("anchors", str, _REQUIRED, "anchor trajectory (.tum)"),
-        _Param("segments", str, _REQUIRED, "glob matching local segment .tum files"),
-        _Param("out", str, _REQUIRED, "output corrected trajectory (.tum)"),
-        _Param("report", str, None, "correction report JSON (default: stdout)"),
-    ]
-
-
-def _params_eval_traj():
-    return [
-        _Param("pred", str, _REQUIRED, "predicted trajectory (.tum)"),
-        _Param("gt", str, _REQUIRED, "ground-truth trajectory (.tum)"),
-        _Param("align", str, "sim3", "ATE alignment mode", ("sim3", "se3")),
-        _Param("window", int, 16, "RTE window: the frame delta between paired poses"),
-        _Param("out", str, None, "metrics report JSON (default: stdout)"),
-    ]
-
-
-def _params_eval_depth():
-    return [
-        _Param("pred", str, _REQUIRED, "directory of predicted depth .pfm files"),
-        _Param("gt", str, _REQUIRED, "directory of ground-truth depth .pfm files"),
-        _Param("eval_width", int, 256, "evaluation resolution width"),
-        _Param("eval_height", int, 192, "evaluation resolution height"),
-        _Param("depth_min", float, 0.1, "minimum valid ground-truth depth, mm"),
-        _Param("depth_max", float, 150.0, "maximum valid ground-truth depth, mm"),
-        _Param("median_scaling", bool, True, "per-map median alignment of pred to gt"),
-        _Param("out", str, None, "metrics report JSON (default: stdout)"),
-    ]
-
-
-def _params_eval_consistency():
-    return [
-        _Param("depths", str, _REQUIRED, "directory of depth_NNNN.pfm files"),
-        _Param("poses", str, _REQUIRED, "camera-to-world trajectory (.tum)"),
-        _Param("flows", str, _REQUIRED, "directory of flow_NNNN_NNNN.flo files"),
-        _Param("calib", str, _REQUIRED, "calibration JSON (left camera intrinsics are used)"),
-        _Param("ref_depths", str, None, "reference depth directory for the prior term (default: prior skipped)"),
-        _Param("lambda_consist", float, 0.1, "consistency weight in the total objective"),
-        _Param("w_flow", float, 1.0, "flow-consistency weight"),
-        _Param("w_temp", float, 1.0, "temporal-consistency weight"),
-        _Param("w_prior", float, 1.0, "prior weight"),
-        _Param("w_si", float, 1.0, "scale-invariant prior sub-weight"),
-        _Param("w_grad", float, 1.0, "gradient-matching prior sub-weight"),
-        _Param("w_normal", float, 1.0, "normal-consistency prior sub-weight"),
-        _Param("uncertainty_constant", float, 1.0, "scalar uncertainty multiplier on flow/temporal terms"),
-        _Param("out", str, None, "loss report JSON (default: stdout)"),
-    ]
-
-
-def _params_disparity2depth():
-    return [
-        _Param("calib", str, _REQUIRED, "calibration JSON (baseline and focal length)"),
-        _Param("input", str, _REQUIRED, "input disparity .pfm"),
-        _Param("out", str, _REQUIRED, "output depth .pfm"),
-    ]
-
-
-def _params_rectify_maps():
-    return [
-        _Param("calib", str, _REQUIRED, "calibration JSON"),
-        _Param("out_prefix", str, _REQUIRED, "output path prefix for map rasters"),
+        _Param(name, text, declared[name][0], kinds[declared[name][1]], _CHOICES.get(name))
+        for name, text in helps.items()
     ]
 
 
@@ -140,60 +80,44 @@ def _add_command(subparsers, name: str, help_text: str, params):
     sub = subparsers.add_parser(name, help=help_text, description=help_text)
     sub.add_argument("--config", default=None, help="JSON config file; explicit flags override it")
     for p in params:
-        kwargs = {"dest": p.name, "default": None, "help": p.help}
         if p.kind is bool:
-            sub.add_argument(p.flag, action=argparse.BooleanOptionalAction, **kwargs)
+            kwargs = {"action": argparse.BooleanOptionalAction}
         else:
-            if p.choices:
-                kwargs["choices"] = p.choices
-            sub.add_argument(p.flag, type=p.kind, **kwargs)
+            kwargs = {"type": p.kind, "choices": p.choices}
+        sub.add_argument(p.flag, dest=p.name, default=None, help=p.help, **kwargs)
     return sub
 
 
-def _load_config_file(path: str) -> dict:
-    obj = fileio.read_json(path)
-    if not isinstance(obj, dict):
-        raise FormatError("config file must contain a JSON object", path=path)
-    return obj
-
-
 def _coerce(value, param: _Param, source: str):
-    if param.kind is bool:
-        if not isinstance(value, bool):
-            raise ValidationError(f"{source}: {param.name} must be a boolean, got {value!r}")
-        return value
-    if param.kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValidationError(f"{source}: {param.name} must be an integer, got {value!r}")
-        return value
-    if param.kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(f"{source}: {param.name} must be a number, got {value!r}")
-        return float(value)
-    if not isinstance(value, str) or "\0" in value:  # a path with NUL cannot be opened
-        raise ValidationError(f"{source}: {param.name} must be a string without NUL, got {value!r}")
-    return value
+    kind = param.kind
+    if kind is bool:
+        ok = isinstance(value, bool)
+    elif kind is str:
+        ok = isinstance(value, str) and "\0" not in value  # a path with NUL cannot be opened
+    else:
+        ok = fileio.is_json_number(value, int if kind is int else (int, float))
+    if not ok:
+        raise ValidationError(f"{source}: {param.name} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 def _effective_config(args, params) -> dict:
     file_cfg = {}
     if args.config is not None:
-        file_cfg = _load_config_file(args.config)
+        file_cfg = fileio.read_json(args.config)
+        if not isinstance(file_cfg, dict):
+            raise FormatError("config file must contain a JSON object", path=args.config)
         known = {p.name for p in params}
         unknown = sorted(set(file_cfg) - known)
         if unknown:
-            raise ValidationError(
-                f"unknown config keys {unknown}; known keys: {sorted(known)}"
-            )
+            raise ValidationError(f"unknown config keys {unknown}; known keys: {sorted(known)}")
     cfg = {}
     for p in params:
         value = getattr(args, p.name)
         if value is None and p.name in file_cfg:
             value = _coerce(file_cfg[p.name], p, args.config)
             if p.choices and value not in p.choices:
-                raise ValidationError(
-                    f"{p.name} must be one of {p.choices}, got {value!r}"
-                )
+                raise ValidationError(f"{p.name} must be one of {p.choices}, got {value!r}")
         if value is None:
             if p.default is _REQUIRED:
                 raise ValidationError(f"missing required parameter {p.flag}")
@@ -265,14 +189,13 @@ def _cmd_eval_traj(cfg: dict) -> int:
     return EXIT_OK
 
 
+def _config_of(config_class, cfg: dict):
+    """``config_class`` built from the fields that ``cfg`` holds."""
+    return config_class(**{f.name: cfg[f.name] for f in fields(config_class) if f.name in cfg})
+
+
 def _cmd_eval_depth(cfg: dict) -> int:
-    eval_cfg = metrics.DepthEvalConfig(
-        cfg["eval_width"],
-        cfg["eval_height"],
-        cfg["depth_min"],
-        cfg["depth_max"],
-        cfg["median_scaling"],
-    )
+    eval_cfg = _config_of(metrics.DepthEvalConfig, cfg)
     pred_dir, gt_dir = cfg["pred"], cfg["gt"]
     for d in (pred_dir, gt_dir):
         if not os.path.isdir(d):
@@ -283,17 +206,14 @@ def _cmd_eval_depth(cfg: dict) -> int:
     )
     if not names:
         raise ValidationError("no common .pfm files between pred and gt directories")
-    per_frame = {}
-    totals = {k: 0.0 for k in ("abs_rel", "sq_rel", "rmse", "rmse_log", "delta_1_25")}
-    n_pixels = 0
+    per_frame, totals = {}, {}
     for name in names:
         pred = fileio.read_depth_pfm(os.path.join(pred_dir, name))
         gt = fileio.read_depth_pfm(os.path.join(gt_dir, name))
-        m = metrics.depth_metrics(pred, gt, eval_cfg)
-        per_frame[name] = m.to_dict()
-        for k in totals:
-            totals[k] += per_frame[name][k]
-        n_pixels += m.n_pixels
+        per_frame[name] = metrics.depth_metrics(pred, gt, eval_cfg).to_dict()
+        for k, v in per_frame[name].items():  # from int 0, so n_pixels stays an int
+            totals[k] = totals.get(k, 0) + v
+    n_pixels = totals.pop("n_pixels")
     report = {k: v / len(names) for k, v in totals.items()}
     _log_table(sorted(report.items()))
     report.update(
@@ -307,40 +227,27 @@ def _cmd_eval_depth(cfg: dict) -> int:
     return EXIT_OK
 
 
-_DEPTH_RE = re.compile(r"^depth_(\d{4})\.pfm$")
-_FLOW_RE = re.compile(r"^flow_(\d{4})_(\d{4})\.flo$")
+def _frame_files(directory: str, n_frames: int) -> dict:
+    """Path of each file in ``directory`` named for ``n_frames`` frames by
+    ``fileio.frame_file_name``, keyed by those frames."""
+    if not os.path.isdir(directory):
+        raise ValidationError(f"not a directory: {directory}")
+    found = {}
+    for name in os.listdir(directory):
+        frames = fileio.file_name_frames(name)
+        if frames is not None and len(frames) == n_frames:
+            found[frames] = os.path.join(directory, name)
+    return found
 
 
 def _cmd_eval_consistency(cfg: dict) -> int:
-    loss_cfg = losses.LossConfig(
-        lambda_consist=cfg["lambda_consist"],
-        w_flow=cfg["w_flow"],
-        w_temp=cfg["w_temp"],
-        w_prior=cfg["w_prior"],
-        w_si=cfg["w_si"],
-        w_grad=cfg["w_grad"],
-        w_normal=cfg["w_normal"],
-        uncertainty_constant=cfg["uncertainty_constant"],
-    )
+    loss_cfg = _config_of(losses.LossConfig, cfg)
     calib = stereo.load_calibration(cfg["calib"])
     intr = calib.left.intrinsics
     poses = load_tum(cfg["poses"])
 
-    if not os.path.isdir(cfg["depths"]):
-        raise ValidationError(f"not a directory: {cfg['depths']}")
-    depth_files = {}
-    for name in os.listdir(cfg["depths"]):
-        m = _DEPTH_RE.match(name)
-        if m:
-            depth_files[int(m.group(1))] = os.path.join(cfg["depths"], name)
-    if not os.path.isdir(cfg["flows"]):
-        raise ValidationError(f"not a directory: {cfg['flows']}")
-    pairs = []
-    for name in os.listdir(cfg["flows"]):
-        m = _FLOW_RE.match(name)
-        if m:
-            pairs.append((int(m.group(1)), int(m.group(2)), os.path.join(cfg["flows"], name)))
-    pairs.sort()
+    depth_files = {frame: path for (frame,), path in _frame_files(cfg["depths"], 1).items()}
+    pairs = sorted(_frame_files(cfg["flows"], 2).items())
     if not pairs:
         raise ValidationError(f"no flow_NNNN_NNNN.flo files in {cfg['flows']}")
 
@@ -353,11 +260,11 @@ def _cmd_eval_consistency(cfg: dict) -> int:
     def depth_for(frame: int):
         if frame not in depth_cache:
             if frame not in depth_files:
-                raise ValidationError(f"missing depth_{frame:04d}.pfm in {cfg['depths']}")
+                raise ValidationError(f"missing {fileio.frame_file_name(frame)} in {cfg['depths']}")
             depth_cache[frame] = fileio.read_depth_pfm(depth_files[frame])
         return depth_cache[frame]
 
-    for i, j, flow_path in pairs:
+    for (i, j), flow_path in pairs:
         flow = fileio.read_flo(flow_path)
         depth_i = depth_for(i)
         depth_j = depth_for(j)
@@ -378,7 +285,7 @@ def _cmd_eval_consistency(cfg: dict) -> int:
         if prior_skipped:
             prior_val = 0.0
         else:
-            ref_path = os.path.join(ref_dir, f"depth_{i:04d}.pfm")
+            ref_path = os.path.join(ref_dir, fileio.frame_file_name(i))
             if not os.path.exists(ref_path):
                 raise ValidationError(f"missing reference depth {ref_path}")
             prior_val, breakdown = losses.c_prior(
@@ -445,18 +352,82 @@ def _cmd_rectify_maps(cfg: dict) -> int:
     return EXIT_OK
 
 
+# built once, at import, so that a wrapper later put around a library function
+# (a tracer's, say) cannot hide the signature its defaults are read from
 _COMMANDS = {
-    "simulate": ("emit a synthetic oracle dataset directory", _params_simulate, _cmd_simulate),
-    "correct": ("drift-correct local segments against an anchor trajectory", _params_correct, _cmd_correct),
-    "eval-traj": ("trajectory metrics: ATE and windowed RTE", _params_eval_traj, _cmd_eval_traj),
-    "eval-depth": ("depth metrics over directories of .pfm maps", _params_eval_depth, _cmd_eval_depth),
-    "eval-consistency": (
-        "flow/temporal/prior consistency losses over a sequence",
-        _params_eval_consistency,
-        _cmd_eval_consistency,
-    ),
-    "disparity2depth": ("metric depth from disparity via the calibrated rig", _params_disparity2depth, _cmd_disparity2depth),
-    "rectify-maps": ("undistortion + rectification lookup maps", _params_rectify_maps, _cmd_rectify_maps),
+    "simulate": ("emit a synthetic oracle dataset directory", _cmd_simulate, [
+        _Param("out", "output dataset directory"),
+        *_consumed(
+            sim.simulate_dataset,
+            seed="master seed for all generators",
+            n_frames="trajectory length in frames",
+            stride="anchor stride in frames",
+            path="camera path kind",
+            scene="scene geometry",
+            extent="scene extent / working distance, mm",
+            sigma_rot="drift rotation noise, rad/frame",
+            sigma_trans="drift translation noise, mm/frame",
+            width="render width, px",
+            height="render height, px",
+            focal="render focal length, px",
+            orbit_radius="camera path radius, mm",
+            depth_count="number of leading frames to render depth/flow for",
+        ),
+    ]),
+    "correct": ("drift-correct local segments against an anchor trajectory", _cmd_correct, [
+        _Param("anchors", "anchor trajectory (.tum)"),
+        _Param("segments", "glob matching local segment .tum files"),
+        _Param("out", "output corrected trajectory (.tum)"),
+        _Param("report", "correction report JSON (default: stdout)", None),
+    ]),
+    "eval-traj": ("trajectory metrics: ATE and windowed RTE", _cmd_eval_traj, [
+        _Param("pred", "predicted trajectory (.tum)"),
+        _Param("gt", "ground-truth trajectory (.tum)"),
+        *_consumed(metrics.ate, align="ATE alignment mode"),
+        *_consumed(metrics.rpe, window="RTE window: the frame delta between paired poses"),
+        _Param("out", "metrics report JSON (default: stdout)", None),
+    ]),
+    "eval-depth": ("depth metrics over directories of .pfm maps", _cmd_eval_depth, [
+        _Param("pred", "directory of predicted depth .pfm files"),
+        _Param("gt", "directory of ground-truth depth .pfm files"),
+        *_consumed(
+            metrics.DepthEvalConfig,
+            eval_width="evaluation resolution width",
+            eval_height="evaluation resolution height",
+            depth_min="minimum valid ground-truth depth, mm",
+            depth_max="maximum valid ground-truth depth, mm",
+            median_scaling="per-map median alignment of pred to gt",
+        ),
+        _Param("out", "metrics report JSON (default: stdout)", None),
+    ]),
+    "eval-consistency": ("flow/temporal/prior consistency losses over a sequence", _cmd_eval_consistency, [
+        _Param("depths", "directory of depth_NNNN.pfm files"),
+        _Param("poses", "camera-to-world trajectory (.tum)"),
+        _Param("flows", "directory of flow_NNNN_NNNN.flo files"),
+        _Param("calib", "calibration JSON (left camera intrinsics are used)"),
+        _Param("ref_depths", "reference depth directory for the prior term (default: prior skipped)", None),
+        *_consumed(
+            losses.LossConfig,
+            lambda_consist="consistency weight in the total objective",
+            w_flow="flow-consistency weight",
+            w_temp="temporal-consistency weight",
+            w_prior="prior weight",
+            w_si="scale-invariant prior sub-weight",
+            w_grad="gradient-matching prior sub-weight",
+            w_normal="normal-consistency prior sub-weight",
+            uncertainty_constant="scalar uncertainty multiplier on flow/temporal terms",
+        ),
+        _Param("out", "loss report JSON (default: stdout)", None),
+    ]),
+    "disparity2depth": ("metric depth from disparity via the calibrated rig", _cmd_disparity2depth, [
+        _Param("calib", "calibration JSON (baseline and focal length)"),
+        _Param("input", "input disparity .pfm"),
+        _Param("out", "output depth .pfm"),
+    ]),
+    "rectify-maps": ("undistortion + rectification lookup maps", _cmd_rectify_maps, [
+        _Param("calib", "calibration JSON"),
+        _Param("out_prefix", "output path prefix for map rasters"),
+    ]),
 }
 
 
@@ -467,8 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
         "stereo depth synthesis, consistency losses, and evaluation metrics.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, params_fn, _) in _COMMANDS.items():
-        _add_command(subparsers, name, help_text, params_fn())
+    for name, (help_text, _, params) in _COMMANDS.items():
+        _add_command(subparsers, name, help_text, params)
     return parser
 
 
@@ -481,9 +452,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
-    _, params_fn, handler = _COMMANDS[args.command]
+    _, handler, params = _COMMANDS[args.command]
     try:
-        cfg = _effective_config(args, params_fn())
+        cfg = _effective_config(args, params)
         return handler(cfg)
     except FormatError as exc:
         log.error("%s", exc)

@@ -12,6 +12,9 @@ sentinel); invalid pixels are written as 1e10.
 
 JSON (configs, calibrations, reports) is read and written here too, so the
 package has one text form and one rule for malformed input.
+
+Dataset file names (``depth_0007.pfm``, ``flow_0007_0008.flo``) are written
+by :func:`frame_file_name` and read back by :func:`file_name_frames`.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import struct
 
 import numpy as np
@@ -31,6 +35,7 @@ _FLO_HEADER = struct.Struct("<fii")  # magic, width, height
 _FLO_MAGIC = 202021.25
 _FLO_INVALID_READ = 1e9
 _FLO_INVALID_WRITE = 1e10
+_FRAME_FILES = {1: "depth_{:04d}.pfm", 2: "flow_{:04d}_{:04d}.flo"}  # by frame count
 
 
 def format_json(obj) -> str:
@@ -42,6 +47,12 @@ def format_json(obj) -> str:
 def write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(format_json(obj))
+
+
+def is_json_number(value, kinds=(int, float)) -> bool:
+    """``value`` is a JSON number of one of ``kinds``, finite as :func:`read_json`
+    returns it; a bool (an int in Python) or a numeric string is none."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 def _finite_literal(text: str) -> str:
@@ -200,3 +211,16 @@ def read_flo(path) -> FlowField:
     # payload, as 1e9 is a float32 and the comparison is exact either way
     valid = (np.abs(data[..., 0]) < _FLO_INVALID_READ) & (np.abs(data[..., 1]) < _FLO_INVALID_READ)
     return FlowField(data, valid)
+
+
+def frame_file_name(*frames: int) -> str:
+    """``depth_0007.pfm`` for the depth map of frame 7, ``flow_0007_0008.flo``
+    for the flow from frame 7 to frame 8; frames from 10000 take more digits."""
+    return _FRAME_FILES[len(frames)].format(*frames)
+
+
+def file_name_frames(name: str):
+    """The frames ``(k,)`` or ``(i, j)`` whose :func:`frame_file_name` is
+    exactly ``name``, else None: ``depth_00007.pfm`` names no frame."""
+    frames = tuple(int(k) for k in re.findall(r"_([0-9]+)", name))
+    return frames if len(frames) in _FRAME_FILES and frame_file_name(*frames) == name else None

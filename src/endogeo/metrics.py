@@ -20,6 +20,7 @@ from .geometry import MAX_IMAGE_SIDE, compose, inverse, quat_angles, umeyama_ali
 from .rasters import DepthMap, _bilinear_taps
 from .trajectory import Trajectory
 
+ALIGN_MODES = ("sim3", "se3")  # ATE alignment: similarity or rigid
 RTE_DEFAULT_WINDOW = 16
 
 
@@ -67,8 +68,8 @@ def _common_positions(pred: Trajectory, gt: Trajectory):
 
 def ate(pred: Trajectory, gt: Trajectory, align: str = "sim3") -> float:
     """Position RMSE (mm) after global alignment of pred onto gt."""
-    if align not in ("sim3", "se3"):
-        raise ValidationError(f"align must be 'sim3' or 'se3', got {align!r}")
+    if align not in ALIGN_MODES:
+        raise ValidationError(f"align must be {' or '.join(map(repr, ALIGN_MODES))}, got {align!r}")
     pred, gt = _common_positions(pred, gt)
     if len(pred) < 2:
         raise ValidationError(f"ATE needs at least 2 common frames, got {len(pred)}")

@@ -155,6 +155,12 @@ def in_bounds(x, y, width: int, height: int):
     return (x >= 0) & (x <= width - 1) & (y >= 0) & (y <= height - 1)
 
 
+def _floor_index(x, top: int) -> np.ndarray:
+    """floor(x) clamped to [0, top] as int64. NaN becomes 0 and ±inf a finite
+    extreme before the clamp, so no NaN or inf ever reaches the cast."""
+    return np.clip(np.nan_to_num(np.floor(x)), 0, max(top, 0)).astype(np.int64)
+
+
 def _bilinear_taps(x, y, width: int, height: int):
     """The bilinear stencil at float coordinates (x, y) on a width x height grid.
 
@@ -168,8 +174,8 @@ def _bilinear_taps(x, y, width: int, height: int):
     (or upper) ones.
     """
     inside = in_bounds(x, y, width, height)
-    x0 = np.clip(np.floor(x).astype(np.int64), 0, max(width - 2, 0))
-    y0 = np.clip(np.floor(y).astype(np.int64), 0, max(height - 2, 0))
+    x0 = _floor_index(x, width - 2)
+    y0 = _floor_index(y, height - 2)
     a = np.where(inside, x - x0, 0.0)
     b = np.where(inside, y - y0, 0.0)
     i00 = y0 * width + x0

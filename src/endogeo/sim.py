@@ -50,8 +50,8 @@ from .rasters import DepthMap, FlowField
 from .rng import SplitMix64
 from .trajectory import Trajectory
 
-_SCENE_KINDS = ("plane", "sphere", "heightfield")
-_PATH_KINDS = ("orbit", "spline", "linear")
+SCENE_KINDS = ("plane", "sphere", "heightfield")
+PATH_KINDS = ("orbit", "spline", "linear")
 
 # heightfield ray march: the first crossing is bracketed between two
 # neighbours of a fixed _MARCH_STEPS-point grid on [0.2, 3] * extent, but a
@@ -77,8 +77,8 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in _SCENE_KINDS:
-            raise ValidationError(f"scene kind must be one of {_SCENE_KINDS}, got {self.kind!r}")
+        if self.kind not in SCENE_KINDS:
+            raise ValidationError(f"scene kind must be one of {SCENE_KINDS}, got {self.kind!r}")
         if not self.extent > 0:
             raise ValidationError(f"scene extent must be positive, got {self.extent}")
 
@@ -271,8 +271,8 @@ def gen_trajectory(
     target; spline: Catmull-Rom through seeded control points, look-at target;
     linear: constant step with identity rotation.
     """
-    if path not in _PATH_KINDS:
-        raise ValidationError(f"path must be one of {_PATH_KINDS}, got {path!r}")
+    if path not in PATH_KINDS:
+        raise ValidationError(f"path must be one of {PATH_KINDS}, got {path!r}")
     if n_frames <= 0:
         raise ValidationError(f"n_frames must be positive, got {n_frames}")
     stream = SplitMix64(seed).derive(f"trajectory-{path}")
@@ -413,7 +413,7 @@ def simulate_dataset(
     for frame in range(depth_count):
         depths[frame] = render_depth(scene_spec, gt.pose_at(frame), intrinsics)
         emit(
-            f"depth_{frame:04d}.pfm",
+            fileio.frame_file_name(frame),
             lambda p, d=depths[frame]: fileio.write_depth_pfm(p, d),
         )
     for frame in range(depth_count - 1):
@@ -421,7 +421,7 @@ def simulate_dataset(
             depths[frame], gt.pose_at(frame), gt.pose_at(frame + 1), intrinsics
         )
         emit(
-            f"flow_{frame:04d}_{frame + 1:04d}.flo",
+            fileio.frame_file_name(frame, frame + 1),
             lambda p, f=flow: fileio.write_flo(p, f),
         )
     camera = MonoCalibration(intrinsics, (0.0, 0.0, 0.0, 0.0, 0.0))

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .fileio import read_json, write_json
+from .fileio import is_json_number, read_json, write_json
 from .geometry import CameraIntrinsics, Quaternion, pixel_grid, pixel_rays, project, slerp, vec3
 from .rasters import DISPARITY_EPSILON, DepthMap, DisparityMap, bilinear_sample
 
@@ -239,18 +239,11 @@ def depth_to_disparity(depth: DepthMap, baseline: float, focal: float) -> Dispar
     return DisparityMap(_bf_over(depth, baseline, focal), depth.valid)
 
 
-def _is_number(value, kinds=(int, float)) -> bool:
-    """A JSON number of one of ``kinds``; read_json has already rejected
-    non-finite ones. A bool is an int in Python but does not count, nor
-    does a numeric string."""
-    return isinstance(value, kinds) and not isinstance(value, bool)
-
-
 def _all_numbers(value) -> bool:
     """``value`` is a JSON number or a (nested) list of them."""
     if isinstance(value, list):
         return all(_all_numbers(v) for v in value)
-    return _is_number(value)
+    return is_json_number(value)
 
 
 def _camera_from_dict(obj: dict, path, side: str) -> MonoCalibration:
@@ -265,13 +258,13 @@ def _camera_from_dict(obj: dict, path, side: str) -> MonoCalibration:
             path=path,
         )
     width, height = obj["width"], obj["height"]
-    if not all(_is_number(v, int) for v in (width, height)):
+    if not all(is_json_number(v, int) for v in (width, height)):
         raise FormatError(
             f"calibration {side} camera width/height must be integers, got {width!r}x{height!r}",
             path=path,
         )
     for key in ("fx", "fy", "cx", "cy"):
-        if not _is_number(obj[key]):
+        if not is_json_number(obj[key]):
             raise FormatError(
                 f"calibration {side} camera {key} must be a number, got {obj[key]!r}", path=path
             )

@@ -255,11 +255,14 @@ def parse_tum(text: str, *, path=None) -> Trajectory:
             raise FormatError(f"non-numeric field: {exc}", path=path, line=line_no) from None
         if not all(map(math.isfinite, values)):
             raise FormatError("non-finite field", path=path, line=line_no)
-        t_field = values[0]
-        frame = int(round(t_field))
-        if frame != t_field or not 0 <= frame < 2**63:
+        try:
+            frame = int(parts[0])  # exact, however many digits
+        except ValueError:  # 5.0 or 1e3: a float, so exact only below 2**53
+            frame = int(values[0]) if values[0].is_integer() and abs(values[0]) < 2**53 else -1
+        if not 0 <= frame < 2**63:
             raise FormatError(
-                f"frame index must be an integer in [0, 2**63), got {parts[0]}",
+                f"frame index must be an integer in [0, 2**63), written as an integer "
+                f"literal from 2**53 on, got {parts[0]}",
                 path=path,
                 line=line_no,
             )

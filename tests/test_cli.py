@@ -1,10 +1,13 @@
 import json
 import logging
+import pathlib
+import re
 import struct
 
 import numpy as np
 import pytest
 
+from endogeo import cli
 from endogeo.cli import main
 from endogeo.fileio import read_depth_pfm, write_depth_pfm, write_flo, write_pfm
 from endogeo.geometry import CameraIntrinsics, Pose, Quaternion, pose_distance
@@ -308,6 +311,34 @@ class TestEvalConsistency:
         code, _, _ = run(args, capsys)
         assert code == 3
 
+    def test_frames_past_9999(self, tmp_path, capsys):
+        # the names take a fifth digit from frame 10000 on, as simulate writes them
+        ideal_calib(tmp_path / "calib.json", width=4, height=4)
+        frames = range(9998, 10002)
+        for k in frames:
+            write_depth_pfm(tmp_path / f"depth_{k:04d}.pfm", DepthMap(np.full((4, 4), 40.0)))
+        for k in frames[:-1]:
+            write_flo(tmp_path / f"flow_{k:04d}_{k + 1:04d}.flo", FlowField(np.zeros((4, 4, 2))))
+        save_tum(tmp_path / "gt.tum", Trajectory([(k, Pose.identity()) for k in frames]))
+        d = str(tmp_path)
+        report = run_json(["eval-consistency", "--depths", d, "--flows", d, "--poses", d + "/gt.tum",
+                           "--calib", d + "/calib.json", "--ref-depths", d], capsys)
+        assert report["n_pairs"] == 3
+        assert [(p["i"], p["j"]) for p in report["pairs"]] == [(9998, 9999), (9999, 10000), (10000, 10001)]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_and_inf_flow_warn_nowhere(self, tmp_path, capsys):
+        args = self.write_fixture(tmp_path)
+        vectors = np.zeros((12, 16, 2), dtype="<f4")
+        vectors[::2, ::3, 0] = np.nan
+        vectors[1::2, ::4, 1] = np.inf
+        vectors[::5, 1::2, 0] = -np.inf
+        flo = struct.pack("<fii", 202021.25, 16, 12) + vectors.tobytes()
+        (tmp_path / "flows" / "flow_0000_0001.flo").write_bytes(flo)
+        code, _, err = run(args, capsys)
+        assert code == 0, err
+        assert "Warning" not in err
+
 
 class TestStereoCommands:
     def test_disparity2depth(self, tmp_path, capsys):
@@ -566,3 +597,26 @@ def test_image_larger_than_ceiling_exits_3(tmp_path, capsys, caplog, argv):
     assert code == 3
     assert "32768" in caplog.text
     assert not (tmp_path / "sim").exists()
+
+
+def _doc_tables():
+    """Per command, the rows (key, type, default) of its table in docs/config.md."""
+    doc = (pathlib.Path(__file__).parents[1] / "docs" / "config.md").read_text(encoding="utf-8")
+    tables = {}
+    for section in re.split(r"^## ", doc, flags=re.M)[1:]:
+        command = re.match(r"`([a-z0-9-]+)`", section)
+        if command:
+            rows = re.findall(r"^\| `(\w+)` \| (\w+) \| ([^|]+?) \|", section, flags=re.M)
+            tables[command.group(1)] = rows
+    return tables
+
+
+def test_config_doc_matches_parser():
+    tables = _doc_tables()
+    assert list(tables) == list(cli._COMMANDS)
+    for command, (_, _, params) in cli._COMMANDS.items():
+        want = [
+            (p.name, p.kind.__name__, "*required*" if p.default is cli._REQUIRED else f"`{json.dumps(p.default)}`")
+            for p in params
+        ]
+        assert tables[command] == want, command

@@ -5,7 +5,10 @@ import pytest
 
 from endogeo.errors import FormatError
 from endogeo.fileio import (
+    file_name_frames,
     format_json,
+    frame_file_name,
+    is_json_number,
     read_depth_pfm,
     read_disparity_pfm,
     read_flo,
@@ -269,3 +272,28 @@ class TestJson:
         path.write_text('{\n  "a": 1,\n  oops\n}\n')
         with pytest.raises(FormatError, match=r"x\.json:3: invalid JSON"):
             read_json(path)
+
+
+class TestFrameFileNames:
+    @pytest.mark.parametrize(
+        "frames, name",
+        [((0,), "depth_0000.pfm"), ((9999,), "depth_9999.pfm"), ((10000,), "depth_10000.pfm"),
+         ((9999, 10000), "flow_9999_10000.flo"), ((7, 123456), "flow_0007_123456.flo")],
+    )
+    def test_round_trip(self, frames, name):
+        assert frame_file_name(*frames) == name
+        assert file_name_frames(name) == frames
+
+    @pytest.mark.parametrize(
+        "name",
+        ["depth_00007.pfm", "depth_007.pfm", "depth_0007.flo", "flow_0007.flo", "depth_0001_0002.pfm",
+         "flow_0001_0002.pfm", "depth_\u0661\u0662\u0663\u0664.pfm", "depth_0007.pfm.bak", "segment_0000.tum"],
+    )
+    def test_other_names_are_no_frames(self, name):
+        assert file_name_frames(name) is None
+
+
+def test_json_number_predicate():
+    assert all(is_json_number(v) for v in (0, -3, 2.5, 1e300))
+    assert not any(is_json_number(v) for v in (True, False, "3", None, [1], {}))
+    assert is_json_number(3, int) and not is_json_number(3.0, int) and not is_json_number(True, int)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from endogeo.errors import FormatError, ValidationError
 from endogeo.geometry import Pose, Quaternion
@@ -144,6 +146,24 @@ class TestTumFormat:
     def test_non_integer_frame_error(self):
         with pytest.raises(FormatError, match="frame"):
             parse_tum("0.5 0 0 0 0 0 0 1\n")
+
+    @given(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=5, unique=True))
+    def test_round_trip_exact_frames(self, frames):
+        traj = identity_traj(sorted(frames))
+        assert parse_tum(serialize_tum(traj)).frames.tolist() == sorted(frames)
+
+    def test_integer_literal_frame_read_exactly(self):
+        # a float reads 2**53 + 1 as 2**53
+        assert parse_tum("9007199254740993 0 0 0 0 0 0 1\n").frames.tolist() == [2**53 + 1]
+
+    def test_float_literal_frame_below_2_53(self):
+        traj = parse_tum("5.0 0 0 0 0 0 0 1\n1e3 0 0 0 0 0 0 1\n9007199254740991.0 0 0 0 0 0 0 1\n")
+        assert traj.frames.tolist() == [5, 1000, 2**53 - 1]
+
+    @pytest.mark.parametrize("literal", ["9007199254740992.0", "9007199254740993.0", "1e16"])
+    def test_inexact_float_literal_frame_error(self, literal):
+        with pytest.raises(FormatError, match=r":2: frame index .* integer literal from 2\*\*53 on, got"):
+            parse_tum(f"0 0 0 0 0 0 0 1\n{literal} 0 0 0 0 0 0 1\n", path="t.tum")
 
     def test_frame_beyond_int64_error(self):
         with pytest.raises(FormatError, match=":2: frame index"):
