@@ -408,7 +408,6 @@ _COMMANDS = {
         _Param("ref_depths", "reference depth directory for the prior term (default: prior skipped)", None),
         *_consumed(
             losses.LossConfig,
-            lambda_consist="consistency weight in the total objective",
             w_flow="flow-consistency weight",
             w_temp="temporal-consistency weight",
             w_prior="prior weight",

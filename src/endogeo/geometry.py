@@ -170,13 +170,17 @@ def norms3(v):
 
 
 def quats_from_axis_angle(axis, angle) -> np.ndarray:
-    """(..., 4) canonical quaternions of rotations by (...) ``angle`` about
-    the nonzero (..., 3) ``axis``."""
+    """(..., 4) canonical quaternions of rotations by the finite (...)
+    ``angle`` about the (..., 3) ``axis``, whose norm is nonzero and finite."""
+    angle = np.asarray(angle, dtype=np.float64)
+    if not np.all(np.isfinite(angle)):
+        raise ValidationError("rotation angle must be finite")
     axis = np.asarray(axis, dtype=np.float64)
-    n = norms3(axis)
-    if np.any(n == 0.0):
-        raise ValidationError("rotation axis must be nonzero")
-    half = 0.5 * np.asarray(angle, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        n = norms3(axis)
+    if not np.all((n > 0.0) & (n < math.inf)):
+        raise ValidationError("rotation axis must be nonzero with a finite norm")
+    half = 0.5 * angle
     s = _map_floats(math.sin, half) / n
     q = (_map_floats(math.cos, half), axis[..., 0] * s, axis[..., 1] * s, axis[..., 2] * s)
     return np.stack(_canonical(q), axis=-1)
@@ -186,7 +190,8 @@ def quats_from_rotation_vectors(vectors) -> np.ndarray:
     """(N, 4) canonical quaternions of the (N, 3) axis * angle ``vectors``
     (exponential map); zero vectors give the identity."""
     v = np.asarray(vectors, dtype=np.float64).reshape(-1, 3)
-    angle = norms3(v)
+    with np.errstate(over="ignore"):  # an overflowing norm is a non-finite angle, rejected below
+        angle = norms3(v)
     zero = angle == 0.0
     q = quats_from_axis_angle(np.where(zero[:, None], 1.0, v), np.where(zero, 1.0, angle))
     q[zero] = _IDENTITY

@@ -10,6 +10,10 @@ Loss functions that reduce over pixels return ``(value, raster, mask)``:
 the per-pixel contribution raster (zero outside the mask) and the mask of
 pixels that entered the reduction.
 
+Only :func:`_points` turns depth into camera-frame points, and it makes an
+invalid pixel NaN whatever it stores, so the point fails every ``z > 0`` test
+and brings no inf into the arithmetic.
+
 :func:`c_flow`, :func:`c_temp` and the normal term of :func:`c_prior` run in
 the row bands of :func:`~endogeo.rasters.row_blocks`: each band builds its own
 pixel grid and rays and writes its rows of a full-size raster and mask. Every
@@ -130,26 +134,18 @@ def induced_reprojection(
     Returns absolute target coordinates (not deltas); pixels whose transformed
     z is non-positive, or whose depth is invalid, are masked out.
     """
-    _, _, (u, v, in_front) = _reproject(depth, k_from, k_to, motion)
+    _, _, points = _points(depth, k_from)
+    u, v, in_front = project_planes(*motion.transform_planes(*points), k_to)
     return FlowField(np.stack([u, v], axis=-1), in_front)
 
 
-def _reproject(
-    depth: DepthMap, k_from: CameraIntrinsics, k_to: CameraIntrinsics, motion: Pose, rows: slice = slice(None)
-):
-    """The pixel planes (u, v) of ``rows`` and their reprojection
-    ``(u', v', in_front)`` by :func:`induced_reprojection`."""
+def _points(depth: DepthMap, intrinsics: CameraIntrinsics, rows: slice = slice(None)):
+    """The pixel planes (u, v) of ``rows`` and the x, y and z planes of the
+    camera-frame points at their depth: NaN where the depth is invalid."""
     u, v = pixel_grid(depth.width, depth.height, rows)
-    # NaN at invalid depth keeps those pixels out of project_planes' z > 0 mask
-    z = np.where(depth.valid[rows], depth.values[rows], np.nan)
-    return u, v, project_planes(*_moved_points(u, v, z, k_from, motion), k_to)
-
-
-def _moved_points(u, v, z, intrinsics: CameraIntrinsics, motion: Pose):
-    """The x, y and z planes of the points at depth ``z`` on the rays through
-    pixels (u, v), moved by ``motion``."""
     x, y = pixel_rays(u, v, intrinsics)
-    return motion.transform_planes(x * z, y * z, z)
+    z = np.where(depth.valid[rows], depth.values[rows], np.nan)
+    return u, v, (x * z, y * z, z)
 
 
 def c_flow(
@@ -168,7 +164,8 @@ def c_flow(
     raster = np.empty((height, width))
     mask = np.empty((height, width), dtype=bool)
     for rows in row_blocks(height, width):
-        u, v, (tu, tv, in_front) = _reproject(depth, k_from, k_to, motion, rows)
+        u, v, points = _points(depth, k_from, rows)
+        tu, tv, in_front = project_planes(*motion.transform_planes(*points), k_to)
         px = u + flow.vectors[rows, :, 0]
         py = v + flow.vectors[rows, :, 1]
         ok = in_front & np.isfinite(tu) & np.isfinite(tv) & flow.valid[rows]
@@ -199,12 +196,12 @@ def c_temp(
     raster = np.empty((height, width))
     mask = np.empty((height, width), dtype=bool)
     for rows in row_blocks(height, width):
-        u, v = pixel_grid(width, height, rows)
-        p_z = _moved_points(u, v, depth_i.values[rows], k_i, motion)[2]
+        u, v, points = _points(depth_i, k_i, rows)
+        p_z = motion.transform_planes(*points)[2]
         px = u + flow.vectors[rows, :, 0]
         py = v + flow.vectors[rows, :, 1]
         sample, ok = bilinear_sample(depth_j.values, px, py, depth_j.valid)
-        ok &= depth_i.valid[rows] & flow.valid[rows] & (p_z > 0) & (sample > 0)
+        ok &= flow.valid[rows] & (p_z > 0) & (sample > 0)
         pz_safe = np.where(ok, p_z, 1.0)
         s_safe = np.where(ok, sample, 1.0)
         ratio = np.maximum(pz_safe / s_safe, s_safe / pz_safe)
@@ -270,10 +267,8 @@ def _normal_term(depth: DepthMap, ref: DepthMap, mask, intrinsics: CameraIntrins
         # interior row i is image row i + 1: its normals read image rows i..i+2
         halo = slice(rows.start, rows.stop + 2)
         m = mask[halo]
-        x, y = pixel_rays(*pixel_grid(width, height, halo), intrinsics)
-        d, r = depth.values[halo], ref.values[halo]
-        n_d = _normals((x * d, y * d, d))
-        n_r = _normals((x * r, y * r, r))
+        n_d = _normals(_points(depth, intrinsics, halo)[2])
+        n_r = _normals(_points(ref, intrinsics, halo)[2])
         norm_d = np.sqrt(_sq_norm(n_d))
         norm_r = np.sqrt(_sq_norm(n_r))
         ok = m[1:-1, 1:-1] & m[1:-1, 2:] & m[1:-1, :-2] & m[2:, 1:-1] & m[:-2, 1:-1]

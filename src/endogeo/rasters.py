@@ -195,7 +195,8 @@ def bilinear_sample(values, x, y, valid=None):
     Returns ``(sample, ok)``. ``ok`` is False where (x, y) lies outside
     [0, W-1] x [0, H-1] and, when a ``valid`` mask is given, where any of the
     four surrounding cells is invalid (the strict 4-cell rule). ``sample`` is
-    0 wherever ``ok`` is False.
+    0 wherever ``ok`` is False; only samples where it is True read ``values``,
+    so what a masked cell holds (inf, NaN) never enters the arithmetic.
     """
     height, width = values.shape[:2]
     ok, taps = _bilinear_taps(x, y, width, height)
@@ -205,10 +206,11 @@ def bilinear_sample(values, x, y, valid=None):
             ok = ok & valid.take(index)
     channel = (...,) + (None,) * (values.ndim - 2)
     values = values.reshape((height * width,) + values.shape[2:])
-    terms = (w[channel] * values.take(index, axis=0) for w, index in taps)
+    # every weight is >= 0, so a sample outside ``ok`` sums to +0.0
+    terms = (w[channel] * np.where(ok[channel], values.take(index, axis=0), 0.0) for w, index in taps)
     # summed left to right from the first term, not from 0.0, so a -0.0
     # sample keeps its sign; in place, so no term outlives the next
     sample = next(terms)
     for term in terms:
         sample += term
-    return np.where(ok[channel], sample, 0.0), ok
+    return sample, ok

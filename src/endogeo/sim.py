@@ -90,8 +90,10 @@ class DriftSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma_rot < 0 or self.sigma_trans < 0:
-            raise ValidationError("drift sigmas must be non-negative")
+        if not (0 <= self.sigma_rot < math.inf and 0 <= self.sigma_trans < math.inf):
+            raise ValidationError(
+                f"drift sigmas must be finite and non-negative: rot={self.sigma_rot} trans={self.sigma_trans}"
+            )
 
 
 def default_intrinsics(width: int = 64, height: int = 48, focal: float = 700.0) -> CameraIntrinsics:
@@ -380,6 +382,8 @@ def simulate_dataset(
 
     if n_frames < 2:
         raise ValidationError(f"simulate needs at least 2 frames, got {n_frames}")
+    if stride < 1:
+        raise ValidationError(f"anchor stride must be positive, got {stride}")
     if depth_count < 1:
         raise ValidationError(f"depth_count must be positive, got {depth_count}")
     depth_count = min(depth_count, n_frames)
@@ -459,10 +463,9 @@ def inject_drift(gt: Trajectory, spec: DriftSpec) -> Trajectory:
         raise ValidationError("cannot inject drift into an empty trajectory")
     stream = SplitMix64(spec.seed).derive("drift")
     normals = np.array(stream.normals(6 * (len(gt) - 1))).reshape(-1, 6)
-    noise = PoseBatch(
-        quats_from_rotation_vectors(normals[:, 3:] * spec.sigma_rot),
-        normals[:, :3] * spec.sigma_trans,
-    )
+    with np.errstate(over="ignore"):  # an overflowing draw is rejected as non-finite below
+        rotations, translations = normals[:, 3:] * spec.sigma_rot, normals[:, :3] * spec.sigma_trans
+    noise = PoseBatch(quats_from_rotation_vectors(rotations), translations)
     poses = gt.poses
     rel = compose(inverse(poses[:-1]), poses[1:])
     return Trajectory.from_poses(gt.frames, compose_cumulative(poses[0], compose(rel, noise)))

@@ -27,24 +27,41 @@ _NORM_WARN_TOL = 1e-3
 _TUM_LINE = "%d" + " %.17g" * 7  # the same digits as format(value, ".17g")
 
 
+def _exact_frame(entry):
+    """A frame-list entry as an exact int, or None if it is no integral
+    number within int64 (a bool or a string is no number here)."""
+    if isinstance(entry, (bool, np.bool_)) or not isinstance(entry, numbers.Real):
+        return None
+    if not isinstance(entry, numbers.Integral):
+        entry = float(entry)
+        if not entry.is_integer():  # nor is NaN or inf
+            return None
+    value = int(entry)
+    return value if -(2**63) <= value < 2**63 else None
+
+
+def _not_a_frame(entry) -> ValidationError:
+    return ValidationError(f"frame index must be a finite integral number, got {entry!r}")
+
+
 def _check_frames(frames) -> np.ndarray:
     """``frames`` as a new (N,) int64 array: integral numbers within int64, not
     bools or strings, each above the one before and the first non-negative."""
-    shown = frames  # what an error message quotes
     if not isinstance(frames, np.ndarray) or frames.dtype == object:
-        # one by one, as numpy would read a bool among numbers as a number;
-        # each entry that is no number within int64 becomes NaN
-        shown = np.array(frames, dtype=object).reshape(-1).tolist()
-        frames = np.array([f if isinstance(f, numbers.Real) and not isinstance(f, (bool, np.bool_))
-                           and abs(f) < 2**63 else math.nan for f in shown])
-    values = frames.reshape(-1) if frames.dtype.kind in "iuf" else np.full(frames.size, math.nan)
-    # NaN fails every comparison, and inf the last one
-    ok = (np.floor(values) == values) & (values >= -(2**63)) & (values < 2**63)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        bad = shown[i] if isinstance(shown, list) else shown.reshape(-1)[i].item()
-        raise ValidationError(f"frame index must be a finite integral number, got {bad!r}")
-    frames = values.astype(np.int64)
+        # one by one, as numpy would read a bool among numbers as a number
+        # and round a large integer among floats
+        entries = np.array(frames, dtype=object).reshape(-1).tolist()
+        exact = [_exact_frame(f) for f in entries]
+        if None in exact:
+            raise _not_a_frame(entries[exact.index(None)])
+        frames = np.array(exact, dtype=np.int64)
+    else:
+        values = frames.reshape(-1) if frames.dtype.kind in "iuf" else np.full(frames.size, math.nan)
+        # NaN fails every comparison, and inf the last one
+        ok = (np.floor(values) == values) & (values >= -(2**63)) & (values < 2**63)
+        if not ok.all():
+            raise _not_a_frame(frames.reshape(-1)[int(np.argmin(ok))].item())
+        frames = values.astype(np.int64)
     if len(frames) and frames[0] < 0:
         raise ValidationError(f"negative frame index {frames[0]}")
     steps = np.flatnonzero(frames[1:] <= frames[:-1])

@@ -328,16 +328,30 @@ class TestEvalConsistency:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_and_inf_flow_warn_nowhere(self, tmp_path, capsys):
-        args = self.write_fixture(tmp_path)
-        vectors = np.zeros((12, 16, 2), dtype="<f4")
-        vectors[::2, ::3, 0] = np.nan
-        vectors[1::2, ::4, 1] = np.inf
-        vectors[::5, 1::2, 0] = -np.inf
-        flo = struct.pack("<fii", 202021.25, 16, 12) + vectors.tobytes()
-        (tmp_path / "flows" / "flow_0000_0001.flo").write_bytes(flo)
-        code, _, err = run(args, capsys)
-        assert code == 0, err
-        assert "Warning" not in err
+        def bad_flow(root):
+            vectors = np.zeros((12, 16, 2), dtype="<f4")
+            vectors[::2, ::3, 0] = np.nan
+            vectors[1::2, ::4, 1] = np.inf
+            vectors[::5, 1::2, 0] = -np.inf
+            flo = struct.pack("<fii", 202021.25, 16, 12) + vectors.tobytes()
+            (root / "flows" / "flow_0000_0001.flo").write_bytes(flo)
+
+        def bad_depths(root):
+            # the reader marks these pixels invalid; every term, the prior's
+            # normals too, must leave them out of its arithmetic
+            for k in range(2):
+                values = np.full((12, 16), 42.0 * (k + 1))
+                values[2, 3], values[5, 7], values[8, 1 + k] = np.inf, -np.inf, np.nan
+                write_pfm(root / "depths" / f"depth_{k:04d}.pfm", values)
+
+        for spoil in (bad_flow, bad_depths):
+            root = tmp_path / spoil.__name__
+            root.mkdir()
+            args = self.write_fixture(root)
+            spoil(root)
+            code, _, err = run(args + ["--ref-depths", str(root / "depths")], capsys)
+            assert code == 0, err
+            assert "Warning" not in err
 
 
 class TestStereoCommands:
@@ -408,6 +422,8 @@ class TestConfigMechanics:
             ("eval-traj", {"pred": "x", "gt": "y", "windoww": 4}),
             # eval-consistency no longer takes alpha
             ("eval-consistency", {"depths": "d", "poses": "p", "flows": "f", "calib": "c", "alpha": 0.2}),
+            # nor lambda_consist: it computes no supervised terms to weigh against
+            ("eval-consistency", {"depths": "d", "poses": "p", "flows": "f", "calib": "c", "lambda_consist": 0.1}),
         ):
             cfg_path.write_text(json.dumps(cfg))
             code, _, _ = run([command, "--config", str(cfg_path)], capsys)
@@ -582,20 +598,30 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    ("argv", "logged"),
     [
         # the calibration used to exit 1 with numpy's "array is too big"
-        lambda p: ["rectify-maps", "--calib", _calib_with_width(p, "1000000000"), "--out-prefix", str(p / "r")],
-        lambda p: ["simulate", "--out", str(p / "sim"), "--width", "32769"],
-        lambda p: ["simulate", "--out", str(p / "sim"), "--height", "1000000000"],
-        lambda p: ["eval-depth", "--pred", str(p), "--gt", str(p), "--eval-width", "1000000000"],
+        (lambda p: ["rectify-maps", "--calib", _calib_with_width(p, "1000000000"), "--out-prefix", str(p / "r")],
+         "32768"),
+        (lambda p: ["simulate", "--out", str(p / "sim"), "--width", "32769"], "32768"),
+        (lambda p: ["simulate", "--out", str(p / "sim"), "--height", "1000000000"], "32768"),
+        (lambda p: ["eval-depth", "--pred", str(p), "--gt", str(p), "--eval-width", "1000000000"], "32768"),
+        # these ended in a ValueError or IndexError traceback
+        (lambda p: ["simulate", "--out", str(p / "sim"), "--stride", "0"], "stride"),
+        (lambda p: ["simulate", "--out", str(p / "sim"), "--stride", "-1"], "stride"),
+        # and these in math.sin(inf): 1e308 scales the unit draws past the largest float
+        (lambda p: ["simulate", "--out", str(p / "sim"), "--sigma-rot", "inf"], "sigma"),
+        (lambda p: ["simulate", "--out", str(p / "sim"), "--sigma-rot", "1e308"], "angle"),
     ],
-    ids=["calib-huge-width", "simulate-width", "simulate-height", "eval-depth-width"],
+    ids=[
+        "calib-huge-width", "simulate-width", "simulate-height", "eval-depth-width",
+        "simulate-stride-0", "simulate-stride-negative", "simulate-sigma-rot-inf", "simulate-sigma-rot-overflow",
+    ],
 )
-def test_image_larger_than_ceiling_exits_3(tmp_path, capsys, caplog, argv):
+def test_image_larger_than_ceiling_exits_3(tmp_path, capsys, caplog, argv, logged):
     code, _, _ = run(argv(tmp_path), capsys)
     assert code == 3
-    assert "32768" in caplog.text
+    assert logged in caplog.text
     assert not (tmp_path / "sim").exists()
 
 

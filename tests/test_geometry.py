@@ -90,6 +90,24 @@ class TestQuaternion:
         q = Quaternion.from_rotation_vector((0.0, 0.0, 0.0))
         assert q == Quaternion.identity()
 
+    @pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+    def test_axis_angle_rejects_nonfinite_angle(self, angle):
+        # used to end in math.sin's "math domain error"
+        with pytest.raises(ValidationError, match="angle must be finite"):
+            Quaternion.from_axis_angle((0.0, 0.0, 1.0), angle)
+
+    @pytest.mark.parametrize("axis", [(1e200, 0.0, 0.0), (math.inf, 0.0, 0.0), (0.0, 0.0, 0.0)])
+    def test_axis_angle_rejects_axis_without_finite_nonzero_norm(self, axis):
+        # an overflowing norm used to give the identity without an error
+        with pytest.raises(ValidationError, match="axis"):
+            Quaternion.from_axis_angle(axis, 1.0)
+
+    @pytest.mark.parametrize("vec", [(math.inf, 0.0, 0.0), (1e200, -1e200, 0.0), (0.0, math.nan, 0.0)])
+    def test_rotation_vector_rejects_nonfinite_norm(self, vec):
+        # (1e200, -1e200, 0) is finite, but its norm overflows
+        with pytest.raises(ValidationError, match="angle must be finite"):
+            Quaternion.from_rotation_vector(vec)
+
 
 class TestSlerp:
     def test_endpoints_up_to_sign(self):

@@ -321,8 +321,8 @@ class TestFlowOracle:
 
 def _band_case(width, height, seed):
     """Seeded inputs for every banded loss on a width x height image: about
-    one entry in ten of each raster is special (masked, 0, -2, NaN, inf, or a
-    flow far out of the image), and the motion moves some points behind the
+    one entry in ten of each raster is special (masked, 0, -2, NaN, ±inf, or
+    a flow far out of the image), and the motion moves some points behind the
     camera."""
     rng = np.random.default_rng(seed)
     shape = (height, width)
@@ -332,7 +332,7 @@ def _band_case(width, height, seed):
         return np.where(pick < len(specials), np.array(specials)[np.minimum(pick, len(specials) - 1)], values)
 
     def depth():
-        return DepthMap(with_specials(rng.uniform(0.5, 30.0, shape), [0.0, -2.0, math.nan]),
+        return DepthMap(with_specials(rng.uniform(0.5, 30.0, shape), [0.0, -2.0, math.nan, math.inf, -math.inf]),
                         rng.uniform(size=shape) > 0.1)
 
     def camera():
@@ -415,6 +415,18 @@ class TestRowBands:
         case = _band_case(1, height, seed)
         (whole,) = _outcomes_at((8 * height,), case)
         assert _identical(_outcomes(case), whole)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestInvalidDepth:
+    """An invalid depth pixel is missing to every loss, whatever it stores."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 9), height=st.integers(1, 9))
+    def test_stored_value_is_ignored(self, seed, width, height):
+        case = _band_case(width, height, seed)
+        tame = tuple(DepthMap(np.where(d.valid, d.values, 1.0), d.valid) for d in case[:2])
+        assert _identical(_outcomes(tame + case[2:]), _outcomes(case))
 
 
 class TestTemporalConsistency:

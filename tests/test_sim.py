@@ -293,6 +293,11 @@ class TestInjectDrift:
         with pytest.raises(ValidationError):
             inject_drift(Trajectory(()), DriftSpec(0.001, 0.05, 0))
 
+    @pytest.mark.parametrize("sigmas", [(math.inf, 0.0), (0.0, math.inf), (math.nan, 0.0), (0.0, math.nan), (-1.0, 0.0)])
+    def test_sigmas_must_be_finite_and_non_negative(self, sigmas):
+        with pytest.raises(ValidationError, match="drift sigmas"):
+            DriftSpec(*sigmas)
+
 
 class TestSimulateDataset:
     def test_manifest_lists_every_artifact(self, tmp_path):

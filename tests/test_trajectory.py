@@ -77,6 +77,10 @@ class TestTrajectory:
         assert Trajectory.from_poses([0.0, 3.0], poses).frames.tolist() == [0, 3]
         assert Trajectory([(2.0, Pose.identity())]).frames.tolist() == [2]
         assert Trajectory.from_poses(np.arange(2, dtype=np.uint8), poses).frames.tolist() == [0, 1]
+        # an integer among floats stays exact: numpy would round it through float64
+        for big in (2**53 + 1, 2**63 - 1, np.int64(2**63 - 1)):
+            assert Trajectory([(1.0, Pose.identity()), (big, Pose.identity())]).frames.tolist() == [1, big]
+            assert Trajectory.from_poses([1.0, big], poses).frames.tolist() == [1, big]
 
     def test_lookup(self):
         traj = identity_traj([0, 2, 5])
