@@ -3,7 +3,7 @@
 A long monocular trajectory accumulates per-frame noise. We rebuild it from
 two ingredients: a sparse anchor trajectory (accurate long-range poses every
 N frames) and dense local segments (accurate short-range relative motion,
-cut from the drifted estimate). Each segment is rigidly aligned to its start
+cut from the drifted estimate), all three plain Trajectories. Each segment is rigidly aligned to its start
 anchor, the leftover transform at its end anchor is measured, and that error
 is spread over the segment by pose interpolation before stitching.
 
@@ -13,7 +13,6 @@ Run: python3 demos/01_drift_correction.py
 import numpy as np
 
 from endogeo import (
-    AnchorSet,
     DriftSpec,
     ate,
     correct_long_trajectory,
@@ -39,9 +38,9 @@ def main():
     anchor_frames = list(range(0, N_FRAMES, STRIDE))
     if anchor_frames[-1] != N_FRAMES - 1:
         anchor_frames.append(N_FRAMES - 1)
-    anchors = AnchorSet(gt.restricted_to(anchor_frames), STRIDE)
+    anchors = gt.restricted_to(anchor_frames)
     segments = split_into_segments(drifted, anchors)
-    print(f"anchors every {STRIDE} frames: {len(anchors.frames)} anchors, "
+    print(f"anchors every {STRIDE} frames: {len(anchors)} anchors, "
           f"{len(segments)} segments")
 
     corrected, report = correct_long_trajectory(anchors, segments)

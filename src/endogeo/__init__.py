@@ -33,8 +33,6 @@ from .geometry import (
     unproject,
 )
 from .trajectory import (
-    AnchorSet,
-    LocalSegment,
     Trajectory,
     load_tum,
     parse_tum,

@@ -31,7 +31,7 @@ from . import fileio, losses, metrics, sim, stereo
 from .drift import correct_long_trajectory
 from .errors import FormatError, NumericError, ValidationError
 from .geometry import compose, inverse
-from .trajectory import AnchorSet, LocalSegment, load_tum, save_tum
+from .trajectory import load_tum, save_tum
 
 log = logging.getLogger("endogeo")
 
@@ -146,20 +146,12 @@ def _cmd_simulate(cfg: dict) -> int:
 
 
 def _cmd_correct(cfg: dict) -> int:
-    anchors_traj = load_tum(cfg["anchors"])
-    if len(anchors_traj) < 2:
-        raise ValidationError("anchor trajectory must contain at least 2 poses")
-    anchors = AnchorSet(anchors_traj, int(anchors_traj.frames[1] - anchors_traj.frames[0]))
+    anchors = load_tum(cfg["anchors"])
     paths = sorted(glob.glob(cfg["segments"]))
     if not paths:
         raise ValidationError(f"no segment files match {cfg['segments']!r}")
-    segments = []
-    for p in paths:
-        traj = load_tum(p)
-        if len(traj) < 2:
-            raise ValidationError(f"segment {p} has fewer than 2 poses")
-        segments.append(LocalSegment(traj, int(traj.frames[0]), int(traj.frames[-1])))
-    segments.sort(key=lambda s: s.start_anchor_frame)
+    # by first frame; an empty segment sorts first and is rejected with its gap
+    segments = sorted(map(load_tum, paths), key=lambda s: s.frames[:1].tolist())
     corrected, report = correct_long_trajectory(anchors, segments)
     save_tum(cfg["out"], corrected)
     _emit_report(report.to_dict(), cfg, cfg["report"])

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .geometry import Pose, PoseBatch, compose, inverse, pose_distance, pose_interp, quat_angles
-from .trajectory import AnchorSet, LocalSegment, Trajectory
+from .trajectory import Trajectory, _check_anchors
 
 # stitched output must sit on every anchor to within this
 _ANCHOR_RESIDUAL_TOL = 1e-9
@@ -76,14 +76,16 @@ def _distribute(frames, poses: PoseBatch, starts, ends, errors: PoseBatch) -> Po
     return moved.with_rows(starts, poses[starts])
 
 
-def align_segment_start(segment: LocalSegment, anchor_pose: Pose) -> LocalSegment:
+def align_segment_start(segment: Trajectory, anchor_pose: Pose) -> Trajectory:
     """Left-multiply every pose so the first one equals ``anchor_pose`` exactly.
 
     Relative poses inside the segment are untouched; the first entry is
     replaced by ``anchor_pose`` itself so the pass-through is bit-exact.
     """
-    return segment.with_poses(
-        _align(segment.trajectory.poses, [0], PoseBatch.stack([anchor_pose]))
+    if not len(segment):
+        raise ValidationError("cannot align an empty segment")
+    return Trajectory.from_poses(
+        segment.frames, _align(segment.poses, [0], PoseBatch.stack([anchor_pose]))
     )
 
 
@@ -93,53 +95,52 @@ def compute_drift_error(aligned_end, next_anchor):
     return compose(next_anchor, inverse(aligned_end))
 
 
-def distribute_drift(segment: LocalSegment, error: Pose) -> LocalSegment:
+def distribute_drift(segment: Trajectory, error: Pose) -> Trajectory:
     """Apply pose_interp(error, t_i) to each pose, t_i linear in frame index.
 
     The first pose receives t = 0 and is left untouched; the last receives
     the full error.
     """
-    traj = segment.trajectory
-    if len(traj) < 2:
+    if len(segment) < 2:
         raise ValidationError(
-            f"cannot distribute drift over a segment of length {len(traj)}"
+            f"cannot distribute drift over a segment of length {len(segment)}"
         )
-    return segment.with_poses(
-        _distribute(traj.frames, traj.poses, [0], [len(traj) - 1], PoseBatch.stack([error]))
+    return Trajectory.from_poses(
+        segment.frames,
+        _distribute(segment.frames, segment.poses, [0], [len(segment) - 1], PoseBatch.stack([error])),
     )
 
 
-def correct_long_trajectory(anchors: AnchorSet, segments) -> tuple:
+def correct_long_trajectory(anchors: Trajectory, segments) -> tuple:
     """Run align -> drift error -> distribute on every segment and stitch.
 
-    Segments must cover every consecutive anchor gap in order. Duplicate
-    boundary frames are resolved in favor of the exact anchor pose. Returns
+    ``segments`` are Trajectories, one per consecutive anchor gap in order,
+    each running from the gap's first frame to its last. Duplicate boundary
+    frames are resolved in favor of the exact anchor pose. Returns
     (corrected Trajectory, CorrectionReport). All segments are corrected in
     one batch: each step is a handful of array operations over every frame.
     """
-    anchor_frames = anchors.frames
-    if len(anchor_frames) < 2:
-        raise ValidationError("need at least 2 anchors to correct a trajectory")
+    anchor_frames = _check_anchors(anchors)
     segments = list(segments)
     if len(segments) != len(anchor_frames) - 1:
         raise ValidationError(
             f"expected {len(anchor_frames) - 1} segments for {len(anchor_frames)} "
             f"anchors, got {len(segments)}"
         )
-    for seg, fa, fb in zip(segments, anchor_frames.tolist(), anchor_frames[1:].tolist()):
-        if seg.start_anchor_frame != fa or seg.end_anchor_frame != fb:
-            raise ValidationError(
-                f"no segment covering anchor gap {fa}..{fb} "
-                f"(got segment {seg.start_anchor_frame}..{seg.end_anchor_frame})"
-            )
+    gaps = list(zip(anchor_frames[:-1].tolist(), anchor_frames[1:].tolist()))
+    for seg, gap in zip(segments, gaps):
+        span = (int(seg.frames[0]), int(seg.frames[-1])) if len(seg) else None
+        if span != gap:
+            got = "an empty segment" if span is None else "segment %d..%d" % span
+            raise ValidationError(f"no segment covering anchor gap {gap[0]}..{gap[1]} (got {got})")
 
-    lengths = np.array([len(seg.trajectory) for seg in segments])
+    lengths = np.array([len(seg) for seg in segments])
     ends = np.cumsum(lengths) - 1
     starts = ends - lengths + 1
-    frames = np.concatenate([seg.trajectory.frames for seg in segments])
-    poses = PoseBatch.stack(seg.trajectory.poses for seg in segments)
-    a_start = anchors.trajectory.poses[:-1]
-    a_end = anchors.trajectory.poses[1:]
+    frames = np.concatenate([seg.frames for seg in segments])
+    poses = PoseBatch.stack(seg.poses for seg in segments)
+    a_start = anchors.poses[:-1]
+    a_end = anchors.poses[1:]
 
     aligned = _align(poses, starts, a_start)
     errors = compute_drift_error(aligned[ends], a_end)
@@ -154,14 +155,10 @@ def correct_long_trajectory(anchors: AnchorSet, segments) -> tuple:
     reports = []
     max_res_rot = 0.0
     max_res_trans = 0.0
-    for seg, d_rot, d_trans, r_rot, r_trans in zip(
-        segments, drift_rot.tolist(), drift_trans, res_rot.tolist(), res_trans.tolist()
+    for (start, end), d_rot, d_trans, r_rot, r_trans in zip(
+        gaps, drift_rot.tolist(), drift_trans, res_rot.tolist(), res_trans.tolist()
     ):
-        reports.append(
-            SegmentCorrection(
-                seg.start_anchor_frame, seg.end_anchor_frame, d_rot, d_trans, r_rot, r_trans
-            )
-        )
+        reports.append(SegmentCorrection(start, end, d_rot, d_trans, r_rot, r_trans))
         max_res_rot = max(max_res_rot, r_rot)
         max_res_trans = max(max_res_trans, r_trans)
 

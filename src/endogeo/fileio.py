@@ -27,7 +27,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, ValidationError
 from .rasters import DepthMap, DisparityMap, FlowField, Pointmap
 
 _PFM_CHANNELS = {b"Pf": (), b"PF": (3,)}  # magic -> channel axis of the array
@@ -36,6 +36,7 @@ _FLO_MAGIC = 202021.25
 _FLO_INVALID_READ = 1e9
 _FLO_INVALID_WRITE = 1e10
 _FRAME_FILES = {1: "depth_{:04d}.pfm", 2: "flow_{:04d}_{:04d}.flo"}  # by frame count
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 def format_json(obj) -> str:
@@ -110,10 +111,21 @@ def _read_payload(fh, shape, dtype, what: str, path) -> np.ndarray:
     return np.frombuffer(fh.read(expected), dtype=dtype).reshape(shape)
 
 
+def _as_float32(array, path) -> np.ndarray:
+    """``array`` as float32, refused if the cast would turn a finite value into inf."""
+    array = np.asarray(array)
+    # two reductions decide the common case without a temporary array
+    if array.size and not (-_FLOAT32_MAX <= array.min() and array.max() <= _FLOAT32_MAX):
+        beyond = np.abs(array) > _FLOAT32_MAX
+        if np.isfinite(array[beyond]).any():
+            raise ValidationError(f"{path}: a finite value exceeds the float32 range")
+    return array.astype(np.float32, copy=False)
+
+
 def write_pfm(path, array, *, scale: float = -1.0) -> None:
     """Write a (H, W) or (H, W, 3) float array. Negative scale selects
     little-endian storage, positive big-endian; the magnitude is stored as-is."""
-    data = np.asarray(array, dtype=np.float32)
+    data = _as_float32(array, path)
     if data.ndim == 2:
         magic = b"Pf"
     elif data.ndim == 3 and data.shape[2] == 3:
@@ -192,10 +204,10 @@ def read_pointmap_pfm(path) -> Pointmap:
 
 def write_flo(path, flow: FlowField) -> None:
     height, width = flow.vectors.shape[:2]
-    data = np.where(flow.valid[..., None], flow.vectors, _FLO_INVALID_WRITE)
+    data = _as_float32(np.where(flow.valid[..., None], flow.vectors, _FLO_INVALID_WRITE), path)
     with open(path, "wb") as fh:
         fh.write(_FLO_HEADER.pack(_FLO_MAGIC, width, height))
-        fh.write(data.astype("<f4").tobytes())
+        fh.write(data.astype("<f4", copy=False).tobytes())
 
 
 def read_flo(path) -> FlowField:

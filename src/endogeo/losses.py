@@ -46,8 +46,8 @@ class LossConfig:
     uncertainty_constant: float = 1.0  # scalar stand-in for per-pixel uncertainty maps
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValidationError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise ValidationError(f"alpha must be positive and finite, got {self.alpha}")
         for f in fields(self)[1:]:  # every weight after alpha
             value = getattr(self, f.name)
             if not (math.isfinite(value) and value >= 0):

@@ -57,20 +57,19 @@ class DepthMetrics:
         return asdict(self)
 
 
-def _common_positions(pred: Trajectory, gt: Trajectory):
+def _check_same_frames(pred: Trajectory, gt: Trajectory) -> None:
     if not np.array_equal(pred.frames, gt.frames):
         raise ValidationError(
             "trajectories cover different frame sets "
             f"({len(pred)} vs {len(gt)} entries)"
         )
-    return pred, gt
 
 
 def ate(pred: Trajectory, gt: Trajectory, align: str = "sim3") -> float:
     """Position RMSE (mm) after global alignment of pred onto gt."""
     if align not in ALIGN_MODES:
         raise ValidationError(f"align must be {' or '.join(map(repr, ALIGN_MODES))}, got {align!r}")
-    pred, gt = _common_positions(pred, gt)
+    _check_same_frames(pred, gt)
     if len(pred) < 2:
         raise ValidationError(f"ATE needs at least 2 common frames, got {len(pred)}")
     p = pred.positions()
@@ -104,7 +103,7 @@ def rpe(pred: Trajectory, gt: Trajectory, window: int = RTE_DEFAULT_WINDOW) -> t
     """
     if window <= 0:
         raise ValidationError(f"window must be positive, got {window}")
-    pred, gt = _common_positions(pred, gt)
+    _check_same_frames(pred, gt)
     i, j = _rpe_pairs(pred, window)
     if not len(i):
         raise ValidationError(

@@ -241,10 +241,13 @@ def look_at(position, target, up=(0.0, 1.0, 0.0)):
     """
     position = np.asarray(position, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    forward = target - position
-    n = norms3(forward)
+    with np.errstate(over="ignore"):  # an overflowing distance is rejected below
+        forward = target - position
+        n = norms3(forward)
     if np.any(n <= 0):
         raise ValidationError("look_at target coincides with the camera position")
+    if not np.all(np.isfinite(n)):
+        raise ValidationError("look_at camera-to-target distance is not finite")
     z = forward / n[..., None]
     x = np.cross(np.asarray(up, dtype=np.float64), z)
     nx = norms3(x)
@@ -315,12 +318,13 @@ def gen_trajectory(
     i = np.minimum(np.floor(s).astype(np.int64), n_ctrl - 2)
     f = (s - i)[:, None]
     p0, p1, p2, p3 = padded[i], padded[i + 1], padded[i + 2], padded[i + 3]
-    position = 0.5 * (
-        2.0 * p1
-        + (-p0 + p2) * f
-        + (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3) * f * f
-        + (-p0 + 3.0 * p1 - 3.0 * p2 + p3) * f * f * f
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # look_at rejects a non-finite position
+        position = 0.5 * (
+            2.0 * p1
+            + (-p0 + p2) * f
+            + (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3) * f * f
+            + (-p0 + 3.0 * p1 - 3.0 * p2 + p3) * f * f * f
+        )
     return Trajectory.from_poses(frames, look_at(position, target))
 
 
@@ -378,7 +382,7 @@ def simulate_dataset(
 
     from . import fileio
     from .stereo import MonoCalibration, StereoCalibration, save_calibration
-    from .trajectory import AnchorSet, save_tum, split_into_segments
+    from .trajectory import save_tum, split_into_segments
 
     if n_frames < 2:
         raise ValidationError(f"simulate needs at least 2 frames, got {n_frames}")
@@ -397,7 +401,7 @@ def simulate_dataset(
     anchor_frames = list(range(0, n_frames, stride))
     if anchor_frames[-1] != n_frames - 1:
         anchor_frames.append(n_frames - 1)
-    anchors = AnchorSet(gt.restricted_to(anchor_frames), stride)
+    anchors = gt.restricted_to(anchor_frames)
     segments = split_into_segments(drifted, anchors)
 
     os.makedirs(out_dir, exist_ok=True)
@@ -410,9 +414,9 @@ def simulate_dataset(
 
     emit("gt.tum", lambda p: save_tum(p, gt))
     emit("drifted.tum", lambda p: save_tum(p, drifted))
-    emit("anchors.tum", lambda p: save_tum(p, anchors.trajectory))
+    emit("anchors.tum", lambda p: save_tum(p, anchors))
     for i, seg in enumerate(segments):
-        emit(f"segment_{i:04d}.tum", lambda p, s=seg: save_tum(p, s.trajectory))
+        emit(f"segment_{i:04d}.tum", lambda p, s=seg: save_tum(p, s))
     depths = {}
     for frame in range(depth_count):
         depths[frame] = render_depth(scene_spec, gt.pose_at(frame), intrinsics)

@@ -1,4 +1,4 @@
-"""Trajectory containers, anchor segmentation, and TUM-style text serialization.
+"""Trajectory container, anchor segmentation, and TUM-style text serialization.
 
 Frame indices double as timestamps: the data is fixed-rate video, so the
 integer frame index is the only time axis. Files use the TUM line layout
@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -182,67 +181,6 @@ class Trajectory:
         return self.subset(rows)
 
 
-@dataclass(frozen=True)
-class AnchorSet:
-    trajectory: Trajectory
-    stride: int
-
-    def __post_init__(self):
-        if self.stride <= 0:
-            raise ValidationError(f"anchor stride must be positive, got {self.stride}")
-        frames = self.trajectory.frames
-        if not len(frames):
-            raise ValidationError("anchor trajectory is empty")
-        gaps = np.diff(frames)
-        tail = len(gaps) - 1
-        bad = np.flatnonzero(gaps != self.stride)
-        bad = bad[~((bad == tail) & (gaps[bad] < self.stride))]
-        if bad.size:
-            i = bad[0]
-            raise ValidationError(
-                f"anchor gap {frames[i]}..{frames[i + 1]} is {gaps[i]}, "
-                f"expected stride {self.stride}"
-                + (" (only the final gap may be shorter)" if i == tail else "")
-            )
-
-    @property
-    def frames(self) -> np.ndarray:
-        return self.trajectory.frames
-
-
-@dataclass(frozen=True)
-class LocalSegment:
-    trajectory: Trajectory
-    start_anchor_frame: int
-    end_anchor_frame: int
-
-    def __post_init__(self):
-        frames = self.trajectory.frames
-        if not len(frames):
-            raise ValidationError("segment trajectory is empty")
-        if frames[0] != self.start_anchor_frame or frames[-1] != self.end_anchor_frame:
-            raise ValidationError(
-                f"segment frames {frames[0]}..{frames[-1]} do not match anchor "
-                f"frames {self.start_anchor_frame}..{self.end_anchor_frame}"
-            )
-        object.__setattr__(self, "start_anchor_frame", int(self.start_anchor_frame))
-        object.__setattr__(self, "end_anchor_frame", int(self.end_anchor_frame))
-
-    def first_pose(self) -> Pose:
-        return self.trajectory.poses[0]
-
-    def last_pose(self) -> Pose:
-        return self.trajectory.poses[-1]
-
-    def with_poses(self, poses: PoseBatch) -> "LocalSegment":
-        """The same frames and anchor frames carrying ``poses``."""
-        return LocalSegment(
-            Trajectory.from_poses(self.trajectory.frames, poses),
-            self.start_anchor_frame,
-            self.end_anchor_frame,
-        )
-
-
 def serialize_tum(trajectory: Trajectory) -> str:
     """One line per pose: ``frame tx ty tz qx qy qz qw`` (17-digit floats)."""
     lines = ["# frame tx ty tz qx qy qz qw"]
@@ -319,20 +257,30 @@ def save_tum(path, trajectory: Trajectory) -> None:
         fh.write(serialize_tum(trajectory))
 
 
-def split_into_segments(local: Trajectory, anchors: AnchorSet) -> list:
-    """One LocalSegment per consecutive anchor pair; boundary frames shared."""
-    anchor_frames = anchors.frames
-    if len(anchor_frames) < 2:
+def _check_anchors(anchors: Trajectory) -> np.ndarray:
+    """The frames of ``anchors``: at least 2, and every gap the size of the
+    first, except the last gap, which may be shorter."""
+    frames = anchors.frames
+    if len(frames) < 2:
+        raise ValidationError(f"need at least 2 anchors, got {len(frames)}")
+    gaps = np.diff(frames)
+    stride = gaps[0]
+    uneven = np.flatnonzero(gaps[:-1] != stride)
+    i = uneven[0] if uneven.size else len(gaps) - 1
+    if uneven.size or gaps[i] > stride:
         raise ValidationError(
-            f"need at least 2 anchors to form segments, got {len(anchor_frames)}"
+            f"anchor gap {frames[i]}..{frames[i + 1]} is {gaps[i]}, expected the first "
+            f"gap {stride} (only the last gap may be shorter)"
         )
+    return frames
+
+
+def split_into_segments(local: Trajectory, anchors: Trajectory) -> list:
+    """The Trajectory of ``local`` over each consecutive pair of anchor
+    frames, both ends included, so neighbouring segments share a frame."""
+    anchor_frames = _check_anchors(anchors)
     rows = local._rows(anchor_frames)
     if np.any(rows < 0):
         missing = anchor_frames[np.argmax(rows < 0)]
         raise ValidationError(f"anchor frame {missing} missing from local trajectory")
-    return [
-        LocalSegment(local.subset(slice(a, b + 1)), start, end)
-        for a, b, start, end in zip(
-            rows.tolist(), rows[1:].tolist(), anchor_frames.tolist(), anchor_frames[1:].tolist()
-        )
-    ]
+    return [local.subset(slice(a, b + 1)) for a, b in zip(rows.tolist(), rows[1:].tolist())]

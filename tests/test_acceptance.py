@@ -52,7 +52,7 @@ from endogeo.stereo import (
     rectify_pixels,
     undistort_pixels,
 )
-from endogeo.trajectory import AnchorSet, parse_tum, serialize_tum, split_into_segments
+from endogeo.trajectory import parse_tum, serialize_tum, split_into_segments
 from endogeo.fileio import read_flo, read_pfm, write_flo, write_pfm
 
 
@@ -71,7 +71,7 @@ def ablation_runs():
         frames = list(range(0, 200, 16))
         if frames[-1] != 199:
             frames.append(199)
-        anchors = AnchorSet(gt.restricted_to(frames), 16)
+        anchors = gt.restricted_to(frames)
         segments = split_into_segments(drifted, anchors)
         corrected, report = correct_long_trajectory(anchors, segments)
         err_before = ate(drifted, gt, "sim3")
@@ -95,7 +95,7 @@ def test_correction_improves_every_seed(ablation_runs):
 def test_anchor_passthrough(ablation_runs):
     runs, _ = ablation_runs
     for _, _, corrected, anchors, _, _ in runs:
-        for frame, anchor_pose in anchors.trajectory.entries:
+        for frame, anchor_pose in anchors.entries:
             rot_err, trans_err = pose_distance(corrected.pose_at(frame), anchor_pose)
             assert rot_err <= 1e-9, f"frame {frame}: rotation residual {rot_err}"
             assert trans_err <= 1e-9, f"frame {frame}: translation residual {trans_err}"

@@ -1,11 +1,13 @@
+import importlib
+import importlib.util
+import pathlib
 import types
 
 import endogeo
 
-# The package's public names, as they stood when ``__all__`` stopped being a
-# hand-kept list and began to be derived from the imports.
+# The package's public names. ``__all__`` is derived from the imports, so
+# this list is what catches a name added or dropped by accident.
 PUBLIC_NAMES = {
-    "AnchorSet",
     "CameraIntrinsics",
     "ConfidenceMap",
     "CorrectionReport",
@@ -18,7 +20,6 @@ PUBLIC_NAMES = {
     "EndogeoError",
     "FlowField",
     "FormatError",
-    "LocalSegment",
     "LossConfig",
     "MonoCalibration",
     "NormalizationSpec",
@@ -103,3 +104,24 @@ def test_all_lists_exactly_the_public_names():
 def test_every_public_name_resolves_to_a_non_module():
     for name in endogeo.__all__:
         assert not isinstance(getattr(endogeo, name), types.ModuleType), name
+
+
+def _load_tracer():
+    """perfbench/tracer.py, loaded by path: perfbench is a script folder, not a package."""
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_name_the_tracer_wraps_is_bound_where_it_wraps_it():
+    # the tracer replaces each name in its owner's namespace, so a refactor
+    # that moves or drops one breaks the traced benchmark runs
+    tracer = _load_tracer()
+    for owner, attr, *_ in tracer.SPANS + tracer.COUNTERS:
+        module_name, _, cls = owner.partition(":")
+        target = importlib.import_module(module_name)
+        if cls:
+            target = getattr(target, cls)
+        assert attr in target.__dict__, f"{owner}.{attr}"

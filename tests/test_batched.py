@@ -28,7 +28,7 @@ from endogeo.geometry import (
 from endogeo.metrics import ate, rpe
 from endogeo.rng import SplitMix64
 from endogeo.sim import DriftSpec, gen_trajectory, inject_drift
-from endogeo.trajectory import AnchorSet, Trajectory, parse_tum, serialize_tum, split_into_segments
+from endogeo.trajectory import Trajectory, parse_tum, serialize_tum, split_into_segments
 
 # warnings are errors; deprecations stay warnings, because hypothesis's own
 # failure report imports modules that emit them
@@ -245,8 +245,8 @@ class TestTrajectoryOps:
         drifted = oracles.oracle_inject_drift(gt, 0.01, 0.2, SplitMix64(seed).derive("drift"))
         anchors = [e for e in gt if e[0] in anchor_frames]
         local = trajectory_of(drifted)
-        anchor_set = AnchorSet(trajectory_of(anchors), stride)
-        corrected, report = correct_long_trajectory(anchor_set, split_into_segments(local, anchor_set))
+        anchor_traj = trajectory_of(anchors)
+        corrected, report = correct_long_trajectory(anchor_traj, split_into_segments(local, anchor_traj))
         segments = [[e for e in drifted if a <= e[0] <= b] for a, b in zip(anchor_frames, anchor_frames[1:])]
         want, want_reports = oracles.oracle_correct_long_trajectory(anchors, segments)
         assert corrected.frames.tolist() == [f for f, _ in want]

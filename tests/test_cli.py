@@ -119,6 +119,33 @@ class TestCorrect:
         assert code == 3
         assert any("segment" in r.message for r in caplog.records)
 
+    @pytest.mark.parametrize(
+        ("name", "text", "logged"),
+        [
+            ("anchors.tum", "", "at least 2"),
+            ("anchors.tum", "0 0 0 0 0 0 0 1\n", "at least 2"),
+            ("segment_0000.tum", "", "anchor gap 0..4"),
+            ("segment_0001.tum", "4 0 0 0 0 0 0 1\n", "anchor gap 4..8"),
+        ],
+        ids=["empty-anchors", "single-anchor", "empty-segment", "single-pose-segment"],
+    )
+    def test_short_input_file_exits_3(self, tmp_path, capsys, caplog, name, text, logged):
+        self.write_inputs(tmp_path)
+        (tmp_path / name).write_text(text)
+        with caplog.at_level(logging.ERROR, logger="endogeo"):
+            code, _, _ = run(
+                [
+                    "correct",
+                    "--anchors", str(tmp_path / "anchors.tum"),
+                    "--segments", str(tmp_path / "segment_*.tum"),
+                    "--out", str(tmp_path / "corrected.tum"),
+                ],
+                capsys,
+            )
+        assert code == 3
+        assert logged in caplog.text
+        assert not (tmp_path / "corrected.tum").exists()
+
     def test_no_matching_segments(self, tmp_path, capsys):
         self.write_inputs(tmp_path)
         code, _, _ = run(
@@ -612,10 +639,18 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
         # and these in math.sin(inf): 1e308 scales the unit draws past the largest float
         (lambda p: ["simulate", "--out", str(p / "sim"), "--sigma-rot", "inf"], "sigma"),
         (lambda p: ["simulate", "--out", str(p / "sim"), "--sigma-rot", "1e308"], "angle"),
+        # and these in a RuntimeWarning and a NaN quaternion or a parallel up vector
+        (lambda p: ["simulate", "--out", str(p / "sim"), "--extent", "inf"], "distance"),
+        (lambda p: ["simulate", "--out", str(p / "sim"), "--extent", "1e308"], "distance"),
+        (lambda p: ["simulate", "--out", str(p / "sim"), "--orbit-radius", "inf"], "distance"),
+        (lambda p: ["simulate", "--out", str(p / "sim"), "--orbit-radius", "1e300"], "distance"),
+        (lambda p: ["simulate", "--out", str(p / "sim"), "--path", "spline", "--orbit-radius", "1e308"], "distance"),
     ],
     ids=[
         "calib-huge-width", "simulate-width", "simulate-height", "eval-depth-width",
         "simulate-stride-0", "simulate-stride-negative", "simulate-sigma-rot-inf", "simulate-sigma-rot-overflow",
+        "simulate-extent-inf", "simulate-extent-overflow", "simulate-orbit-radius-inf",
+        "simulate-orbit-radius-overflow", "simulate-spline-radius-overflow",
     ],
 )
 def test_image_larger_than_ceiling_exits_3(tmp_path, capsys, caplog, argv, logged):
@@ -623,6 +658,19 @@ def test_image_larger_than_ceiling_exits_3(tmp_path, capsys, caplog, argv, logge
     assert code == 3
     assert logged in caplog.text
     assert not (tmp_path / "sim").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_flow_beyond_float32_exits_3(tmp_path, capsys, caplog):
+    # the flows of a 1e308 px focal length overflow float32; they were written as inf
+    code, _, _ = run(["simulate", "--out", str(tmp_path / "sim"), "--focal", "1e308"], capsys)
+    assert code == 3
+    assert "float32" in caplog.text
+    written = sorted((tmp_path / "sim").iterdir())
+    assert not any(p.suffix == ".flo" for p in written)
+    for path in written:
+        if path.suffix == ".pfm":
+            assert np.isfinite(read_depth_pfm(path).values).all(), path.name
 
 
 def _doc_tables():

@@ -13,7 +13,7 @@ from endogeo.errors import ValidationError
 from endogeo.geometry import Pose, Quaternion, compose, pose_distance
 from endogeo.rng import SplitMix64
 from endogeo.sim import DriftSpec, gen_trajectory, inject_drift
-from endogeo.trajectory import AnchorSet, LocalSegment, Trajectory, split_into_segments
+from endogeo.trajectory import Trajectory, split_into_segments
 
 
 def rand_pose(stream):
@@ -24,33 +24,31 @@ def rand_pose(stream):
 
 def rand_segment(seed, frames):
     stream = SplitMix64(seed).derive("seg")
-    traj = Trajectory([(f, rand_pose(stream)) for f in frames])
-    return LocalSegment(traj, frames[0], frames[-1])
+    return Trajectory([(f, rand_pose(stream)) for f in frames])
 
 
 class TestAlignSegmentStart:
     def test_already_at_anchor_unchanged(self):
         seg = rand_segment(1, range(5))
-        anchor = seg.first_pose()
+        anchor = seg.poses[0]
         aligned = align_segment_start(seg, anchor)
-        for frame in seg.trajectory.frames:
-            rot, trans = pose_distance(
-                aligned.trajectory.pose_at(frame), seg.trajectory.pose_at(frame)
-            )
+        for frame in seg.frames:
+            rot, trans = pose_distance(aligned.pose_at(frame), seg.pose_at(frame))
             assert rot < 1e-12 and trans < 1e-12
-        assert aligned.first_pose() == anchor  # exact substitution at the start
+        assert aligned.poses[0] == anchor  # exact substitution at the start
 
     def test_identity_start_translated_anchor_shifts_all(self):
         traj = Trajectory(
             [(k, Pose(Quaternion.identity(), (float(k), 0.0, 0.0))) for k in range(4)]
         )
-        seg = LocalSegment(traj, 0, 3)
         anchor = Pose(Quaternion.identity(), (5.0, 0.0, 0.0))
-        aligned = align_segment_start(seg, anchor)
+        aligned = align_segment_start(traj, anchor)
         for k in range(4):
-            assert np.abs(
-                aligned.trajectory.pose_at(k).translation - [k + 5.0, 0.0, 0.0]
-            ).max() < 1e-12
+            assert np.abs(aligned.pose_at(k).translation - [k + 5.0, 0.0, 0.0]).max() < 1e-12
+
+    def test_rejects_empty_segment(self):
+        with pytest.raises(ValidationError, match="empty"):
+            align_segment_start(Trajectory(), Pose.identity())
 
     def test_preserves_relative_poses(self):
         stream = SplitMix64(7).derive("a")
@@ -61,7 +59,7 @@ class TestAlignSegmentStart:
             for i, j in ((0, 3), (2, 5), (1, 4)):
                 def rel(s, a, b):
                     from endogeo.geometry import inverse
-                    return compose(inverse(s.trajectory.pose_at(a)), s.trajectory.pose_at(b))
+                    return compose(inverse(s.pose_at(a)), s.pose_at(b))
                 rot, trans = pose_distance(rel(seg, i, j), rel(aligned, i, j))
                 assert rot < 1e-9 and trans < 1e-9
 
@@ -92,57 +90,44 @@ class TestDistributeDrift:
     def test_identity_error_is_noop(self):
         seg = rand_segment(5, range(5))
         out = distribute_drift(seg, Pose.identity())
-        for frame in seg.trajectory.frames:
-            rot, trans = pose_distance(
-                out.trajectory.pose_at(frame), seg.trajectory.pose_at(frame)
-            )
+        for frame in seg.frames:
+            rot, trans = pose_distance(out.pose_at(frame), seg.pose_at(frame))
             assert rot < 1e-12 and trans < 1e-12
 
     def test_linear_translation_ramp(self):
         traj = Trajectory([(k, Pose.identity()) for k in range(5)])
-        seg = LocalSegment(traj, 0, 4)
-        out = distribute_drift(seg, Pose(Quaternion.identity(), (4.0, 0.0, 0.0)))
+        out = distribute_drift(traj, Pose(Quaternion.identity(), (4.0, 0.0, 0.0)))
         for k in range(5):
-            assert np.abs(
-                out.trajectory.pose_at(k).translation - [float(k), 0.0, 0.0]
-            ).max() < 1e-12
+            assert np.abs(out.pose_at(k).translation - [float(k), 0.0, 0.0]).max() < 1e-12
 
     def test_rotation_midpoint_gets_half(self):
         traj = Trajectory([(0, Pose.identity()), (5, Pose.identity()), (10, Pose.identity())])
-        seg = LocalSegment(traj, 0, 10)
         sixty = Pose(Quaternion.from_axis_angle((0, 0, 1), math.pi / 3), (0, 0, 0))
-        out = distribute_drift(seg, sixty)
-        assert out.trajectory.pose_at(5).rotation.angle() == pytest.approx(
-            math.pi / 6, abs=1e-12
-        )
-        assert out.trajectory.pose_at(10).rotation.angle() == pytest.approx(
-            math.pi / 3, abs=1e-12
-        )
+        out = distribute_drift(traj, sixty)
+        assert out.pose_at(5).rotation.angle() == pytest.approx(math.pi / 6, abs=1e-12)
+        assert out.pose_at(10).rotation.angle() == pytest.approx(math.pi / 3, abs=1e-12)
 
     def test_fraction_is_linear_in_frame_index_not_position(self):
         # unevenly spaced frames: the ramp follows frame indices
         traj = Trajectory([(0, Pose.identity()), (1, Pose.identity()), (10, Pose.identity())])
-        seg = LocalSegment(traj, 0, 10)
-        out = distribute_drift(seg, Pose(Quaternion.identity(), (10.0, 0.0, 0.0)))
-        assert out.trajectory.pose_at(1).translation[0] == pytest.approx(1.0, abs=1e-12)
+        out = distribute_drift(traj, Pose(Quaternion.identity(), (10.0, 0.0, 0.0)))
+        assert out.pose_at(1).translation[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_first_frame_untouched(self):
         seg = rand_segment(6, range(4))
         out = distribute_drift(seg, rand_pose(SplitMix64(8).derive("e")))
-        assert out.trajectory.pose_at(0) == seg.trajectory.pose_at(0)
+        assert out.pose_at(0) == seg.pose_at(0)
 
     def test_rejects_single_entry(self):
-        traj = Trajectory([(0, Pose.identity())])
-        seg = LocalSegment(traj, 0, 0)
         with pytest.raises(ValidationError):
-            distribute_drift(seg, Pose.identity())
+            distribute_drift(Trajectory([(0, Pose.identity())]), Pose.identity())
 
 
 class TestCorrectLongTrajectory:
     def test_exact_segments_reproduce_ground_truth(self):
         stream = SplitMix64(9).derive("gt")
         gt = Trajectory([(k, rand_pose(stream)) for k in range(17)])
-        anchors = AnchorSet(gt.restricted_to([0, 4, 8, 12, 16]), 4)
+        anchors = gt.restricted_to([0, 4, 8, 12, 16])
         segments = split_into_segments(gt, anchors)
         corrected, report = correct_long_trajectory(anchors, segments)
         assert corrected.frames.tolist() == gt.frames.tolist()
@@ -161,9 +146,7 @@ class TestCorrectLongTrajectory:
                 (4, Pose(Quaternion.identity(), (8.0, 0.0, 0.0))),
             ]
         )
-        anchors = AnchorSet(anchors_traj, 4)
-        segments = [LocalSegment(traj, 0, 4)]
-        corrected, _ = correct_long_trajectory(anchors, segments)
+        corrected, _ = correct_long_trajectory(anchors_traj, [traj])
         # start pinned at origin; end pinned at (8,0,0); drift (4,0,0) ramps linearly
         for k in range(5):
             assert np.abs(
@@ -177,7 +160,7 @@ class TestCorrectLongTrajectory:
             [(k, compose(p, Pose(Quaternion.from_axis_angle((0, 0, 1), 0.01 * k), (0.1 * k, 0, 0))))
              for k, p in gt.entries]
         )
-        anchors = AnchorSet(gt.restricted_to([0, 4, 8]), 4)
+        anchors = gt.restricted_to([0, 4, 8])
         segments = split_into_segments(noisy, anchors)
         corrected, _ = correct_long_trajectory(anchors, segments)
         for frame in (0, 4, 8):
@@ -185,22 +168,43 @@ class TestCorrectLongTrajectory:
 
     def test_segment_count_mismatch_rejected(self):
         gt = Trajectory([(k, Pose.identity()) for k in range(9)])
-        anchors = AnchorSet(gt.restricted_to([0, 4, 8]), 4)
+        anchors = gt.restricted_to([0, 4, 8])
         segments = split_into_segments(gt, anchors)
         with pytest.raises(ValidationError, match="segment"):
             correct_long_trajectory(anchors, segments[:1])
 
     def test_gap_mismatch_names_the_gap(self):
         gt = Trajectory([(k, Pose.identity()) for k in range(9)])
-        anchors = AnchorSet(gt.restricted_to([0, 4, 8]), 4)
+        anchors = gt.restricted_to([0, 4, 8])
         segments = split_into_segments(gt, anchors)
         swapped = [segments[1], segments[0]]
         with pytest.raises(ValidationError, match="4"):
             correct_long_trajectory(anchors, swapped)
 
+    @pytest.mark.parametrize(
+        "first",
+        [[], [0], [1, 2, 3, 4], [0, 1, 2, 3], [0, 1, 2, 3, 4, 5]],
+        ids=["empty", "single-pose", "late-start", "early-end", "late-end"],
+    )
+    def test_segment_endpoints_must_match_gap(self, first):
+        gt = Trajectory([(k, Pose.identity()) for k in range(9)])
+        segments = [gt.restricted_to(first), gt.restricted_to(range(4, 9))]
+        with pytest.raises(ValidationError, match=r"anchor gap 0\.\.4 "):
+            correct_long_trajectory(gt.restricted_to([0, 4, 8]), segments)
+
+    @pytest.mark.parametrize(
+        ("anchor_frames", "message"),
+        [([], "at least 2"), ([4], "at least 2"), ([0, 2, 6], r"anchor gap 2\.\.6 ")],
+        ids=["no-anchors", "single-anchor", "uneven-gap"],
+    )
+    def test_anchors_checked(self, anchor_frames, message):
+        gt = Trajectory([(k, Pose.identity()) for k in range(9)])
+        with pytest.raises(ValidationError, match=message):
+            correct_long_trajectory(gt.restricted_to(anchor_frames), [gt])
+
     def test_report_serializable(self):
         gt = Trajectory([(k, Pose.identity()) for k in range(5)])
-        anchors = AnchorSet(gt.restricted_to([0, 4]), 4)
+        anchors = gt.restricted_to([0, 4])
         corrected, report = correct_long_trajectory(anchors, split_into_segments(gt, anchors))
         payload = report.to_dict()
         assert payload["n_segments"] == 1
@@ -232,7 +236,7 @@ class TestBrownianBridge:
         for seed in self.SEEDS:
             gt = gen_trajectory(n_frames, "orbit", seed)
             drifted = inject_drift(gt, DriftSpec(0.0, self.SIGMA, seed))
-            anchors = AnchorSet(gt.restricted_to(range(0, n_frames, self.STRIDE)), self.STRIDE)
+            anchors = gt.restricted_to(range(0, n_frames, self.STRIDE))
             corrected, _ = correct_long_trajectory(anchors, split_into_segments(drifted, anchors))
             assert np.array_equal(corrected.frames, gt.frames)
             residual = corrected.trans - gt.trans

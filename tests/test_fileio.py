@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from endogeo.errors import FormatError
+from endogeo.errors import FormatError, ValidationError
 from endogeo.fileio import (
     file_name_frames,
     format_json,
@@ -98,6 +98,17 @@ class TestPfmFormat:
         with pytest.raises(FormatError, match="dimensions"):
             read_pfm(path)
 
+    def test_finite_value_beyond_float32_rejected(self, tmp_path):
+        path = tmp_path / "x.pfm"
+        for big in (1e40, -1e39, np.nextafter(float(np.finfo(np.float32).max), np.inf)):
+            with pytest.raises(ValidationError, match="float32"):
+                write_pfm(path, np.array([[1.0, big]]))
+            assert not path.exists()
+        # the largest float32 and the non-finite values themselves are stored as they are
+        edge = [[float(np.finfo(np.float32).max), np.inf], [-np.inf, np.nan]]
+        write_pfm(path, edge)
+        assert np.array_equal(read_pfm(path)[0], np.array(edge, dtype=np.float32), equal_nan=True)
+
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "x.pfm"
         path.write_bytes(b"Pf\n2 2\n-1.0\n" + b"\0" * 9)
@@ -118,6 +129,13 @@ class TestRasterPfmWrappers:
         assert not back.valid[0, 1]
         assert back.valid.sum() == 3
         assert np.abs(back.values[back.valid] - [5.0, 9.0, 11.0]).max() < 1e-6
+
+    def test_depth_beyond_float32_rejected(self, tmp_path):
+        # it was written as inf, which the reader takes for an invalid pixel
+        path = tmp_path / "d.pfm"
+        with pytest.raises(ValidationError, match="float32"):
+            write_depth_pfm(path, DepthMap(np.full((4, 4), 1e40)))
+        assert not path.exists()
 
     def test_disparity_round_trip(self, tmp_path):
         path = tmp_path / "disp.pfm"
@@ -182,6 +200,17 @@ class TestFlo:
         assert (raw[0, 1] == 1e10).all()  # written sentinel
         back = read_flo(path)
         assert (back.valid == valid).all()
+
+    def test_vector_beyond_float32_rejected(self, tmp_path):
+        path = tmp_path / "f.flo"
+        vectors = np.zeros((2, 2, 2))
+        vectors[1, 0, 1] = -1e300
+        with pytest.raises(ValidationError, match="float32"):
+            write_flo(path, FlowField(vectors))
+        assert not path.exists()
+        # an invalid pixel's vector is never written, however large
+        write_flo(path, FlowField(vectors, np.array([[True, True], [False, True]])))
+        assert read_flo(path).valid.sum() == 3
 
     def test_read_treats_large_components_invalid(self, tmp_path):
         path = tmp_path / "f.flo"

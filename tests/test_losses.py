@@ -563,8 +563,9 @@ class TestComposites:
         assert total_loss(1.0, 0.5, 2.0, cfg) == pytest.approx(1.7)
 
     def test_config_validation(self):
-        with pytest.raises(ValidationError):
-            LossConfig(alpha=0.0)
+        for alpha in (0.0, math.inf, math.nan):
+            with pytest.raises(ValidationError, match="alpha"):
+                LossConfig(alpha=alpha)
         with pytest.raises(ValidationError):
             LossConfig(w_grad=-1.0)
         with pytest.raises(ValidationError):

@@ -10,8 +10,6 @@ from endogeo.errors import FormatError, ValidationError
 from endogeo.geometry import Pose, Quaternion
 from endogeo.rng import SplitMix64
 from endogeo.trajectory import (
-    AnchorSet,
-    LocalSegment,
     Trajectory,
     load_tum,
     parse_tum,
@@ -217,67 +215,44 @@ class TestTumFormat:
         assert float(fields[7]) == pytest.approx(q.w)
 
 
-class TestAnchorSet:
-    def test_uniform_stride_ok(self):
-        AnchorSet(identity_traj([0, 4, 8, 12]), 4)
-
-    def test_short_tail_allowed(self):
-        AnchorSet(identity_traj([0, 4, 8, 10]), 4)
-
-    def test_mid_sequence_gap_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            AnchorSet(identity_traj([0, 4, 6, 10]), 4)
-
-    def test_oversized_gap_rejected(self):
-        with pytest.raises(ValidationError):
-            AnchorSet(identity_traj([0, 4, 9]), 4)
-
-    def test_stride_positive(self):
-        with pytest.raises(ValidationError):
-            AnchorSet(identity_traj([0, 1]), 0)
-
-
-class TestLocalSegment:
-    def test_endpoints_must_match(self):
-        traj = identity_traj([2, 3, 4])
-        LocalSegment(traj, 2, 4)
-        with pytest.raises(ValidationError):
-            LocalSegment(traj, 0, 4)
-        with pytest.raises(ValidationError):
-            LocalSegment(traj, 2, 5)
-
-
 class TestSplitIntoSegments:
     def test_two_even_segments(self):
         local = identity_traj(range(9))
-        anchors = AnchorSet(identity_traj([0, 4, 8]), 4)
-        segments = split_into_segments(local, anchors)
-        assert len(segments) == 2
-        assert segments[0].trajectory.frames.tolist() == [0, 1, 2, 3, 4]
-        assert segments[1].trajectory.frames.tolist() == [4, 5, 6, 7, 8]
-        assert segments[0].start_anchor_frame == 0
-        assert segments[1].end_anchor_frame == 8
+        segments = split_into_segments(local, identity_traj([0, 4, 8]))
+        assert [type(s) for s in segments] == [Trajectory, Trajectory]
+        assert segments[0].frames.tolist() == [0, 1, 2, 3, 4]
+        assert segments[1].frames.tolist() == [4, 5, 6, 7, 8]
 
     def test_single_anchor_rejected(self):
         local = identity_traj(range(5))
         with pytest.raises(ValidationError, match="at least 2"):
-            split_into_segments(local, AnchorSet(identity_traj([0]), 4))
+            split_into_segments(local, identity_traj([0]))
 
     def test_short_tail_segment(self):
         local = identity_traj(range(8))
-        anchors = AnchorSet(identity_traj([0, 3, 6, 7]), 3)
-        segments = split_into_segments(local, anchors)
+        segments = split_into_segments(local, identity_traj([0, 3, 6, 7]))
         assert len(segments) == 3
-        assert segments[-1].trajectory.frames.tolist() == [6, 7]
+        assert segments[-1].frames.tolist() == [6, 7]
+
+    def test_uniform_stride_ok(self):
+        segments = split_into_segments(identity_traj(range(13)), identity_traj([0, 4, 8, 12]))
+        assert [s.frames.tolist()[::4] for s in segments] == [[0, 4], [4, 8], [8, 12]]
+
+    @pytest.mark.parametrize(
+        ("anchor_frames", "gap"),
+        [([0, 4, 6, 10], "4..6"), ([0, 4, 9], "4..9"), ([0, 2, 6, 8], "2..6")],
+        ids=["mid-sequence-mismatch", "oversized-last-gap", "longer-mid-gap"],
+    )
+    def test_uneven_anchor_gap_rejected(self, anchor_frames, gap):
+        with pytest.raises(ValidationError, match=f"anchor gap {gap} "):
+            split_into_segments(identity_traj(range(11)), identity_traj(anchor_frames))
 
     def test_missing_coverage_rejected(self):
         local = identity_traj([0, 1, 2, 3, 5, 6, 7, 8])  # frame 4 missing
-        anchors = AnchorSet(identity_traj([0, 4, 8]), 4)
         with pytest.raises(ValidationError):
-            split_into_segments(local, anchors)
+            split_into_segments(local, identity_traj([0, 4, 8]))
 
     def test_boundary_frames_shared(self):
         local = rand_traj(9, 9)
-        anchors = AnchorSet(local.restricted_to([0, 4, 8]), 4)
-        segments = split_into_segments(local, anchors)
-        assert segments[0].trajectory.pose_at(4) == segments[1].trajectory.pose_at(4)
+        segments = split_into_segments(local, local.restricted_to([0, 4, 8]))
+        assert segments[0].pose_at(4) == segments[1].pose_at(4)
