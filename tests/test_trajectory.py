@@ -234,6 +234,10 @@ class TestSplitIntoSegments:
         assert len(segments) == 3
         assert segments[-1].frames.tolist() == [6, 7]
 
+    def test_short_tail_allowed(self):
+        segments = split_into_segments(identity_traj(range(11)), identity_traj([0, 4, 8, 10]))
+        assert [(s.frames[0], s.frames[-1]) for s in segments] == [(0, 4), (4, 8), (8, 10)]
+
     def test_uniform_stride_ok(self):
         segments = split_into_segments(identity_traj(range(13)), identity_traj([0, 4, 8, 12]))
         assert [s.frames.tolist()[::4] for s in segments] == [[0, 4], [4, 8], [8, 12]]
