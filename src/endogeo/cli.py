@@ -232,34 +232,37 @@ def _frame_files(directory: str, n_frames: int) -> dict:
     return found
 
 
+def _read_depth(files: dict, directory: str, frame: int):
+    """The depth map of ``frame`` from ``files``, the ``_frame_files`` index
+    of one-frame files in ``directory``."""
+    path = files.get((frame,))
+    if path is None:
+        raise ValidationError(f"missing {fileio.frame_file_name(frame)} in {directory}")
+    return fileio.read_depth_pfm(path)
+
+
 def _cmd_eval_consistency(cfg: dict) -> int:
     loss_cfg = _config_of(losses.LossConfig, cfg)
     calib = stereo.load_calibration(cfg["calib"])
     intr = calib.left.intrinsics
     poses = load_tum(cfg["poses"])
 
-    depth_files = {frame: path for (frame,), path in _frame_files(cfg["depths"], 1).items()}
+    depth_files = _frame_files(cfg["depths"], 1)
     pairs = sorted(_frame_files(cfg["flows"], 2).items())
     if not pairs:
         raise ValidationError(f"no flow_NNNN_NNNN.flo files in {cfg['flows']}")
 
     ref_dir = cfg["ref_depths"]
     prior_skipped = ref_dir is None
+    ref_files = None if prior_skipped else _frame_files(ref_dir, 1)
     pair_reports = []
     sums = {"c_flow": 0.0, "c_temp": 0.0, "c_prior": 0.0}
-    depth_cache = {}
 
-    def depth_for(frame: int):
-        if frame not in depth_cache:
-            if frame not in depth_files:
-                raise ValidationError(f"missing {fileio.frame_file_name(frame)} in {cfg['depths']}")
-            depth_cache[frame] = fileio.read_depth_pfm(depth_files[frame])
-        return depth_cache[frame]
-
+    # one pair's maps at a time, each read when its pair needs it
     for (i, j), flow_path in pairs:
         flow = fileio.read_flo(flow_path)
-        depth_i = depth_for(i)
-        depth_j = depth_for(j)
+        depth_i = _read_depth(depth_files, cfg["depths"], i)
+        depth_j = _read_depth(depth_files, cfg["depths"], j)
         for frame in (i, j):
             if not poses.has_frame(frame):
                 raise ValidationError(f"pose for frame {frame} missing from {cfg['poses']}")
@@ -277,16 +280,11 @@ def _cmd_eval_consistency(cfg: dict) -> int:
         if prior_skipped:
             prior_val = 0.0
         else:
-            ref_path = os.path.join(ref_dir, fileio.frame_file_name(i))
-            if not os.path.exists(ref_path):
-                raise ValidationError(f"missing reference depth {ref_path}")
-            prior_val, breakdown = losses.c_prior(
-                depth_i, fileio.read_depth_pfm(ref_path), intr, loss_cfg
-            )
+            ref = _read_depth(ref_files, ref_dir, i)
+            prior_val, breakdown = losses.c_prior(depth_i, ref, intr, loss_cfg)
             entry.update(breakdown)
         entry["c_prior"] = prior_val
-        total, weighted = losses.consistency_total(flow_val, temp_val, prior_val, loss_cfg)
-        entry["total"] = total
+        entry["total"], _ = losses.consistency_total(flow_val, temp_val, prior_val, loss_cfg)
         pair_reports.append(entry)
         sums["c_flow"] += flow_val
         sums["c_temp"] += temp_val

@@ -203,8 +203,14 @@ def read_pointmap_pfm(path) -> Pointmap:
 
 
 def write_flo(path, flow: FlowField) -> None:
+    """Write ``flow``; a valid component that would be stored as 1e9 or more,
+    and so read back as unknown flow, raises :class:`ValidationError`."""
     height, width = flow.vectors.shape[:2]
     data = _as_float32(np.where(flow.valid[..., None], flow.vectors, _FLO_INVALID_WRITE), path)
+    if not np.array_equal(_flo_valid(data), flow.valid):
+        raise ValidationError(
+            f"{path}: a valid flow component of magnitude 1e9 or more reads back as unknown flow"
+        )
     with open(path, "wb") as fh:
         fh.write(_FLO_HEADER.pack(_FLO_MAGIC, width, height))
         fh.write(data.astype("<f4", copy=False).tobytes())
@@ -219,10 +225,14 @@ def read_flo(path) -> FlowField:
         if magic != _FLO_MAGIC:
             raise FormatError(f"not a .flo file (magic {magic!r})", path=path)
         data = _read_payload(fh, (height, width, 2), "<f4", ".flo", path)
+    return FlowField(data, _flo_valid(data))
+
+
+def _flo_valid(data) -> np.ndarray:
+    """The pixels of an (H, W, 2) float32 .flo payload that hold known flow."""
     # per channel, as np.all over a last axis of 2 is slow; on the float32
     # payload, as 1e9 is a float32 and the comparison is exact either way
-    valid = (np.abs(data[..., 0]) < _FLO_INVALID_READ) & (np.abs(data[..., 1]) < _FLO_INVALID_READ)
-    return FlowField(data, valid)
+    return (np.abs(data[..., 0]) < _FLO_INVALID_READ) & (np.abs(data[..., 1]) < _FLO_INVALID_READ)
 
 
 def frame_file_name(*frames: int) -> str:

@@ -60,9 +60,9 @@ class NormalizationSpec:
     s: float      # scale of the reference set
 
     def __post_init__(self):
-        if not (self.s_hat > 0 and self.s > 0):
+        if not (0 < self.s_hat < math.inf and 0 < self.s < math.inf):
             raise ValidationError(
-                f"normalization scales must be positive: s_hat={self.s_hat} s={self.s}"
+                f"normalization scales must be positive and finite: s_hat={self.s_hat} s={self.s}"
             )
 
 
@@ -134,18 +134,19 @@ def induced_reprojection(
     Returns absolute target coordinates (not deltas); pixels whose transformed
     z is non-positive, or whose depth is invalid, are masked out.
     """
-    _, _, points = _points(depth, k_from)
+    _, _, (points,) = _points(k_from, slice(None), depth)
     u, v, in_front = project_planes(*motion.transform_planes(*points), k_to)
     return FlowField(np.stack([u, v], axis=-1), in_front)
 
 
-def _points(depth: DepthMap, intrinsics: CameraIntrinsics, rows: slice = slice(None)):
-    """The pixel planes (u, v) of ``rows`` and the x, y and z planes of the
-    camera-frame points at their depth: NaN where the depth is invalid."""
-    u, v = pixel_grid(depth.width, depth.height, rows)
+def _points(intrinsics: CameraIntrinsics, rows: slice, *depths: DepthMap):
+    """The pixel planes (u, v) of ``rows`` and, for each of ``depths`` (maps
+    of one size), the x, y and z planes of the camera-frame points at its
+    depth: NaN where the depth is invalid. The rays are built once for all."""
+    u, v = pixel_grid(depths[0].width, depths[0].height, rows)
     x, y = pixel_rays(u, v, intrinsics)
-    z = np.where(depth.valid[rows], depth.values[rows], np.nan)
-    return u, v, (x * z, y * z, z)
+    zs = (np.where(depth.valid[rows], depth.values[rows], np.nan) for depth in depths)
+    return u, v, [(x * z, y * z, z) for z in zs]
 
 
 def c_flow(
@@ -164,7 +165,7 @@ def c_flow(
     raster = np.empty((height, width))
     mask = np.empty((height, width), dtype=bool)
     for rows in row_blocks(height, width):
-        u, v, points = _points(depth, k_from, rows)
+        u, v, (points,) = _points(k_from, rows, depth)
         tu, tv, in_front = project_planes(*motion.transform_planes(*points), k_to)
         px = u + flow.vectors[rows, :, 0]
         py = v + flow.vectors[rows, :, 1]
@@ -196,7 +197,7 @@ def c_temp(
     raster = np.empty((height, width))
     mask = np.empty((height, width), dtype=bool)
     for rows in row_blocks(height, width):
-        u, v, points = _points(depth_i, k_i, rows)
+        u, v, (points,) = _points(k_i, rows, depth_i)
         p_z = motion.transform_planes(*points)[2]
         px = u + flow.vectors[rows, :, 0]
         py = v + flow.vectors[rows, :, 1]
@@ -267,8 +268,7 @@ def _normal_term(depth: DepthMap, ref: DepthMap, mask, intrinsics: CameraIntrins
         # interior row i is image row i + 1: its normals read image rows i..i+2
         halo = slice(rows.start, rows.stop + 2)
         m = mask[halo]
-        n_d = _normals(_points(depth, intrinsics, halo)[2])
-        n_r = _normals(_points(ref, intrinsics, halo)[2])
+        n_d, n_r = map(_normals, _points(intrinsics, halo, depth, ref)[2])
         norm_d = np.sqrt(_sq_norm(n_d))
         norm_r = np.sqrt(_sq_norm(n_r))
         ok = m[1:-1, 1:-1] & m[1:-1, 2:] & m[1:-1, :-2] & m[2:, 1:-1] & m[:-2, 1:-1]

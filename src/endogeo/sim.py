@@ -59,7 +59,8 @@ PATH_KINDS = ("orbit", "spline", "linear")
 # each side of it (outside the slab the residual's sign is known). Newton
 # then refines the bracket, bisecting whenever a step would leave it.
 _MARCH_STEPS = 200
-# Newton stops early once no ray's update exceeds _NEWTON_RTOL of its depth
+# Newton stops on each ray once its own update is at most _NEWTON_RTOL of its
+# depth, so a depth does not depend on which rays share its chunk
 _NEWTON_ITERS = 8
 _NEWTON_RTOL = 1e-15
 # the slab is widened by this fraction of extent, far above the rounding
@@ -79,8 +80,8 @@ class SceneSpec:
     def __post_init__(self):
         if self.kind not in SCENE_KINDS:
             raise ValidationError(f"scene kind must be one of {SCENE_KINDS}, got {self.kind!r}")
-        if not self.extent > 0:
-            raise ValidationError(f"scene extent must be positive, got {self.extent}")
+        if not 0 < self.extent < math.inf:
+            raise ValidationError(f"scene extent must be positive and finite, got {self.extent}")
 
 
 @dataclass(frozen=True)
@@ -182,6 +183,7 @@ def _heightfield_hits(scene: SceneSpec, o, dx, dy, dz):
     ray = np.flatnonzero(found)
     lo, hi, f_lo, f_hi, ray_s, ray_dz = lo[ray], hi[ray], f_lo[ray], f_hi[ray], s[:, ray], dz[ray]
     lam = lo - f_lo * (hi - lo) / (f_hi - f_lo)  # the secant, inside the bracket
+    depth = np.zeros(n)
     for _ in range(_NEWTON_ITERS):
         f, angle = residual(lam, ray_s, ray_dz)
         slope = ray_dz + (amplitude * ray_s * np.sin(angle)).sum(axis=0)
@@ -191,12 +193,16 @@ def _heightfield_hits(scene: SceneSpec, o, dx, dy, dz):
         with np.errstate(divide="ignore", invalid="ignore"):
             lam_next = lam - f / slope
         lam_next = np.where((lo <= lam_next) & (lam_next <= hi), lam_next, 0.5 * (lo + hi))
-        settled = np.all(np.abs(lam_next - lam) <= _NEWTON_RTOL * lam)
+        settled = np.abs(lam_next - lam) <= _NEWTON_RTOL * lam
         lam = lam_next
-        if settled:
-            break
+        if settled.any():
+            depth[ray[settled]] = lam[settled]
+            more = ~settled
+            ray, lam, lo, hi, f_lo = ray[more], lam[more], lo[more], hi[more], f_lo[more]
+            ray_s, ray_dz = ray_s[:, more], ray_dz[more]
+            if not ray.size:
+                break
 
-    depth = np.zeros(n)
     depth[ray] = lam
     return depth, found
 
@@ -392,11 +398,11 @@ def simulate_dataset(
         raise ValidationError(f"depth_count must be positive, got {depth_count}")
     depth_count = min(depth_count, n_frames)
 
-    scene_spec = SceneSpec(scene, extent, seed)
     intrinsics = default_intrinsics(width, height, focal)
     gt = gen_trajectory(
         n_frames, path, seed, radius=orbit_radius, target=(0.0, 0.0, extent)
     )
+    scene_spec = SceneSpec(scene, extent, seed)
     drifted = inject_drift(gt, DriftSpec(sigma_rot, sigma_trans, seed))
     anchor_frames = list(range(0, n_frames, stride))
     if anchor_frames[-1] != n_frames - 1:
@@ -417,21 +423,13 @@ def simulate_dataset(
     emit("anchors.tum", lambda p: save_tum(p, anchors))
     for i, seg in enumerate(segments):
         emit(f"segment_{i:04d}.tum", lambda p, s=seg: save_tum(p, s))
-    depths = {}
+    # one depth map at a time: the flow out of frame k needs only its own map
     for frame in range(depth_count):
-        depths[frame] = render_depth(scene_spec, gt.pose_at(frame), intrinsics)
-        emit(
-            fileio.frame_file_name(frame),
-            lambda p, d=depths[frame]: fileio.write_depth_pfm(p, d),
-        )
-    for frame in range(depth_count - 1):
-        flow = induced_flow(
-            depths[frame], gt.pose_at(frame), gt.pose_at(frame + 1), intrinsics
-        )
-        emit(
-            fileio.frame_file_name(frame, frame + 1),
-            lambda p, f=flow: fileio.write_flo(p, f),
-        )
+        depth = render_depth(scene_spec, gt.pose_at(frame), intrinsics)
+        emit(fileio.frame_file_name(frame), lambda p, d=depth: fileio.write_depth_pfm(p, d))
+        if frame + 1 < depth_count:
+            flow = induced_flow(depth, gt.pose_at(frame), gt.pose_at(frame + 1), intrinsics)
+            emit(fileio.frame_file_name(frame, frame + 1), lambda p, f=flow: fileio.write_flo(p, f))
     camera = MonoCalibration(intrinsics, (0.0, 0.0, 0.0, 0.0, 0.0))
     calib = StereoCalibration(
         camera, camera, Quaternion.identity(), np.array([5.0, 0.0, 0.0])

@@ -54,8 +54,12 @@ class StereoCalibration:
                 self, "rotation", Quaternion.from_rotation_matrix(np.asarray(rot, dtype=np.float64))
             )
         t = vec3(self.translation, "extrinsic translation")
-        if float(np.linalg.norm(t)) <= 0:
+        with np.errstate(over="ignore"):  # an overflowing baseline is rejected below
+            baseline = float(np.linalg.norm(t))
+        if baseline <= 0:
             raise ValidationError("degenerate rig: zero baseline")
+        if not math.isfinite(baseline):
+            raise ValidationError("rig baseline (the norm of the extrinsic translation) must be finite")
         object.__setattr__(self, "translation", t)
 
     @property

@@ -1,13 +1,15 @@
+import itertools
 import json
 import logging
 import pathlib
 import re
 import struct
+import weakref
 
 import numpy as np
 import pytest
 
-from endogeo import cli
+from endogeo import cli, fileio, sim
 from endogeo.cli import main
 from endogeo.fileio import read_depth_pfm, write_depth_pfm, write_flo, write_pfm
 from endogeo.geometry import CameraIntrinsics, Pose, Quaternion, pose_distance
@@ -338,6 +340,16 @@ class TestEvalConsistency:
         code, _, _ = run(args, capsys)
         assert code == 3
 
+    def test_missing_reference_depth_names_the_file(self, tmp_path, capsys, caplog):
+        args = self.write_fixture(tmp_path)
+        refs = tmp_path / "refs"
+        refs.mkdir()
+        # only a file named as simulate names it is a reference
+        write_depth_pfm(refs / "depth_000.pfm", DepthMap(np.full((12, 16), 42.0)))
+        code, _, _ = run(args + ["--ref-depths", str(refs)], capsys)
+        assert code == 3
+        assert f"missing depth_0000.pfm in {refs}" in caplog.text
+
     def test_frames_past_9999(self, tmp_path, capsys):
         # the names take a fifth digit from frame 10000 on, as simulate writes them
         ideal_calib(tmp_path / "calib.json", width=4, height=4)
@@ -645,12 +657,15 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
         (lambda p: ["simulate", "--out", str(p / "sim"), "--orbit-radius", "inf"], "distance"),
         (lambda p: ["simulate", "--out", str(p / "sim"), "--orbit-radius", "1e300"], "distance"),
         (lambda p: ["simulate", "--out", str(p / "sim"), "--path", "spline", "--orbit-radius", "1e308"], "distance"),
+        # the linear path never reaches look_at: this wrote maps with no valid pixel
+        (lambda p: ["simulate", "--out", str(p / "sim"), "--path", "linear", "--extent", "inf"], "extent"),
     ],
     ids=[
         "calib-huge-width", "simulate-width", "simulate-height", "eval-depth-width",
         "simulate-stride-0", "simulate-stride-negative", "simulate-sigma-rot-inf", "simulate-sigma-rot-overflow",
         "simulate-extent-inf", "simulate-extent-overflow", "simulate-orbit-radius-inf",
         "simulate-orbit-radius-overflow", "simulate-spline-radius-overflow",
+        "simulate-linear-extent-inf",
     ],
 )
 def test_image_larger_than_ceiling_exits_3(tmp_path, capsys, caplog, argv, logged):
@@ -671,6 +686,53 @@ def test_flow_beyond_float32_exits_3(tmp_path, capsys, caplog):
     for path in written:
         if path.suffix == ".pfm":
             assert np.isfinite(read_depth_pfm(path).values).all(), path.name
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_flow_read_back_as_unknown_exits_3(tmp_path, capsys, caplog):
+    # the flows of a 1e30 px focal length fit float32 but reach the .flo
+    # "unknown flow" sentinel; they were written and read back all invalid
+    argv = ["simulate", "--out", str(tmp_path / "sim"), "--focal", "1e30", "--width", "16", "--height", "12"]
+    code, _, _ = run(argv, capsys)
+    assert code == 3
+    assert "1e9" in caplog.text
+    assert not any(p.suffix == ".flo" for p in (tmp_path / "sim").iterdir())
+
+
+def _peak_live(monkeypatch, owner, name, argv, capsys) -> int:
+    """Run ``argv`` and return the largest number of DepthMaps made by
+    ``owner.name`` that were alive at once."""
+    # a WeakSet needs hashable members, and a DepthMap, which compares its
+    # arrays, is not one; weak values under serial keys count the same
+    live, serial, peak = weakref.WeakValueDictionary(), itertools.count(), [0]
+    make = getattr(owner, name)
+
+    def tracked(*args, **kwargs):
+        depth = make(*args, **kwargs)
+        live[next(serial)] = depth
+        peak[0] = max(peak[0], len(live))
+        return depth
+
+    with monkeypatch.context() as patch:
+        patch.setattr(owner, name, tracked)
+        code, _, err = run(argv, capsys)
+    assert code == 0, err
+    return peak[0]
+
+
+def test_live_depth_maps_do_not_grow_with_sequence_length(tmp_path, monkeypatch, capsys):
+    peaks = []
+    for n in (4, 12):
+        d = tmp_path / f"seq{n}"
+        simulate = ["simulate", "--out", str(d), "--n-frames", str(n), "--depth-count", str(n),
+                    "--width", "16", "--height", "12"]
+        evaluate = ["eval-consistency", "--depths", str(d), "--flows", str(d), "--poses", str(d / "gt.tum"),
+                    "--calib", str(d / "calib.json"), "--ref-depths", str(d)]
+        peaks.append((
+            _peak_live(monkeypatch, sim, "render_depth", simulate, capsys),
+            _peak_live(monkeypatch, fileio, "read_depth_pfm", evaluate, capsys),
+        ))
+    assert peaks[0] == peaks[1]
 
 
 def _doc_tables():

@@ -212,6 +212,28 @@ class TestFlo:
         write_flo(path, FlowField(vectors, np.array([[True, True], [False, True]])))
         assert read_flo(path).valid.sum() == 3
 
+    @pytest.mark.parametrize(
+        "component",
+        # 1e9 - 16 is below 1e9 but rounds to it in float32
+        [1e9, -1e9, 5e37, 1e9 - 16, -float(np.nextafter(np.float32(1e9), np.float32(np.inf)))],
+    )
+    def test_vector_read_back_as_unknown_rejected(self, tmp_path, component):
+        path = tmp_path / "f.flo"
+        vectors = np.zeros((2, 2, 2))
+        vectors[0, 1, 0] = component
+        with pytest.raises(ValidationError, match="1e9"):
+            write_flo(path, FlowField(vectors))
+        assert not path.exists()
+
+    def test_largest_known_flow_round_trips(self, tmp_path):
+        path = tmp_path / "f.flo"
+        below = float(np.nextafter(np.float32(1e9), np.float32(0)))
+        flow = FlowField(np.array([[[below, -below]]]))
+        write_flo(path, flow)
+        back = read_flo(path)
+        assert back.valid.all()
+        assert (back.vectors == flow.vectors).all()
+
     def test_read_treats_large_components_invalid(self, tmp_path):
         path = tmp_path / "f.flo"
         payload = struct.pack("<fii", 202021.25, 1, 1) + struct.pack("<ff", 1e9, 0.0)

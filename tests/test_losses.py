@@ -570,6 +570,9 @@ class TestComposites:
             LossConfig(w_grad=-1.0)
         with pytest.raises(ValidationError):
             NormalizationSpec(0.0, 1.0)
+        for scales in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, -2.0)):
+            with pytest.raises(ValidationError, match="normalization scales"):
+                NormalizationSpec(*scales)
 
 
 class TestNonNegativity:

@@ -194,6 +194,18 @@ class TestHeightfieldOracle:
         with mock.patch.object(sim, "_RAY_CHUNK", chunk):
             assert_heightfield_matches_oracle(*view)
 
+    @settings(max_examples=100, deadline=None)
+    @given(heightfield_views())
+    def test_depth_does_not_depend_on_chunk(self, view):
+        # each ray settles on its own, so the rays beside it change nothing
+        depths = []
+        for chunk in (1, 7, 4096, 8192, 2**20):
+            with mock.patch.object(sim, "_RAY_CHUNK", chunk):
+                depths.append(render_depth(*view))
+        for depth in depths[1:]:
+            assert np.array_equal(depth.valid, depths[0].valid)
+            assert (depth.values == depths[0].values).all()
+
     @pytest.mark.parametrize("height", [0.0, 1.0, 1.2])
     def test_level_rays(self, height):
         # this view has rays with a direction z of exactly 0: level rays
@@ -297,6 +309,12 @@ class TestInjectDrift:
     def test_sigmas_must_be_finite_and_non_negative(self, sigmas):
         with pytest.raises(ValidationError, match="drift sigmas"):
             DriftSpec(*sigmas)
+
+
+@pytest.mark.parametrize("extent", [0.0, -1.0, math.inf, math.nan])
+def test_scene_extent_must_be_positive_and_finite(extent):
+    with pytest.raises(ValidationError, match="extent"):
+        SceneSpec("plane", extent)
 
 
 class TestSimulateDataset:

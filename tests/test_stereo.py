@@ -163,7 +163,9 @@ class TestRectification:
         with pytest.raises(ValidationError, match="baseline"):
             StereoCalibration(cam, cam, Quaternion.identity(), (0.0, 0.0, 0.0))
 
-    @pytest.mark.parametrize("t", [(math.inf, 0.0, 0.0), (5.0, math.nan, 0.0), (5.0, 0.0)])
+    # the last two have finite entries whose norm, the baseline, overflows
+    @pytest.mark.parametrize("t", [(math.inf, 0.0, 0.0), (5.0, math.nan, 0.0), (5.0, 0.0),
+                                   (1e308, 1e308, 0.0), (-1e155, 0.0, -1e300)])
     def test_bad_translation_rejected(self, t):
         cam = MonoCalibration(make_intr(), NO_DIST)
         with pytest.raises(ValidationError, match="extrinsic translation"):
