@@ -139,10 +139,9 @@ def correct_long_trajectory(anchors: Trajectory, segments) -> tuple:
     starts = ends - lengths + 1
     frames = np.concatenate([seg.frames for seg in segments])
     poses = PoseBatch.stack(seg.poses for seg in segments)
-    a_start = anchors.poses[:-1]
     a_end = anchors.poses[1:]
 
-    aligned = _align(poses, starts, a_start)
+    aligned = _align(poses, starts, anchors.poses[:-1])
     errors = compute_drift_error(aligned[ends], a_end)
     corrected = _distribute(frames, aligned, starts, ends, errors)
     res_rot, res_trans = pose_distance(corrected[ends], a_end)
@@ -162,9 +161,10 @@ def correct_long_trajectory(anchors: Trajectory, segments) -> tuple:
         max_res_rot = max(max_res_rot, r_rot)
         max_res_trans = max(max_res_trans, r_trans)
 
-    # exact anchor pass-through at both boundaries; each inner boundary frame
+    # exact anchor pass-through at both boundaries (_align and _distribute
+    # already leave the anchors on the first rows); each inner boundary frame
     # is emitted once, by the segment that ends there
-    corrected = corrected.with_rows(starts, a_start).with_rows(ends, a_end)
+    corrected = corrected.with_rows(ends, a_end)
     keep = np.ones(len(frames), dtype=bool)
     keep[starts[1:]] = False
     report = CorrectionReport(tuple(reports), max_res_rot, max_res_trans)

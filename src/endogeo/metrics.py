@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import MAX_IMAGE_SIDE, compose, inverse, quat_angles, umeyama_align
-from .rasters import DepthMap, _bilinear_taps
+from .rasters import DepthMap, bilinear_sample
 from .trajectory import Trajectory
 
 ALIGN_MODES = ("sim3", "se3")  # ATE alignment: similarity or rigid
@@ -127,25 +127,20 @@ def resize_depth(depth: DepthMap, out_width: int, out_height: int) -> DepthMap:
 
     Output pixel centres map to input coordinates clamped into the image.
     Each output pixel averages its valid bilinear neighbors with renormalized
-    weights (normalized convolution); it is invalid only when all contributing
-    neighbors are invalid. Values under invalid pixels never enter the sum.
+    weights (normalized convolution): the bilinear sample of the values,
+    zeroed where invalid, over the bilinear sample of the validity mask. It
+    is invalid only when all contributing neighbors are invalid. Values under
+    invalid pixels never enter the sum.
     """
     if (depth.width, depth.height) == (out_width, out_height):
         return depth
     in_h, in_w = depth.values.shape
     sx = in_w / out_width
     sy = in_h / out_height
-    u = np.clip((np.arange(out_width, dtype=np.float64) + 0.5) * sx - 0.5, 0.0, in_w - 1)
-    v = np.clip((np.arange(out_height, dtype=np.float64) + 0.5) * sy - 0.5, 0.0, in_h - 1)
-    _, taps = _bilinear_taps(u[None, :], v[:, None], in_w, in_h)
-    valid = depth.valid.reshape(-1)
-    values = np.where(valid, depth.values.reshape(-1), 0.0)
-    total = np.zeros((out_height, out_width))
-    wsum = np.zeros((out_height, out_width))
-    for w, index in taps:
-        contrib = np.where(valid.take(index), w, 0.0)
-        total += contrib * values.take(index)
-        wsum += contrib
+    u = np.clip((np.arange(out_width, dtype=np.float64) + 0.5) * sx - 0.5, 0.0, in_w - 1)[None, :]
+    v = np.clip((np.arange(out_height, dtype=np.float64) + 0.5) * sy - 0.5, 0.0, in_h - 1)[:, None]
+    total, _ = bilinear_sample(np.where(depth.valid, depth.values, 0.0), u, v)
+    wsum, _ = bilinear_sample(depth.valid, u, v)
     ok = wsum > 1e-12
     values = np.where(ok, total / np.where(ok, wsum, 1.0), 0.0)
     return DepthMap(values, ok)

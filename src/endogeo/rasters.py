@@ -4,11 +4,14 @@ All rasters are row-major (height, width[, channels]) float64 arrays plus a
 boolean validity mask. Constructors intersect the given mask with the type's
 own validity rule (finite, positive where required), so a raster can never
 hold a "valid" entry that violates its invariant. Arrays are copied and
-frozen; instances are immutable and safe to share across threads.
+frozen; instances are immutable and safe to share across threads. They
+compare and hash by identity, as the arrays they hold define no truth value
+or hash.
 
-The bilinear stencil that every resampler in the package uses lives here too,
-and so does :func:`row_blocks`, the row-band iterator of the per-pixel
-kernels. ``losses.c_flow``, ``losses.c_temp`` and the normal term of
+The package's one bilinear sampler, :func:`bilinear_sample`, lives here too
+(``metrics.resize_depth`` is the ratio of two of its samples), and so does
+:func:`row_blocks`, the row-band iterator of the per-pixel kernels.
+``losses.c_flow``, ``losses.c_temp`` and the normal term of
 ``losses.c_prior`` run band by band: each band's temporaries fit in cache and
 reuse freed memory, where whole-image temporaries would each fault in fresh
 pages. The bands fill full-size rasters and masks, and every reduction stays
@@ -88,7 +91,7 @@ class _MaskedRaster(_Raster):
         return int(self.valid.sum())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DepthMap(_MaskedRaster):
     _name = "depth"
     _floor = 0.0
@@ -97,7 +100,7 @@ class DepthMap(_MaskedRaster):
     valid: np.ndarray = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DisparityMap(_MaskedRaster):
     _name = "disparity"
     _floor = DISPARITY_EPSILON
@@ -106,7 +109,7 @@ class DisparityMap(_MaskedRaster):
     valid: np.ndarray = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowField(_MaskedRaster):
     """Per-pixel 2-vectors. Used both for flow deltas (du, dv) and, by the
     reprojection helpers, for absolute target coordinates."""
@@ -119,7 +122,7 @@ class FlowField(_MaskedRaster):
     valid: np.ndarray = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pointmap(_MaskedRaster):
     _array = "points"
     _name = "pointmap"
@@ -129,7 +132,7 @@ class Pointmap(_MaskedRaster):
     valid: np.ndarray = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfidenceMap(_Raster):
     values: np.ndarray
 
@@ -161,34 +164,6 @@ def _floor_index(x, top: int) -> np.ndarray:
     return np.clip(np.nan_to_num(np.floor(x)), 0, max(top, 0)).astype(np.int64)
 
 
-def _bilinear_taps(x, y, width: int, height: int):
-    """The bilinear stencil at float coordinates (x, y) on a width x height grid.
-
-    Returns ``(inside, taps)``: ``inside`` marks locations in [0, W-1] x [0, H-1],
-    and ``taps`` lists ``(weight, index)`` for the four corners, ``index``
-    into the row-major flattened grid (a flat ``take`` gathers faster than a
-    (row, col) index pair). The top-left corner is clamped to at most
-    (W-2, H-2), so a location on the far edge still uses an in-bounds 2x2
-    block; outside locations get weight 1 on that clamped corner. On a grid
-    one pixel wide (or high) the right (or lower) corners repeat the left
-    (or upper) ones.
-    """
-    inside = in_bounds(x, y, width, height)
-    x0 = _floor_index(x, width - 2)
-    y0 = _floor_index(y, height - 2)
-    a = np.where(inside, x - x0, 0.0)
-    b = np.where(inside, y - y0, 0.0)
-    i00 = y0 * width + x0
-    right = 1 if width > 1 else 0
-    down = width if height > 1 else 0
-    return inside, (
-        ((1.0 - a) * (1.0 - b), i00),
-        (a * (1.0 - b), i00 + right),
-        ((1.0 - a) * b, i00 + down),
-        (a * b, i00 + (down + right)),
-    )
-
-
 def bilinear_sample(values, x, y, valid=None):
     """Bilinearly sample (H, W) or (H, W, C) ``values`` at float coordinates (x, y).
 
@@ -197,9 +172,34 @@ def bilinear_sample(values, x, y, valid=None):
     four surrounding cells is invalid (the strict 4-cell rule). ``sample`` is
     0 wherever ``ok`` is False; only samples where it is True read ``values``,
     so what a masked cell holds (inf, NaN) never enters the arithmetic.
+    ``x`` and ``y`` broadcast against each other, so a (1, W) row of x and an
+    (H, 1) column of y sample a whole grid. Bool ``values`` sample as 1.0/0.0.
+
+    The top-left corner of the 2x2 stencil is clamped to at most (W-2, H-2),
+    so a location on the far edge still uses an in-bounds block; outside
+    locations get weight 1 on that clamped corner. The corners are gathered
+    by index into the row-major flattened grid (a flat ``take`` gathers
+    faster than a (row, col) index pair). On a grid one pixel wide (or high)
+    the right (or lower) corners repeat the left (or upper) ones.
     """
     height, width = values.shape[:2]
-    ok, taps = _bilinear_taps(x, y, width, height)
+    ok = in_bounds(x, y, width, height)
+    x0 = _floor_index(x, width - 2)
+    y0 = _floor_index(y, height - 2)
+    a = np.where(ok, x - x0, 0.0)
+    b = np.where(ok, y - y0, 0.0)
+    i00 = y0 * width + x0
+    right = 1 if width > 1 else 0
+    down = width if height > 1 else 0
+    taps = (
+        ((1.0 - a) * (1.0 - b), i00),
+        (a * (1.0 - b), i00 + right),
+        ((1.0 - a) * b, i00 + down),
+        (a * b, i00 + (down + right)),
+    )
+    # freed before the gathers, so their temporaries reuse this memory
+    # instead of faulting in fresh pages
+    del x0, y0, a, b
     if valid is not None:
         valid = valid.reshape(-1)
         for _, index in taps:

@@ -11,11 +11,12 @@ Scene geometry lives in the world frame:
 Rays are parameterized as X_cam = lambda * ((u - cx)/fx, (v - cy)/fy, 1), so
 the ray parameter IS the depth. Plane and sphere intersections are closed
 form. The heightfield lies inside the slab extent +- (sum of amplitudes), so
-each ray marches a fixed grid on [0.2, 3] * extent only where it borders the
-ray's stretch inside that slab; the first sign change of the residual
-brackets the hit, and Newton steps on the analytic slope, falling back to
-bisection whenever a step leaves the bracket, refine it to ~1e-15 of the ray
-parameter.
+each ray marches a fixed grid on [0, 3] * extent, from the camera out, only
+where it borders the ray's stretch inside that slab; the first sign change of
+the residual brackets the hit, and Newton steps on the analytic slope,
+falling back to bisection whenever a step leaves the bracket, refine it to
+~1e-15 of the ray parameter. A camera on the surface (a zero residual at the
+camera) sees nothing.
 
 All randomness comes from the package splitmix64 generator (see rng module);
 nothing here touches the platform RNG.
@@ -54,11 +55,14 @@ SCENE_KINDS = ("plane", "sphere", "heightfield")
 PATH_KINDS = ("orbit", "spline", "linear")
 
 # heightfield ray march: the first crossing is bracketed between two
-# neighbours of a fixed _MARCH_STEPS-point grid on [0.2, 3] * extent, but a
+# neighbours of a fixed _MARCH_STEPS-point grid on [0, 3] * extent, which
+# starts at the camera so a camera near the surface still sees it, but a
 # ray evaluates only the grid points inside the relief slab and the one on
 # each side of it (outside the slab the residual's sign is known). Newton
-# then refines the bracket, bisecting whenever a step would leave it.
-_MARCH_STEPS = 200
+# then refines the bracket, bisecting whenever a step would leave it. 215
+# points keep the step, 3 * extent / 214, within the 2.8 * extent / 199 the
+# oracle tests were first run at.
+_MARCH_STEPS = 215
 # Newton stops on each ray once its own update is at most _NEWTON_RTOL of its
 # depth, so a depth does not depend on which rays share its chunk
 _NEWTON_ITERS = 8
@@ -159,7 +163,7 @@ def _heightfield_hits(scene: SceneSpec, o, dx, dy, dz):
     enter = np.where(moving, np.minimum(t_a, t_b), -np.inf if inside else np.inf)
     leave = np.where(moving, np.maximum(t_a, t_b), np.inf if inside else -np.inf)
     # march from the last grid point before the slab to the first one after it
-    steps = np.linspace(0.2 * scene.extent, 3.0 * scene.extent, _MARCH_STEPS)
+    steps = np.linspace(0.0, 3.0 * scene.extent, _MARCH_STEPS)
     first = np.maximum(np.searchsorted(steps, enter, "left") - 1, 0)
     last = np.minimum(np.searchsorted(steps, leave, "right"), _MARCH_STEPS - 1)
 
@@ -169,6 +173,9 @@ def _heightfield_hits(scene: SceneSpec, o, dx, dy, dz):
     ray = np.flatnonzero(last > first)
     k, ray_s, ray_dz = first[ray], s[:, ray], dz[ray]
     f_prev, _ = residual(steps[k], ray_s, ray_dz)
+    # a zero residual at lambda = 0 puts the camera on the surface: no hit
+    off = (k > 0) | (f_prev != 0)
+    ray, k, f_prev, ray_s, ray_dz = ray[off], k[off], f_prev[off], ray_s[:, off], ray_dz[off]
     while ray.size:
         k = k + 1
         f, _ = residual(steps[k], ray_s, ray_dz)

@@ -510,18 +510,19 @@ def oracle_heightfield_depth(components, extent, quat, origin, fx, fy, cx, cy, w
     (w, x, y, z).
 
     The ray of pixel (u, v) is X = origin + lam * R ((u - cx)/fx, (v - cy)/fy, 1).
-    Its residual, ray z minus surface z, is sampled at 200 evenly spaced lam
-    on [0.2, 3] * extent (numpy.linspace's points: start + k * step, with the
+    Its residual, ray z minus surface z, is sampled at 215 evenly spaced lam
+    on [0, 3] * extent (numpy.linspace's points: start + k * step, with the
     last point exactly the stop). The first neighbouring pair whose signs
     differ (a zero counts as a sign of its own) brackets the hit, and 48
     bisections keep the half whose ends differ in sign; the depth is the
-    middle of the last bracket. A ray with no sign change is invalid with
-    depth 0. Returns (values, valid) as nested lists.
+    middle of the last bracket. A ray with no sign change, or with a zero
+    residual at lam = 0 (the camera on the surface), is invalid with depth 0.
+    Returns (values, valid) as nested lists.
     """
     rot = _quat_to_matrix(*quat)
-    start, stop = 0.2 * extent, 3.0 * extent
-    step = (stop - start) / 199
-    grid = [k * step + start for k in range(199)] + [stop]
+    start, stop = 0.0, 3.0 * extent
+    step = (stop - start) / 214
+    grid = [k * step + start for k in range(214)] + [stop]
     values = []
     valid = []
     for v in range(height):
@@ -540,7 +541,8 @@ def oracle_heightfield_depth(components, extent, quat, origin, fx, fy, cx, cy, w
 
             bracket = None
             prev = residual(grid[0])
-            for k in range(1, len(grid)):
+            on_surface = prev == 0.0  # the camera sits on the surface: no hit
+            for k in range(1, 1 if on_surface else len(grid)):
                 cur = residual(grid[k])
                 if _sign(cur) != _sign(prev):
                     bracket = grid[k - 1], grid[k], prev

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import pathlib
@@ -125,3 +126,32 @@ def test_every_name_the_tracer_wraps_is_bound_where_it_wraps_it():
         if cls:
             target = getattr(target, cls)
         assert attr in target.__dict__, f"{owner}.{attr}"
+
+
+# the private names one module of the package may still take from another:
+# (importer, sibling, name)
+PRIVATE_IMPORTS = {
+    ("sim", "geometry", "_rotate"),
+    ("losses", "geometry", "_cross"),
+    ("drift", "trajectory", "_check_anchors"),
+}
+
+
+def test_no_module_takes_a_private_name_from_a_sibling_beyond_the_known_ones():
+    src = pathlib.Path(endogeo.__file__).parent
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        siblings = {}  # name bound -> sibling module, by "from . import x [as y]"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    if node.module is None:
+                        siblings[alias.asname or alias.name] = alias.name
+                    elif alias.name.startswith("_"):
+                        found.add((path.stem, node.module, alias.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in siblings:
+                if node.attr.startswith("_"):
+                    found.add((path.stem, siblings[node.value.id], node.attr))
+    assert found <= PRIVATE_IMPORTS, sorted(found - PRIVATE_IMPORTS)

@@ -1,4 +1,3 @@
-import itertools
 import json
 import logging
 import pathlib
@@ -702,14 +701,12 @@ def test_flow_read_back_as_unknown_exits_3(tmp_path, capsys, caplog):
 def _peak_live(monkeypatch, owner, name, argv, capsys) -> int:
     """Run ``argv`` and return the largest number of DepthMaps made by
     ``owner.name`` that were alive at once."""
-    # a WeakSet needs hashable members, and a DepthMap, which compares its
-    # arrays, is not one; weak values under serial keys count the same
-    live, serial, peak = weakref.WeakValueDictionary(), itertools.count(), [0]
+    live, peak = weakref.WeakSet(), [0]
     make = getattr(owner, name)
 
     def tracked(*args, **kwargs):
         depth = make(*args, **kwargs)
-        live[next(serial)] = depth
+        live.add(depth)
         peak[0] = max(peak[0], len(live))
         return depth
 

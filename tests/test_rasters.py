@@ -4,23 +4,24 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from endogeo.fileio import read_flo
-from endogeo.rasters import FlowField, Pointmap, bilinear_sample
+from endogeo.rasters import ConfidenceMap, DepthMap, DisparityMap, FlowField, Pointmap, bilinear_sample
 
 from oracles import _bilinear
 
 
 @st.composite
-def sampling_cases(draw):
-    """An (H, W) or (H, W, C) raster, a validity mask, and sample locations
-    mixing arbitrary floats, exact integers and the far edge, in and out of
-    bounds."""
+def sampling_cases(draw, channel_counts=(0, 1, 3)):
+    """An (H, W) or (H, W, C) raster, C drawn from ``channel_counts`` (0 for
+    (H, W)), a validity mask, and sample locations mixing arbitrary floats,
+    exact integers and the far edge, in and out of bounds."""
     height = draw(st.integers(1, 6))
     width = draw(st.integers(1, 6))
-    channels = draw(st.sampled_from([0, 1, 3]))
+    channels = draw(st.sampled_from(channel_counts))
     shape = (height, width) if channels == 0 else (height, width, channels)
     values = np.array(
         draw(st.lists(st.floats(-1e3, 1e3), min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
@@ -74,6 +75,42 @@ class TestBilinearSample:
         expected, expected_ok = oracle_sample(values, np.ones_like(valid), x, y)
         assert np.array_equal(ok, expected_ok)
         assert np.array_equal(sample, expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sampling_cases((0, 2)), st.booleans())
+    def test_row_and_column_sample_their_grid(self, case, masked):
+        # resize_depth samples at a (1, W) row of x and an (H, 1) column of y
+        values, valid, x, y = case
+        mask = valid if masked else None
+        sample, ok = bilinear_sample(values, x[None, :], y[:, None], mask)
+        grid_x, grid_y = np.meshgrid(x, y)
+        expected, expected_ok = bilinear_sample(values, grid_x, grid_y, mask)
+        assert np.array_equal(ok, expected_ok)
+        assert np.array_equal(sample, expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sampling_cases((0,)), st.booleans())
+    def test_bool_plane_samples_as_its_float_copy(self, case, masked):
+        # resize_depth samples the validity mask itself
+        values, valid, x, y = case
+        mask = valid if masked else None
+        plane = values > 0
+        sample, ok = bilinear_sample(plane, x, y, mask)
+        expected, expected_ok = bilinear_sample(plane.astype(np.float64), x, y, mask)
+        assert np.array_equal(ok, expected_ok)
+        assert np.array_equal(sample, expected)
+
+
+@pytest.mark.parametrize("kind, shape", [
+    (DepthMap, (2, 3)), (DisparityMap, (2, 3)), (FlowField, (2, 3, 2)), (Pointmap, (2, 3, 3)), (ConfidenceMap, (2, 3)),
+])
+def test_rasters_compare_and_hash_by_identity(kind, shape):
+    values = np.ones(shape)
+    a, b = kind(values), kind(values)
+    assert a == a
+    assert a != b
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2
 
 
 # every value a channel validity rule can turn on: NaN, infinities, the .flo

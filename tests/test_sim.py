@@ -206,10 +206,44 @@ class TestHeightfieldOracle:
             assert np.array_equal(depth.valid, depths[0].valid)
             assert (depth.values == depths[0].values).all()
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(10.0, 1000.0), st.integers(0, 2**32), st.floats(0.01, 0.19),
+        st.sampled_from([1.0, -1.0]), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_near_surface_view_sees_every_pixel(self, extent, seed, gap, side, x, y, roll):
+        # a camera 0.01 to 0.19 extent below (side -1, facing up) or above
+        # (side 1, facing down) the surface point under it sees the surface
+        # in every pixel of its narrow field of view
+        scene = SceneSpec("heightfield", extent, seed)
+        amplitude, kx, ky, phase = sim._heightfield_components(scene)
+        x, y = x * extent, y * extent
+        surface = extent + float((amplitude * np.cos(kx * x + ky * y + phase)).sum())
+        facing = Quaternion.identity() if side < 0 else Quaternion.from_axis_angle((1.0, 0.0, 0.0), math.pi)
+        rotation = facing.multiply(Quaternion.from_axis_angle((0.0, 0.0, 1.0), roll))
+        pose = Pose(rotation, (x, y, surface + side * gap * extent))
+        depth, _ = assert_heightfield_matches_oracle(scene, pose, CameraIntrinsics(20.0, 20.0, 6.0, 4.5, 12, 9))
+        assert (depth > 0).all()
+
+    def test_camera_on_the_surface_sees_nothing(self):
+        # every cosine argument is 0 at the origin, so the surface height
+        # there, 101.75, is exact, and so is the zero residual at the camera;
+        # the level view has rays with a direction z of exactly 0, on
+        # which the residual's slope at the camera is 0 too
+        table = np.array([[1.0, 0.5, 0.25], [0.03, 0.05, 0.07], [0.02, -0.04, 0.06], [0.0, 0.0, 0.0]])
+        camera = (0.0, 0.0, 101.75)
+        level = look_at(camera, (50.0, 50.0, 101.75), up=(0.0, 0.0, 1.0)).rotation
+        down = Quaternion.from_axis_angle((1.0, 0.0, 0.0), math.pi)
+        scene, intr = SceneSpec("heightfield", 100.0, 0), CameraIntrinsics(4.0, 4.0, 3.0, 2.0, 8, 6)
+        with mock.patch.object(sim, "_heightfield_components", lambda scene: table):
+            for rotation in (Quaternion.identity(), down, level):
+                depth, _ = assert_heightfield_matches_oracle(scene, Pose(rotation, camera), intr)
+                assert (depth == 0.0).all()
+
     @pytest.mark.parametrize("height", [0.0, 1.0, 1.2])
     def test_level_rays(self, height):
         # this view has rays with a direction z of exactly 0: level rays
-        # inside the slab march all 200 steps, outside it they cannot hit
+        # inside the slab march all 215 steps, outside it they cannot hit
         scene = SceneSpec("heightfield", 100.0, 3)
         pose = look_at((0.0, 0.0, 100.0 * height), (50.0, 50.0, 100.0 * height), up=(0.0, 0.0, 1.0))
         intr = CameraIntrinsics(4.0, 4.0, 3.0, 2.0, 8, 6)
