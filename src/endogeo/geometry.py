@@ -491,12 +491,10 @@ class CameraIntrinsics:
             )
 
 
-def pixel_grid(width: int, height: int, rows: slice = slice(None)):
+def pixel_grid(width: int, height: int):
     """The (u, v) planes: each pixel's own column and row, as (height, width)
-    arrays; with ``rows``, only the rows of the planes in that slice."""
-    start, stop, _ = rows.indices(height)
-    v, u = np.indices((stop - start, width), dtype=np.float64)
-    v += start
+    arrays."""
+    v, u = np.indices((height, width), dtype=np.float64)
     return u, v
 
 

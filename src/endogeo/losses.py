@@ -10,15 +10,18 @@ Loss functions that reduce over pixels return ``(value, raster, mask)``:
 the per-pixel contribution raster (zero outside the mask) and the mask of
 pixels that entered the reduction.
 
-Only :func:`_points` turns depth into camera-frame points, and it makes an
-invalid pixel NaN whatever it stores, so the point fails every ``z > 0`` test
-and brings no inf into the arithmetic.
+Every per-pixel kernel (:func:`induced_reprojection`, :func:`c_flow`,
+:func:`c_temp`, and :func:`c_prior`'s log residual, gradient and normal terms)
+computes only on its candidates, the pixels that can count, in the chunks of
+:func:`~endogeo.rasters.candidate_chunks`, and :func:`_scatter` writes each
+chunk into zero-filled full-size rasters and masks. Every scalar is still one
+mean over ``raster[mask]``, whose row-major order is the order of the flat
+indices, so the values, rasters and masks do not depend on the chunk size and
+equal those of a whole-image computation.
 
-:func:`c_flow`, :func:`c_temp` and the normal term of :func:`c_prior` run in
-the row bands of :func:`~endogeo.rasters.row_blocks`: each band builds its own
-pixel grid and rays and writes its rows of a full-size raster and mask. Every
-scalar is still one mean over the full raster and mask, so the values, rasters
-and masks do not depend on the band size.
+Only :func:`_points` turns depth into camera-frame points. Every kernel's
+candidates lie where the depths it unprojects are valid, so what an invalid
+pixel stores is never read.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import CameraIntrinsics, Pose, _cross, pixel_grid, pixel_rays, project_planes
-from .rasters import ConfidenceMap, DepthMap, FlowField, Pointmap, bilinear_sample, in_bounds, row_blocks
+from .geometry import CameraIntrinsics, Pose, _cross, pixel_rays, project_planes
+from .rasters import ConfidenceMap, DepthMap, FlowField, Pointmap, bilinear_sample, candidate_chunks, in_bounds
 
 
 @dataclass(frozen=True)
@@ -134,19 +137,42 @@ def induced_reprojection(
     Returns absolute target coordinates (not deltas); pixels whose transformed
     z is non-positive, or whose depth is invalid, are masked out.
     """
-    _, _, (points,) = _points(k_from, slice(None), depth)
-    u, v, in_front = project_planes(*motion.transform_planes(*points), k_to)
-    return FlowField(np.stack([u, v], axis=-1), in_front)
+    _require_same_shape(depth, k_from, "camera")
+
+    def targets(chunk):
+        tu, tv, in_front = _reproject(chunk, depth, k_from, k_to, motion)
+        return np.stack([tu, tv], axis=-1), in_front
+
+    return FlowField(*_scatter(depth.valid, targets, 2))
 
 
-def _points(intrinsics: CameraIntrinsics, rows: slice, *depths: DepthMap):
-    """The pixel planes (u, v) of ``rows`` and, for each of ``depths`` (maps
-    of one size), the x, y and z planes of the camera-frame points at its
-    depth: NaN where the depth is invalid. The rays are built once for all."""
-    u, v = pixel_grid(depths[0].width, depths[0].height, rows)
-    x, y = pixel_rays(u, v, intrinsics)
-    zs = (np.where(depth.valid[rows], depth.values[rows], np.nan) for depth in depths)
-    return u, v, [(x * z, y * z, z) for z in zs]
+def _scatter(candidates: np.ndarray, kernel, *channels: int):
+    """A zero-filled raster of the (H, W) shape of ``candidates`` (plus
+    ``channels``) and a False-filled mask, with ``kernel(chunk) -> (values,
+    ok)`` written at the cells of each chunk of the True cells of
+    ``candidates`` (see :func:`~endogeo.rasters.candidate_chunks`)."""
+    raster = np.zeros(candidates.shape + channels)
+    mask = np.zeros(candidates.shape, dtype=bool)
+    flat_raster, flat_mask = raster.reshape((-1,) + channels), mask.reshape(-1)
+    for chunk in candidate_chunks(candidates):
+        flat_raster[chunk[0]], flat_mask[chunk[0]] = kernel(chunk)
+    return raster, mask
+
+
+def _reproject(chunk, depth: DepthMap, k_from: CameraIntrinsics, k_to: CameraIntrinsics, motion: Pose):
+    """``(u, v, in_front)`` of :func:`~endogeo.geometry.project_planes` for
+    the points of ``depth`` at the cells of ``chunk``, moved by ``motion``."""
+    index, u, v = chunk
+    return project_planes(*motion.transform_planes(*_points(pixel_rays(u, v, k_from), index, depth)), k_to)
+
+
+def _points(rays, index, depth: DepthMap):
+    """The x, y and z arrays of the camera-frame points along ``rays``, the
+    (x, y) of :func:`~endogeo.geometry.pixel_rays` (z is 1), at the depths of
+    the flat ``index``, where ``depth`` must be valid."""
+    x, y = rays
+    z = depth.values.take(index)
+    return x * z, y * z, z
 
 
 def c_flow(
@@ -161,18 +187,20 @@ def c_flow(
     counts where the moved point is in front of the camera, its reprojection
     is finite, its flow is valid and p' is in bounds."""
     _require_same_shape(depth, flow, "flow")
+    _require_same_shape(depth, k_from, "camera")
+    _require_same_shape(depth, k_to, "camera")
     height, width = depth.values.shape
-    raster = np.empty((height, width))
-    mask = np.empty((height, width), dtype=bool)
-    for rows in row_blocks(height, width):
-        u, v, (points,) = _points(k_from, rows, depth)
-        tu, tv, in_front = project_planes(*motion.transform_planes(*points), k_to)
-        px = u + flow.vectors[rows, :, 0]
-        py = v + flow.vectors[rows, :, 1]
-        ok = in_front & np.isfinite(tu) & np.isfinite(tv) & flow.valid[rows]
-        ok &= in_bounds(px, py, width, height)
-        mask[rows] = ok
-        raster[rows] = np.where(ok, np.abs(tu - px) + np.abs(tv - py), 0.0)
+    vectors = flow.vectors.reshape(-1, 2)
+
+    def distance(chunk):
+        index, u, v = chunk
+        tu, tv, in_front = _reproject(chunk, depth, k_from, k_to, motion)
+        du, dv = vectors.take(index, axis=0).T
+        px, py = u + du, v + dv
+        ok = in_front & np.isfinite(tu) & np.isfinite(tv) & in_bounds(px, py, width, height)
+        return np.where(ok, np.abs(tu - px) + np.abs(tv - py), 0.0), ok
+
+    raster, mask = _scatter(depth.valid & flow.valid, distance)
     if not mask.any():
         raise ValidationError("no valid pixels for the flow-consistency loss")
     return float(raster[mask].mean()), raster, mask
@@ -193,21 +221,23 @@ def c_temp(
     any of the four neighbors is invalid or the location is out of bounds.
     """
     _require_same_shape(depth_i, flow, "flow")
-    height, width = depth_i.values.shape
-    raster = np.empty((height, width))
-    mask = np.empty((height, width), dtype=bool)
-    for rows in row_blocks(height, width):
-        u, v, (points,) = _points(k_i, rows, depth_i)
-        p_z = motion.transform_planes(*points)[2]
-        px = u + flow.vectors[rows, :, 0]
-        py = v + flow.vectors[rows, :, 1]
-        sample, ok = bilinear_sample(depth_j.values, px, py, depth_j.valid)
-        ok &= flow.valid[rows] & (p_z > 0) & (sample > 0)
+    _require_same_shape(depth_i, depth_j, "depth")
+    _require_same_shape(depth_i, k_i, "camera")
+    _require_same_shape(depth_j, k_j, "camera")
+    vectors = flow.vectors.reshape(-1, 2)
+
+    def ratio_error(chunk):
+        index, u, v = chunk
+        p_z = motion.transform_planes(*_points(pixel_rays(u, v, k_i), index, depth_i))[2]
+        du, dv = vectors.take(index, axis=0).T
+        sample, ok = bilinear_sample(depth_j.values, u + du, v + dv, depth_j.valid)
+        ok &= (p_z > 0) & (sample > 0)
         pz_safe = np.where(ok, p_z, 1.0)
         s_safe = np.where(ok, sample, 1.0)
         ratio = np.maximum(pz_safe / s_safe, s_safe / pz_safe)
-        mask[rows] = ok
-        raster[rows] = np.where(ok, np.abs(ratio - 1.0), 0.0)
+        return np.where(ok, np.abs(ratio - 1.0), 0.0), ok
+
+    raster, mask = _scatter(depth_i.valid & flow.valid, ratio_error)
     if not mask.any():
         raise ValidationError("no valid pixels for the temporal-consistency loss")
     return float(raster[mask].mean()), raster, mask
@@ -233,23 +263,28 @@ def _pool2x2(grid: np.ndarray, valid: np.ndarray):
 
 
 def _grad_term(grid: np.ndarray, valid: np.ndarray) -> float:
+    """Mean |forward x-diff| + |forward y-diff| of ``grid`` over the pixels
+    whose right and lower neighbours are valid with them; 0 when there are
+    none."""
     height, width = grid.shape
     if height < 2 or width < 2:
         return 0.0
-    ok = valid[:-1, :-1] & valid[:-1, 1:] & valid[1:, :-1]
-    if not ok.any():
-        return 0.0
-    gx = np.abs(grid[:-1, 1:] - grid[:-1, :-1])
-    gy = np.abs(grid[1:, :-1] - grid[:-1, :-1])
-    return float((gx + gy)[ok].mean())
+    corner = np.zeros_like(valid)
+    corner[:-1, :-1] = valid[:-1, :-1] & valid[:-1, 1:] & valid[1:, :-1]
+    flat = grid.reshape(-1)
+
+    def diffs(chunk):
+        index = chunk[0]
+        g = flat.take(index)
+        return np.abs(flat.take(index + 1) - g) + np.abs(flat.take(index + width) - g), True
+
+    total, ok = _scatter(corner, diffs)
+    return float(total[ok].mean()) if ok.any() else 0.0
 
 
-def _normals(points):
-    """Unnormalized surface normals at interior pixels via central differences
-    of the x, y, z planes of an (H, W) pointmap; three (H-2, W-2) planes."""
-    tx = tuple(c[1:-1, 2:] - c[1:-1, :-2] for c in points)
-    ty = tuple(c[2:, 1:-1] - c[:-2, 1:-1] for c in points)
-    return _cross(tx, ty)
+def _diff(a, b):
+    """a - b of two 3-array vectors."""
+    return [p - q for p, q in zip(a, b)]
 
 
 def _sq_norm(v):
@@ -261,24 +296,35 @@ def _normal_term(depth: DepthMap, ref: DepthMap, mask, intrinsics: CameraIntrins
     """Mean (1 - cos angle) between the surface normals of ``depth`` and
     ``ref`` over the interior pixels whose 5-point cross lies in ``mask`` and
     whose normals are both nonzero; 0 when there are none. Needs H, W >= 3."""
-    height, width = mask.shape
-    half_sq = np.empty((height - 2, width - 2))
-    usable = np.empty((height - 2, width - 2), dtype=bool)
-    for rows in row_blocks(height - 2, width):
-        # interior row i is image row i + 1: its normals read image rows i..i+2
-        halo = slice(rows.start, rows.stop + 2)
-        m = mask[halo]
-        n_d, n_r = map(_normals, _points(intrinsics, halo, depth, ref)[2])
+    width = mask.shape[1]
+    cross = np.zeros_like(mask)
+    cross[1:-1, 1:-1] = mask[1:-1, 1:-1] & mask[1:-1, 2:] & mask[1:-1, :-2] & mask[2:, 1:-1] & mask[:-2, 1:-1]
+
+    def cosine_gap(chunk):
+        index, u, v = chunk
+        # the rays of the columns left of, at and right of each pixel and of
+        # the rows above, at and below it, shared by both maps
+        (x_left, y_up), (x, y), (x_right, y_down) = (pixel_rays(u + d, v + d, intrinsics) for d in (-1, 0, 1))
+
+        def normals(dm):
+            # central differences, a pair of neighbours at a time, so that
+            # few chunk arrays are alive at once
+            tx = _diff(_points((x_right, y), index + 1, dm), _points((x_left, y), index - 1, dm))
+            ty = _diff(_points((x, y_down), index + width, dm), _points((x, y_up), index - width, dm))
+            return _cross(tx, ty)
+
+        n_d = normals(depth)
         norm_d = np.sqrt(_sq_norm(n_d))
+        n_r = normals(ref)
         norm_r = np.sqrt(_sq_norm(n_r))
-        ok = m[1:-1, 1:-1] & m[1:-1, 2:] & m[1:-1, :-2] & m[2:, 1:-1] & m[:-2, 1:-1]
-        ok &= (norm_d > 0) & (norm_r > 0)
+        ok = (norm_d > 0) & (norm_r > 0)
         # 1 - cos(angle) computed as 0.5 * ||u_d - u_r||^2 on the unit
         # normals: algebraically identical, but exactly 0 for identical
         # maps and never negative under rounding.
         safe_d, safe_r = np.where(ok, norm_d, 1.0), np.where(ok, norm_r, 1.0)
-        half_sq[rows] = 0.5 * _sq_norm([a / safe_d - b / safe_r for a, b in zip(n_d, n_r)])
-        usable[rows] = ok
+        return 0.5 * _sq_norm([a / safe_d - b / safe_r for a, b in zip(n_d, n_r)]), ok
+
+    half_sq, usable = _scatter(cross, cosine_gap)
     return float(half_sq[usable].mean()) if usable.any() else 0.0
 
 
@@ -294,12 +340,16 @@ def c_prior(depth: DepthMap, ref: DepthMap, intrinsics: CameraIntrinsics, cfg: L
     Total = w_si * c_si + w_grad * c_grad + w_normal * c_normal.
     """
     _require_same_shape(depth, ref, "depth")
+    _require_same_shape(depth, intrinsics, "camera")
     mask = depth.valid & ref.valid
     if not mask.any():
         raise ValidationError("no jointly valid pixels for the prior loss")
-    safe_d = np.where(mask, depth.values, 1.0)
-    safe_r = np.where(mask, ref.values, 1.0)
-    g = np.where(mask, np.log(safe_d) - np.log(safe_r), 0.0)
+
+    def log_residual(chunk):
+        index = chunk[0]
+        return np.log(depth.values.take(index)) - np.log(ref.values.take(index)), True
+
+    g, _ = _scatter(mask, log_residual)
     gv = g[mask]
     c_si = float((gv**2).mean() - gv.mean() ** 2)
 

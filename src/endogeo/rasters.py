@@ -10,12 +10,13 @@ or hash.
 
 The package's one bilinear sampler, :func:`bilinear_sample`, lives here too
 (``metrics.resize_depth`` is the ratio of two of its samples), and so does
-:func:`row_blocks`, the row-band iterator of the per-pixel kernels.
-``losses.c_flow``, ``losses.c_temp`` and the normal term of
-``losses.c_prior`` run band by band: each band's temporaries fit in cache and
-reuse freed memory, where whole-image temporaries would each fault in fresh
-pages. The bands fill full-size rasters and masks, and every reduction stays
-one mean over those full arrays, so results do not depend on the band size.
+:func:`candidate_chunks`, the iterator of the per-pixel kernels of
+``losses``. Each kernel computes only on its candidate cells (those that can
+count, such as the pixels with valid depth and flow), a chunk at a time: a
+chunk's temporaries fit in cache and reuse freed memory, where whole-image
+temporaries would each fault in fresh pages. The chunks fill zero-filled
+full-size rasters and masks, and every reduction stays one mean over those
+full arrays, so results do not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import ValidationError
 # disparities at or below this are unusable (depth = b*f/d diverges)
 DISPARITY_EPSILON = 1e-3
 
-# bytes of one float64 plane of a row band (see row_blocks)
+# bytes of one float64 array of a candidate chunk (see candidate_chunks)
 BAND_BYTES = 128 * 1024
 
 
@@ -143,13 +144,19 @@ class ConfidenceMap(_Raster):
         object.__setattr__(self, "values", _freeze(values))
 
 
-def row_blocks(height: int, width: int):
-    """Row slices that tile ``range(height)`` top to bottom, each with as
-    many rows as keep one float64 plane of the band within BAND_BYTES, and
-    at least one row."""
-    rows = max(1, BAND_BYTES // (8 * max(width, 1)))
-    for start in range(0, height, rows):
-        yield slice(start, min(start + rows, height))
+def candidate_chunks(plane: np.ndarray):
+    """The True cells of the (H, W) bool ``plane`` in row-major order, in
+    chunks of at most BAND_BYTES // 8 cells (at least one), so that one
+    float64 array of a chunk fits in BAND_BYTES. Each chunk is ``(index, u,
+    v)``: the cells' flat indices into the plane, and their columns and rows
+    as float64. A plane with no True cell yields no chunk."""
+    width = plane.shape[1]
+    cells = np.flatnonzero(plane)
+    size = max(1, BAND_BYTES // 8)
+    for start in range(0, cells.size, size):
+        index = cells[start : start + size]
+        v = index // width
+        yield index, (index - v * width).astype(np.float64), v.astype(np.float64)
 
 
 def in_bounds(x, y, width: int, height: int):

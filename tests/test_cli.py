@@ -349,6 +349,14 @@ class TestEvalConsistency:
         assert code == 3
         assert f"missing depth_0000.pfm in {refs}" in caplog.text
 
+    def test_calibration_of_another_size_exits_3(self, tmp_path, capsys, caplog):
+        # 16x12 maps with a 160x120 camera gave numbers with no error
+        args = self.write_fixture(tmp_path)
+        ideal_calib(tmp_path / "calib.json", width=160, height=120)
+        code, _, _ = run(args + ["--ref-depths", str(tmp_path / "depths")], capsys)
+        assert code == 3
+        assert "camera dimensions differ: 16x12 vs 160x120" in caplog.text
+
     def test_frames_past_9999(self, tmp_path, capsys):
         # the names take a fifth digit from frame 10000 on, as simulate writes them
         ideal_calib(tmp_path / "calib.json", width=4, height=4)

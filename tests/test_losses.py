@@ -320,7 +320,7 @@ class TestFlowOracle:
 
 
 def _band_case(width, height, seed):
-    """Seeded inputs for every banded loss on a width x height image: about
+    """Seeded inputs for every chunked kernel on a width x height image: about
     one entry in ten of each raster is special (masked, 0, -2, NaN, ±inf, or
     a flow far out of the image), and the motion moves some points behind the
     camera."""
@@ -348,12 +348,18 @@ def _band_case(width, height, seed):
 
 
 def _outcomes(case):
-    """Each banded loss's result on ``case``, or the message it raised."""
+    """Each chunked kernel's result on ``case``, or the message it raised."""
     depth_i, depth_j, k_i, k_j, motion, flow = case
+
+    def targets():
+        reprojection = induced_reprojection(depth_i, k_i, k_j, motion)
+        return reprojection.vectors, reprojection.valid
+
     calls = (
         lambda: c_flow(depth_i, k_i, k_j, motion, flow),
         lambda: c_temp(depth_i, depth_j, k_i, k_j, motion, flow),
         lambda: c_prior(depth_i, depth_j, k_i, CFG),
+        targets,
     )
     results = []
     for call in calls:
@@ -365,15 +371,21 @@ def _outcomes(case):
 
 
 def _identical(a, b):
+    """Equal to the bit: arrays by dtype, shape and bytes (so a -0.0 or a NaN
+    payload shows), floats by their hex form, containers item by item."""
     if isinstance(a, np.ndarray):
-        return isinstance(b, np.ndarray) and np.array_equal(a, b)
+        return isinstance(b, np.ndarray) and (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
     if isinstance(a, (tuple, list)):
         return type(a) is type(b) and len(a) == len(b) and all(map(_identical, a, b))
-    return a == b
+    if isinstance(a, dict):
+        return type(b) is dict and a.keys() == b.keys() and all(_identical(a[k], b[k]) for k in a)
+    if isinstance(a, float):
+        return type(b) is float and a.hex() == b.hex()
+    return type(a) is type(b) and a == b
 
 
 def _outcomes_at(budgets, case):
-    """``_outcomes(case)`` with the band budget set to each of ``budgets``."""
+    """``_outcomes(case)`` with the chunk budget set to each of ``budgets``."""
     with pytest.MonkeyPatch.context() as patch:
         results = []
         for budget in budgets:
@@ -382,39 +394,126 @@ def _outcomes_at(budgets, case):
     return results
 
 
-_BAND = 16  # rows of a band of a one-pixel-wide image at the test budget
+def _chunk_sizes(plane):
+    return [len(index) for index, _, _ in rasters.candidate_chunks(plane)]
+
+
+_BAND = 16  # entries of a chunk at the test budget
 _BUDGET = 8 * _BAND
-_DEFAULT_BAND = rasters.BAND_BYTES // 8  # the same at the default budget
+_DEFAULT_BAND = rasters.BAND_BYTES // 8  # entries of a chunk at the default budget
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # NaN and inf inputs warn nowhere
 class TestRowBands:
-    """c_flow, c_temp and c_prior give the same values, rasters and masks
-    whatever the row bands, and so the same as on the whole image at once."""
+    """Every chunked kernel gives the same values, rasters and masks whatever
+    the chunk size, and so the same as on the whole image at once. (The names
+    are those of the row bands that the candidate chunks replaced.)"""
 
     @pytest.mark.parametrize(
         "width, height",
         [(1, h) for h in (1, 2, 3, _BAND - 1, _BAND, _BAND + 1)]
-        # wider than the budget, so that a band is a single row
+        # wider than a chunk, so that a row spans chunks
         + [(_BAND + 1, h) for h in (1, 2, 3, 4)]
-        + [(5, h) for h in (1, 2, 3, 4, 6, 7)],  # three rows a band
+        + [(5, h) for h in (1, 2, 3, 4, 6, 7)],
     )
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_one_row_bands_equal_one_band(self, width, height, seed):
         case = _band_case(width, height, seed)
-        one_row, banded, whole = _outcomes_at((1, _BUDGET, 8 * width * height), case)
-        assert _identical(one_row, whole)
-        assert _identical(banded, whole)
+        # budgets 1 and 8 both give one entry a chunk
+        *small, whole = _outcomes_at((1, 8, _BUDGET - 8, _BUDGET, 8 * width * height), case)
+        for outcome in small:
+            assert _identical(outcome, whole)
         assert _identical(_outcomes(case), whole)
 
-    @pytest.mark.parametrize("height", [_DEFAULT_BAND - 1, _DEFAULT_BAND, _DEFAULT_BAND + 1])
+    @pytest.mark.parametrize("count", [_DEFAULT_BAND - 1, _DEFAULT_BAND, _DEFAULT_BAND + 1])
     @settings(max_examples=3, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
-    def test_default_band_edge(self, height, seed):
-        case = _band_case(1, height, seed)
-        (whole,) = _outcomes_at((8 * height,), case)
+    def test_default_band_edge(self, count, seed):
+        # every pixel valid up to flat index ``count``, so that c_flow, c_temp
+        # and the log residual have exactly ``count`` candidates
+        width, height = 128, 130
+        depth_i, depth_j, k_i, k_j, motion, flow = _band_case(width, height, seed)
+        first = (np.arange(width * height) < count).reshape(height, width)
+        depth_i = DepthMap(np.where(first, np.abs(np.nan_to_num(depth_i.values, posinf=1.0, neginf=1.0)) + 0.5, -1.0))
+        flow = FlowField(np.nan_to_num(flow.vectors, posinf=1.0, neginf=-1.0), first)
+        # one chunk short of full, one full chunk, and one full chunk plus one
+        assert _chunk_sizes(depth_i.valid & flow.valid) == {
+            _DEFAULT_BAND - 1: [_DEFAULT_BAND - 1], _DEFAULT_BAND: [_DEFAULT_BAND], _DEFAULT_BAND + 1: [_DEFAULT_BAND, 1]
+        }[count]
+        case = (depth_i, depth_j, k_i, k_j, motion, flow)
+        (whole,) = _outcomes_at((8 * width * height,), case)
         assert _identical(_outcomes(case), whole)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        plane=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**32 - 1)).map(
+            lambda a: np.random.default_rng(a[2]).uniform(size=a[:2]) < 0.6
+        ),
+        budget=st.integers(0, 100),
+    )
+    def test_chunks_follow_the_patched_budget(self, plane, budget):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rasters, "BAND_BYTES", budget)
+            chunks = list(rasters.candidate_chunks(plane))
+        size = max(1, budget // 8)
+        cells = np.flatnonzero(plane)
+        assert [len(index) for index, _, _ in chunks] == [
+            min(size, cells.size - start) for start in range(0, cells.size, size)
+        ]
+        index, u, v = (
+            np.concatenate([np.empty(0, dtype)] + [chunk[k] for chunk in chunks])
+            for k, dtype in enumerate((np.int64, np.float64, np.float64))
+        )
+        assert all(chunk[1].dtype == chunk[2].dtype == np.float64 for chunk in chunks)
+        rows, cols = np.nonzero(plane)
+        assert np.array_equal(index, cells)
+        assert np.array_equal(u, cols) and np.array_equal(v, rows)
+
+    def test_no_candidates_keep_the_messages(self):
+        depth_i, depth_j, k_i, k_j, motion, flow = _band_case(6, 5, 7)
+        no_depth = DepthMap(depth_i.values, np.zeros((5, 6), dtype=bool))
+        no_flow = FlowField(flow.vectors, np.zeros((5, 6), dtype=bool))
+        for budget in (1, rasters.BAND_BYTES):
+            (depthless,), (flowless,) = (
+                _outcomes_at((budget,), case)
+                for case in ((no_depth, depth_j, k_i, k_j, motion, flow), (depth_i, depth_j, k_i, k_j, motion, no_flow))
+            )
+            assert depthless[:3] == [
+                "no valid pixels for the flow-consistency loss",
+                "no valid pixels for the temporal-consistency loss",
+                "no jointly valid pixels for the prior loss",
+            ]
+            assert flowless[:2] == depthless[:2]
+            targets, valid = depthless[3]
+            assert not valid.any() and not targets.any()
+        assert _chunk_sizes(np.zeros((5, 6), dtype=bool)) == []
+
+
+_SMALL = small_intr()  # 8x6, the size of every map below but the large one
+_LARGE = small_intr(80, 60)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda depth, large, flow, m: c_flow(depth, _LARGE, _SMALL, m, flow),
+        lambda depth, large, flow, m: c_flow(depth, _SMALL, _LARGE, m, flow),
+        lambda depth, large, flow, m: c_temp(depth, depth, _LARGE, _SMALL, m, flow),
+        lambda depth, large, flow, m: c_temp(depth, depth, _SMALL, _LARGE, m, flow),
+        # depth_j matches its own camera but not depth_i
+        lambda depth, large, flow, m: c_temp(depth, large, _SMALL, _LARGE, m, flow),
+        lambda depth, large, flow, m: c_prior(depth, depth, _LARGE, CFG),
+        lambda depth, large, flow, m: induced_reprojection(depth, _LARGE, _SMALL, m),
+    ],
+    ids=["c_flow-k_from", "c_flow-k_to", "c_temp-k_i", "c_temp-k_j", "c_temp-depth_j", "c_prior", "induced"],
+)
+def test_sizes_must_match_their_cameras(call):
+    # each of these used to return a value with no error
+    depth = DepthMap(np.full((6, 8), 42.0))
+    large = DepthMap(np.full((60, 80), 42.0))
+    with pytest.raises(ValidationError, match="dimensions differ"):
+        call(depth, large, zero_flow(8, 6), Pose.identity())
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
