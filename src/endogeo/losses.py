@@ -13,15 +13,14 @@ pixels that entered the reduction.
 Every per-pixel kernel (:func:`induced_reprojection`, :func:`c_flow`,
 :func:`c_temp`, and :func:`c_prior`'s log residual, gradient and normal terms)
 computes only on its candidates, the pixels that can count, in the chunks of
-:func:`~endogeo.rasters.candidate_chunks`, and :func:`_scatter` writes each
-chunk into zero-filled full-size rasters and masks. Every scalar is still one
-mean over ``raster[mask]``, whose row-major order is the order of the flat
-indices, so the values, rasters and masks do not depend on the chunk size and
-equal those of a whole-image computation.
-
-Only :func:`_points` turns depth into camera-frame points. Every kernel's
-candidates lie where the depths it unprojects are valid, so what an invalid
-pixel stores is never read.
+flat indices of :func:`~endogeo.rasters.candidate_chunks`. :func:`_scatter`
+writes the chunks into zero-filled full-size rasters and masks;
+:func:`_kept_mean` only keeps the values that enter a mean. Either way a mean
+runs over the values of ``raster[mask]`` in its row-major order, so no result
+depends on the chunk size. The kernels read depth only at their candidates'
+valid cells, and work in closed form: a point at depth z on the ray (x, y, 1)
+moves to z * (R @ (x, y, 1)) + t (:func:`_mover`), and a surface normal is a
+formula of four neighbour depths (:func:`_normals`).
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import CameraIntrinsics, Pose, _cross, pixel_rays, project_planes
-from .rasters import ConfidenceMap, DepthMap, FlowField, Pointmap, bilinear_sample, candidate_chunks, in_bounds
+from .geometry import CameraIntrinsics, Pose, pixel_rays, project_planes
+from .rasters import ConfidenceMap, DepthMap, FlowField, Pointmap, bilinear_sample, candidate_chunks, cell_coords, in_bounds
 
 
 @dataclass(frozen=True)
@@ -138,9 +137,11 @@ def induced_reprojection(
     z is non-positive, or whose depth is invalid, are masked out.
     """
     _require_same_shape(depth, k_from, "camera")
+    move = _mover(motion)
 
-    def targets(chunk):
-        tu, tv, in_front = _reproject(chunk, depth, k_from, k_to, motion)
+    def targets(index):
+        rays = pixel_rays(*cell_coords(index, depth.width), k_from)
+        tu, tv, in_front = project_planes(*move(*rays, depth.values.take(index)), k_to)
         return np.stack([tu, tv], axis=-1), in_front
 
     return FlowField(*_scatter(depth.valid, targets, 2))
@@ -148,31 +149,35 @@ def induced_reprojection(
 
 def _scatter(candidates: np.ndarray, kernel, *channels: int):
     """A zero-filled raster of the (H, W) shape of ``candidates`` (plus
-    ``channels``) and a False-filled mask, with ``kernel(chunk) -> (values,
-    ok)`` written at the cells of each chunk of the True cells of
-    ``candidates`` (see :func:`~endogeo.rasters.candidate_chunks`)."""
+    ``channels``) and a False-filled mask, with ``kernel(index) -> (values,
+    ok)`` written at each chunk ``index`` of the True cells of ``candidates``."""
     raster = np.zeros(candidates.shape + channels)
     mask = np.zeros(candidates.shape, dtype=bool)
     flat_raster, flat_mask = raster.reshape((-1,) + channels), mask.reshape(-1)
-    for chunk in candidate_chunks(candidates):
-        flat_raster[chunk[0]], flat_mask[chunk[0]] = kernel(chunk)
+    for index in candidate_chunks(candidates):
+        flat_raster[index], flat_mask[index] = kernel(index)
     return raster, mask
 
 
-def _reproject(chunk, depth: DepthMap, k_from: CameraIntrinsics, k_to: CameraIntrinsics, motion: Pose):
-    """``(u, v, in_front)`` of :func:`~endogeo.geometry.project_planes` for
-    the points of ``depth`` at the cells of ``chunk``, moved by ``motion``."""
-    index, u, v = chunk
-    return project_planes(*motion.transform_planes(*_points(pixel_rays(u, v, k_from), index, depth)), k_to)
+def _kept_mean(candidates: np.ndarray, kernel) -> float:
+    """Mean of the values that ``kernel(index)`` keeps at each chunk
+    ``index`` of the True cells of ``candidates`` (0 if none): the bits of
+    ``raster[mask].mean()`` for those of :func:`_scatter`, in the same order."""
+    values = np.concatenate([np.empty(0)] + [kernel(index) for index in candidate_chunks(candidates)])
+    return float(values.mean()) if values.size else 0.0
 
 
-def _points(rays, index, depth: DepthMap):
-    """The x, y and z arrays of the camera-frame points along ``rays``, the
-    (x, y) of :func:`~endogeo.geometry.pixel_rays` (z is 1), at the depths of
-    the flat ``index``, where ``depth`` must be valid."""
-    x, y = rays
-    z = depth.values.take(index)
-    return x * z, y * z, z
+def _mover(motion: Pose, rows=(0, 1, 2)):
+    """``(x, y, z) ->`` the ``rows`` of z * (R @ (x, y, 1)) + t, the points at
+    depths z on the rays (x, y, 1) moved by ``motion``, with its rotation
+    matrix R formed once here: 6 operations a row per point."""
+    rotation, translation = motion.rotation.to_rotation_matrix().tolist(), motion.translation.tolist()
+    moves = [(rotation[k], translation[k]) for k in rows]
+
+    def move(x, y, z):
+        return tuple(z * (r0 * x + r1 * y + r2) + t for (r0, r1, r2), t in moves)
+
+    return move
 
 
 def c_flow(
@@ -191,10 +196,11 @@ def c_flow(
     _require_same_shape(depth, k_to, "camera")
     height, width = depth.values.shape
     vectors = flow.vectors.reshape(-1, 2)
+    move = _mover(motion)
 
-    def distance(chunk):
-        index, u, v = chunk
-        tu, tv, in_front = _reproject(chunk, depth, k_from, k_to, motion)
+    def distance(index):
+        u, v = cell_coords(index, width)
+        tu, tv, in_front = project_planes(*move(*pixel_rays(u, v, k_from), depth.values.take(index)), k_to)
         du, dv = vectors.take(index, axis=0).T
         px, py = u + du, v + dv
         ok = in_front & np.isfinite(tu) & np.isfinite(tv) & in_bounds(px, py, width, height)
@@ -219,16 +225,19 @@ def c_temp(
     P_z is the z of the unprojected source pixel moved into the target frame;
     D_j is sampled bilinearly at p' = p + flow and the sample is rejected if
     any of the four neighbors is invalid or the location is out of bounds.
+    ``k_j`` only fixes the size that ``depth_j`` must have: P_z comes from
+    ``motion`` and D_j is sampled at p', so no target ray is formed.
     """
     _require_same_shape(depth_i, flow, "flow")
     _require_same_shape(depth_i, depth_j, "depth")
     _require_same_shape(depth_i, k_i, "camera")
     _require_same_shape(depth_j, k_j, "camera")
     vectors = flow.vectors.reshape(-1, 2)
+    move_z = _mover(motion, rows=(2,))
 
-    def ratio_error(chunk):
-        index, u, v = chunk
-        p_z = motion.transform_planes(*_points(pixel_rays(u, v, k_i), index, depth_i))[2]
+    def ratio_error(index):
+        u, v = cell_coords(index, depth_i.width)
+        (p_z,) = move_z(*pixel_rays(u, v, k_i), depth_i.values.take(index))
         du, dv = vectors.take(index, axis=0).T
         sample, ok = bilinear_sample(depth_j.values, u + du, v + dv, depth_j.valid)
         ok &= (p_z > 0) & (sample > 0)
@@ -266,25 +275,16 @@ def _grad_term(grid: np.ndarray, valid: np.ndarray) -> float:
     """Mean |forward x-diff| + |forward y-diff| of ``grid`` over the pixels
     whose right and lower neighbours are valid with them; 0 when there are
     none."""
-    height, width = grid.shape
-    if height < 2 or width < 2:
-        return 0.0
+    width = grid.shape[1]
     corner = np.zeros_like(valid)
     corner[:-1, :-1] = valid[:-1, :-1] & valid[:-1, 1:] & valid[1:, :-1]
     flat = grid.reshape(-1)
 
-    def diffs(chunk):
-        index = chunk[0]
+    def diffs(index):
         g = flat.take(index)
-        return np.abs(flat.take(index + 1) - g) + np.abs(flat.take(index + width) - g), True
+        return np.abs(flat.take(index + 1) - g) + np.abs(flat.take(index + width) - g)
 
-    total, ok = _scatter(corner, diffs)
-    return float(total[ok].mean()) if ok.any() else 0.0
-
-
-def _diff(a, b):
-    """a - b of two 3-array vectors."""
-    return [p - q for p, q in zip(a, b)]
+    return _kept_mean(corner, diffs)
 
 
 def _sq_norm(v):
@@ -292,40 +292,47 @@ def _sq_norm(v):
     return v[0] ** 2 + v[1] ** 2 + v[2] ** 2
 
 
+def _normals(values: np.ndarray, index, rays, intrinsics: CameraIntrinsics):
+    """Surface normals of the depth ``values`` at the interior cells ``index``
+    with valid 5-point crosses and rays (x, y) ``rays``: the cross product of
+    the central differences of P = z * (x, y, 1), which is
+    (-a t, -s b, a t x + s b y + s t) with a = z_r - z_l, b = z_d - z_u,
+    s = (z_r + z_l) / fx and t = (z_d + z_u) / fy. The neighbour depths are
+    divided by the centre one, which keeps the direction and keeps the
+    products from under- or overflowing at extreme depth scales."""
+    x, y = rays
+    width = values.shape[1]
+    flat = values.reshape(-1)
+    z = flat.take(index)
+    right, left = flat.take(index + 1) / z, flat.take(index - 1) / z
+    down, up = flat.take(index + width) / z, flat.take(index - width) / z
+    a, s = right - left, (right + left) / intrinsics.fx
+    b, t = down - up, (down + up) / intrinsics.fy
+    at, sb = a * t, s * b
+    return -at, -sb, at * x + sb * y + s * t
+
+
 def _normal_term(depth: DepthMap, ref: DepthMap, mask, intrinsics: CameraIntrinsics) -> float:
     """Mean (1 - cos angle) between the surface normals of ``depth`` and
-    ``ref`` over the interior pixels whose 5-point cross lies in ``mask`` and
-    whose normals are both nonzero; 0 when there are none. Needs H, W >= 3."""
+    ``ref`` (see :func:`_normals`) over the interior pixels whose 5-point
+    cross lies in ``mask`` and whose normals are both nonzero; 0 when there
+    are none."""
     width = mask.shape[1]
     cross = np.zeros_like(mask)
     cross[1:-1, 1:-1] = mask[1:-1, 1:-1] & mask[1:-1, 2:] & mask[1:-1, :-2] & mask[2:, 1:-1] & mask[:-2, 1:-1]
 
-    def cosine_gap(chunk):
-        index, u, v = chunk
-        # the rays of the columns left of, at and right of each pixel and of
-        # the rows above, at and below it, shared by both maps
-        (x_left, y_up), (x, y), (x_right, y_down) = (pixel_rays(u + d, v + d, intrinsics) for d in (-1, 0, 1))
-
-        def normals(dm):
-            # central differences, a pair of neighbours at a time, so that
-            # few chunk arrays are alive at once
-            tx = _diff(_points((x_right, y), index + 1, dm), _points((x_left, y), index - 1, dm))
-            ty = _diff(_points((x, y_down), index + width, dm), _points((x, y_up), index - width, dm))
-            return _cross(tx, ty)
-
-        n_d = normals(depth)
-        norm_d = np.sqrt(_sq_norm(n_d))
-        n_r = normals(ref)
-        norm_r = np.sqrt(_sq_norm(n_r))
+    def cosine_gap(index):
+        rays = pixel_rays(*cell_coords(index, width), intrinsics)
+        n_d, n_r = (_normals(m.values, index, rays, intrinsics) for m in (depth, ref))
+        norm_d, norm_r = np.sqrt(_sq_norm(n_d)), np.sqrt(_sq_norm(n_r))
         ok = (norm_d > 0) & (norm_r > 0)
         # 1 - cos(angle) computed as 0.5 * ||u_d - u_r||^2 on the unit
         # normals: algebraically identical, but exactly 0 for identical
         # maps and never negative under rounding.
         safe_d, safe_r = np.where(ok, norm_d, 1.0), np.where(ok, norm_r, 1.0)
-        return 0.5 * _sq_norm([a / safe_d - b / safe_r for a, b in zip(n_d, n_r)]), ok
+        return (0.5 * _sq_norm([a / safe_d - b / safe_r for a, b in zip(n_d, n_r)]))[ok]
 
-    half_sq, usable = _scatter(cross, cosine_gap)
-    return float(half_sq[usable].mean()) if usable.any() else 0.0
+    return _kept_mean(cross, cosine_gap)
 
 
 def c_prior(depth: DepthMap, ref: DepthMap, intrinsics: CameraIntrinsics, cfg: LossConfig):
@@ -345,8 +352,7 @@ def c_prior(depth: DepthMap, ref: DepthMap, intrinsics: CameraIntrinsics, cfg: L
     if not mask.any():
         raise ValidationError("no jointly valid pixels for the prior loss")
 
-    def log_residual(chunk):
-        index = chunk[0]
+    def log_residual(index):
         return np.log(depth.values.take(index)) - np.log(ref.values.take(index)), True
 
     g, _ = _scatter(mask, log_residual)
@@ -357,13 +363,10 @@ def c_prior(depth: DepthMap, ref: DepthMap, intrinsics: CameraIntrinsics, cfg: L
     grid, valid = g, mask
     for scale in range(4):
         if scale > 0:
-            if grid.shape[0] < 2 or grid.shape[1] < 2:
-                break
             grid, valid = _pool2x2(grid, valid)
         c_grad += _grad_term(grid, valid)
 
-    height, width = mask.shape
-    c_normal = _normal_term(depth, ref, mask, intrinsics) if height >= 3 and width >= 3 else 0.0
+    c_normal = _normal_term(depth, ref, mask, intrinsics)
 
     total = cfg.w_si * c_si + cfg.w_grad * c_grad + cfg.w_normal * c_normal
     return total, {"c_si": c_si, "c_grad": c_grad, "c_normal": c_normal}

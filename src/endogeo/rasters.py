@@ -12,11 +12,11 @@ The package's one bilinear sampler, :func:`bilinear_sample`, lives here too
 (``metrics.resize_depth`` is the ratio of two of its samples), and so does
 :func:`candidate_chunks`, the iterator of the per-pixel kernels of
 ``losses``. Each kernel computes only on its candidate cells (those that can
-count, such as the pixels with valid depth and flow), a chunk at a time: a
-chunk's temporaries fit in cache and reuse freed memory, where whole-image
-temporaries would each fault in fresh pages. The chunks fill zero-filled
-full-size rasters and masks, and every reduction stays one mean over those
-full arrays, so results do not depend on the chunk size.
+count, such as the pixels with valid depth and flow), a chunk of flat indices
+at a time (:func:`cell_coords` gives their columns and rows): a chunk's
+temporaries fit in cache and reuse freed memory, where whole-image
+temporaries would each fault in fresh pages. The chunks keep row-major order,
+so results do not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -145,18 +145,21 @@ class ConfidenceMap(_Raster):
 
 
 def candidate_chunks(plane: np.ndarray):
-    """The True cells of the (H, W) bool ``plane`` in row-major order, in
-    chunks of at most BAND_BYTES // 8 cells (at least one), so that one
-    float64 array of a chunk fits in BAND_BYTES. Each chunk is ``(index, u,
-    v)``: the cells' flat indices into the plane, and their columns and rows
-    as float64. A plane with no True cell yields no chunk."""
-    width = plane.shape[1]
+    """The flat indices of the True cells of the (H, W) bool ``plane`` in
+    row-major order, in chunks of at most BAND_BYTES // 8 cells (at least
+    one), so that one float64 array of a chunk fits in BAND_BYTES. A plane
+    with no True cell yields no chunk."""
     cells = np.flatnonzero(plane)
     size = max(1, BAND_BYTES // 8)
     for start in range(0, cells.size, size):
-        index = cells[start : start + size]
-        v = index // width
-        yield index, (index - v * width).astype(np.float64), v.astype(np.float64)
+        yield cells[start : start + size]
+
+
+def cell_coords(index: np.ndarray, width: int):
+    """``(u, v)``: the columns and rows, as float64, of the flat ``index``
+    into a row-major plane ``width`` cells wide."""
+    v = index // width
+    return (index - v * width).astype(np.float64), v.astype(np.float64)
 
 
 def in_bounds(x, y, width: int, height: int):

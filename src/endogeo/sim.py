@@ -14,9 +14,11 @@ form. The heightfield lies inside the slab extent +- (sum of amplitudes), so
 each ray marches a fixed grid on [0, 3] * extent, from the camera out, only
 where it borders the ray's stretch inside that slab; the first sign change of
 the residual brackets the hit, and Newton steps on the analytic slope,
-falling back to bisection whenever a step leaves the bracket, refine it to
-~1e-15 of the ray parameter. A camera on the surface (a zero residual at the
-camera) sees nothing.
+falling back to bisection whenever a step leaves the bracket, refine the
+hit until a step moves it by at most 1e-15 of itself. The residual rounds at
+about 1e-16 of extent, so a hit near the camera can be further off relative
+to its depth: a depth of 0.0021 at extent 68 is 2.6e-12 off. A camera on the
+surface (a zero residual at the camera) sees nothing.
 
 All randomness comes from the package splitmix64 generator (see rng module);
 nothing here touches the platform RNG.

@@ -1,11 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endogeo import rasters
+from endogeo import geometry, losses, rasters
 from endogeo.errors import ValidationError
 from endogeo.geometry import CameraIntrinsics, Pose, Quaternion
 from endogeo.losses import (
@@ -395,7 +396,7 @@ def _outcomes_at(budgets, case):
 
 
 def _chunk_sizes(plane):
-    return [len(index) for index, _, _ in rasters.candidate_chunks(plane)]
+    return [len(index) for index in rasters.candidate_chunks(plane)]
 
 
 _BAND = 16  # entries of a chunk at the test budget
@@ -458,16 +459,22 @@ class TestRowBands:
             chunks = list(rasters.candidate_chunks(plane))
         size = max(1, budget // 8)
         cells = np.flatnonzero(plane)
-        assert [len(index) for index, _, _ in chunks] == [
+        assert [len(index) for index in chunks] == [
             min(size, cells.size - start) for start in range(0, cells.size, size)
         ]
-        index, u, v = (
-            np.concatenate([np.empty(0, dtype)] + [chunk[k] for chunk in chunks])
-            for k, dtype in enumerate((np.int64, np.float64, np.float64))
-        )
-        assert all(chunk[1].dtype == chunk[2].dtype == np.float64 for chunk in chunks)
+        assert all(index.dtype == np.int64 for index in chunks)
+        assert np.array_equal(np.concatenate([np.empty(0, np.int64)] + chunks), cells)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        plane=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**32 - 1)).map(
+            lambda a: np.random.default_rng(a[2]).uniform(size=a[:2]) < 0.6
+        ),
+    )
+    def test_cell_coords_are_the_columns_and_rows(self, plane):
+        u, v = rasters.cell_coords(np.flatnonzero(plane), plane.shape[1])
+        assert u.dtype == v.dtype == np.float64
         rows, cols = np.nonzero(plane)
-        assert np.array_equal(index, cells)
         assert np.array_equal(u, cols) and np.array_equal(v, rows)
 
     def test_no_candidates_keep_the_messages(self):
@@ -636,6 +643,114 @@ class TestDepthPrior:
         b = DepthMap(np.array([[1.0, 2.0]]), np.array([[False, True]]))
         with pytest.raises(ValidationError):
             c_prior(a, b, k, CFG)
+
+
+@st.composite
+def cameras(draw, width, height):
+    """Intrinsics of a width x height camera, from wide (f of 0.5 px) to
+    narrow (f of 500 px), with the principal point anywhere in the image."""
+    f = st.floats(0.5, 500.0)
+    return CameraIntrinsics(draw(f), draw(f), draw(st.floats(0.0, width - 0.01)),
+                            draw(st.floats(0.0, height - 0.01)), width, height)
+
+
+@st.composite
+def depth_planes(draw, width, height, low=0.5, high=30.0):
+    values = draw(st.lists(st.floats(low, high), min_size=width * height, max_size=width * height))
+    return np.array(values).reshape(height, width)
+
+
+@st.composite
+def prior_cases(draw):
+    """A depth map, a reference map and a camera, about one pixel in ten
+    masked in each map."""
+    height, width = draw(st.integers(3, 7)), draw(st.integers(3, 7))
+
+    def depth_map():
+        masked = draw(st.lists(st.integers(0, 9), min_size=width * height, max_size=width * height))
+        return DepthMap(draw(depth_planes(width, height)), np.array(masked).reshape(height, width) > 0)
+
+    return depth_map(), depth_map(), draw(cameras(width, height))
+
+
+class TestClosedForms:
+    """The closed forms of the consistency kernels equal their definitions."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        quat=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: sum(c * c for c in q) > 1e-6),
+        translation=st.tuples(*[st.floats(-100.0, 100.0)] * 3),
+        points=st.lists(st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0), st.floats(1e-3, 1e3)),
+                        min_size=1, max_size=20),
+    )
+    def test_moved_points_equal_transform_planes(self, quat, translation, points):
+        motion = Pose(Quaternion(*quat), translation)
+        x, y, z = (np.array(c) for c in zip(*points))
+        want = motion.transform_planes(x * z, y * z, z)
+        # relative to the size of the point and of the translation
+        scale = z * np.sqrt(x * x + y * y + 1.0) + np.sqrt(sum(t * t for t in translation))
+        for rows in ((0, 1, 2), (2,)):
+            got = losses._mover(motion, rows)(x, y, z)
+            for k, row in enumerate(rows):
+                assert (np.abs(got[k] - want[row]) <= 1e-12 * scale).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        case=st.tuples(st.integers(3, 7), st.integers(3, 7)).flatmap(
+            lambda size: st.tuples(depth_planes(*size, 1e-3, 1e3), cameras(*size))
+        )
+    )
+    def test_unit_normals_equal_the_cross_product_of_central_differences(self, case):
+        values, camera = case
+        height, width = values.shape
+        index = np.flatnonzero(np.pad(np.ones((height - 2, width - 2), dtype=bool), 1))
+        rays = geometry.pixel_rays(*rasters.cell_coords(index, width), camera)
+        got = np.stack(losses._normals(values, index, rays, camera), axis=-1)
+        got /= np.sqrt((got**2).sum(axis=-1, keepdims=True))
+
+        def point(row, col):
+            # exact rationals of the unprojected float depth
+            z = Fraction(values[row, col])
+            return (z * (col - Fraction(camera.cx)) / Fraction(camera.fx),
+                    z * (row - Fraction(camera.cy)) / Fraction(camera.fy), z)
+
+        for normal, cell in zip(got, index.tolist()):
+            row, col = divmod(cell, width)
+            tx = [p - q for p, q in zip(point(row, col + 1), point(row, col - 1))]
+            ty = [p - q for p, q in zip(point(row + 1, col), point(row - 1, col))]
+            want = np.array([float(c) for c in (tx[1] * ty[2] - tx[2] * ty[1], tx[2] * ty[0] - tx[0] * ty[2],
+                                                tx[0] * ty[1] - tx[1] * ty[0])])
+            want /= np.sqrt((want**2).sum())
+            assert np.abs(normal - want).max() <= 1e-12
+
+
+class TestPriorAtExtremeScales:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(case=prior_cases(), exponent=st.integers(-300, 300))
+    def test_breakdown_does_not_depend_on_the_depth_scale(self, case, exponent):
+        # normals built from products of raw depths underflow from 1e-150
+        # down, dropping every pixel, and overflow from 1e150 up, warning
+        depth, ref, camera = case
+        k = 10.0**exponent
+        scaled = DepthMap(k * depth.values, depth.valid), DepthMap(k * ref.values, ref.valid)
+        try:
+            _, want = c_prior(depth, ref, camera, CFG)
+        except ValidationError:
+            with pytest.raises(ValidationError, match="no jointly valid pixels"):
+                c_prior(*scaled, camera, CFG)
+            return
+        _, got = c_prior(*scaled, camera, CFG)
+        # c_normal is a mean of 0.5 |n_d - n_r|^2 over unit normals, whose
+        # last bits (about 1e-14 here) move it by about 1e-14 sqrt(c_normal)
+        # whatever the scale; that is more than 1e-12 of it only where the
+        # normals are all but parallel
+        larger = max(got["c_normal"], want["c_normal"])
+        assert abs(got["c_normal"] - want["c_normal"]) <= 1e-12 * larger + 1e-13 * math.sqrt(larger)
+        # log(k d) - log(k r) rounds to about 1e-13 absolute at |log k| near
+        # 690, so the log terms are compared relative to at least 1
+        for key in ("c_si", "c_grad"):
+            assert abs(got[key] - want[key]) <= 1e-12 * max(want[key], 1.0), key
 
 
 class TestComposites:
