@@ -46,8 +46,7 @@ def format_json(obj) -> str:
 
 
 def write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_json(obj))
+    write_text(path, format_json(obj))
 
 
 def is_json_number(value, kinds=(int, float)) -> bool:
@@ -71,6 +70,12 @@ def read_text(path) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise FormatError(f"not UTF-8 text: {exc}", path=path) from None
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to a file as UTF-8 with ``\\n`` newlines."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def read_json(path):

@@ -23,8 +23,9 @@ through ``math`` on floats, also for a batch, because numpy's ``arccos`` and
 ``arctan2`` may differ from libm in the last bit.
 
 Raster geometry takes and returns (H, W) planes, one array per coordinate:
-:func:`pixel_grid` (u, v), :func:`pixel_rays` (x, y; z is 1),
-:meth:`Pose.transform_planes` (x, y, z) and :func:`project_planes`. At the API
+:func:`pixel_grid` (u, v), :func:`pixel_rays` (x, y; z is 1), the one ray
+rotation :func:`rotated_rays` (rows of M @ (x, y, 1)), :meth:`Pose.move_rays`
+(rows of z * (R @ (x, y, 1)) + t) and :func:`project_planes`. At the API
 boundary results stay interleaved: ``Pointmap`` (H, W, 3), ``FlowField``
 (H, W, 2), and :func:`project`/:func:`unproject` on (..., 3)/(..., 2) arrays.
 """
@@ -332,10 +333,12 @@ class Pose:
     def transform(self, points):
         return self.rotation.rotate(points) + self.translation
 
-    def transform_planes(self, x, y, z):
-        """The pose applied to the points with x, y and z planes ``x, y, z``."""
-        rotated = _rotate(self.rotation.wxyz, (x, y, z))
-        return tuple(c + t for c, t in zip(rotated, self.translation.tolist()))
+    def move_rays(self, x, y, z, rows=(0, 1, 2)):
+        """The ``rows`` of z * (R @ (x, y, 1)) + t: the points at depths ``z``
+        on the rays with x and y planes ``x, y``, moved by this pose."""
+        t = self.translation.tolist()
+        rotated = rotated_rays(self.rotation.to_rotation_matrix(), x, y, rows)
+        return tuple(z * r + t[k] for k, r in zip(rows, rotated))
 
     def __eq__(self, other):
         if not isinstance(other, Pose):
@@ -465,6 +468,16 @@ def pose_distance(a, b):
     return rot, (float(trans) if trans.ndim == 0 else trans)
 
 
+def check_image_size(width, height, what: str) -> None:
+    """Raise :class:`ValidationError` unless ``width`` and ``height`` are
+    Python ints, not bools, from 1 to :data:`MAX_IMAGE_SIDE`; ``what`` names
+    the image in the message."""
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (width, height)):
+        raise ValidationError(f"{what} width/height must be integers, got {width!r}x{height!r}")
+    if not (0 < width <= MAX_IMAGE_SIDE and 0 < height <= MAX_IMAGE_SIDE):
+        raise ValidationError(f"{what} size must be 1..{MAX_IMAGE_SIDE} px per side: {width}x{height}")
+
+
 @dataclass(frozen=True)
 class CameraIntrinsics:
     fx: float
@@ -479,12 +492,7 @@ class CameraIntrinsics:
             raise ValidationError(
                 f"focal lengths must be positive and finite: fx={self.fx} fy={self.fy}"
             )
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (self.width, self.height)):
-            raise ValidationError("width/height must be integers")
-        if not (0 < self.width <= MAX_IMAGE_SIDE and 0 < self.height <= MAX_IMAGE_SIDE):
-            raise ValidationError(
-                f"image size must be 1..{MAX_IMAGE_SIDE} px per side: {self.width}x{self.height}"
-            )
+        check_image_size(self.width, self.height, "image")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValidationError(
                 f"principal point ({self.cx}, {self.cy}) outside {self.width}x{self.height}"
@@ -502,6 +510,13 @@ def pixel_rays(u, v, intrinsics: CameraIntrinsics):
     """The (x, y) planes of the camera-frame rays ((u - cx)/fx, (v - cy)/fy, 1)
     through the pixels (u, v); z is 1, so (x * depth, y * depth, depth) is the point."""
     return (u - intrinsics.cx) / intrinsics.fx, (v - intrinsics.cy) / intrinsics.fy
+
+
+def rotated_rays(matrix, x, y, rows=(0, 1, 2)):
+    """The ``rows`` of M @ (x, y, 1) for the 3x3 ``matrix`` M and the ray
+    planes ``x, y``: row k is M[k][0] * x + M[k][1] * y + M[k][2]."""
+    m = np.asarray(matrix, dtype=np.float64).tolist()
+    return tuple(m[k][0] * x + m[k][1] * y + m[k][2] for k in rows)
 
 
 def project_planes(x, y, z, intrinsics: CameraIntrinsics):

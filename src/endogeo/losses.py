@@ -19,8 +19,8 @@ writes the chunks into zero-filled full-size rasters and masks;
 runs over the values of ``raster[mask]`` in its row-major order, so no result
 depends on the chunk size. The kernels read depth only at their candidates'
 valid cells, and work in closed form: a point at depth z on the ray (x, y, 1)
-moves to z * (R @ (x, y, 1)) + t (:func:`_mover`), and a surface normal is a
-formula of four neighbour depths (:func:`_normals`).
+moves to z * (R @ (x, y, 1)) + t (:meth:`~endogeo.geometry.Pose.move_rays`),
+and a surface normal is a formula of four neighbour depths (:func:`_normals`).
 """
 
 from __future__ import annotations
@@ -137,11 +137,10 @@ def induced_reprojection(
     z is non-positive, or whose depth is invalid, are masked out.
     """
     _require_same_shape(depth, k_from, "camera")
-    move = _mover(motion)
 
     def targets(index):
         rays = pixel_rays(*cell_coords(index, depth.width), k_from)
-        tu, tv, in_front = project_planes(*move(*rays, depth.values.take(index)), k_to)
+        tu, tv, in_front = project_planes(*motion.move_rays(*rays, depth.values.take(index)), k_to)
         return np.stack([tu, tv], axis=-1), in_front
 
     return FlowField(*_scatter(depth.valid, targets, 2))
@@ -167,19 +166,6 @@ def _kept_mean(candidates: np.ndarray, kernel) -> float:
     return float(values.mean()) if values.size else 0.0
 
 
-def _mover(motion: Pose, rows=(0, 1, 2)):
-    """``(x, y, z) ->`` the ``rows`` of z * (R @ (x, y, 1)) + t, the points at
-    depths z on the rays (x, y, 1) moved by ``motion``, with its rotation
-    matrix R formed once here: 6 operations a row per point."""
-    rotation, translation = motion.rotation.to_rotation_matrix().tolist(), motion.translation.tolist()
-    moves = [(rotation[k], translation[k]) for k in rows]
-
-    def move(x, y, z):
-        return tuple(z * (r0 * x + r1 * y + r2) + t for (r0, r1, r2), t in moves)
-
-    return move
-
-
 def c_flow(
     depth: DepthMap,
     k_from: CameraIntrinsics,
@@ -196,11 +182,10 @@ def c_flow(
     _require_same_shape(depth, k_to, "camera")
     height, width = depth.values.shape
     vectors = flow.vectors.reshape(-1, 2)
-    move = _mover(motion)
 
     def distance(index):
         u, v = cell_coords(index, width)
-        tu, tv, in_front = project_planes(*move(*pixel_rays(u, v, k_from), depth.values.take(index)), k_to)
+        tu, tv, in_front = project_planes(*motion.move_rays(*pixel_rays(u, v, k_from), depth.values.take(index)), k_to)
         du, dv = vectors.take(index, axis=0).T
         px, py = u + du, v + dv
         ok = in_front & np.isfinite(tu) & np.isfinite(tv) & in_bounds(px, py, width, height)
@@ -233,11 +218,10 @@ def c_temp(
     _require_same_shape(depth_i, k_i, "camera")
     _require_same_shape(depth_j, k_j, "camera")
     vectors = flow.vectors.reshape(-1, 2)
-    move_z = _mover(motion, rows=(2,))
 
     def ratio_error(index):
         u, v = cell_coords(index, depth_i.width)
-        (p_z,) = move_z(*pixel_rays(u, v, k_i), depth_i.values.take(index))
+        (p_z,) = motion.move_rays(*pixel_rays(u, v, k_i), depth_i.values.take(index), rows=(2,))
         du, dv = vectors.take(index, axis=0).T
         sample, ok = bilinear_sample(depth_j.values, u + du, v + dv, depth_j.valid)
         ok &= (p_z > 0) & (sample > 0)

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import MAX_IMAGE_SIDE, compose, inverse, quat_angles, umeyama_align
+from .geometry import check_image_size, compose, inverse, quat_angles, umeyama_align
 from .rasters import DepthMap, bilinear_sample
 from .trajectory import Trajectory
 
@@ -33,11 +33,7 @@ class DepthEvalConfig:
     median_scaling: bool = True
 
     def __post_init__(self):
-        if not (0 < self.eval_width <= MAX_IMAGE_SIDE and 0 < self.eval_height <= MAX_IMAGE_SIDE):
-            raise ValidationError(
-                f"eval resolution must be 1..{MAX_IMAGE_SIDE} px per side, "
-                f"got {self.eval_width}x{self.eval_height}"
-            )
+        check_image_size(self.eval_width, self.eval_height, "eval image")
         if not (0 < self.depth_min < self.depth_max):
             raise ValidationError(
                 f"need 0 < depth_min < depth_max, got [{self.depth_min}, {self.depth_max}]"

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import FormatError, ValidationError
 from .fileio import is_json_number, read_json, write_json
-from .geometry import CameraIntrinsics, Quaternion, pixel_grid, pixel_rays, project, slerp, vec3
+from .geometry import CameraIntrinsics, Quaternion, pixel_grid, pixel_rays, project, rotated_rays, slerp, vec3
 from .rasters import DISPARITY_EPSILON, DepthMap, DisparityMap, bilinear_sample
 
 _UNDISTORT_MAX_ITER = 20
@@ -155,12 +155,6 @@ def _rectifying_rotation(calib: StereoCalibration) -> np.ndarray:
     return np.column_stack([e1, e2, e3])
 
 
-def _rotated_rays(x, y, basis: np.ndarray):
-    """The x, y and z planes of the rays (x, y, 1) taken through the 3x3
-    ``basis``: component i is x * basis[i, 0] + y * basis[i, 1] + basis[i, 2]."""
-    return tuple(x * b0 + y * b1 + b2 for b0, b1, b2 in basis.tolist())
-
-
 def compute_rectify_maps(calib: StereoCalibration) -> RectifyMaps:
     """Bouguet rectification: both virtual cameras share one orientation with
     x along the baseline; rectified intrinsics are the left camera's."""
@@ -170,7 +164,7 @@ def compute_rectify_maps(calib: StereoCalibration) -> RectifyMaps:
     x, y = pixel_rays(*pixel_grid(rect_k.width, rect_k.height), rect_k)
 
     def maps_for(cam: MonoCalibration, basis: np.ndarray):
-        cx, cy, z = _rotated_rays(x, y, basis)
+        cx, cy, z = rotated_rays(basis, x, y)
         ok = z > 0
         z_safe = np.where(ok, z, 1.0)
         u, v = _distorted_pixel_planes(cam, cx / z_safe, cy / z_safe)
@@ -200,7 +194,7 @@ def rectify_pixels(calib: StereoCalibration, maps: RectifyMaps, side: str, pixel
     else:
         raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
     x, y = np.moveaxis(undistort_pixels(cam, pixels), -1, 0)
-    return project(np.stack(_rotated_rays(x, y, rot.to_rotation_matrix().T), axis=-1), maps.intrinsics)
+    return project(np.stack(rotated_rays(rot.to_rotation_matrix().T, x, y), axis=-1), maps.intrinsics)
 
 
 def remap(image, map_x, map_y, *, fill: float = 0.0):

@@ -16,7 +16,7 @@ import numbers
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .fileio import read_text
+from .fileio import read_text, write_text
 from .geometry import Pose, PoseBatch
 
 log = logging.getLogger(__name__)
@@ -253,8 +253,7 @@ def load_tum(path) -> Trajectory:
 
 
 def save_tum(path, trajectory: Trajectory) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_tum(trajectory))
+    write_text(path, serialize_tum(trajectory))
 
 
 def _check_anchors(anchors: Trajectory) -> np.ndarray:

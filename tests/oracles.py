@@ -512,12 +512,14 @@ def oracle_heightfield_depth(components, extent, quat, origin, fx, fy, cx, cy, w
     The ray of pixel (u, v) is X = origin + lam * R ((u - cx)/fx, (v - cy)/fy, 1).
     Its residual, ray z minus surface z, is sampled at 215 evenly spaced lam
     on [0, 3] * extent (numpy.linspace's points: start + k * step, with the
-    last point exactly the stop). The first neighbouring pair whose signs
-    differ (a zero counts as a sign of its own) brackets the hit, and 48
-    bisections keep the half whose ends differ in sign; the depth is the
-    middle of the last bracket. A ray with no sign change, or with a zero
-    residual at lam = 0 (the camera on the surface), is invalid with depth 0.
-    Returns (values, valid) as nested lists.
+    last point exactly the stop). The residual is (origin z - extent) +
+    lam * d_z - sum of a * cos(...), so no O(extent) sum is rounded before
+    the subtraction. The first neighbouring pair whose signs differ (a zero
+    counts as a sign of its own) brackets the hit, and bisection keeps the
+    half whose ends differ in sign until the ends are neighbouring floats;
+    the depth is the middle of the last bracket. A ray with no sign change,
+    or with a zero residual at lam = 0 (the camera on the surface), is
+    invalid with depth 0. Returns (values, valid) as nested lists.
     """
     rot = _quat_to_matrix(*quat)
     start, stop = 0.0, 3.0 * extent
@@ -534,10 +536,10 @@ def oracle_heightfield_depth(components, extent, quat, origin, fx, fy, cx, cy, w
             def residual(lam):
                 x = origin[0] + lam * d[0]
                 y = origin[1] + lam * d[1]
-                surface = extent
+                relief = 0.0
                 for amplitude, kx, ky, phase in components:
-                    surface += amplitude * math.cos(kx * x + ky * y + phase)
-                return origin[2] + lam * d[2] - surface
+                    relief += amplitude * math.cos(kx * x + ky * y + phase)
+                return (origin[2] - extent) + lam * d[2] - relief
 
             bracket = None
             prev = residual(grid[0])
@@ -553,8 +555,10 @@ def oracle_heightfield_depth(components, extent, quat, origin, fx, fy, cx, cy, w
                 row_valid.append(False)
                 continue
             lo, hi, res_lo = bracket
-            for _ in range(48):
+            while True:
                 mid = 0.5 * (lo + hi)
+                if mid in (lo, hi):  # lo and hi are neighbouring floats
+                    break
                 res_mid = residual(mid)
                 if _sign(res_mid) == _sign(res_lo):
                     lo, res_lo = mid, res_mid

@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import pathlib
+import re
 import types
 
 import endogeo
@@ -131,7 +132,6 @@ def test_every_name_the_tracer_wraps_is_bound_where_it_wraps_it():
 # the private names one module of the package takes from another, exactly
 # (an entry no module needs any more fails too): (importer, sibling, name)
 PRIVATE_IMPORTS = {
-    ("sim", "geometry", "_rotate"),
     ("drift", "trajectory", "_check_anchors"),
 }
 
@@ -154,3 +154,42 @@ def test_no_module_takes_a_private_name_from_a_sibling_beyond_the_known_ones():
                 if node.attr.startswith("_"):
                     found.add((path.stem, siblings[node.value.id], node.attr))
     assert found == PRIVATE_IMPORTS, (sorted(found - PRIVATE_IMPORTS), sorted(PRIVATE_IMPORTS - found))
+
+
+_DOC_REFERENCE = re.compile(r":(?:func|meth|class):`~?([\w.]+)`")
+
+
+def _reference_resolves(module, ref: str) -> bool:
+    """``ref`` names a global of ``module`` or an ``endogeo.`` path, either
+    followed by attributes, or an attribute of a class defined in ``module``."""
+    head, *rest = ref.split(".")
+    if head == "endogeo":
+        target = endogeo
+    elif head in vars(module):
+        target = vars(module)[head]
+    else:
+        return not rest and any(
+            isinstance(c, type) and c.__module__ == module.__name__ and hasattr(c, head)
+            for c in vars(module).values()
+        )
+    for name in rest:
+        if not hasattr(target, name):
+            return False
+        target = getattr(target, name)
+    return True
+
+
+def test_every_docstring_reference_resolves():
+    # a rename or a deletion must take the docs that name it along
+    src = pathlib.Path(endogeo.__file__).parent
+    unresolved, count = [], 0
+    for path in sorted(src.glob("*.py")):
+        module = endogeo if path.stem == "__init__" else importlib.import_module(f"endogeo.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                for ref in _DOC_REFERENCE.findall(ast.get_docstring(node) or ""):
+                    count += 1
+                    if not _reference_resolves(module, ref):
+                        unresolved.append(f"{path.name}: {ref}")
+    assert count > 0
+    assert not unresolved, unresolved

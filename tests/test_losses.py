@@ -683,16 +683,16 @@ class TestClosedForms:
         points=st.lists(st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0), st.floats(1e-3, 1e3)),
                         min_size=1, max_size=20),
     )
-    def test_moved_points_equal_transform_planes(self, quat, translation, points):
+    def test_moved_rays_equal_transform(self, quat, translation, points):
         motion = Pose(Quaternion(*quat), translation)
         x, y, z = (np.array(c) for c in zip(*points))
-        want = motion.transform_planes(x * z, y * z, z)
+        want = motion.transform(np.stack([x * z, y * z, z], axis=-1))
         # relative to the size of the point and of the translation
         scale = z * np.sqrt(x * x + y * y + 1.0) + np.sqrt(sum(t * t for t in translation))
         for rows in ((0, 1, 2), (2,)):
-            got = losses._mover(motion, rows)(x, y, z)
+            got = motion.move_rays(x, y, z, rows)
             for k, row in enumerate(rows):
-                assert (np.abs(got[k] - want[row]) <= 1e-12 * scale).all()
+                assert (np.abs(got[k] - want[:, row]) <= 1e-12 * scale).all()
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -229,6 +229,9 @@ class TestDepthMetrics:
             DepthEvalConfig(eval_width=2**15 + 1)
         with pytest.raises(ValidationError, match="32768"):
             DepthEvalConfig(eval_height=10**9)
+        for width, height in ((2.5, 3), (True, 3), (4, 3.0), (4, False), (np.int64(4), 3), ("4", 3)):
+            with pytest.raises(ValidationError, match="integers"):
+                DepthEvalConfig(eval_width=width, eval_height=height)
 
 
 class TestResizeDepth:

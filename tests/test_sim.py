@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from endogeo import sim
@@ -189,6 +189,16 @@ def heightfield_views(draw):
 class TestHeightfieldOracle:
     @settings(max_examples=100, deadline=None)
     @given(heightfield_views(), st.integers(1, 64))
+    # a hit 0.0021 from the camera, where an oracle that rounded extent plus
+    # the relief before subtracting was 2.8e-12 off
+    @example(
+        (
+            SceneSpec("heightfield", 68.0, 6),
+            Pose(Quaternion(6.123233995736766e-17, 1.0, 0.0, 0.0), (0.0, -6.0, 68.0)),
+            CameraIntrinsics(1.0, 1.0, 0.0, 0.0, 1, 1),
+        ),
+        1,
+    )
     def test_matches_straight_loop_march(self, view, chunk):
         # small chunks put chunk boundaries inside these small rasters
         with mock.patch.object(sim, "_RAY_CHUNK", chunk):
