@@ -13,11 +13,11 @@ pixels that entered the reduction.
 Every per-pixel kernel (:func:`induced_reprojection`, :func:`c_flow`,
 :func:`c_temp`, and :func:`c_prior`'s log residual, gradient and normal terms)
 computes only on its candidates, the pixels that can count, in the chunks of
-flat indices of :func:`~endogeo.rasters.candidate_chunks`. :func:`_scatter`
-writes the chunks into zero-filled full-size rasters and masks;
-:func:`_kept_mean` only keeps the values that enter a mean. Either way a mean
-runs over the values of ``raster[mask]`` in its row-major order, so no result
-depends on the chunk size. The kernels read depth only at their candidates'
+flat indices of :func:`~endogeo.rasters.candidate_chunks`.
+:func:`~endogeo.rasters.scatter_chunks` writes the chunks into zero-filled
+full-size rasters and masks; :func:`_kept_mean` only keeps the values that
+enter a mean. Either way a mean runs over the values of ``raster[mask]`` in
+its row-major order, so no result depends on the chunk size. The kernels read depth only at their candidates'
 valid cells, and work in closed form: a point at depth z on the ray (x, y, 1)
 moves to z * (R @ (x, y, 1)) + t (:meth:`~endogeo.geometry.Pose.move_rays`),
 and a surface normal is a formula of four neighbour depths (:func:`_normals`).
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import CameraIntrinsics, Pose, pixel_rays, project_planes
-from .rasters import ConfidenceMap, DepthMap, FlowField, Pointmap, bilinear_sample, candidate_chunks, cell_coords, in_bounds
+from .rasters import ConfidenceMap, DepthMap, FlowField, Pointmap, bilinear_sample, candidate_chunks, cell_coords, in_bounds, scatter_chunks
 
 
 @dataclass(frozen=True)
@@ -143,25 +143,14 @@ def induced_reprojection(
         tu, tv, in_front = project_planes(*motion.move_rays(*rays, depth.values.take(index)), k_to)
         return np.stack([tu, tv], axis=-1), in_front
 
-    return FlowField(*_scatter(depth.valid, targets, 2))
-
-
-def _scatter(candidates: np.ndarray, kernel, *channels: int):
-    """A zero-filled raster of the (H, W) shape of ``candidates`` (plus
-    ``channels``) and a False-filled mask, with ``kernel(index) -> (values,
-    ok)`` written at each chunk ``index`` of the True cells of ``candidates``."""
-    raster = np.zeros(candidates.shape + channels)
-    mask = np.zeros(candidates.shape, dtype=bool)
-    flat_raster, flat_mask = raster.reshape((-1,) + channels), mask.reshape(-1)
-    for index in candidate_chunks(candidates):
-        flat_raster[index], flat_mask[index] = kernel(index)
-    return raster, mask
+    return FlowField(*scatter_chunks(depth.valid, targets, 2))
 
 
 def _kept_mean(candidates: np.ndarray, kernel) -> float:
     """Mean of the values that ``kernel(index)`` keeps at each chunk
     ``index`` of the True cells of ``candidates`` (0 if none): the bits of
-    ``raster[mask].mean()`` for those of :func:`_scatter`, in the same order."""
+    ``raster[mask].mean()`` for those of
+    :func:`~endogeo.rasters.scatter_chunks`, in the same order."""
     values = np.concatenate([np.empty(0)] + [kernel(index) for index in candidate_chunks(candidates)])
     return float(values.mean()) if values.size else 0.0
 
@@ -191,7 +180,7 @@ def c_flow(
         ok = in_front & np.isfinite(tu) & np.isfinite(tv) & in_bounds(px, py, width, height)
         return np.where(ok, np.abs(tu - px) + np.abs(tv - py), 0.0), ok
 
-    raster, mask = _scatter(depth.valid & flow.valid, distance)
+    raster, mask = scatter_chunks(depth.valid & flow.valid, distance)
     if not mask.any():
         raise ValidationError("no valid pixels for the flow-consistency loss")
     return float(raster[mask].mean()), raster, mask
@@ -230,7 +219,7 @@ def c_temp(
         ratio = np.maximum(pz_safe / s_safe, s_safe / pz_safe)
         return np.where(ok, np.abs(ratio - 1.0), 0.0), ok
 
-    raster, mask = _scatter(depth_i.valid & flow.valid, ratio_error)
+    raster, mask = scatter_chunks(depth_i.valid & flow.valid, ratio_error)
     if not mask.any():
         raise ValidationError("no valid pixels for the temporal-consistency loss")
     return float(raster[mask].mean()), raster, mask
@@ -339,7 +328,7 @@ def c_prior(depth: DepthMap, ref: DepthMap, intrinsics: CameraIntrinsics, cfg: L
     def log_residual(index):
         return np.log(depth.values.take(index)) - np.log(ref.values.take(index)), True
 
-    g, _ = _scatter(mask, log_residual)
+    g, _ = scatter_chunks(mask, log_residual)
     gv = g[mask]
     c_si = float((gv**2).mean() - gv.mean() ** 2)
 

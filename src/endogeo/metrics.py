@@ -126,8 +126,10 @@ def resize_depth(depth: DepthMap, out_width: int, out_height: int) -> DepthMap:
     weights (normalized convolution): the bilinear sample of the values,
     zeroed where invalid, over the bilinear sample of the validity mask. It
     is invalid only when all contributing neighbors are invalid. Values under
-    invalid pixels never enter the sum.
+    invalid pixels never enter the sum. The target size must pass
+    :func:`~endogeo.geometry.check_image_size`.
     """
+    check_image_size(out_width, out_height, "resize target")
     if (depth.width, depth.height) == (out_width, out_height):
         return depth
     in_h, in_w = depth.values.shape

@@ -10,10 +10,11 @@ or hash.
 
 The package's one bilinear sampler, :func:`bilinear_sample`, lives here too
 (``metrics.resize_depth`` is the ratio of two of its samples), and so does
-:func:`candidate_chunks`, the iterator of the per-pixel kernels of
-``losses``. Each kernel computes only on its candidate cells (those that can
-count, such as the pixels with valid depth and flow), a chunk of flat indices
-at a time (:func:`cell_coords` gives their columns and rows): a chunk's
+the one chunk loop of every per-pixel kernel, of ``losses`` and of the
+renderer ``sim.render_depth``: :func:`candidate_chunks` splits the candidate
+cells (those that can count, such as the pixels with valid depth and flow)
+into chunks of flat indices (:func:`cell_coords` gives their columns and
+rows), and :func:`scatter_chunks` writes each chunk's results. A chunk's
 temporaries fit in cache and reuse freed memory, where whole-image
 temporaries would each fault in fresh pages. The chunks keep row-major order,
 so results do not depend on the chunk size.
@@ -30,7 +31,7 @@ from .errors import ValidationError
 # disparities at or below this are unusable (depth = b*f/d diverges)
 DISPARITY_EPSILON = 1e-3
 
-# bytes of one float64 array of a candidate chunk (see candidate_chunks)
+# bytes of one float64 array of a chunk of any per-pixel kernel (candidate_chunks)
 BAND_BYTES = 128 * 1024
 
 
@@ -153,6 +154,18 @@ def candidate_chunks(plane: np.ndarray):
     size = max(1, BAND_BYTES // 8)
     for start in range(0, cells.size, size):
         yield cells[start : start + size]
+
+
+def scatter_chunks(candidates: np.ndarray, kernel, *channels: int):
+    """A zero-filled raster of the (H, W) shape of ``candidates`` (plus
+    ``channels``) and a False-filled mask, with ``kernel(index) -> (values,
+    ok)`` written at each chunk ``index`` of :func:`candidate_chunks`."""
+    raster = np.zeros(candidates.shape + channels)
+    mask = np.zeros(candidates.shape, dtype=bool)
+    flat_raster, flat_mask = raster.reshape((-1,) + channels), mask.reshape(-1)
+    for index in candidate_chunks(candidates):
+        flat_raster[index], flat_mask[index] = kernel(index)
+    return raster, mask
 
 
 def cell_coords(index: np.ndarray, width: int):

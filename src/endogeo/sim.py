@@ -50,7 +50,7 @@ from .geometry import (
     rotated_rays,
 )
 from .losses import induced_reprojection
-from .rasters import DepthMap, FlowField
+from .rasters import DepthMap, FlowField, cell_coords, scatter_chunks
 from .rng import SplitMix64
 from .trajectory import Trajectory
 
@@ -73,9 +73,6 @@ _NEWTON_RTOL = 1e-15
 # the slab is widened by this fraction of extent, far above the rounding
 # error of a residual, so no rounding flips the sign of one outside it
 _SLAB_MARGIN = 1e-6
-# rays solved together; bounds the solver's temporaries to a few MB at any
-# image size
-_RAY_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -129,22 +126,38 @@ def _heightfield_components(spec: SceneSpec) -> np.ndarray:
     return table
 
 
-def _render_heightfield(scene: SceneSpec, o, d):
-    """Ray parameter and hit mask of rays o + lambda * d, d the x, y, z planes."""
-    dx, dy, dz = (c.ravel() for c in d)
-    depth, found = np.zeros(dz.size), np.zeros(dz.size, dtype=bool)
-    for start in range(0, dz.size, _RAY_CHUNK):
-        at = slice(start, start + _RAY_CHUNK)
-        depth[at], found[at] = _heightfield_hits(scene, o, dx[at], dy[at], dz[at])
-    return depth.reshape(d[2].shape), found.reshape(d[2].shape)
+def _plane_hits(scene: SceneSpec, o, d):
+    """Ray parameter (0 on a miss) and hit mask of rays o + lambda * d, d the x, y, z arrays."""
+    dz = d[2]
+    ok = dz > 0 if o[2] < scene.extent else dz < 0
+    lam = np.where(ok, (scene.extent - o[2]) / np.where(ok, dz, 1.0), 0.0)
+    ok &= lam > 0
+    return np.where(ok, lam, 0.0), ok
 
 
-def _heightfield_hits(scene: SceneSpec, o, dx, dy, dz):
-    """Ray parameter and hit mask of rays o + lambda * d, d the (n,) dx, dy, dz.
+def _sphere_hits(scene: SceneSpec, o, d):
+    """As :func:`_plane_hits`: the nearer root in front of the camera of the quadratic in lambda."""
+    oc = o - np.array([0.0, 0.0, 1.5 * scene.extent])
+    a = d[0] ** 2 + d[1] ** 2 + d[2] ** 2
+    b = 2.0 * (d[0] * oc[0] + d[1] * oc[1] + d[2] * oc[2])
+    c = float((oc**2).sum()) - (0.5 * scene.extent) ** 2
+    disc = b * b - 4.0 * a * c
+    ok = disc >= 0
+    sqrt_disc = np.sqrt(np.where(ok, disc, 0.0))
+    lam_near = (-b - sqrt_disc) / (2.0 * a)
+    lam_far = (-b + sqrt_disc) / (2.0 * a)
+    lam = np.where(lam_near > 0, lam_near, lam_far)
+    ok &= lam > 0
+    return np.where(ok, lam, 0.0), ok
+
+
+def _heightfield_hits(scene: SceneSpec, o, d):
+    """As :func:`_plane_hits`, for the heightfield.
 
     Along a ray the cosine arguments are c_m + lambda * s_m, so the residual
     f(lambda) = ray z - surface z and its slope are closed form.
     """
+    dx, dy, dz = d
     amplitude, kx, ky, phase = (row[:, None] for row in _heightfield_components(scene))
     c = kx * o[0] + ky * o[1] + phase
     s = kx * dx + ky * dy
@@ -218,35 +231,16 @@ def _heightfield_hits(scene: SceneSpec, o, dx, dy, dz):
 
 
 def render_depth(scene: SceneSpec, pose: Pose, intrinsics: CameraIntrinsics) -> DepthMap:
-    """Exact per-pixel depth of the scene seen from ``pose`` (camera-to-world)."""
-    x, y = pixel_rays(*pixel_grid(intrinsics.width, intrinsics.height), intrinsics)
-    d = rotated_rays(pose.rotation.to_rotation_matrix(), x, y)
-    o = pose.translation
+    """Exact per-pixel depth of the scene seen from ``pose`` (camera-to-world),
+    a chunk of pixels at a time (:func:`~endogeo.rasters.scatter_chunks`)."""
+    hits = {"plane": _plane_hits, "sphere": _sphere_hits, "heightfield": _heightfield_hits}[scene.kind]
+    matrix = pose.rotation.to_rotation_matrix()
 
-    if scene.kind == "plane":
-        dz = d[2]
-        ok = dz > 0 if o[2] < scene.extent else dz < 0
-        lam = np.where(ok, (scene.extent - o[2]) / np.where(ok, dz, 1.0), 0.0)
-        ok &= lam > 0
-        return DepthMap(np.where(ok, lam, 0.0), ok)
+    def depth(index):
+        rays = pixel_rays(*cell_coords(index, intrinsics.width), intrinsics)
+        return hits(scene, pose.translation, rotated_rays(matrix, *rays))
 
-    if scene.kind == "sphere":
-        center = np.array([0.0, 0.0, 1.5 * scene.extent])
-        radius = 0.5 * scene.extent
-        oc = o - center
-        a = d[0] ** 2 + d[1] ** 2 + d[2] ** 2
-        b = 2.0 * (d[0] * oc[0] + d[1] * oc[1] + d[2] * oc[2])
-        c = float((oc**2).sum()) - radius**2
-        disc = b * b - 4.0 * a * c
-        ok = disc >= 0
-        sqrt_disc = np.sqrt(np.where(ok, disc, 0.0))
-        lam_near = (-b - sqrt_disc) / (2.0 * a)
-        lam_far = (-b + sqrt_disc) / (2.0 * a)
-        lam = np.where(lam_near > 0, lam_near, lam_far)
-        ok &= lam > 0
-        return DepthMap(np.where(ok, lam, 0.0), ok)
-
-    return DepthMap(*_render_heightfield(scene, o, d))
+    return DepthMap(*scatter_chunks(np.ones((intrinsics.height, intrinsics.width), dtype=bool), depth))
 
 
 def look_at(position, target, up=(0.0, 1.0, 0.0)):
@@ -294,8 +288,8 @@ def gen_trajectory(
     """
     if path not in PATH_KINDS:
         raise ValidationError(f"path must be one of {PATH_KINDS}, got {path!r}")
-    if n_frames <= 0:
-        raise ValidationError(f"n_frames must be positive, got {n_frames}")
+    if not isinstance(n_frames, int) or isinstance(n_frames, bool) or n_frames <= 0:
+        raise ValidationError(f"n_frames must be a positive integer, got {n_frames!r}")
     stream = SplitMix64(seed).derive(f"trajectory-{path}")
     frames = np.arange(n_frames)
     # the path parameter, 0 at the first frame and 1 at the last

@@ -207,8 +207,8 @@ def remap(image, map_x, map_y, *, fill: float = 0.0):
     my = np.asarray(map_y, dtype=np.float64)
     if mx.shape != my.shape:
         raise ValidationError(f"map shapes differ: {mx.shape} vs {my.shape}")
-    if img.ndim not in (2, 3):
-        raise ValidationError(f"image must be (H, W) or (H, W, C), got {img.shape}")
+    if img.ndim not in (2, 3) or 0 in img.shape[:2]:
+        raise ValidationError(f"image must be a non-empty (H, W) or (H, W, C) array, got shape {img.shape}")
     sample, ok = bilinear_sample(img, mx, my)
     return np.where(ok[..., None] if img.ndim == 3 else ok, sample, fill)
 
@@ -216,10 +216,10 @@ def remap(image, map_x, map_y, *, fill: float = 0.0):
 def _bf_over(raster, baseline: float, focal: float) -> np.ndarray:
     """baseline * focal / value on valid pixels, 0 elsewhere: the one formula
     behind both directions of the depth <-> disparity conversion."""
-    if not baseline > 0:
-        raise ValidationError(f"baseline must be positive, got {baseline}")
-    if not focal > 0:
-        raise ValidationError(f"focal length must be positive, got {focal}")
+    if not 0 < baseline < math.inf:
+        raise ValidationError(f"baseline must be positive and finite, got {baseline}")
+    if not 0 < focal < math.inf:
+        raise ValidationError(f"focal length must be positive and finite, got {focal}")
     safe = np.where(raster.valid, raster.values, 1.0)
     return np.where(raster.valid, baseline * focal / safe, 0.0)
 

@@ -239,6 +239,15 @@ class TestResizeDepth:
         d = DepthMap(np.full((4, 6), 7.0))
         assert resize_depth(d, 6, 4) is d
 
+    @pytest.mark.parametrize(
+        "width, height, match",
+        [(0, 5, "size"), (-1, 3, "size"), (3, 0, "size"), (2.5, 3, "integers"), (True, 2, "integers"), (6, np.int64(4), "integers")],
+    )
+    def test_bad_target_size_rejected(self, width, height, match):
+        # checked before the identity shortcut, so a 6x4 map gets no pass either
+        with pytest.raises(ValidationError, match=match):
+            resize_depth(DepthMap(np.full((4, 6), 7.0)), width, height)
+
     def test_downscale_constant_map(self):
         d = DepthMap(np.full((8, 12), 30.0))
         out = resize_depth(d, 6, 4)

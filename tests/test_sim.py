@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from endogeo import sim
+from endogeo import rasters, sim
 from endogeo.errors import ValidationError
 from endogeo.fileio import read_flo
 from endogeo.geometry import CameraIntrinsics, Pose, Quaternion, pixel_grid, pixel_rays
@@ -64,8 +64,9 @@ class TestGenTrajectory:
     def test_bad_arguments(self):
         with pytest.raises(ValidationError):
             gen_trajectory(10, path="zigzag")
-        with pytest.raises(ValidationError):
-            gen_trajectory(0, path="orbit")
+        for n_frames in (0, -3, 3.5, 2.0, True, "4", None):
+            with pytest.raises(ValidationError, match="n_frames"):
+                gen_trajectory(n_frames, path="orbit")
         with pytest.raises(ValidationError):
             gen_trajectory(10, path="orbit", radius=0.0)
 
@@ -201,7 +202,7 @@ class TestHeightfieldOracle:
     )
     def test_matches_straight_loop_march(self, view, chunk):
         # small chunks put chunk boundaries inside these small rasters
-        with mock.patch.object(sim, "_RAY_CHUNK", chunk):
+        with mock.patch.object(rasters, "BAND_BYTES", 8 * chunk):
             assert_heightfield_matches_oracle(*view)
 
     @settings(max_examples=100, deadline=None)
@@ -210,7 +211,7 @@ class TestHeightfieldOracle:
         # each ray settles on its own, so the rays beside it change nothing
         depths = []
         for chunk in (1, 7, 4096, 8192, 2**20):
-            with mock.patch.object(sim, "_RAY_CHUNK", chunk):
+            with mock.patch.object(rasters, "BAND_BYTES", 8 * chunk):
                 depths.append(render_depth(*view))
         for depth in depths[1:]:
             assert np.array_equal(depth.valid, depths[0].valid)

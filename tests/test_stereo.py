@@ -73,6 +73,12 @@ class TestDisparityDepth:
             disparity_to_depth(disp, 5.0, -1.0)
         with pytest.raises(ValidationError):
             depth_to_disparity(DepthMap(np.full((1, 1), 10.0)), -5.0, 700.0)
+        # b * f / x would be inf or NaN on every pixel, so none would stay valid
+        for baseline, focal in ((math.inf, 1.0), (5.0, math.inf), (math.nan, 1.0), (5.0, math.nan)):
+            with pytest.raises(ValidationError, match="positive"):
+                disparity_to_depth(DisparityMap(np.ones((2, 2))), baseline, focal)
+            with pytest.raises(ValidationError, match="positive"):
+                depth_to_disparity(DepthMap(np.ones((2, 2))), baseline, focal)
 
 
 class TestDistortion:
@@ -217,6 +223,11 @@ class TestRemap:
     def test_map_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             remap(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (3, 0, 2), (0, 3, 1)])
+    def test_image_with_an_empty_side_rejected(self, shape):
+        with pytest.raises(ValidationError, match="non-empty"):
+            remap(np.zeros(shape), np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 class TestCalibrationIO:
