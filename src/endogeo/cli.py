@@ -13,16 +13,18 @@ config class consumes takes its default and type from that consumer's
 signature or fields, and its choices from the library's tuple. Only the file
 paths are the CLI's own parameters.
 
-Exit codes: 0 success, 2 input/format error, 3 precondition/validation error,
-4 internal numeric failure.
+Exit codes: 0 success; on an error, the ``exit_code`` of its class in
+:mod:`endogeo.errors` (2 input/format, 3 validation, 4 numeric), and 2 on OSError.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import glob
 import inspect
 import logging
+import operator
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, is_dataclass
@@ -34,11 +36,6 @@ from .geometry import compose, inverse
 from .trajectory import load_tum, save_tum
 
 log = logging.getLogger("endogeo")
-
-EXIT_OK = 0
-EXIT_FORMAT = 2
-EXIT_VALIDATION = 3
-EXIT_NUMERIC = 4
 
 _REQUIRED = object()
 # what a config-file value of each parameter type must be, as error messages say it
@@ -85,7 +82,6 @@ def _add_command(subparsers, name: str, help_text: str, params):
         else:
             kwargs = {"type": p.kind, "choices": p.choices}
         sub.add_argument(p.flag, dest=p.name, default=None, help=p.help, **kwargs)
-    return sub
 
 
 def _coerce(value, param: _Param, source: str):
@@ -135,17 +131,16 @@ def _emit_report(report: dict, cfg: dict, out_path) -> None:
         sys.stdout.write(fileio.format_json(report))
 
 
-def _cmd_simulate(cfg: dict) -> int:
+def _cmd_simulate(cfg: dict) -> None:
     out = cfg["out"]
     # the destination path is not a generation parameter; echoing it would
     # break byte-identity of runs into different directories
     kwargs = {k: v for k, v in cfg.items() if k != "out"}
     manifest = sim.simulate_dataset(out, config_echo=dict(kwargs), **kwargs)
     log.info("wrote %d artifacts to %s", len(manifest["artifacts"]) + 1, out)
-    return EXIT_OK
 
 
-def _cmd_correct(cfg: dict) -> int:
+def _cmd_correct(cfg: dict) -> None:
     anchors = load_tum(cfg["anchors"])
     paths = sorted(glob.glob(cfg["segments"]))
     if not paths:
@@ -156,7 +151,6 @@ def _cmd_correct(cfg: dict) -> int:
     save_tum(cfg["out"], corrected)
     _emit_report(report.to_dict(), cfg, cfg["report"])
     log.info("corrected %d poses across %d segments", len(corrected), len(segments))
-    return EXIT_OK
 
 
 def _log_table(rows) -> None:
@@ -165,20 +159,14 @@ def _log_table(rows) -> None:
         log.info("  %-*s %.6g", width, key, value)
 
 
-def _cmd_eval_traj(cfg: dict) -> int:
+def _cmd_eval_traj(cfg: dict) -> None:
     pred = load_tum(cfg["pred"])
     gt = load_tum(cfg["gt"])
-    ate_mm = metrics.ate(pred, gt, cfg["align"])
-    rte_mm, rte_rot = metrics.rpe(pred, gt, cfg["window"])
-    report = {
-        "ate_mm": ate_mm,
-        "rte_mm": rte_mm,
-        "rte_rot_rad": rte_rot,
-        "n_frames": len(pred),
-    }
-    _log_table([("ate_mm", ate_mm), ("rte_mm", rte_mm), ("rte_rot_rad", rte_rot)])
+    report = {"ate_mm": metrics.ate(pred, gt, cfg["align"])}
+    report["rte_mm"], report["rte_rot_rad"] = metrics.rpe(pred, gt, cfg["window"])
+    _log_table(report.items())
+    report["n_frames"] = len(pred)
     _emit_report(report, cfg, cfg["out"])
-    return EXIT_OK
 
 
 def _config_of(config_class, cfg: dict):
@@ -186,7 +174,7 @@ def _config_of(config_class, cfg: dict):
     return config_class(**{f.name: cfg[f.name] for f in fields(config_class) if f.name in cfg})
 
 
-def _cmd_eval_depth(cfg: dict) -> int:
+def _cmd_eval_depth(cfg: dict) -> None:
     eval_cfg = _config_of(metrics.DepthEvalConfig, cfg)
     pred_dir, gt_dir = cfg["pred"], cfg["gt"]
     for d in (pred_dir, gt_dir):
@@ -216,7 +204,6 @@ def _cmd_eval_depth(cfg: dict) -> int:
         }
     )
     _emit_report(report, cfg, cfg["out"])
-    return EXIT_OK
 
 
 def _frame_files(directory: str, n_frames: int) -> dict:
@@ -241,7 +228,7 @@ def _read_depth(files: dict, directory: str, frame: int):
     return fileio.read_depth_pfm(path)
 
 
-def _cmd_eval_consistency(cfg: dict) -> int:
+def _cmd_eval_consistency(cfg: dict) -> None:
     loss_cfg = _config_of(losses.LossConfig, cfg)
     calib = stereo.load_calibration(cfg["calib"])
     intr = calib.left.intrinsics
@@ -256,7 +243,6 @@ def _cmd_eval_consistency(cfg: dict) -> int:
     prior_skipped = ref_dir is None
     ref_files = None if prior_skipped else _frame_files(ref_dir, 1)
     pair_reports = []
-    sums = {"c_flow": 0.0, "c_temp": 0.0, "c_prior": 0.0}
 
     # one pair's maps at a time, each read when its pair needs it
     for (i, j), flow_path in pairs:
@@ -286,12 +272,11 @@ def _cmd_eval_consistency(cfg: dict) -> int:
         entry["c_prior"] = prior_val
         entry["total"], _ = losses.consistency_total(flow_val, temp_val, prior_val, loss_cfg)
         pair_reports.append(entry)
-        sums["c_flow"] += flow_val
-        sums["c_temp"] += temp_val
-        sums["c_prior"] += prior_val
 
     n = len(pairs)
-    means = {k: v / n for k, v in sums.items()}
+    # each term added in pair order; sum() compensates float rounding from Python 3.12 on
+    terms = ("c_flow", "c_temp", "c_prior")
+    means = {k: functools.reduce(operator.add, (e[k] for e in pair_reports), 0.0) / n for k in terms}
     agg_total, agg_weighted = losses.consistency_total(
         means["c_flow"], means["c_temp"], means["c_prior"], loss_cfg
     )
@@ -302,10 +287,9 @@ def _cmd_eval_consistency(cfg: dict) -> int:
         "n_pairs": n,
     }
     _emit_report(report, cfg, cfg["out"])
-    return EXIT_OK
 
 
-def _cmd_disparity2depth(cfg: dict) -> int:
+def _cmd_disparity2depth(cfg: dict) -> None:
     calib = stereo.load_calibration(cfg["calib"])
     disparity = fileio.read_disparity_pfm(cfg["input"])
     focal = calib.left.intrinsics.fx  # rectified intrinsics are the left camera's
@@ -318,28 +302,18 @@ def _cmd_disparity2depth(cfg: dict) -> int:
         "n_valid": depth.n_valid,
     }
     _emit_report(report, cfg, None)
-    return EXIT_OK
 
 
-def _cmd_rectify_maps(cfg: dict) -> int:
+def _cmd_rectify_maps(cfg: dict) -> None:
     calib = stereo.load_calibration(cfg["calib"])
     maps = stereo.compute_rectify_maps(calib)
     prefix = cfg["out_prefix"]
-    outputs = {}
-    for name, data in (
-        ("left_x", maps.left_x),
-        ("left_y", maps.left_y),
-        ("right_x", maps.right_x),
-        ("right_y", maps.right_y),
-    ):
-        path = f"{prefix}_{name}.pfm"
-        fileio.write_pfm(path, data)
-        outputs[name] = path
-    intr_path = f"{prefix}_intrinsics.json"
-    fileio.write_json(intr_path, {**asdict(maps.intrinsics), "baseline_mm": maps.baseline})
-    outputs["intrinsics"] = intr_path
+    outputs = {name: f"{prefix}_{name}.pfm" for name in ("left_x", "left_y", "right_x", "right_y")}
+    for name, path in outputs.items():
+        fileio.write_pfm(path, getattr(maps, name))
+    outputs["intrinsics"] = f"{prefix}_intrinsics.json"
+    fileio.write_json(outputs["intrinsics"], {**asdict(maps.intrinsics), "baseline_mm": maps.baseline})
     _emit_report({"outputs": outputs}, cfg, None)
-    return EXIT_OK
 
 
 # built once, at import, so that a wrapper later put around a library function
@@ -440,20 +414,14 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code) if exc.code else EXIT_OK
+        return int(exc.code) if exc.code else 0
     _, handler, params = _COMMANDS[args.command]
     try:
-        cfg = _effective_config(args, params)
-        return handler(cfg)
-    except FormatError as exc:
+        handler(_effective_config(args, params))
+    except (FormatError, ValidationError, NumericError) as exc:
         log.error("%s", exc)
-        return EXIT_FORMAT
-    except ValidationError as exc:
+        return exc.exit_code
+    except OSError as exc:  # a file that cannot be read or written is an input error
         log.error("%s", exc)
-        return EXIT_VALIDATION
-    except NumericError as exc:
-        log.error("%s", exc)
-        return EXIT_NUMERIC
-    except OSError as exc:
-        log.error("%s", exc)
-        return EXIT_FORMAT
+        return FormatError.exit_code
+    return 0

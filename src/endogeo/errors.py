@@ -1,7 +1,7 @@
 """Exception hierarchy shared by the whole package.
 
-The CLI maps these onto process exit codes: FormatError -> 2,
-ValidationError -> 3, NumericError -> 4.
+Each concrete class carries, as ``exit_code``, the process exit code that
+the CLI returns for it: FormatError 2, ValidationError 3, NumericError 4.
 """
 
 
@@ -15,6 +15,7 @@ class FormatError(EndogeoError):
     Carries the offending location when known so messages can point at the
     exact line of a text file.
     """
+    exit_code = 2
 
     def __init__(self, message: str, *, path=None, line=None):
         self.path = path
@@ -31,7 +32,9 @@ class FormatError(EndogeoError):
 
 class ValidationError(EndogeoError):
     """Inputs are well-formed but violate a precondition or invariant."""
+    exit_code = 3
 
 
 class NumericError(EndogeoError):
     """A computation produced numerically unacceptable results."""
+    exit_code = 4

@@ -140,6 +140,8 @@ def _slerp_weights(d, t):
 
 def _slerp(q0, q1, t):
     """Shortest-arc slerp before canonicalization; ``t`` a float or an array."""
+    if not np.isfinite(t).all():
+        raise ValidationError("interpolation fraction t must be finite")
     d = q0[0] * q1[0] + q0[1] * q1[1] + q0[2] * q1[2] + q0[3] * q1[3]
     sign = _where(d < 0.0, -1.0, 1.0)
     d = d * sign

@@ -97,6 +97,8 @@ def rpe(pred: Trajectory, gt: Trajectory, window: int = RTE_DEFAULT_WINDOW) -> t
     frame is frame_i + window, if there is one. Then E = inverse(rel_gt) o
     rel_pred with rel = inverse(pose_i) o pose_j.
     """
+    if not isinstance(window, int) or isinstance(window, bool):
+        raise ValidationError(f"window must be an integer, got {window!r}")
     if window <= 0:
         raise ValidationError(f"window must be positive, got {window}")
     _check_same_frames(pred, gt)

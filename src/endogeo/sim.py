@@ -48,10 +48,11 @@ from .geometry import (
     quats_from_rotation_matrices,
     quats_from_rotation_vectors,
     rotated_rays,
+    vec3,
 )
 from .losses import induced_reprojection
 from .rasters import DepthMap, FlowField, cell_coords, scatter_chunks
-from .rng import SplitMix64
+from .rng import SplitMix64, check_seed
 from .trajectory import Trajectory
 
 SCENE_KINDS = ("plane", "sphere", "heightfield")
@@ -82,6 +83,7 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_seed(self.seed)
         if self.kind not in SCENE_KINDS:
             raise ValidationError(f"scene kind must be one of {SCENE_KINDS}, got {self.kind!r}")
         if not 0 < self.extent < math.inf:
@@ -95,6 +97,7 @@ class DriftSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_seed(self.seed)
         if not (0 <= self.sigma_rot < math.inf and 0 <= self.sigma_trans < math.inf):
             raise ValidationError(
                 f"drift sigmas must be finite and non-negative: rot={self.sigma_rot} trans={self.sigma_trans}"
@@ -296,9 +299,11 @@ def gen_trajectory(
     t = frames / (n_frames - 1) if n_frames > 1 else np.zeros(1)
 
     if path == "linear":
-        step = np.asarray(step, dtype=np.float64)
+        step = vec3(step, "step")
         quat = np.tile(Quaternion.identity().wxyz, (n_frames, 1))
-        return Trajectory.from_poses(frames, PoseBatch(quat, frames[:, None] * step))
+        with np.errstate(over="ignore"):  # PoseBatch rejects an overflowing position
+            position = frames[:, None] * step
+        return Trajectory.from_poses(frames, PoseBatch(quat, position))
 
     if path == "orbit":
         if radius <= 0:
@@ -394,6 +399,9 @@ def simulate_dataset(
     from .stereo import MonoCalibration, StereoCalibration, save_calibration
     from .trajectory import save_tum, split_into_segments
 
+    for name, value in (("n_frames", n_frames), ("stride", stride), ("depth_count", depth_count)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
     if n_frames < 2:
         raise ValidationError(f"simulate needs at least 2 frames, got {n_frames}")
     if stride < 1:

@@ -43,6 +43,14 @@ def _not_a_frame(entry) -> ValidationError:
     return ValidationError(f"frame index must be a finite integral number, got {entry!r}")
 
 
+def _exact_frames(entries: list) -> list:
+    """``_exact_frame`` of each of ``entries``, raising on the first that has none."""
+    exact = [_exact_frame(f) for f in entries]
+    if None in exact:
+        raise _not_a_frame(entries[exact.index(None)])
+    return exact
+
+
 def _check_frames(frames) -> np.ndarray:
     """``frames`` as a new (N,) int64 array: integral numbers within int64, not
     bools or strings, each above the one before and the first non-negative."""
@@ -50,10 +58,7 @@ def _check_frames(frames) -> np.ndarray:
         # one by one, as numpy would read a bool among numbers as a number
         # and round a large integer among floats
         entries = np.array(frames, dtype=object).reshape(-1).tolist()
-        exact = [_exact_frame(f) for f in entries]
-        if None in exact:
-            raise _not_a_frame(entries[exact.index(None)])
-        frames = np.array(exact, dtype=np.int64)
+        frames = np.array(_exact_frames(entries), dtype=np.int64)
     else:
         values = frames.reshape(-1) if frames.dtype.kind in "iuf" else np.full(frames.size, math.nan)
         # NaN fails every comparison, and inf the last one
@@ -173,7 +178,7 @@ class Trajectory:
         return self.trans
 
     def restricted_to(self, frames) -> "Trajectory":
-        wanted = sorted(set(int(f) for f in frames))
+        wanted = sorted(set(_exact_frames(list(frames))))
         rows = self._rows(wanted)
         if np.any(rows < 0):
             missing = [f for f, r in zip(wanted, rows.tolist()) if r < 0]

@@ -1,8 +1,11 @@
 import json
 import logging
+import os
 import pathlib
 import re
 import struct
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 
 from endogeo import cli, fileio, sim
 from endogeo.cli import main
+from endogeo.errors import FormatError, NumericError, ValidationError
 from endogeo.fileio import read_depth_pfm, write_depth_pfm, write_flo, write_pfm
 from endogeo.geometry import CameraIntrinsics, Pose, Quaternion, pose_distance
 from endogeo.rasters import DepthMap, DisparityMap, FlowField
@@ -550,6 +554,46 @@ class TestExitCodes:
             capsys,
         )
         assert code == 3  # too short for the window
+
+    @pytest.mark.parametrize(
+        ("error", "status"),
+        [(FormatError("bad"), 2), (ValidationError("bad"), 3), (NumericError("bad"), 4), (OSError("bad"), 2)],
+        ids=["format", "validation", "numeric", "os"],
+    )
+    def test_each_error_exits_with_its_code(self, monkeypatch, capsys, caplog, error, status):
+        def failing_load(path):
+            raise error
+
+        monkeypatch.setattr(cli, "load_tum", failing_load)
+        code, _, _ = run(["eval-traj", "--pred", "p.tum", "--gt", "g.tum"], capsys)
+        assert code == status
+        assert [r.message for r in caplog.records if r.levelno == logging.ERROR] == ["bad"]
+
+
+class TestProcessExitStatus:
+    """The status of ``python -m endogeo`` as a process, not main()'s return."""
+
+    def run_module(self, *argv):
+        src = str(pathlib.Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run(
+            [sys.executable, "-m", "endogeo", *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+
+    def test_help_exits_0(self):
+        assert self.run_module("--help").returncode == 0
+
+    def test_missing_input_exits_2(self, tmp_path):
+        absent = str(tmp_path / "absent.tum")
+        assert self.run_module("eval-traj", "--pred", absent, "--gt", absent).returncode == 2
+
+    def test_unknown_command_exits_2(self):
+        assert self.run_module("no-such-command").returncode == 2
+
+    def test_validation_error_exits_3_and_logs_it(self, tmp_path):
+        proc = self.run_module("simulate", "--out", str(tmp_path / "sim"), "--n-frames", "1")
+        assert proc.returncode == 3
+        assert "at least 2 frames" in proc.stderr
 
 
 def _write(tmp_path, name, data: bytes) -> str:

@@ -146,6 +146,13 @@ class TestSlerp:
         mid = slerp(q0, q1, 0.5)
         assert abs(mid.norm() - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fraction_rejected(self, t):
+        # NaN was reported as a quaternion that could not be normalized
+        for q1 in (Quaternion.from_axis_angle((0, 0, 1), 1.0), Quaternion.identity()):
+            with pytest.raises(ValidationError, match="interpolation fraction"):
+                slerp(Quaternion.identity(), q1, t)
+
 
 class TestPoseInterp:
     def test_zero_is_identity(self):
@@ -165,6 +172,13 @@ class TestPoseInterp:
         out = pose_interp(e, 0.5)
         assert out.rotation.angle() == pytest.approx(math.pi / 4, abs=1e-12)
         assert np.abs(out.translation - [1, 0, 0]).max() < 1e-15
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan, np.array([0.5, math.inf])])
+    def test_non_finite_fraction_rejected(self, t):
+        # inf used to end in math.sin's "math domain error"
+        e = Pose(Quaternion.from_axis_angle((1, 0, 0), 1.0), (2, 3, 4))
+        with pytest.raises(ValidationError, match="interpolation fraction"):
+            pose_interp(e, t)
 
 
 class TestComposeInverse:

@@ -133,6 +133,10 @@ class TestRte:
         traj = line_trajectory(20)
         with pytest.raises(ValidationError):
             rte(traj, traj, window=0)
+        # a bool used to run as window 1, and 1.5 to find no pairs
+        for window in (True, 1.5, 2.0, "2"):
+            with pytest.raises(ValidationError, match="window must be an integer"):
+                rpe(traj, traj, window=window)
 
 
 def full_cfg(**kw):

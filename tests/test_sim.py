@@ -14,6 +14,7 @@ from endogeo.errors import ValidationError
 from endogeo.fileio import read_flo
 from endogeo.geometry import CameraIntrinsics, Pose, Quaternion, pixel_grid, pixel_rays
 from endogeo.metrics import ate
+from endogeo.rng import SplitMix64
 from endogeo.sim import (
     DriftSpec,
     SceneSpec,
@@ -69,6 +70,12 @@ class TestGenTrajectory:
                 gen_trajectory(n_frames, path="orbit")
         with pytest.raises(ValidationError):
             gen_trajectory(10, path="orbit", radius=0.0)
+        # 0 * inf used to raise numpy's RuntimeWarning first
+        for step in ((math.inf, 0.0, 0.0), (0.0, math.nan, 0.0), (1.0, 0.0)):
+            with pytest.raises(ValidationError, match="step"):
+                gen_trajectory(5, path="linear", step=step)
+        with pytest.raises(ValidationError, match="translation must be finite"):
+            gen_trajectory(5, path="linear", step=(1e308, 0.0, 0.0))  # 4e308 overflows
 
 
 class TestLookAt:
@@ -356,6 +363,22 @@ class TestInjectDrift:
             DriftSpec(*sigmas)
 
 
+@pytest.mark.parametrize("seed", [1.5, 1.0, True, "a", None])
+@pytest.mark.parametrize(
+    "build", [SplitMix64, lambda seed: SceneSpec("heightfield", 100.0, seed), lambda seed: DriftSpec(seed=seed)],
+    ids=["SplitMix64", "SceneSpec", "DriftSpec"],
+)
+def test_seed_must_be_an_integer(build, seed):
+    # SplitMix64 read 1.5 as 1; a heightfield failed only when rendered
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        build(seed)
+
+
+def test_numpy_integer_seed_is_the_int_seed():
+    assert SplitMix64(np.int64(7)).normals(4) == SplitMix64(7).normals(4)
+    assert SceneSpec("heightfield", 100.0, np.uint8(7)) == SceneSpec("heightfield", 100.0, 7)
+
+
 @pytest.mark.parametrize("extent", [0.0, -1.0, math.inf, math.nan])
 def test_scene_extent_must_be_positive_and_finite(extent):
     with pytest.raises(ValidationError, match="extent"):
@@ -432,3 +455,11 @@ class TestSimulateDataset:
     def test_too_short_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
             simulate_dataset(str(tmp_path / "d"), n_frames=1)
+
+    @pytest.mark.parametrize("name", ["n_frames", "stride", "depth_count"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+    def test_counts_must_be_integers(self, tmp_path, name, value):
+        # stride=1.5 used to raise a bare TypeError, and stride=True ran as 1
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            simulate_dataset(str(tmp_path / "d"), **{name: value})
+        assert not (tmp_path / "d").exists()

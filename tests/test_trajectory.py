@@ -94,6 +94,11 @@ class TestTrajectory:
         assert sub.pose_at(5) == traj.pose_at(5)
         with pytest.raises(ValidationError):
             traj.restricted_to([2, 99])
+        assert traj.restricted_to(np.array([5.0, 2.0, 5.0])).frames.tolist() == [2, 5]
+        # 1.5 used to be read as frame 1
+        for entry in (1.5, True, "2", math.nan):
+            with pytest.raises(ValidationError, match="frame index"):
+                traj.restricted_to([2, entry])
 
     def test_positions(self):
         traj = rand_traj(2, 6)
