@@ -260,9 +260,17 @@ class Quaternion:
 
     @staticmethod
     def from_rotation_matrix(matrix) -> "Quaternion":
+        """The rotation of the 3x3 ``matrix`` M, which must have det M > 0 and no
+        entry of M M^T - I above 1e-6, or :class:`ValidationError`."""
         m = np.asarray(matrix, dtype=np.float64)
         if m.shape != (3, 3):
             raise ValidationError(f"rotation matrix must be 3x3, got {m.shape}")
+        with np.errstate(over="ignore", invalid="ignore"):  # huge entries give inf or nan, rejected here
+            error = float(np.abs(m @ m.T - np.eye(3)).max())
+        if not error <= 1e-6:
+            raise ValidationError(f"rotation matrix is not orthogonal (orthogonality error {error:.3g})")
+        if not np.linalg.det(m) > 0.0:
+            raise ValidationError("rotation matrix is a reflection (negative determinant)")
         return Quaternion(*quats_from_rotation_matrices(m))
 
     def norm(self) -> float:
@@ -499,6 +507,11 @@ class CameraIntrinsics:
             raise ValidationError(
                 f"principal point ({self.cx}, {self.cy}) outside {self.width}x{self.height}"
             )
+        # the widest pixel ray, on Python floats: they overflow to inf without a warning
+        x = float(max(self.cx, self.width - 1 - self.cx)) / float(self.fx)
+        y = float(max(self.cy, self.height - 1 - self.cy)) / float(self.fy)
+        if not math.isfinite(x * x + y * y):
+            raise ValidationError(f"focal lengths too small, pixel rays overflow: fx={self.fx} fy={self.fy}")
 
 
 def pixel_grid(width: int, height: int):
@@ -567,11 +580,6 @@ class SimilarityTransform:
 
     def apply(self, points):
         return self.scale * self.rotation.rotate(points) + self.translation
-
-    def inverse(self) -> "SimilarityTransform":
-        qi = self.rotation.conjugate()
-        inv_scale = 1.0 / self.scale
-        return SimilarityTransform(inv_scale, qi, -inv_scale * qi.rotate(self.translation))
 
 
 def umeyama_align(source, target, with_scale: bool = True) -> SimilarityTransform:

@@ -48,11 +48,8 @@ class StereoCalibration:
     translation: np.ndarray  # right camera position in the left frame, mm
 
     def __post_init__(self):
-        rot = self.rotation
-        if not isinstance(rot, Quaternion):
-            object.__setattr__(
-                self, "rotation", Quaternion.from_rotation_matrix(np.asarray(rot, dtype=np.float64))
-            )
+        if not isinstance(self.rotation, Quaternion):
+            object.__setattr__(self, "rotation", Quaternion.from_rotation_matrix(self.rotation))
         t = vec3(self.translation, "extrinsic translation")
         with np.errstate(over="ignore"):  # an overflowing baseline is rejected below
             baseline = float(np.linalg.norm(t))
@@ -235,76 +232,58 @@ def depth_to_disparity(depth: DepthMap, baseline: float, focal: float) -> Dispar
     return DisparityMap(_bf_over(depth, baseline, focal), depth.valid)
 
 
-def _all_numbers(value) -> bool:
-    """``value`` is a JSON number or a (nested) list of them."""
-    if isinstance(value, list):
-        return all(_all_numbers(v) for v in value)
-    return is_json_number(value)
+# The numeric fields of each calibration section: JSON key -> (shape, JSON
+# number kinds); shape () is one number, any other nested lists of them.
+_NUM, _INT = (int, float), (int,)
+_CAMERA_FIELDS = {"fx": ((), _NUM), "fy": ((), _NUM), "cx": ((), _NUM), "cy": ((), _NUM),
+                  "width": ((), _INT), "height": ((), _INT), "dist": ((5,), _NUM)}
+_SECTIONS = {"extrinsics": {"R": ((3, 3), _NUM), "T": ((3,), _NUM)},
+             "left": _CAMERA_FIELDS, "right": _CAMERA_FIELDS}
 
 
-def _camera_from_dict(obj: dict, path, side: str) -> MonoCalibration:
-    required = {"fx", "fy", "cx", "cy", "width", "height", "dist"}
-    missing = required - obj.keys()
+def _has_shape(value, shape: tuple, kinds: tuple) -> bool:
+    """``value`` is a JSON number of ``kinds``, or nested lists of them of exactly ``shape``."""
+    if not shape:
+        return is_json_number(value, kinds)
+    rest = shape[1:]
+    return isinstance(value, list) and len(value) == shape[0] and all(_has_shape(v, rest, kinds) for v in value)
+
+
+def _read_section(obj, section: str, path) -> dict:
+    """``obj[section]``, once the fields that ``_SECTIONS`` declares for it
+    are checked; a :class:`FormatError` names the section and the key."""
+    values = obj.get(section) if isinstance(obj, dict) else None
+    if not isinstance(values, dict):
+        raise FormatError(f"calibration key {section!r} missing or not a JSON object", path=path)
+    missing = _SECTIONS[section].keys() - values.keys()
     if missing:
-        raise FormatError(f"calibration {side} camera missing keys {sorted(missing)}", path=path)
-    dist = obj["dist"]
-    if not isinstance(dist, list) or len(dist) != 5:
-        raise FormatError(
-            f"calibration {side} camera dist must be a 5-element list [k1, k2, p1, p2, k3]",
-            path=path,
-        )
-    width, height = obj["width"], obj["height"]
-    if not all(is_json_number(v, int) for v in (width, height)):
-        raise FormatError(
-            f"calibration {side} camera width/height must be integers, got {width!r}x{height!r}",
-            path=path,
-        )
-    for key in ("fx", "fy", "cx", "cy"):
-        if not is_json_number(obj[key]):
-            raise FormatError(
-                f"calibration {side} camera {key} must be a number, got {obj[key]!r}", path=path
-            )
-    if not _all_numbers(dist):
-        raise FormatError(
-            f"calibration {side} camera dist entries must be numbers, got {dist!r}", path=path
-        )
-    intr = CameraIntrinsics(
-        float(obj["fx"]), float(obj["fy"]), float(obj["cx"]), float(obj["cy"]), width, height
-    )
-    return MonoCalibration(intr, tuple(float(v) for v in dist))
+        raise FormatError(f"calibration {section} missing keys {sorted(missing)}", path=path)
+    for key, (shape, kinds) in _SECTIONS[section].items():
+        if not _has_shape(values[key], shape, kinds):
+            kind = "integer" if kinds is _INT else "number"
+            what = f"nested lists of JSON numbers with shape {shape}" if shape else f"a JSON {kind}"
+            raise FormatError(f"calibration {section} {key} must be {what}", path=path)
+    return values
+
+
+def _camera(values: dict) -> MonoCalibration:
+    fx, fy, cx, cy = (float(values[key]) for key in ("fx", "fy", "cx", "cy"))
+    return MonoCalibration(CameraIntrinsics(fx, fy, cx, cy, values["width"], values["height"]), values["dist"])
 
 
 def load_calibration(path) -> StereoCalibration:
     """JSON schema: {"left": {fx, fy, cx, cy, width, height, dist},
     "right": {...}, "extrinsics": {"R": 3x3 row-major, "T": [tx, ty, tz]}}.
-    Every numeric field is a JSON number; booleans and strings are rejected."""
+    A field not of the shape and JSON number kind in ``_SECTIONS``, or an
+    ``R`` that :meth:`Quaternion.from_rotation_matrix` rejects, raises
+    :class:`FormatError`; an impossible camera or rig :class:`ValidationError`."""
     obj = read_json(path)
-    for key in ("left", "right", "extrinsics"):
-        if not (isinstance(obj, dict) and isinstance(obj.get(key), dict)):
-            raise FormatError(f"calibration key {key!r} missing or not a JSON object", path=path)
-    ext = obj["extrinsics"]
-    if "R" not in ext or "T" not in ext:
-        raise FormatError("calibration extrinsics must contain 'R' and 'T'", path=path)
-    if not (_all_numbers(ext["R"]) and _all_numbers(ext["T"])):
-        raise FormatError("extrinsics R and T must hold JSON numbers only", path=path)
+    ext, left, right = (_read_section(obj, section, path) for section in _SECTIONS)
     try:
-        r = np.array(ext["R"], dtype=np.float64)
-        t = np.array(ext["T"], dtype=np.float64)
-    except ValueError as exc:  # ragged nested lists
-        raise FormatError(f"extrinsics R and T must be numeric arrays: {exc}", path=path) from None
-    if r.shape != (3, 3):
-        raise FormatError(f"extrinsics R must be 3x3, got shape {r.shape}", path=path)
-    if t.shape != (3,):
-        raise FormatError(f"extrinsics T must be a 3-vector, got shape {t.shape}", path=path)
-    ortho = float(np.abs(r @ r.T - np.eye(3)).max())
-    if ortho > 1e-6:
-        raise FormatError(f"extrinsics R is not a rotation (orthogonality error {ortho:.3g})", path=path)
-    return StereoCalibration(
-        _camera_from_dict(obj["left"], path, "left"),
-        _camera_from_dict(obj["right"], path, "right"),
-        Quaternion.from_rotation_matrix(r),
-        t,
-    )
+        rotation = Quaternion.from_rotation_matrix(ext["R"])
+    except ValidationError as exc:
+        raise FormatError(f"calibration extrinsics R: {exc}", path=path) from None
+    return StereoCalibration(_camera(left), _camera(right), rotation, ext["T"])
 
 
 def calibration_to_dict(calib: StereoCalibration) -> dict:

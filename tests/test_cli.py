@@ -641,6 +641,15 @@ def _eval_consistency_on_flo(tmp_path, flo: bytes):
     return args
 
 
+def _eval_consistency_with_focal(tmp_path, focal: float):
+    args = TestEvalConsistency().write_fixture(tmp_path)
+    obj = json.loads((tmp_path / "calib.json").read_text())
+    for side in ("left", "right"):
+        obj[side].update(fx=focal, fy=focal)
+    _write(tmp_path, "calib.json", json.dumps(obj).encode())
+    return args
+
+
 def _ideal(tmp_path):
     ideal_calib(tmp_path / "calib.json")
     return str(tmp_path / "calib.json")
@@ -672,6 +681,9 @@ _PFM_1x1 = b"Pf\n1 1\n-1.0\n" + struct.pack("<f", 10.0)
         lambda p: ["rectify-maps", "--calib", _calib_edited(p, "left", "cy", True), "--out-prefix", str(p / "r")],
         lambda p: _disparity2depth(p, _calib_edited(p, "right", "dist", ["0", 0, 0, 0, 0]), _PFM_1x1),
         lambda p: _disparity2depth(p, _calib_edited(p, "extrinsics", "T", ["5", "0", "0"]), _PFM_1x1),
+        # a reflection was read as the identity and exited 0
+        lambda p: ["rectify-maps", "--calib", _calib_edited(p, "extrinsics", "R", [[1, 0, 0], [0, 1, 0], [0, 0, -1]]),
+                   "--out-prefix", str(p / "r")],
     ],
     ids=[
         "tum-inf-frame", "tum-nan-field", "tum-inf-field", "tum-not-utf8",
@@ -679,7 +691,7 @@ _PFM_1x1 = b"Pf\n1 1\n-1.0\n" + struct.pack("<f", 10.0)
         "calib-inf-fx", "calib-overflow-fx", "calib-not-object",
         "pfm-huge-header", "flo-huge-header",
         "calib-fractional-width", "calib-bool-width",
-        "calib-string-fx", "calib-bool-cy", "calib-string-dist", "calib-string-T",
+        "calib-string-fx", "calib-bool-cy", "calib-string-dist", "calib-string-T", "calib-reflection-R",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
@@ -710,13 +722,20 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
         (lambda p: ["simulate", "--out", str(p / "sim"), "--path", "spline", "--orbit-radius", "1e308"], "distance"),
         # the linear path never reaches look_at: this wrote maps with no valid pixel
         (lambda p: ["simulate", "--out", str(p / "sim"), "--path", "linear", "--extent", "inf"], "extent"),
+        # and these in overflowing pixel rays: RuntimeWarnings, and maps with no pixel inside
+        (lambda p: ["rectify-maps", "--calib", _calib_with_fx(p, "1e-200"), "--out-prefix", str(p / "r")], "focal"),
+        (lambda p: ["rectify-maps", "--calib", _calib_with_fx(p, "1e-308"), "--out-prefix", str(p / "r")], "focal"),
+        (lambda p: _eval_consistency_with_focal(p, 1e-308), "focal"),
+        (lambda p: ["simulate", "--out", str(p / "sim"), "--focal", "1e-200", "--width", "16", "--height", "12"],
+         "focal"),
     ],
     ids=[
         "calib-huge-width", "simulate-width", "simulate-height", "eval-depth-width",
         "simulate-stride-0", "simulate-stride-negative", "simulate-sigma-rot-inf", "simulate-sigma-rot-overflow",
         "simulate-extent-inf", "simulate-extent-overflow", "simulate-orbit-radius-inf",
         "simulate-orbit-radius-overflow", "simulate-spline-radius-overflow",
-        "simulate-linear-extent-inf",
+        "simulate-linear-extent-inf", "calib-tiny-fx", "calib-fx-1e-308", "eval-consistency-tiny-focal",
+        "simulate-tiny-focal",
     ],
 )
 def test_image_larger_than_ceiling_exits_3(tmp_path, capsys, caplog, argv, logged):

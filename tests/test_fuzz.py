@@ -6,15 +6,17 @@ random header cannot request a large allocation; do not point these tests
 at a reader without that check.
 """
 
+import copy
 import json
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from endogeo.cli import main
-from endogeo.errors import EndogeoError
+from endogeo.errors import EndogeoError, FormatError, ValidationError
 from endogeo.fileio import read_flo, read_json, read_pfm
 from endogeo.stereo import load_calibration
 from endogeo.trajectory import load_tum
@@ -99,6 +101,46 @@ def test_readers_raise_only_package_errors(tmp_path, reader, files):
             reader(path)
         except (EndogeoError, OSError):
             pass
+
+    check()
+
+
+_CAMERA = {"fx": 700.0, "fy": 690.0, "cx": 31.5, "cy": 23.5, "width": 64, "height": 48,
+           "dist": [-0.1, 0.02, 1e-3, -2e-3, 5e-4]}
+_CALIBRATION = {
+    "left": _CAMERA,
+    "right": {**_CAMERA, "fx": 705},
+    "extrinsics": {"R": [[0, -1, 0], [1, 0, 0], [0, 0, 1]], "T": [5.1, 0.04, -0.02]},
+}
+# (section, key): replace that field, or the whole section when key is None
+_CALIBRATION_EDITS = [(section, key) for section, fields in _CALIBRATION.items() for key in (None, *fields)]
+
+
+def test_calibration_with_one_value_replaced_loads_its_numbers_or_raises(tmp_path):
+    path = tmp_path / "calib.json"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(_CALIBRATION_EDITS), _json_values)
+    def check(edit, value):
+        section, key = edit
+        obj = copy.deepcopy(_CALIBRATION)
+        if key is None:
+            obj[section] = value
+        else:
+            obj[section][key] = value
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        try:
+            calib = load_calibration(path)
+        except (FormatError, ValidationError):
+            return
+        for mono, cam in ((calib.left, obj["left"]), (calib.right, obj["right"])):
+            k = mono.intrinsics
+            assert (k.fx, k.fy, k.cx, k.cy) == tuple(float(cam[name]) for name in ("fx", "fy", "cx", "cy"))
+            assert (k.width, k.height) == (cam["width"], cam["height"])
+            assert mono.dist == tuple(float(v) for v in cam["dist"])
+        ext = obj["extrinsics"]
+        assert calib.translation.tolist() == [float(v) for v in ext["T"]]
+        assert np.abs(calib.rotation.to_rotation_matrix() - np.array(ext["R"], dtype=np.float64)).max() < 1e-5
 
     check()
 

@@ -65,6 +65,29 @@ class TestQuaternion:
             back = Quaternion.from_rotation_matrix(q.to_rotation_matrix())
             assert q.angle_to(back) < 1e-12
 
+    # a reflection and a scaled matrix were read as the identity, and zeros
+    # as a half turn about x
+    @pytest.mark.parametrize(
+        ("matrix", "message"),
+        [
+            (np.diag([1.0, 1.0, -1.0]), "reflection"),
+            (-np.eye(3), "reflection"),
+            (2.0 * np.eye(3), "orthogonal"),
+            (np.zeros((3, 3)), "orthogonal"),
+            ((1.0 + 1e-6) * np.eye(3), "orthogonal"),
+            (np.full((3, 3), math.nan), "orthogonal"),
+            (np.full((3, 3), 1e300), "orthogonal"),
+            (np.eye(4), "3x3"),
+        ],
+        ids=["reflection", "point-reflection", "scaled", "zeros", "just-beyond-bound", "nan", "overflow", "4x4"],
+    )
+    def test_matrix_that_is_no_rotation_rejected(self, matrix, message):
+        with pytest.raises(ValidationError, match=message):
+            Quaternion.from_rotation_matrix(matrix)
+
+    def test_matrix_within_rounding_bound_accepted(self):
+        assert Quaternion.from_rotation_matrix((1.0 + 4e-7) * np.eye(3)) == Quaternion.identity()
+
     def test_rotation_matrix_orthonormal(self):
         stream = SplitMix64(6).derive("q")
         for _ in range(20):
@@ -265,6 +288,13 @@ class TestProjection:
         for width, height in ((True, 2), (2, False), (2.0, 2)):
             with pytest.raises(ValidationError, match="integers"):
                 CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=width, height=height)
+        # the squared length of the widest pixel ray overflowed in rectify-maps
+        # and eval-consistency, which warned and wrote maps with no pixel inside
+        tiny = ((1e-200, 1e-200), (1e-308, 1e-308), (1.0, 1e-200), (5e-324, 1.0), (np.float64(1e-200), 1.0))
+        for fx, fy in tiny:
+            with pytest.raises(ValidationError, match=f"focal.*fx={fx} fy={fy}"):
+                CameraIntrinsics(fx=fx, fy=fy, cx=79.5, cy=59.5, width=160, height=120)
+        CameraIntrinsics(fx=1e-150, fy=1e-150, cx=79.5, cy=59.5, width=160, height=120)
 
 
 class TestUmeyama:
@@ -328,13 +358,6 @@ class TestUmeyama:
 
 
 class TestSimilarityTransform:
-    def test_inverse(self):
-        stream = SplitMix64(51).derive("s")
-        t = SimilarityTransform(1.7, rand_quat(stream), (3.0, -1.0, 2.0))
-        pts = np.array([stream.uniform_in(-5, 5) for _ in range(15)]).reshape(5, 3)
-        back = t.inverse().apply(t.apply(pts))
-        assert np.abs(back - pts).max() < 1e-12
-
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValidationError):
             SimilarityTransform(0.0, Quaternion.identity(), (0, 0, 0))

@@ -191,6 +191,17 @@ class TestRectification:
         assert isinstance(calib.rotation, Quaternion)
         assert calib.rotation.angle() == pytest.approx(angle, abs=1e-12)
 
+    # each built a rig: the first two with the identity, zeros with a half turn about x
+    @pytest.mark.parametrize(
+        ("matrix", "message"),
+        [(2.0 * np.eye(3), "orthogonal"), (np.diag([1.0, 1.0, -1.0]), "reflection"), (np.zeros((3, 3)), "orthogonal")],
+        ids=["scaled", "reflection", "zeros"],
+    )
+    def test_matrix_that_is_no_rotation_rejected(self, matrix, message):
+        cam = MonoCalibration(make_intr(), NO_DIST)
+        with pytest.raises(ValidationError, match=message):
+            StereoCalibration(cam, cam, matrix, (5.0, 0.0, 0.0))
+
 
 class TestRemap:
     def test_identity_maps_reproduce_image(self):
@@ -299,11 +310,22 @@ class TestCalibrationIO:
             lambda obj: {**obj, "right": {**obj["right"], "dist": ["0", 0, 0, 0, 0]}},
             lambda obj: {**obj, "extrinsics": {**obj["extrinsics"], "T": ["5", "0", "0"]}},
             lambda obj: {**obj, "extrinsics": {**obj["extrinsics"], "R": [[True, 0, 0], [0, 1, 0], [0, 0, 1]]}},
+            lambda obj: {**obj, "extrinsics": {**obj["extrinsics"], "R": [[1, 0, 0], [0, 1], [0, 0, 1]]}},
+            lambda obj: {**obj, "left": {**obj["left"], "dist": [0, 0, 0, 0]}},
+            lambda obj: {**obj, "left": {**obj["left"], "dist": [[0, 0, 0, 0, 0]]}},
+            lambda obj: {**obj, "extrinsics": {**obj["extrinsics"], "T": 5}},
+            lambda obj: {**obj, "right": {**obj["right"], "width": [640]}},
+            lambda obj: {key: value for key, value in obj.items() if key != "extrinsics"},
+            # a reflection was read as the identity
+            lambda obj: {**obj, "extrinsics": {**obj["extrinsics"], "R": [[1, 0, 0], [0, 1, 0], [0, 0, -1]]}},
+            lambda obj: {**obj, "extrinsics": {**obj["extrinsics"], "R": [[2, 0, 0], [0, 2, 0], [0, 0, 2]]}},
         ],
         ids=["number", "list", "camera-number", "extrinsics-string", "R-string", "R-null",
              "R-object", "T-null", "dist-object", "fx-list",
              "width-fractional", "width-float", "height-bool", "height-string",
-             "fx-string", "cy-bool", "dist-string", "T-strings", "R-bool"],
+             "fx-string", "cy-bool", "dist-string", "T-strings", "R-bool",
+             "R-ragged", "dist-4", "dist-nested", "T-scalar", "width-list", "extrinsics-missing",
+             "R-reflection", "R-scaled"],
     )
     def test_wrong_json_structure(self, tmp_path, edit):
         from endogeo.stereo import calibration_to_dict
