@@ -1,8 +1,15 @@
-"""Exception hierarchy shared by the whole package.
+"""Exception hierarchy shared by the whole package, and its one number rule.
 
 Each concrete class carries, as ``exit_code``, the process exit code that
 the CLI returns for it: FormatError 2, ValidationError 3, NumericError 4.
+
+Every scalar the Python API takes passes :func:`integer` (an integral number)
+or :func:`real` (a finite real number), numpy ones included but no bool or
+string, and the caller keeps the int or float returned.
 """
+
+import math
+import numbers
 
 
 class EndogeoError(Exception):
@@ -38,3 +45,23 @@ class ValidationError(EndogeoError):
 class NumericError(EndogeoError):
     """A computation produced numerically unacceptable results."""
     exit_code = 4
+
+
+def integer(value, what: str, low=None) -> int:
+    """``value`` as an int, if it is an integral number, no bool, and at least
+    ``low``; else :class:`ValidationError`, whose message names it ``what``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or (low is not None and value < low):
+        raise ValidationError(f"{what} must be an integer{'' if low is None else f' >= {low}'}, got {value!r}")
+    return int(value)
+
+
+def real(value, what: str, above=None) -> float:
+    """``value`` as a float, if it is a finite real number, no bool, and above
+    ``above``; else :class:`ValidationError`, whose message names it ``what``."""
+    try:
+        number = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an int or a fraction beyond the float range
+        number = math.inf
+    if not (math.isfinite(number) and (above is None or number > above)):
+        raise ValidationError(f"{what} must be a finite number{'' if above is None else f' > {above}'}, got {value!r}")
+    return number

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, integer, real
 
 # |norm^2 - 1| below this is treated as already unit and left untouched,
 # which keeps text round trips bit-exact while staying well inside the
@@ -251,7 +251,7 @@ class Quaternion:
 
     @staticmethod
     def from_axis_angle(axis, angle: float) -> "Quaternion":
-        return Quaternion(*quats_from_axis_angle(axis, float(angle)))
+        return Quaternion(*quats_from_axis_angle(axis, real(angle, "rotation angle")))
 
     @staticmethod
     def from_rotation_vector(vec) -> "Quaternion":
@@ -262,7 +262,7 @@ class Quaternion:
     def from_rotation_matrix(matrix) -> "Quaternion":
         """The rotation of the 3x3 ``matrix`` M, which must have det M > 0 and no
         entry of M M^T - I above 1e-6, or :class:`ValidationError`."""
-        m = np.asarray(matrix, dtype=np.float64)
+        m = _floats(matrix, "rotation matrix")
         if m.shape != (3, 3):
             raise ValidationError(f"rotation matrix must be 3x3, got {m.shape}")
         with np.errstate(over="ignore", invalid="ignore"):  # huge entries give inf or nan, rejected here
@@ -307,7 +307,7 @@ class Quaternion:
 
 def slerp(q0: Quaternion, q1: Quaternion, t: float) -> Quaternion:
     """Shortest-arc spherical interpolation at constant angular velocity."""
-    return Quaternion(*_slerp(q0.wxyz, q1.wxyz, t))
+    return Quaternion(*_slerp(q0.wxyz, q1.wxyz, real(t, "interpolation fraction t")))
 
 
 def quat_angles(quat) -> np.ndarray:
@@ -315,10 +315,21 @@ def quat_angles(quat) -> np.ndarray:
     return _angle(tuple(np.asarray(quat, dtype=np.float64).T))
 
 
+def _floats(value, what: str) -> np.ndarray:
+    """``value`` as a new float64 array: a numpy array of numbers as it is,
+    anything else entry by entry through :func:`~endogeo.errors.real`, so a
+    bool, a string, a non-finite entry or a row of a ragged nest raises
+    :class:`ValidationError`; ``what`` names the array in the message."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        return value.astype(np.float64)
+    entries = np.array(value, dtype=object)
+    return np.array([real(v, f"{what} entry") for v in entries.flat], dtype=np.float64).reshape(entries.shape)
+
+
 def vec3(value, what: str) -> np.ndarray:
-    """``value`` as a read-only, finite float64 3-vector; ``what`` names it
-    in the error message."""
-    t = np.array(value, dtype=np.float64)
+    """``value`` (see :func:`_floats`) as a read-only, finite float64
+    3-vector; ``what`` names it in the error message."""
+    t = _floats(value, what)
     if t.shape != (3,):
         raise ValidationError(f"{what} must be a 3-vector, got shape {t.shape}")
     if not np.all(np.isfinite(t)):
@@ -333,6 +344,8 @@ class Pose:
     translation: np.ndarray = field(default=None)
 
     def __post_init__(self):
+        if not isinstance(self.rotation, Quaternion):
+            raise ValidationError(f"pose rotation must be a Quaternion, got {self.rotation!r}")
         t = self.translation if self.translation is not None else (0.0, 0.0, 0.0)
         object.__setattr__(self, "translation", vec3(t, "translation"))
 
@@ -478,14 +491,13 @@ def pose_distance(a, b):
     return rot, (float(trans) if trans.ndim == 0 else trans)
 
 
-def check_image_size(width, height, what: str) -> None:
-    """Raise :class:`ValidationError` unless ``width`` and ``height`` are
-    Python ints, not bools, from 1 to :data:`MAX_IMAGE_SIDE`; ``what`` names
-    the image in the message."""
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (width, height)):
-        raise ValidationError(f"{what} width/height must be integers, got {width!r}x{height!r}")
-    if not (0 < width <= MAX_IMAGE_SIDE and 0 < height <= MAX_IMAGE_SIDE):
+def check_image_size(width, height, what: str) -> tuple:
+    """``(width, height)`` as ints if both are integers from 1 to
+    :data:`MAX_IMAGE_SIDE`, else :class:`ValidationError` naming ``what``."""
+    sides = integer(width, f"{what} width"), integer(height, f"{what} height")
+    if not all(0 < side <= MAX_IMAGE_SIDE for side in sides):
         raise ValidationError(f"{what} size must be 1..{MAX_IMAGE_SIDE} px per side: {width}x{height}")
+    return sides
 
 
 @dataclass(frozen=True)
@@ -498,20 +510,22 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
-            raise ValidationError(
-                f"focal lengths must be positive and finite: fx={self.fx} fy={self.fy}"
-            )
-        check_image_size(self.width, self.height, "image")
-        if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
-            raise ValidationError(
-                f"principal point ({self.cx}, {self.cy}) outside {self.width}x{self.height}"
-            )
-        # the widest pixel ray, on Python floats: they overflow to inf without a warning
-        x = float(max(self.cx, self.width - 1 - self.cx)) / float(self.fx)
-        y = float(max(self.cy, self.height - 1 - self.cy)) / float(self.fy)
+        fx, fy = real(self.fx, "focal length fx", 0), real(self.fy, "focal length fy", 0)
+        width, height = check_image_size(self.width, self.height, "image")
+        cx, cy = real(self.cx, "principal point cx"), real(self.cy, "principal point cy")
+        if not (0 <= cx < width and 0 <= cy < height):
+            raise ValidationError(f"principal point ({cx}, {cy}) outside {width}x{height}")
+        for name, value in dict(fx=fx, fy=fy, cx=cx, cy=cy, width=width, height=height).items():
+            object.__setattr__(self, name, value)
+        x, y = self.widest_ray()
         if not math.isfinite(x * x + y * y):
-            raise ValidationError(f"focal lengths too small, pixel rays overflow: fx={self.fx} fy={self.fy}")
+            raise ValidationError(f"focal lengths too small, pixel rays overflow: fx={fx} fy={fy}")
+
+    def widest_ray(self) -> tuple:
+        """The largest |x| and |y| over the rays of :func:`pixel_rays`, those
+        of the pixels farthest from the principal point, as Python floats:
+        they overflow to inf without a warning."""
+        return max(self.cx, self.width - 1 - self.cx) / self.fx, max(self.cy, self.height - 1 - self.cy) / self.fy
 
 
 def pixel_grid(width: int, height: int):
@@ -574,8 +588,7 @@ class SimilarityTransform:
     translation: np.ndarray
 
     def __post_init__(self):
-        if not (self.scale > 0 and math.isfinite(self.scale)):
-            raise ValidationError(f"scale must be positive, got {self.scale}")
+        object.__setattr__(self, "scale", real(self.scale, "scale", 0))
         object.__setattr__(self, "translation", vec3(self.translation, "translation"))
 
     def apply(self, points):

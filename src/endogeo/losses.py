@@ -25,12 +25,11 @@ and a surface normal is a formula of four neighbour depths (:func:`_normals`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, real
 from .geometry import CameraIntrinsics, Pose, pixel_rays, project_planes
 from .rasters import ConfidenceMap, DepthMap, FlowField, Pointmap, bilinear_sample, candidate_chunks, cell_coords, in_bounds, scatter_chunks
 
@@ -48,12 +47,11 @@ class LossConfig:
     uncertainty_constant: float = 1.0  # scalar stand-in for per-pixel uncertainty maps
 
     def __post_init__(self):
-        if not 0 < self.alpha < math.inf:
-            raise ValidationError(f"alpha must be positive and finite, got {self.alpha}")
-        for f in fields(self)[1:]:  # every weight after alpha
-            value = getattr(self, f.name)
-            if not (math.isfinite(value) and value >= 0):
+        for f in fields(self):  # alpha positive, every weight after it non-negative
+            value = real(getattr(self, f.name), f.name, 0 if f.name == "alpha" else None)
+            if value < 0:
                 raise ValidationError(f"{f.name} must be non-negative, got {value}")
+            object.__setattr__(self, f.name, value)
 
 
 @dataclass(frozen=True)
@@ -62,10 +60,8 @@ class NormalizationSpec:
     s: float      # scale of the reference set
 
     def __post_init__(self):
-        if not (0 < self.s_hat < math.inf and 0 < self.s < math.inf):
-            raise ValidationError(
-                f"normalization scales must be positive and finite: s_hat={self.s_hat} s={self.s}"
-            )
+        for name in ("s_hat", "s"):
+            object.__setattr__(self, name, real(getattr(self, name), f"normalization scale {name}", 0))
 
 
 def point_set_scale(pointmap: Pointmap) -> float:

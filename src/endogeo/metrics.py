@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, integer, real
 from .geometry import check_image_size, compose, inverse, quat_angles, umeyama_align
 from .rasters import DepthMap, bilinear_sample
 from .trajectory import Trajectory
@@ -33,11 +33,12 @@ class DepthEvalConfig:
     median_scaling: bool = True
 
     def __post_init__(self):
-        check_image_size(self.eval_width, self.eval_height, "eval image")
-        if not (0 < self.depth_min < self.depth_max):
-            raise ValidationError(
-                f"need 0 < depth_min < depth_max, got [{self.depth_min}, {self.depth_max}]"
-            )
+        width, height = check_image_size(self.eval_width, self.eval_height, "eval image")
+        depth_min, depth_max = real(self.depth_min, "depth_min", 0), real(self.depth_max, "depth_max")
+        if not depth_min < depth_max:
+            raise ValidationError(f"need 0 < depth_min < depth_max, got [{depth_min}, {depth_max}]")
+        for name, value in dict(eval_width=width, eval_height=height, depth_min=depth_min, depth_max=depth_max).items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -97,10 +98,7 @@ def rpe(pred: Trajectory, gt: Trajectory, window: int = RTE_DEFAULT_WINDOW) -> t
     frame is frame_i + window, if there is one. Then E = inverse(rel_gt) o
     rel_pred with rel = inverse(pose_i) o pose_j.
     """
-    if not isinstance(window, int) or isinstance(window, bool):
-        raise ValidationError(f"window must be an integer, got {window!r}")
-    if window <= 0:
-        raise ValidationError(f"window must be positive, got {window}")
+    window = integer(window, "window", 1)
     _check_same_frames(pred, gt)
     i, j = _rpe_pairs(pred, window)
     if not len(i):
@@ -131,7 +129,7 @@ def resize_depth(depth: DepthMap, out_width: int, out_height: int) -> DepthMap:
     invalid pixels never enter the sum. The target size must pass
     :func:`~endogeo.geometry.check_image_size`.
     """
-    check_image_size(out_width, out_height, "resize target")
+    out_width, out_height = check_image_size(out_width, out_height, "resize target")
     if (depth.width, depth.height) == (out_width, out_height):
         return depth
     in_h, in_w = depth.values.shape

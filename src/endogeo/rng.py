@@ -4,15 +4,14 @@ Every stochastic piece of the simulator draws from this generator, never from
 the platform default, so the integer stream is bit-identical across runs and
 platforms. Per-purpose streams are derived by mixing the seed with an FNV-1a
 hash of a purpose tag, which keeps e.g. drift noise independent of scene
-noise for the same top-level seed. A seed must pass :func:`check_seed`.
+noise for the same top-level seed. Seeds pass :func:`~endogeo.errors.integer`.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 
-from .errors import ValidationError
+from .errors import integer
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -33,19 +32,12 @@ def _fnv1a(data: bytes) -> int:
     return h
 
 
-def check_seed(seed) -> int:
-    """``seed``, an integral number (a numpy one too), as an int; floats, bools and strings fail."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise ValidationError(f"seed must be an integer, got {seed!r}")
-    return int(seed)
-
-
 class SplitMix64:
     """64-bit splitmix generator: state advances by a fixed odd gamma and the
     output is a finalizing mix of the state."""
 
     def __init__(self, seed: int):
-        self._state = check_seed(seed) & _MASK64
+        self._state = integer(seed, "seed") & _MASK64
         self._spare_normal = None
 
     def derive(self, tag: str) -> "SplitMix64":

@@ -33,12 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, integer, real
 from .geometry import (
     CameraIntrinsics,
     Pose,
     PoseBatch,
     Quaternion,
+    check_image_size,
     compose,
     compose_cumulative,
     inverse,
@@ -52,7 +53,7 @@ from .geometry import (
 )
 from .losses import induced_reprojection
 from .rasters import DepthMap, FlowField, cell_coords, scatter_chunks
-from .rng import SplitMix64, check_seed
+from .rng import SplitMix64
 from .trajectory import Trajectory
 
 SCENE_KINDS = ("plane", "sphere", "heightfield")
@@ -83,11 +84,10 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_seed(self.seed)
+        object.__setattr__(self, "seed", integer(self.seed, "seed"))
         if self.kind not in SCENE_KINDS:
             raise ValidationError(f"scene kind must be one of {SCENE_KINDS}, got {self.kind!r}")
-        if not 0 < self.extent < math.inf:
-            raise ValidationError(f"scene extent must be positive and finite, got {self.extent}")
+        object.__setattr__(self, "extent", real(self.extent, "scene extent", 0))
 
 
 @dataclass(frozen=True)
@@ -97,17 +97,19 @@ class DriftSpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_seed(self.seed)
-        if not (0 <= self.sigma_rot < math.inf and 0 <= self.sigma_trans < math.inf):
-            raise ValidationError(
-                f"drift sigmas must be finite and non-negative: rot={self.sigma_rot} trans={self.sigma_trans}"
-            )
+        object.__setattr__(self, "seed", integer(self.seed, "seed"))
+        for name in ("sigma_rot", "sigma_trans"):
+            sigma = real(getattr(self, name), f"drift {name}")
+            if sigma < 0:
+                raise ValidationError(f"drift {name} must be non-negative, got {sigma}")
+            object.__setattr__(self, name, sigma)
 
 
 def default_intrinsics(width: int = 64, height: int = 48, focal: float = 700.0) -> CameraIntrinsics:
     """Narrow-FOV camera used by the simulator unless told otherwise. The
     narrow field keeps rendered depth gently curved across the image, which
     the temporal-consistency zero tests rely on."""
+    width, height = check_image_size(width, height, "image")
     return CameraIntrinsics(focal, focal, width / 2.0, height / 2.0, width, height)
 
 
@@ -291,8 +293,7 @@ def gen_trajectory(
     """
     if path not in PATH_KINDS:
         raise ValidationError(f"path must be one of {PATH_KINDS}, got {path!r}")
-    if not isinstance(n_frames, int) or isinstance(n_frames, bool) or n_frames <= 0:
-        raise ValidationError(f"n_frames must be a positive integer, got {n_frames!r}")
+    n_frames = integer(n_frames, "n_frames", 1)
     stream = SplitMix64(seed).derive(f"trajectory-{path}")
     frames = np.arange(n_frames)
     # the path parameter, 0 at the first frame and 1 at the last
@@ -306,8 +307,7 @@ def gen_trajectory(
         return Trajectory.from_poses(frames, PoseBatch(quat, position))
 
     if path == "orbit":
-        if radius <= 0:
-            raise ValidationError(f"orbit radius must be positive, got {radius}")
+        radius = real(radius, "orbit radius", 0)
         theta0 = stream.uniform_in(0.0, 2.0 * math.pi)
         arc = math.radians(stream.uniform_in(25.0, 45.0))
         theta = (theta0 + arc * t).tolist()
@@ -317,6 +317,7 @@ def gen_trajectory(
         return Trajectory.from_poses(frames, look_at(position, target))
 
     # spline: Catmull-Rom through seeded control points near the origin
+    radius = real(radius, "spline radius")
     n_ctrl = 5
     ctrl = np.array(
         [
@@ -399,22 +400,15 @@ def simulate_dataset(
     from .stereo import MonoCalibration, StereoCalibration, save_calibration
     from .trajectory import save_tum, split_into_segments
 
-    for name, value in (("n_frames", n_frames), ("stride", stride), ("depth_count", depth_count)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if n_frames < 2:
-        raise ValidationError(f"simulate needs at least 2 frames, got {n_frames}")
-    if stride < 1:
-        raise ValidationError(f"anchor stride must be positive, got {stride}")
-    if depth_count < 1:
-        raise ValidationError(f"depth_count must be positive, got {depth_count}")
-    depth_count = min(depth_count, n_frames)
+    n_frames = integer(n_frames, "n_frames", 2)
+    stride = integer(stride, "stride", 1)
+    depth_count = min(integer(depth_count, "depth_count", 1), n_frames)
 
     intrinsics = default_intrinsics(width, height, focal)
-    gt = gen_trajectory(
-        n_frames, path, seed, radius=orbit_radius, target=(0.0, 0.0, extent)
-    )
     scene_spec = SceneSpec(scene, extent, seed)
+    gt = gen_trajectory(
+        n_frames, path, seed, radius=orbit_radius, target=(0.0, 0.0, scene_spec.extent)
+    )
     drifted = inject_drift(gt, DriftSpec(sigma_rot, sigma_trans, seed))
     anchor_frames = list(range(0, n_frames, stride))
     if anchor_frames[-1] != n_frames - 1:

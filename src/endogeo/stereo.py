@@ -17,10 +17,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, real
 from .fileio import is_json_number, read_json, write_json
 from .geometry import CameraIntrinsics, Quaternion, pixel_grid, pixel_rays, project, rotated_rays, slerp, vec3
-from .rasters import DISPARITY_EPSILON, DepthMap, DisparityMap, bilinear_sample
+from .rasters import DepthMap, DisparityMap, bilinear_sample
 
 _UNDISTORT_MAX_ITER = 20
 _UNDISTORT_TOL_PX = 1e-8
@@ -32,11 +32,18 @@ class MonoCalibration:
     dist: tuple  # (k1, k2, p1, p2, k3)
 
     def __post_init__(self):
-        d = tuple(float(v) for v in self.dist)
+        if not isinstance(self.intrinsics, CameraIntrinsics):
+            raise ValidationError(f"camera intrinsics must be CameraIntrinsics, got {self.intrinsics!r}")
+        d = tuple(real(v, "distortion coefficient") for v in self.dist)
         if len(d) != 5:
             raise ValidationError(f"expected 5 distortion coefficients, got {len(d)}")
-        if not all(math.isfinite(v) for v in d):
-            raise ValidationError("distortion coefficients must be finite")
+        # the distorted pixel of the widest ray, with each coefficient's
+        # magnitude, bounds every term of the model at every pixel; on Python
+        # floats it overflows to inf without a warning
+        k = self.intrinsics
+        u, v = _distorted_pixel_planes(k, tuple(map(abs, d)), *k.widest_ray())
+        if not (math.isfinite(u) and math.isfinite(v)):
+            raise ValidationError(f"distortion {d} overflows on the widest pixel ray: fx={k.fx} fy={k.fy}")
         object.__setattr__(self, "dist", d)
 
 
@@ -79,11 +86,10 @@ class RectifyMaps:
     baseline: float
 
 
-def distort_normalized(xn, yn, dist):
-    """Forward 5-coefficient model on normalized image coordinates."""
+def distort_normalized(x, y, dist):
+    """Forward 5-coefficient model on normalized image coordinates: floats,
+    or float64 arrays of one shape."""
     k1, k2, p1, p2, k3 = dist
-    x = np.asarray(xn, dtype=np.float64)
-    y = np.asarray(yn, dtype=np.float64)
     r2 = x * x + y * y
     radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
     xd = x * radial + 2.0 * p1 * x * y + p2 * (r2 + 2.0 * x * x)
@@ -123,17 +129,16 @@ def undistort_pixels(cam: MonoCalibration, pixels):
     return np.stack([x, y], axis=-1)
 
 
-def _distorted_pixel_planes(cam: MonoCalibration, xn, yn):
+def _distorted_pixel_planes(k: CameraIntrinsics, dist, xn, yn):
     """Undistorted normalized x/y planes -> distorted pixel u/v planes."""
-    xd, yd = distort_normalized(xn, yn, cam.dist)
-    k = cam.intrinsics
+    xd, yd = distort_normalized(xn, yn, dist)
     return k.fx * xd + k.cx, k.fy * yd + k.cy
 
 
 def distort_pixels(cam: MonoCalibration, normalized):
     """Undistorted normalized coordinates -> distorted pixel coordinates (..., 2)."""
     n = np.asarray(normalized, dtype=np.float64)
-    return np.stack(_distorted_pixel_planes(cam, n[..., 0], n[..., 1]), axis=-1)
+    return np.stack(_distorted_pixel_planes(cam.intrinsics, cam.dist, n[..., 0], n[..., 1]), axis=-1)
 
 
 def _rectifying_rotation(calib: StereoCalibration) -> np.ndarray:
@@ -164,7 +169,7 @@ def compute_rectify_maps(calib: StereoCalibration) -> RectifyMaps:
         cx, cy, z = rotated_rays(basis, x, y)
         ok = z > 0
         z_safe = np.where(ok, z, 1.0)
-        u, v = _distorted_pixel_planes(cam, cx / z_safe, cy / z_safe)
+        u, v = _distorted_pixel_planes(cam.intrinsics, cam.dist, cx / z_safe, cy / z_safe)
         return np.where(ok, u, -1e9), np.where(ok, v, -1e9)
 
     left_x, left_y = maps_for(calib.left, r_rect)
@@ -213,10 +218,7 @@ def remap(image, map_x, map_y, *, fill: float = 0.0):
 def _bf_over(raster, baseline: float, focal: float) -> np.ndarray:
     """baseline * focal / value on valid pixels, 0 elsewhere: the one formula
     behind both directions of the depth <-> disparity conversion."""
-    if not 0 < baseline < math.inf:
-        raise ValidationError(f"baseline must be positive and finite, got {baseline}")
-    if not 0 < focal < math.inf:
-        raise ValidationError(f"focal length must be positive and finite, got {focal}")
+    baseline, focal = real(baseline, "baseline", 0), real(focal, "focal length", 0)
     safe = np.where(raster.valid, raster.values, 1.0)
     return np.where(raster.valid, baseline * focal / safe, 0.0)
 
@@ -267,8 +269,7 @@ def _read_section(obj, section: str, path) -> dict:
 
 
 def _camera(values: dict) -> MonoCalibration:
-    fx, fy, cx, cy = (float(values[key]) for key in ("fx", "fy", "cx", "cy"))
-    return MonoCalibration(CameraIntrinsics(fx, fy, cx, cy, values["width"], values["height"]), values["dist"])
+    return MonoCalibration(CameraIntrinsics(*map(values.get, ("fx", "fy", "cx", "cy", "width", "height"))), values["dist"])
 
 
 def load_calibration(path) -> StereoCalibration:

@@ -92,7 +92,10 @@ class Trajectory:
     __hash__ = None
 
     def __init__(self, entries=()):
-        entries = tuple(entries)
+        try:
+            entries = tuple(entries)
+        except TypeError:
+            raise ValidationError(f"trajectory entries must be an iterable of pairs, got {entries!r}") from None
         for i, entry in enumerate(entries):
             try:
                 frame, pose = entry

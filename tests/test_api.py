@@ -156,6 +156,25 @@ def test_no_module_takes_a_private_name_from_a_sibling_beyond_the_known_ones():
     assert found == PRIVATE_IMPORTS, (sorted(found - PRIVATE_IMPORTS), sorted(PRIVATE_IMPORTS - found))
 
 
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ imports to re-export; a name only a docstring mentions is unused
+    src = pathlib.Path(endogeo.__file__).parent
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = [
+            alias.asname or alias.name.partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        ]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in imported if name not in used]
+    assert not unused, unused
+
+
 _DOC_REFERENCE = re.compile(r":(?:func|meth|class):`~?([\w.]+)`")
 
 

@@ -593,7 +593,7 @@ class TestProcessExitStatus:
     def test_validation_error_exits_3_and_logs_it(self, tmp_path):
         proc = self.run_module("simulate", "--out", str(tmp_path / "sim"), "--n-frames", "1")
         assert proc.returncode == 3
-        assert "at least 2 frames" in proc.stderr
+        assert "n_frames must be an integer >= 2" in proc.stderr
 
 
 def _write(tmp_path, name, data: bytes) -> str:
@@ -621,6 +621,14 @@ def _calib_edited(tmp_path, side: str, key: str, value):
     ideal_calib(tmp_path / "calib.json")
     obj = json.loads((tmp_path / "calib.json").read_text())
     obj[side][key] = value
+    return _write(tmp_path, "calib.json", json.dumps(obj).encode())
+
+
+def _calib_with_lens(tmp_path, f: float, dist):
+    ideal_calib(tmp_path / "calib.json", 160, 120, f=f)
+    obj = json.loads((tmp_path / "calib.json").read_text())
+    for side in ("left", "right"):
+        obj[side]["dist"] = list(dist)
     return _write(tmp_path, "calib.json", json.dumps(obj).encode())
 
 
@@ -715,9 +723,9 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
         (lambda p: ["simulate", "--out", str(p / "sim"), "--sigma-rot", "inf"], "sigma"),
         (lambda p: ["simulate", "--out", str(p / "sim"), "--sigma-rot", "1e308"], "angle"),
         # and these in a RuntimeWarning and a NaN quaternion or a parallel up vector
-        (lambda p: ["simulate", "--out", str(p / "sim"), "--extent", "inf"], "distance"),
+        (lambda p: ["simulate", "--out", str(p / "sim"), "--extent", "inf"], "extent"),
         (lambda p: ["simulate", "--out", str(p / "sim"), "--extent", "1e308"], "distance"),
-        (lambda p: ["simulate", "--out", str(p / "sim"), "--orbit-radius", "inf"], "distance"),
+        (lambda p: ["simulate", "--out", str(p / "sim"), "--orbit-radius", "inf"], "radius"),
         (lambda p: ["simulate", "--out", str(p / "sim"), "--orbit-radius", "1e300"], "distance"),
         (lambda p: ["simulate", "--out", str(p / "sim"), "--path", "spline", "--orbit-radius", "1e308"], "distance"),
         # the linear path never reaches look_at: this wrote maps with no valid pixel
@@ -728,6 +736,9 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
         (lambda p: _eval_consistency_with_focal(p, 1e-308), "focal"),
         (lambda p: ["simulate", "--out", str(p / "sim"), "--focal", "1e-200", "--width", "16", "--height", "12"],
          "focal"),
+        # the pixel rays fit, but the distortion terms overflowed with a RuntimeWarning, and it exited 0
+        (lambda p: ["rectify-maps", "--calib", _calib_with_lens(p, 1e-100, (-0.12, 0.03, 5e-4, -4e-4, 0.0)),
+                    "--out-prefix", str(p / "r")], "distortion"),
     ],
     ids=[
         "calib-huge-width", "simulate-width", "simulate-height", "eval-depth-width",
@@ -735,12 +746,13 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
         "simulate-extent-inf", "simulate-extent-overflow", "simulate-orbit-radius-inf",
         "simulate-orbit-radius-overflow", "simulate-spline-radius-overflow",
         "simulate-linear-extent-inf", "calib-tiny-fx", "calib-fx-1e-308", "eval-consistency-tiny-focal",
-        "simulate-tiny-focal",
+        "simulate-tiny-focal", "calib-distortion-overflow",
     ],
 )
 def test_image_larger_than_ceiling_exits_3(tmp_path, capsys, caplog, argv, logged):
-    code, _, _ = run(argv(tmp_path), capsys)
+    code, _, err = run(argv(tmp_path), capsys)
     assert code == 3
+    assert "Warning" not in err
     assert logged in caplog.text
     assert not (tmp_path / "sim").exists()
 

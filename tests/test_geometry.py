@@ -78,8 +78,12 @@ class TestQuaternion:
             (np.full((3, 3), math.nan), "orthogonal"),
             (np.full((3, 3), 1e300), "orthogonal"),
             (np.eye(4), "3x3"),
+            # these ended in numpy's untyped ValueError
+            ([[1, 0, 0], [0, 1], [0, 0, 1]], "rotation matrix entry"),
+            ([["a"] * 3] * 3, "rotation matrix entry"),
         ],
-        ids=["reflection", "point-reflection", "scaled", "zeros", "just-beyond-bound", "nan", "overflow", "4x4"],
+        ids=["reflection", "point-reflection", "scaled", "zeros", "just-beyond-bound", "nan", "overflow", "4x4",
+             "ragged", "strings"],
     )
     def test_matrix_that_is_no_rotation_rejected(self, matrix, message):
         with pytest.raises(ValidationError, match=message):
@@ -116,7 +120,7 @@ class TestQuaternion:
     @pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
     def test_axis_angle_rejects_nonfinite_angle(self, angle):
         # used to end in math.sin's "math domain error"
-        with pytest.raises(ValidationError, match="angle must be finite"):
+        with pytest.raises(ValidationError, match="angle must be a finite number"):
             Quaternion.from_axis_angle((0.0, 0.0, 1.0), angle)
 
     @pytest.mark.parametrize("axis", [(1e200, 0.0, 0.0), (math.inf, 0.0, 0.0), (0.0, 0.0, 0.0)])
@@ -286,7 +290,7 @@ class TestProjection:
             with pytest.raises(ValidationError, match="32768"):
                 CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=width, height=height)
         for width, height in ((True, 2), (2, False), (2.0, 2)):
-            with pytest.raises(ValidationError, match="integers"):
+            with pytest.raises(ValidationError, match="integer"):
                 CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=width, height=height)
         # the squared length of the widest pixel ray overflowed in rectify-maps
         # and eval-consistency, which warned and wrote maps with no pixel inside
@@ -362,9 +366,17 @@ class TestSimilarityTransform:
         with pytest.raises(ValidationError):
             SimilarityTransform(0.0, Quaternion.identity(), (0, 0, 0))
 
-    @pytest.mark.parametrize("t", [(0.0, math.nan, 0.0), (math.inf, 0.0, 0.0), (0.0, 0.0), [[0.0, 0.0, 0.0]]])
+    # the last four raised numpy's untyped ValueError, or built as if they were numbers
+    @pytest.mark.parametrize("t", [(0.0, math.nan, 0.0), (math.inf, 0.0, 0.0), (0.0, 0.0), [[0.0, 0.0, 0.0]],
+                                   "abc", [1, [2], 3], ["1", "2", "3"], [True, False, True]])
     def test_rejects_bad_translation(self, t):
         with pytest.raises(ValidationError, match="translation"):
             SimilarityTransform(1.0, Quaternion.identity(), t)
         with pytest.raises(ValidationError, match="translation"):
             Pose(Quaternion.identity(), t)
+
+
+def test_pose_rotation_must_be_a_quaternion():
+    # a tuple built a pose whose compose and transform ended in AttributeError
+    with pytest.raises(ValidationError, match="Quaternion"):
+        Pose((1.0, 0.0, 0.0, 0.0), (1.0, 2.0, 3.0))

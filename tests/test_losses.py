@@ -785,7 +785,7 @@ class TestComposites:
         with pytest.raises(ValidationError):
             NormalizationSpec(0.0, 1.0)
         for scales in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, -2.0)):
-            with pytest.raises(ValidationError, match="normalization scales"):
+            with pytest.raises(ValidationError, match="normalization scale"):
                 NormalizationSpec(*scales)
 
 

@@ -233,9 +233,10 @@ class TestDepthMetrics:
             DepthEvalConfig(eval_width=2**15 + 1)
         with pytest.raises(ValidationError, match="32768"):
             DepthEvalConfig(eval_height=10**9)
-        for width, height in ((2.5, 3), (True, 3), (4, 3.0), (4, False), (np.int64(4), 3), ("4", 3)):
-            with pytest.raises(ValidationError, match="integers"):
+        for width, height in ((2.5, 3), (True, 3), (4, 3.0), (4, False), ("4", 3)):
+            with pytest.raises(ValidationError, match="integer"):
                 DepthEvalConfig(eval_width=width, eval_height=height)
+        assert DepthEvalConfig(eval_width=np.int64(4), eval_height=3) == DepthEvalConfig(eval_width=4, eval_height=3)
 
 
 class TestResizeDepth:
@@ -245,12 +246,18 @@ class TestResizeDepth:
 
     @pytest.mark.parametrize(
         "width, height, match",
-        [(0, 5, "size"), (-1, 3, "size"), (3, 0, "size"), (2.5, 3, "integers"), (True, 2, "integers"), (6, np.int64(4), "integers")],
+        [(0, 5, "size"), (-1, 3, "size"), (3, 0, "size"), (2.5, 3, "integer"), (True, 2, "integer")],
     )
     def test_bad_target_size_rejected(self, width, height, match):
         # checked before the identity shortcut, so a 6x4 map gets no pass either
         with pytest.raises(ValidationError, match=match):
             resize_depth(DepthMap(np.full((4, 6), 7.0)), width, height)
+
+    def test_numpy_integer_target_size_is_the_int_size(self):
+        d = DepthMap(np.arange(24.0).reshape(4, 6) + 1.0)
+        assert resize_depth(d, 6, np.int64(4)) is d
+        same, resized = resize_depth(d, np.int64(3), np.uint8(2)), resize_depth(d, 3, 2)
+        assert np.array_equal(same.values, resized.values) and np.array_equal(same.valid, resized.valid)
 
     def test_downscale_constant_map(self):
         d = DepthMap(np.full((8, 12), 30.0))

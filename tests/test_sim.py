@@ -359,7 +359,7 @@ class TestInjectDrift:
 
     @pytest.mark.parametrize("sigmas", [(math.inf, 0.0), (0.0, math.inf), (math.nan, 0.0), (0.0, math.nan), (-1.0, 0.0)])
     def test_sigmas_must_be_finite_and_non_negative(self, sigmas):
-        with pytest.raises(ValidationError, match="drift sigmas"):
+        with pytest.raises(ValidationError, match="drift sigma"):
             DriftSpec(*sigmas)
 
 

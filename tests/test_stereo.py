@@ -75,9 +75,9 @@ class TestDisparityDepth:
             depth_to_disparity(DepthMap(np.full((1, 1), 10.0)), -5.0, 700.0)
         # b * f / x would be inf or NaN on every pixel, so none would stay valid
         for baseline, focal in ((math.inf, 1.0), (5.0, math.inf), (math.nan, 1.0), (5.0, math.nan)):
-            with pytest.raises(ValidationError, match="positive"):
+            with pytest.raises(ValidationError, match="finite number > 0"):
                 disparity_to_depth(DisparityMap(np.ones((2, 2))), baseline, focal)
-            with pytest.raises(ValidationError, match="positive"):
+            with pytest.raises(ValidationError, match="finite number > 0"):
                 depth_to_disparity(DepthMap(np.ones((2, 2))), baseline, focal)
 
 
@@ -170,8 +170,10 @@ class TestRectification:
             StereoCalibration(cam, cam, Quaternion.identity(), (0.0, 0.0, 0.0))
 
     # the last two have finite entries whose norm, the baseline, overflows
+    # the last four raised numpy's untyped ValueError, or built as if they were numbers
     @pytest.mark.parametrize("t", [(math.inf, 0.0, 0.0), (5.0, math.nan, 0.0), (5.0, 0.0),
-                                   (1e308, 1e308, 0.0), (-1e155, 0.0, -1e300)])
+                                   (1e308, 1e308, 0.0), (-1e155, 0.0, -1e300),
+                                   "abc", [5, [2], 3], ["5", "0", "0"], [True, False, False]])
     def test_bad_translation_rejected(self, t):
         cam = MonoCalibration(make_intr(), NO_DIST)
         with pytest.raises(ValidationError, match="extrinsic translation"):
@@ -194,8 +196,9 @@ class TestRectification:
     # each built a rig: the first two with the identity, zeros with a half turn about x
     @pytest.mark.parametrize(
         ("matrix", "message"),
-        [(2.0 * np.eye(3), "orthogonal"), (np.diag([1.0, 1.0, -1.0]), "reflection"), (np.zeros((3, 3)), "orthogonal")],
-        ids=["scaled", "reflection", "zeros"],
+        [(2.0 * np.eye(3), "orthogonal"), (np.diag([1.0, 1.0, -1.0]), "reflection"), (np.zeros((3, 3)), "orthogonal"),
+         ([[1, 0, 0], [0, 1], [0, 0, 1]], "rotation matrix entry"), ([["a"] * 3] * 3, "rotation matrix entry")],
+        ids=["scaled", "reflection", "zeros", "ragged", "strings"],
     )
     def test_matrix_that_is_no_rotation_rejected(self, matrix, message):
         cam = MonoCalibration(make_intr(), NO_DIST)

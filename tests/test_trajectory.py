@@ -70,6 +70,11 @@ class TestTrajectory:
         with pytest.raises(ValidationError, match=r"entry 1 is not a \(frame, Pose\) pair"):
             Trajectory([(0, Pose.identity()), entry])
 
+    def test_rejects_entries_that_are_not_iterable(self):
+        # raised TypeError: 'int' object is not iterable
+        with pytest.raises(ValidationError, match="iterable"):
+            Trajectory(5)
+
     def test_integral_floats_are_frames(self):
         poses = identity_traj([0, 1]).poses
         assert Trajectory.from_poses([0.0, 3.0], poses).frames.tolist() == [0, 3]
