@@ -18,7 +18,7 @@ from endogeo import (
     correct_long_trajectory,
     gen_trajectory,
     inject_drift,
-    rte,
+    rpe,
     split_into_segments,
 )
 
@@ -31,7 +31,7 @@ def main():
     gt = gen_trajectory(N_FRAMES, path="orbit", seed=SEED)
     drifted = inject_drift(gt, DriftSpec(sigma_rot=2e-3, sigma_trans=0.05, seed=SEED))
     print(f"ground truth: {len(gt)} poses on an orbit arc")
-    print(f"drifted copy: ATE {ate(drifted, gt):.4f} mm, RTE {rte(drifted, gt):.4f} mm")
+    print(f"drifted copy: ATE {ate(drifted, gt):.4f} mm, RTE {rpe(drifted, gt)[0]:.4f} mm")
 
     # anchors come from the ground truth (standing in for a global model);
     # segments are cut from the drifted trajectory between consecutive anchors
@@ -45,7 +45,7 @@ def main():
 
     corrected, report = correct_long_trajectory(anchors, segments)
     print(f"corrected:    ATE {ate(corrected, gt):.4f} mm, "
-          f"RTE {rte(corrected, gt):.4f} mm")
+          f"RTE {rpe(corrected, gt)[0]:.4f} mm")
 
     drifts = [s.drift_trans_mm for s in report.segments]
     print(f"per-segment drift magnitude: mean {np.mean(drifts):.4f} mm, "

@@ -43,10 +43,8 @@ from .trajectory import (
 from .drift import (
     CorrectionReport,
     SegmentCorrection,
-    align_segment_start,
     compute_drift_error,
     correct_long_trajectory,
-    distribute_drift,
 )
 from .rasters import (
     DISPARITY_EPSILON,
@@ -83,18 +81,15 @@ from .losses import (
     pose_loss,
     total_loss,
 )
-from .metrics import DepthEvalConfig, DepthMetrics, ate, depth_metrics, resize_depth, rpe, rte
+from .metrics import DepthEvalConfig, DepthMetrics, ate, depth_metrics, resize_depth, rpe
 from .fileio import (
     read_depth_pfm,
     read_disparity_pfm,
     read_flo,
     read_pfm,
-    read_pointmap_pfm,
     write_depth_pfm,
-    write_disparity_pfm,
     write_flo,
     write_pfm,
-    write_pointmap_pfm,
 )
 from .rng import SplitMix64
 from .sim import (

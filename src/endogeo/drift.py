@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .geometry import Pose, PoseBatch, compose, inverse, pose_distance, pose_interp, quat_angles
+from .geometry import PoseBatch, compose, inverse, pose_distance, pose_interp, quat_angles
 from .trajectory import Trajectory, _check_anchors
 
 # stitched output must sit on every anchor to within this
@@ -76,39 +76,10 @@ def _distribute(frames, poses: PoseBatch, starts, ends, errors: PoseBatch) -> Po
     return moved.with_rows(starts, poses[starts])
 
 
-def align_segment_start(segment: Trajectory, anchor_pose: Pose) -> Trajectory:
-    """Left-multiply every pose so the first one equals ``anchor_pose`` exactly.
-
-    Relative poses inside the segment are untouched; the first entry is
-    replaced by ``anchor_pose`` itself so the pass-through is bit-exact.
-    """
-    if not len(segment):
-        raise ValidationError("cannot align an empty segment")
-    return Trajectory.from_poses(
-        segment.frames, _align(segment.poses, [0], PoseBatch.stack([anchor_pose]))
-    )
-
-
 def compute_drift_error(aligned_end, next_anchor):
     """E = next_anchor o inverse(aligned_end); composing E with the end pose
     recovers the anchor. Poses or PoseBatches."""
     return compose(next_anchor, inverse(aligned_end))
-
-
-def distribute_drift(segment: Trajectory, error: Pose) -> Trajectory:
-    """Apply pose_interp(error, t_i) to each pose, t_i linear in frame index.
-
-    The first pose receives t = 0 and is left untouched; the last receives
-    the full error.
-    """
-    if len(segment) < 2:
-        raise ValidationError(
-            f"cannot distribute drift over a segment of length {len(segment)}"
-        )
-    return Trajectory.from_poses(
-        segment.frames,
-        _distribute(segment.frames, segment.poses, [0], [len(segment) - 1], PoseBatch.stack([error])),
-    )
 
 
 def correct_long_trajectory(anchors: Trajectory, segments) -> tuple:

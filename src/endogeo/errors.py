@@ -5,11 +5,14 @@ the CLI returns for it: FormatError 2, ValidationError 3, NumericError 4.
 
 Every scalar the Python API takes passes :func:`integer` (an integral number)
 or :func:`real` (a finite real number), numpy ones included but no bool or
-string, and the caller keeps the int or float returned.
+string, or :func:`boolean` (a bool, numpy's included), and the caller keeps
+the int, float or bool returned.
 """
 
 import math
 import numbers
+
+import numpy as np
 
 
 class EndogeoError(Exception):
@@ -65,3 +68,11 @@ def real(value, what: str, above=None) -> float:
     if not (math.isfinite(number) and (above is None or number > above)):
         raise ValidationError(f"{what} must be a finite number{'' if above is None else f' > {above}'}, got {value!r}")
     return number
+
+
+def boolean(value, what: str) -> bool:
+    """``value`` as a bool, if it is a bool or a numpy bool; else
+    :class:`ValidationError`, whose message names it ``what``."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValidationError(f"{what} must be a boolean, got {value!r}")
+    return bool(value)

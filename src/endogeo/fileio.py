@@ -3,7 +3,7 @@
 PFM layout: header ``Pf\\n<width> <height>\\n<scale>\\n`` (``PF`` for
 3-channel), scale sign encodes endianness (negative = little-endian), pixel
 rows are stored bottom-to-top as 32-bit floats. Depth/disparity wrappers
-serialize invalid pixels as 0.0; pointmap wrappers use the all-zero vector.
+serialize invalid pixels as 0.0.
 
 .flo layout: float32 magic 202021.25, int32 width, int32 height, then
 interleaved float32 (du, dv) top-to-bottom, always little-endian. Components
@@ -27,8 +27,8 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
-from .rasters import DepthMap, DisparityMap, FlowField, Pointmap
+from .errors import FormatError, ValidationError, real
+from .rasters import DepthMap, DisparityMap, FlowField
 
 _PFM_CHANNELS = {b"Pf": (), b"PF": (3,)}  # magic -> channel axis of the array
 _FLO_HEADER = struct.Struct("<fii")  # magic, width, height
@@ -95,11 +95,6 @@ def read_json(path):
         raise FormatError(f"invalid JSON: {exc}", path=path, line=line) from None
 
 
-def _check_scale(scale, path) -> None:
-    if not (math.isfinite(scale) and scale != 0):
-        raise FormatError(f"PFM scale must be finite and nonzero, got {scale}", path=path)
-
-
 def _read_payload(fh, shape, dtype, what: str, path) -> np.ndarray:
     """The float32 payload of ``shape`` (H, W[, C]) at the current position
     of ``fh``. Both the dimensions and the bytes left in the file are checked
@@ -139,13 +134,15 @@ def write_pfm(path, array, *, scale: float = -1.0) -> None:
         raise FormatError(
             f"PFM supports (H, W) or (H, W, 3) arrays, got shape {data.shape}", path=path
         )
-    _check_scale(scale, path)
+    scale = real(scale, "PFM scale")
+    if scale == 0:
+        raise ValidationError("PFM scale must be nonzero")
     dtype = "<f4" if scale < 0 else ">f4"
     height, width = data.shape[:2]
     with open(path, "wb") as fh:
         fh.write(magic + b"\n")
         fh.write(f"{width} {height}\n".encode("ascii"))
-        fh.write(f"{float(scale)}\n".encode("ascii"))
+        fh.write(f"{scale}\n".encode("ascii"))
         fh.write(np.flipud(data).astype(dtype).tobytes())
 
 
@@ -167,7 +164,8 @@ def read_pfm(path):
             scale = float(fh.readline())
         except ValueError:
             raise FormatError("malformed PFM scale line", path=path) from None
-        _check_scale(scale, path)
+        if not (math.isfinite(scale) and scale != 0):
+            raise FormatError(f"PFM scale must be finite and nonzero, got {scale}", path=path)
         dtype = "<f4" if scale < 0 else ">f4"
         data = _read_payload(fh, (height, width) + channels, dtype, "PFM", path)
     return np.flipud(data).astype(np.float32), abs(scale)
@@ -178,33 +176,20 @@ def write_depth_pfm(path, depth: DepthMap) -> None:
     write_pfm(path, np.where(depth.valid, depth.values, 0.0))
 
 
-write_disparity_pfm = write_depth_pfm
-
-
-def _read_pfm_values(path, what: str, ndim: int) -> np.ndarray:
+def _read_pfm_values(path, what: str) -> np.ndarray:
     data, _ = read_pfm(path)
-    if data.ndim != ndim:
-        channels = "single-channel" if ndim == 2 else "3-channel"
-        raise FormatError(f"{what} PFM must be {channels}", path=path)
+    if data.ndim != 2:
+        raise FormatError(f"{what} PFM must be single-channel", path=path)
     return data  # float32: the raster constructors convert it to float64
 
 
 def read_depth_pfm(path) -> DepthMap:
     # the stored 0.0 of an invalid pixel is below the raster's own floor
-    return DepthMap(_read_pfm_values(path, "depth", 2))
+    return DepthMap(_read_pfm_values(path, "depth"))
 
 
 def read_disparity_pfm(path) -> DisparityMap:
-    return DisparityMap(_read_pfm_values(path, "disparity", 2))
-
-
-def write_pointmap_pfm(path, pointmap: Pointmap) -> None:
-    write_pfm(path, np.where(pointmap.valid[..., None], pointmap.points, 0.0))
-
-
-def read_pointmap_pfm(path) -> Pointmap:
-    points = _read_pfm_values(path, "pointmap", 3)
-    return Pointmap(points, np.any(points != 0.0, axis=2))
+    return DisparityMap(_read_pfm_values(path, "disparity"))
 
 
 def write_flo(path, flow: FlowField) -> None:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, integer, real
+from .errors import ValidationError, boolean, integer, real
 
 # |norm^2 - 1| below this is treated as already unit and left untouched,
 # which keeps text round trips bit-exact while staying well inside the
@@ -262,7 +262,7 @@ class Quaternion:
     def from_rotation_matrix(matrix) -> "Quaternion":
         """The rotation of the 3x3 ``matrix`` M, which must have det M > 0 and no
         entry of M M^T - I above 1e-6, or :class:`ValidationError`."""
-        m = _floats(matrix, "rotation matrix")
+        m = floats(matrix, "rotation matrix")
         if m.shape != (3, 3):
             raise ValidationError(f"rotation matrix must be 3x3, got {m.shape}")
         with np.errstate(over="ignore", invalid="ignore"):  # huge entries give inf or nan, rejected here
@@ -315,7 +315,7 @@ def quat_angles(quat) -> np.ndarray:
     return _angle(tuple(np.asarray(quat, dtype=np.float64).T))
 
 
-def _floats(value, what: str) -> np.ndarray:
+def floats(value, what: str) -> np.ndarray:
     """``value`` as a new float64 array: a numpy array of numbers as it is,
     anything else entry by entry through :func:`~endogeo.errors.real`, so a
     bool, a string, a non-finite entry or a row of a ragged nest raises
@@ -327,9 +327,9 @@ def _floats(value, what: str) -> np.ndarray:
 
 
 def vec3(value, what: str) -> np.ndarray:
-    """``value`` (see :func:`_floats`) as a read-only, finite float64
+    """``value`` (see :func:`floats`) as a read-only, finite float64
     3-vector; ``what`` names it in the error message."""
-    t = _floats(value, what)
+    t = floats(value, what)
     if t.shape != (3,):
         raise ValidationError(f"{what} must be a 3-vector, got shape {t.shape}")
     if not np.all(np.isfinite(t)):
@@ -601,6 +601,7 @@ def umeyama_align(source, target, with_scale: bool = True) -> SimilarityTransfor
     Minimizes sum ||s R x_i + t - y_i||^2 via the SVD of the cross-covariance,
     with the reflection guard that keeps det(R) = +1.
     """
+    with_scale = boolean(with_scale, "with_scale")
     src = np.asarray(source, dtype=np.float64).reshape(-1, 3)
     tgt = np.asarray(target, dtype=np.float64).reshape(-1, 3)
     if src.shape != tgt.shape:

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ValidationError, integer, real
+from .errors import ValidationError, boolean, integer, real
 from .geometry import check_image_size, compose, inverse, quat_angles, umeyama_align
 from .rasters import DepthMap, bilinear_sample
 from .trajectory import Trajectory
@@ -37,7 +37,9 @@ class DepthEvalConfig:
         depth_min, depth_max = real(self.depth_min, "depth_min", 0), real(self.depth_max, "depth_max")
         if not depth_min < depth_max:
             raise ValidationError(f"need 0 < depth_min < depth_max, got [{depth_min}, {depth_max}]")
-        for name, value in dict(eval_width=width, eval_height=height, depth_min=depth_min, depth_max=depth_max).items():
+        checked = dict(eval_width=width, eval_height=height, depth_min=depth_min, depth_max=depth_max,
+                       median_scaling=boolean(self.median_scaling, "median_scaling"))
+        for name, value in checked.items():
             object.__setattr__(self, name, value)
 
 
@@ -69,16 +71,11 @@ def ate(pred: Trajectory, gt: Trajectory, align: str = "sim3") -> float:
     _check_same_frames(pred, gt)
     if len(pred) < 2:
         raise ValidationError(f"ATE needs at least 2 common frames, got {len(pred)}")
-    p = pred.positions()
-    g = gt.positions()
+    p = pred.poses.trans
+    g = gt.poses.trans
     transform = umeyama_align(p, g, with_scale=(align == "sim3"))
     residual = transform.apply(p) - g
     return float(np.sqrt((residual**2).sum(axis=1).mean()))
-
-
-def rte(pred: Trajectory, gt: Trajectory, window: int = RTE_DEFAULT_WINDOW) -> float:
-    """RMSE (mm) of the translational relative-pose error over the window."""
-    return rpe(pred, gt, window)[0]
 
 
 def _rpe_pairs(traj: Trajectory, window: int):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import FormatError, ValidationError, real
 from .fileio import is_json_number, read_json, write_json
-from .geometry import CameraIntrinsics, Quaternion, pixel_grid, pixel_rays, project, rotated_rays, slerp, vec3
+from .geometry import CameraIntrinsics, Quaternion, floats, pixel_grid, pixel_rays, project, rotated_rays, slerp, vec3
 from .rasters import DepthMap, DisparityMap, bilinear_sample
 
 _UNDISTORT_MAX_ITER = 20
@@ -34,9 +34,10 @@ class MonoCalibration:
     def __post_init__(self):
         if not isinstance(self.intrinsics, CameraIntrinsics):
             raise ValidationError(f"camera intrinsics must be CameraIntrinsics, got {self.intrinsics!r}")
-        d = tuple(real(v, "distortion coefficient") for v in self.dist)
-        if len(d) != 5:
-            raise ValidationError(f"expected 5 distortion coefficients, got {len(d)}")
+        d = floats(self.dist, "distortion coefficient")
+        if d.shape != (5,) or not np.all(np.isfinite(d)):
+            raise ValidationError(f"expected 5 finite distortion coefficients, got {self.dist!r}")
+        d = tuple(d.tolist())
         # the distorted pixel of the widest ray, with each coefficient's
         # magnitude, bounds every term of the model at every pixel; on Python
         # floats it overflows to inf without a warning

@@ -81,7 +81,7 @@ class Trajectory:
     """Poses at strictly increasing, non-negative frame indices, held as
     read-only arrays: ``frames`` (N,) int64 and ``poses``, a
     :class:`~endogeo.geometry.PoseBatch` whose ``quat`` (N, 4) and ``trans``
-    (N, 3) are also reachable as ``Trajectory.quat`` and ``Trajectory.trans``.
+    (N, 3) hold the rotations and positions.
 
     ``Trajectory(entries)`` takes ``(frame, Pose)`` pairs;
     :meth:`from_poses` takes the arrays. Iteration and ``entries`` give the
@@ -123,14 +123,6 @@ class Trajectory:
         return traj
 
     @property
-    def quat(self) -> np.ndarray:
-        return self.poses.quat
-
-    @property
-    def trans(self) -> np.ndarray:
-        return self.poses.trans
-
-    @property
     def entries(self) -> tuple:
         return tuple((frame, self.poses[i]) for i, frame in enumerate(self.frames.tolist()))
 
@@ -145,8 +137,8 @@ class Trajectory:
             return NotImplemented
         return (
             np.array_equal(self.frames, other.frames)
-            and np.array_equal(self.quat, other.quat)
-            and np.array_equal(self.trans, other.trans)
+            and np.array_equal(self.poses.quat, other.poses.quat)
+            and np.array_equal(self.poses.trans, other.poses.trans)
         )
 
     def __repr__(self):
@@ -174,12 +166,6 @@ class Trajectory:
     def has_frame(self, frame: int) -> bool:
         return int(self._rows(frame)) >= 0
 
-    def positions(self) -> np.ndarray:
-        """The (N, 3) read-only translations."""
-        if not len(self):
-            raise ValidationError("trajectory is empty")
-        return self.trans
-
     def restricted_to(self, frames) -> "Trajectory":
         wanted = sorted(set(_exact_frames(list(frames))))
         rows = self._rows(wanted)
@@ -193,7 +179,7 @@ def serialize_tum(trajectory: Trajectory) -> str:
     """One line per pose: ``frame tx ty tz qx qy qz qw`` (17-digit floats)."""
     lines = ["# frame tx ty tz qx qy qz qw"]
     for frame, (tx, ty, tz), (qw, qx, qy, qz) in zip(
-        trajectory.frames.tolist(), trajectory.trans.tolist(), trajectory.quat.tolist()
+        trajectory.frames.tolist(), trajectory.poses.trans.tolist(), trajectory.poses.quat.tolist()
     ):
         lines.append(_TUM_LINE % (frame, tx, ty, tz, qx, qy, qz, qw))
     return "\n".join(lines) + "\n"

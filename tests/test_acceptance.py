@@ -30,7 +30,7 @@ from endogeo.geometry import (
     umeyama_align,
 )
 from endogeo.losses import LossConfig, NormalizationSpec, c_flow, c_prior, c_temp, conf_loss, pose_loss
-from endogeo.metrics import DepthEvalConfig, ate, depth_metrics, rte
+from endogeo.metrics import DepthEvalConfig, ate, depth_metrics, rpe
 from endogeo.rasters import ConfidenceMap, DepthMap, DisparityMap, FlowField, Pointmap
 from endogeo.rng import SplitMix64
 from endogeo.sim import (
@@ -352,8 +352,8 @@ def test_metric_invariances():
     # one global rigid transform leaves relative pose errors untouched
     rigid = Pose(Quaternion.from_axis_angle((1, 2, 3), 0.7), (4.0, 5.0, -6.0))
     moved = Trajectory([(f, compose(rigid, p)) for f, p in gt.entries])
-    assert rte(moved, gt, 16) < 1e-9
-    assert abs(rte(moved, gt, 16) - rte(gt, gt, 16)) < 1e-9
+    assert rpe(moved, gt, 16)[0] < 1e-9
+    assert abs(rpe(moved, gt, 16)[0] - rpe(gt, gt, 16)[0]) < 1e-9
 
     # threshold-accuracy boundary: ratio exactly 1.25 must not count as a hit
     gt_vals = np.full((6, 8), 4.0)

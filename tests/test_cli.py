@@ -408,9 +408,9 @@ class TestStereoCommands:
     def test_disparity2depth(self, tmp_path, capsys):
         ideal_calib(tmp_path / "calib.json", f=700.0, baseline=5.0)
         disp = DisparityMap(np.array([[10.0, 0.0], [70.0, 35.0]]))
-        from endogeo.fileio import write_disparity_pfm
+        from endogeo.fileio import write_depth_pfm
 
-        write_disparity_pfm(tmp_path / "disp.pfm", disp)
+        write_depth_pfm(tmp_path / "disp.pfm", disp)
         report = run_json(
             [
                 "disparity2depth",

@@ -3,14 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from endogeo.drift import (
-    align_segment_start,
-    compute_drift_error,
-    correct_long_trajectory,
-    distribute_drift,
-)
+from endogeo.drift import compute_drift_error, correct_long_trajectory
 from endogeo.errors import ValidationError
-from endogeo.geometry import Pose, Quaternion, compose, pose_distance
+from endogeo.geometry import Pose, Quaternion, compose, inverse, pose_distance
 from endogeo.rng import SplitMix64
 from endogeo.sim import DriftSpec, gen_trajectory, inject_drift
 from endogeo.trajectory import Trajectory, split_into_segments
@@ -27,11 +22,33 @@ def rand_segment(seed, frames):
     return Trajectory([(f, rand_pose(stream)) for f in frames])
 
 
+def correct_one(segment, start, end):
+    """``segment`` corrected as the one segment between the anchors ``start``
+    and ``end`` on its first and last frames."""
+    anchors = Trajectory([(int(segment.frames[0]), start), (int(segment.frames[-1]), end)])
+    return correct_long_trajectory(anchors, [segment])[0]
+
+
+def align(segment, anchor):
+    """``segment`` moved rigidly so it starts at ``anchor``: its end anchor is
+    the moved end pose, so no drift is left to spread."""
+    return correct_one(segment, anchor, compose(compose(anchor, inverse(segment.poses[0])), segment.poses[-1]))
+
+
+def distribute(segment, error):
+    """``error`` spread over ``segment``: its start anchor is its own first
+    pose, and its end anchor ``error`` applied to its last."""
+    return correct_one(segment, segment.poses[0], compose(error, segment.poses[-1]))
+
+
 class TestAlignSegmentStart:
+    """Alignment of a segment to its start anchor, through one-segment
+    correct_long_trajectory calls."""
+
     def test_already_at_anchor_unchanged(self):
         seg = rand_segment(1, range(5))
         anchor = seg.poses[0]
-        aligned = align_segment_start(seg, anchor)
+        aligned = align(seg, anchor)
         for frame in seg.frames:
             rot, trans = pose_distance(aligned.pose_at(frame), seg.pose_at(frame))
             assert rot < 1e-12 and trans < 1e-12
@@ -42,23 +59,18 @@ class TestAlignSegmentStart:
             [(k, Pose(Quaternion.identity(), (float(k), 0.0, 0.0))) for k in range(4)]
         )
         anchor = Pose(Quaternion.identity(), (5.0, 0.0, 0.0))
-        aligned = align_segment_start(traj, anchor)
+        aligned = align(traj, anchor)
         for k in range(4):
             assert np.abs(aligned.pose_at(k).translation - [k + 5.0, 0.0, 0.0]).max() < 1e-12
-
-    def test_rejects_empty_segment(self):
-        with pytest.raises(ValidationError, match="empty"):
-            align_segment_start(Trajectory(), Pose.identity())
 
     def test_preserves_relative_poses(self):
         stream = SplitMix64(7).derive("a")
         for trial in range(10):
             seg = rand_segment(100 + trial, range(6))
             anchor = rand_pose(stream)
-            aligned = align_segment_start(seg, anchor)
+            aligned = align(seg, anchor)
             for i, j in ((0, 3), (2, 5), (1, 4)):
                 def rel(s, a, b):
-                    from endogeo.geometry import inverse
                     return compose(inverse(s.pose_at(a)), s.pose_at(b))
                 rot, trans = pose_distance(rel(seg, i, j), rel(aligned, i, j))
                 assert rot < 1e-9 and trans < 1e-9
@@ -87,40 +99,39 @@ class TestComputeDriftError:
 
 
 class TestDistributeDrift:
+    """Spreading the drift error over a segment whose start is exact, through
+    one-segment correct_long_trajectory calls."""
+
     def test_identity_error_is_noop(self):
         seg = rand_segment(5, range(5))
-        out = distribute_drift(seg, Pose.identity())
+        out = distribute(seg, Pose.identity())
         for frame in seg.frames:
             rot, trans = pose_distance(out.pose_at(frame), seg.pose_at(frame))
             assert rot < 1e-12 and trans < 1e-12
 
     def test_linear_translation_ramp(self):
         traj = Trajectory([(k, Pose.identity()) for k in range(5)])
-        out = distribute_drift(traj, Pose(Quaternion.identity(), (4.0, 0.0, 0.0)))
+        out = distribute(traj, Pose(Quaternion.identity(), (4.0, 0.0, 0.0)))
         for k in range(5):
             assert np.abs(out.pose_at(k).translation - [float(k), 0.0, 0.0]).max() < 1e-12
 
     def test_rotation_midpoint_gets_half(self):
         traj = Trajectory([(0, Pose.identity()), (5, Pose.identity()), (10, Pose.identity())])
         sixty = Pose(Quaternion.from_axis_angle((0, 0, 1), math.pi / 3), (0, 0, 0))
-        out = distribute_drift(traj, sixty)
+        out = distribute(traj, sixty)
         assert out.pose_at(5).rotation.angle() == pytest.approx(math.pi / 6, abs=1e-12)
         assert out.pose_at(10).rotation.angle() == pytest.approx(math.pi / 3, abs=1e-12)
 
     def test_fraction_is_linear_in_frame_index_not_position(self):
         # unevenly spaced frames: the ramp follows frame indices
         traj = Trajectory([(0, Pose.identity()), (1, Pose.identity()), (10, Pose.identity())])
-        out = distribute_drift(traj, Pose(Quaternion.identity(), (10.0, 0.0, 0.0)))
+        out = distribute(traj, Pose(Quaternion.identity(), (10.0, 0.0, 0.0)))
         assert out.pose_at(1).translation[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_first_frame_untouched(self):
         seg = rand_segment(6, range(4))
-        out = distribute_drift(seg, rand_pose(SplitMix64(8).derive("e")))
+        out = distribute(seg, rand_pose(SplitMix64(8).derive("e")))
         assert out.pose_at(0) == seg.pose_at(0)
-
-    def test_rejects_single_entry(self):
-        with pytest.raises(ValidationError):
-            distribute_drift(Trajectory([(0, Pose.identity())]), Pose.identity())
 
 
 class TestCorrectLongTrajectory:
@@ -239,7 +250,7 @@ class TestBrownianBridge:
             anchors = gt.restricted_to(range(0, n_frames, self.STRIDE))
             corrected, _ = correct_long_trajectory(anchors, split_into_segments(drifted, anchors))
             assert np.array_equal(corrected.frames, gt.frames)
-            residual = corrected.trans - gt.trans
+            residual = corrected.poses.trans - gt.poses.trans
             for t in self.OFFSETS:
                 rows = np.arange(self.SEGMENTS) * self.STRIDE + t
                 variance = self.SIGMA**2 * t * (self.STRIDE - t) / self.STRIDE

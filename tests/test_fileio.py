@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -14,15 +15,12 @@ from endogeo.fileio import (
     read_flo,
     read_json,
     read_pfm,
-    read_pointmap_pfm,
     write_depth_pfm,
-    write_disparity_pfm,
     write_flo,
     write_json,
     write_pfm,
-    write_pointmap_pfm,
 )
-from endogeo.rasters import DepthMap, DisparityMap, FlowField, Pointmap
+from endogeo.rasters import DepthMap, DisparityMap, FlowField
 
 
 class TestPfmFormat:
@@ -80,8 +78,12 @@ class TestPfmFormat:
             write_pfm(tmp_path / "x.pfm", np.zeros(5))
 
     def test_rejects_zero_scale(self, tmp_path):
-        with pytest.raises(FormatError, match="scale"):
-            write_pfm(tmp_path / "x.pfm", np.zeros((2, 2)), scale=0.0)
+        # the writer's scale is an argument, so a bad one is a ValidationError;
+        # a bad scale in a file's header is a FormatError (TestHostileHeaders)
+        for scale in (0.0, "x", math.nan, math.inf):
+            with pytest.raises(ValidationError, match="PFM scale"):
+                write_pfm(tmp_path / "x.pfm", np.zeros((2, 2)), scale=scale)
+        assert not (tmp_path / "x.pfm").exists()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.pfm"
@@ -140,34 +142,16 @@ class TestRasterPfmWrappers:
     def test_disparity_round_trip(self, tmp_path):
         path = tmp_path / "disp.pfm"
         disp = DisparityMap(np.array([[0.0, 12.5], [6.25, 3.0]]))
-        write_disparity_pfm(path, disp)
+        write_depth_pfm(path, disp)
         back = read_disparity_pfm(path)
         assert (back.valid == disp.valid).all()
         assert np.abs(back.values[back.valid] - disp.values[disp.valid]).max() < 1e-6
-
-    def test_pointmap_round_trip(self, tmp_path):
-        path = tmp_path / "p.pfm"
-        pts = np.stack(
-            [np.full((2, 2), 1.0), np.full((2, 2), -2.0), np.full((2, 2), 50.0)], axis=-1
-        )
-        valid = np.array([[True, True], [False, True]])
-        write_pointmap_pfm(path, Pointmap(pts, valid))
-        back = read_pointmap_pfm(path)
-        assert (back.valid == valid).all()
-        assert np.abs(back.points[valid] - pts[valid]).max() < 1e-6
-        assert (back.points[~valid] == 0.0).all()
 
     def test_depth_reader_rejects_three_channel(self, tmp_path):
         path = tmp_path / "x.pfm"
         write_pfm(path, np.ones((2, 2, 3)))
         with pytest.raises(FormatError, match="single-channel"):
             read_depth_pfm(path)
-
-    def test_pointmap_reader_rejects_single_channel(self, tmp_path):
-        path = tmp_path / "x.pfm"
-        write_pfm(path, np.ones((2, 2)))
-        with pytest.raises(FormatError, match="3-channel"):
-            read_pointmap_pfm(path)
 
 
 class TestFlo:

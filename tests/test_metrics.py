@@ -14,7 +14,6 @@ from endogeo.metrics import (
     depth_metrics,
     resize_depth,
     rpe,
-    rte,
 )
 from endogeo.rasters import DepthMap
 from endogeo.trajectory import Trajectory
@@ -92,7 +91,7 @@ class TestAte:
 class TestRte:
     def test_perfect_prediction(self):
         traj = line_trajectory(40)
-        assert rte(traj, traj) == pytest.approx(0.0, abs=1e-12)
+        assert rpe(traj, traj)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_global_rigid_motion_invisible(self):
         gt = line_trajectory(40)
@@ -105,12 +104,12 @@ class TestRte:
         # every window-16 relative translation is 16 mm vs 17.6 mm: error 1.6
         gt = line_trajectory(40, step=1.0)
         pred = line_trajectory(40, step=1.1)
-        assert rte(pred, gt, window=16) == pytest.approx(1.6, abs=1e-9)
+        assert rpe(pred, gt, window=16)[0] == pytest.approx(1.6, abs=1e-9)
 
     def test_window_changes_error_magnitude(self):
         gt = line_trajectory(40, step=1.0)
         pred = line_trajectory(40, step=1.1)
-        assert rte(pred, gt, window=8) == pytest.approx(0.8, abs=1e-9)
+        assert rpe(pred, gt, window=8)[0] == pytest.approx(0.8, abs=1e-9)
 
     def test_rotation_component_reported(self):
         gt = Trajectory([(k, Pose.identity()) for k in range(20)])
@@ -127,12 +126,12 @@ class TestRte:
     def test_too_short_rejected(self):
         traj = line_trajectory(16)
         with pytest.raises(ValidationError, match="window"):
-            rte(traj, traj, window=16)
+            rpe(traj, traj, window=16)
 
     def test_bad_window_rejected(self):
         traj = line_trajectory(20)
         with pytest.raises(ValidationError):
-            rte(traj, traj, window=0)
+            rpe(traj, traj, window=0)
         # a bool used to run as window 1, and 1.5 to find no pairs
         for window in (True, 1.5, 2.0, "2"):
             with pytest.raises(ValidationError, match="window must be an integer"):

@@ -2,7 +2,8 @@
 ``errors.integer`` or ``errors.real``, so a hostile scalar ends in a result or
 a ValidationError, never in another exception; a string, None, a bool or a
 non-finite float ends in a ValidationError; and a numpy or Fraction number
-gives the same result as the equal Python number.
+gives the same result as the equal Python number. Every bool it takes passes
+``errors.boolean``, so only a bool, numpy's included, is one.
 
 Each site gets one hostile value in one parameter, every other argument
 valid. Sizes and counts stay small, so no accepted value allocates much.
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from endogeo.errors import ValidationError
-from endogeo.geometry import CameraIntrinsics, Quaternion, SimilarityTransform, slerp
+from endogeo.geometry import CameraIntrinsics, Quaternion, SimilarityTransform, slerp, umeyama_align
 from endogeo.losses import LossConfig, NormalizationSpec
 from endogeo.metrics import DepthEvalConfig, resize_depth, rpe
 from endogeo.rasters import DepthMap, DisparityMap
@@ -109,7 +110,7 @@ def _outcome(build, value):
     if isinstance(result, (DepthMap, DisparityMap)):
         return result.values.tobytes(), result.valid.tobytes()
     if isinstance(result, Trajectory):
-        return result.frames.tobytes(), result.quat.tobytes(), result.trans.tobytes()
+        return result.frames.tobytes(), result.poses.quat.tobytes(), result.poses.trans.tobytes()
     if isinstance(result, SplitMix64):
         return [result.next_u64() for _ in range(3)]
     return repr(result)
@@ -127,3 +128,21 @@ def test_a_hostile_number_gives_a_result_or_a_validation_error(site):
             assert outcome == _outcome(SITES[site], _python_equal(value))
 
     check()
+
+
+_CLOUD = np.arange(12.0).reshape(4, 3) ** 2
+
+# site -> a call with the value in that one bool parameter
+BOOL_SITES = {
+    "DepthEvalConfig.median_scaling": lambda v: DepthEvalConfig(median_scaling=v),
+    "umeyama_align.with_scale": lambda v: umeyama_align(_CLOUD, 2 * _CLOUD, with_scale=v),
+}
+
+
+@pytest.mark.parametrize("site", sorted(BOOL_SITES))
+def test_a_bool_parameter_takes_a_bool_and_nothing_else(site):
+    build = BOOL_SITES[site]
+    for value in ("false", 0, 1, None, 0.0):
+        with pytest.raises(ValidationError, match="must be a boolean"):
+            build(value)
+    assert repr(build(np.bool_(False))) == repr(build(False)) != repr(build(True))

@@ -111,8 +111,12 @@ class TestDistortion:
         assert np.linalg.norm(px - center) < np.linalg.norm(undistorted_px - center)
 
     def test_requires_five_coefficients(self):
-        with pytest.raises(ValidationError):
-            MonoCalibration(make_intr(), (0.0, 0.0, 0.0))
+        for dist in ((0.0, 0.0, 0.0), (0.0,) * 4, (0.0,) * 6, 5, None, [NO_DIST], np.zeros(4),
+                     (0.0, 0.0, 0.0, 0.0, math.nan), np.array([0.0, 0.0, 0.0, 0.0, math.inf]),
+                     (0.0, 0.0, 0.0, 0.0, True), (0.0, 0.0, 0.0, 0.0, "0")):
+            with pytest.raises(ValidationError, match="distortion coefficient"):
+                MonoCalibration(make_intr(), dist)
+        assert MonoCalibration(make_intr(), np.zeros(5, dtype=np.int32)).dist == NO_DIST
 
 
 class TestRectification:

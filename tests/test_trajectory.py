@@ -105,12 +105,6 @@ class TestTrajectory:
             with pytest.raises(ValidationError, match="frame index"):
                 traj.restricted_to([2, entry])
 
-    def test_positions(self):
-        traj = rand_traj(2, 6)
-        pos = traj.positions()
-        assert pos.shape == (6, 3)
-        assert (pos[3] == traj.pose_at(3).translation).all()
-
 
 class TestTumFormat:
     def test_single_identity_line(self):
