@@ -30,7 +30,6 @@ from .geometry import (
     project,
     slerp,
     umeyama_align,
-    unproject,
 )
 from .trajectory import (
     Trajectory,

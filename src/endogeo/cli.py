@@ -394,7 +394,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every :func:`main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="endogeo",
         description="Deterministic geometric toolkit: trajectory drift correction, "

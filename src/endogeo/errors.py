@@ -6,7 +6,9 @@ the CLI returns for it: FormatError 2, ValidationError 3, NumericError 4.
 Every scalar the Python API takes passes :func:`integer` (an integral number)
 or :func:`real` (a finite real number), numpy ones included but no bool or
 string, or :func:`boolean` (a bool, numpy's included), and the caller keeps
-the int, float or bool returned.
+the int, float or bool returned. Every entry of an array it takes passes
+:func:`number` (a real number, NaN and ±inf included) through
+``geometry.floats``.
 """
 
 import math
@@ -58,16 +60,24 @@ def integer(value, what: str, low=None) -> int:
     return int(value)
 
 
-def real(value, what: str, above=None) -> float:
-    """``value`` as a float, if it is a finite real number, no bool, and above
-    ``above``; else :class:`ValidationError`, whose message names it ``what``."""
+def number(value, what: str) -> float:
+    """``value`` as a float, if it is a real number and no bool (NaN and ±inf
+    included); else :class:`ValidationError`, whose message names it ``what``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{what} must be a real number, got {value!r}")
     try:
-        number = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+        return float(value)
     except OverflowError:  # an int or a fraction beyond the float range
-        number = math.inf
-    if not (math.isfinite(number) and (above is None or number > above)):
+        return math.inf if value > 0 else -math.inf
+
+
+def real(value, what: str, above=None) -> float:
+    """:func:`number` of ``value``, if it is finite and above ``above``; else
+    :class:`ValidationError`, whose message names it ``what``."""
+    x = number(value, what)
+    if not (math.isfinite(x) and (above is None or x > above)):
         raise ValidationError(f"{what} must be a finite number{'' if above is None else f' > {above}'}, got {value!r}")
-    return number
+    return x
 
 
 def boolean(value, what: str) -> bool:

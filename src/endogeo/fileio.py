@@ -28,6 +28,7 @@ import struct
 import numpy as np
 
 from .errors import FormatError, ValidationError, real
+from .geometry import floats
 from .rasters import DepthMap, DisparityMap, FlowField
 
 _PFM_CHANNELS = {b"Pf": (), b"PF": (3,)}  # magic -> channel axis of the array
@@ -112,8 +113,8 @@ def _read_payload(fh, shape, dtype, what: str, path) -> np.ndarray:
 
 
 def _as_float32(array, path) -> np.ndarray:
-    """``array`` as float32, refused if the cast would turn a finite value into inf."""
-    array = np.asarray(array)
+    """The float64 ``array`` as float32, refused if the cast would turn a
+    finite value into inf."""
     # two reductions decide the common case without a temporary array
     if array.size and not (-_FLOAT32_MAX <= array.min() and array.max() <= _FLOAT32_MAX):
         beyond = np.abs(array) > _FLOAT32_MAX
@@ -123,9 +124,10 @@ def _as_float32(array, path) -> np.ndarray:
 
 
 def write_pfm(path, array, *, scale: float = -1.0) -> None:
-    """Write a (H, W) or (H, W, 3) float array. Negative scale selects
-    little-endian storage, positive big-endian; the magnitude is stored as-is."""
-    data = _as_float32(array, path)
+    """Write a (H, W) or (H, W, 3) array of numbers (read by
+    :func:`~endogeo.geometry.floats`). Negative scale selects little-endian
+    storage, positive big-endian; the magnitude is stored as-is."""
+    data = _as_float32(floats(array, "PFM array"), path)
     if data.ndim == 2:
         magic = b"Pf"
     elif data.ndim == 3 and data.shape[2] == 3:

@@ -27,7 +27,15 @@ Raster geometry takes and returns (H, W) planes, one array per coordinate:
 rotation :func:`rotated_rays` (rows of M @ (x, y, 1)), :meth:`Pose.move_rays`
 (rows of z * (R @ (x, y, 1)) + t) and :func:`project_planes`. At the API
 boundary results stay interleaved: ``Pointmap`` (H, W, 3), ``FlowField``
-(H, W, 2), and :func:`project`/:func:`unproject` on (..., 3)/(..., 2) arrays.
+(H, W, 2), and :func:`project` on (..., 3) arrays.
+
+Every array the Python API takes is read by the one array rule,
+:func:`floats` (here, in ``rasters``, ``stereo``, ``sim`` and ``fileio``):
+a numpy array of numbers is copied to float64, and anything else is read
+entry by entry through :func:`~endogeo.errors.number`. :func:`finite_rows`
+adds a (..., k) shape and finiteness, and :func:`vec3` one 3-vector. The
+helpers below them (kernels, :func:`norms3`, :func:`rotated_rays`, the
+``quats_from_*`` batches) take the float64 arrays those rules return.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, boolean, integer, real
+from .errors import ValidationError, boolean, integer, number, real
 
 # |norm^2 - 1| below this is treated as already unit and left untouched,
 # which keeps text round trips bit-exact while staying well inside the
@@ -168,17 +176,14 @@ def norms3(v):
     """Euclidean norm of each (..., 3) row of ``v``. The stacked matmul uses
     the BLAS dot that ``np.linalg.norm`` uses for one vector, so a row has the
     same norm alone or in a batch."""
-    v = np.asarray(v, dtype=np.float64)
     return np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
 
 
 def quats_from_axis_angle(axis, angle) -> np.ndarray:
     """(..., 4) canonical quaternions of rotations by the finite (...)
     ``angle`` about the (..., 3) ``axis``, whose norm is nonzero and finite."""
-    angle = np.asarray(angle, dtype=np.float64)
     if not np.all(np.isfinite(angle)):
         raise ValidationError("rotation angle must be finite")
-    axis = np.asarray(axis, dtype=np.float64)
     with np.errstate(over="ignore"):
         n = norms3(axis)
     if not np.all((n > 0.0) & (n < math.inf)):
@@ -192,7 +197,7 @@ def quats_from_axis_angle(axis, angle) -> np.ndarray:
 def quats_from_rotation_vectors(vectors) -> np.ndarray:
     """(N, 4) canonical quaternions of the (N, 3) axis * angle ``vectors``
     (exponential map); zero vectors give the identity."""
-    v = np.asarray(vectors, dtype=np.float64).reshape(-1, 3)
+    v = vectors.reshape(-1, 3)
     with np.errstate(over="ignore"):  # an overflowing norm is a non-finite angle, rejected below
         angle = norms3(v)
     zero = angle == 0.0
@@ -201,11 +206,10 @@ def quats_from_rotation_vectors(vectors) -> np.ndarray:
     return q
 
 
-def quats_from_rotation_matrices(matrices) -> np.ndarray:
-    """(..., 4) canonical quaternions of (..., 3, 3) rotation matrices, each
-    row taking the branch (trace, or the largest diagonal entry) that keeps
-    its divisor away from zero."""
-    m = np.asarray(matrices, dtype=np.float64)
+def quats_from_rotation_matrices(m) -> np.ndarray:
+    """(..., 4) canonical quaternions of the (..., 3, 3) rotation matrices
+    ``m``, each row taking the branch (trace, or the largest diagonal entry)
+    that keeps its divisor away from zero."""
     m00, m01, m02 = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
     m10, m11, m12 = m[..., 1, 0], m[..., 1, 1], m[..., 1, 2]
     m20, m21, m22 = m[..., 2, 0], m[..., 2, 1], m[..., 2, 2]
@@ -237,7 +241,7 @@ class Quaternion:
     z: float
 
     def __post_init__(self):
-        q = _canonical((float(self.w), float(self.x), float(self.y), float(self.z)))
+        q = _canonical(tuple(number(c, "quaternion component") for c in (self.w, self.x, self.y, self.z)))
         for name, value in zip("wxyz", q):
             object.__setattr__(self, name, float(value))
 
@@ -251,12 +255,12 @@ class Quaternion:
 
     @staticmethod
     def from_axis_angle(axis, angle: float) -> "Quaternion":
-        return Quaternion(*quats_from_axis_angle(axis, real(angle, "rotation angle")))
+        return Quaternion(*quats_from_axis_angle(_triple(axis, "rotation axis"), real(angle, "rotation angle")))
 
     @staticmethod
     def from_rotation_vector(vec) -> "Quaternion":
         """Exponential map: ``vec`` is axis * angle."""
-        return Quaternion(*quats_from_rotation_vectors(vec)[0])
+        return Quaternion(*quats_from_rotation_vectors(_triple(vec, "rotation vector"))[0])
 
     @staticmethod
     def from_rotation_matrix(matrix) -> "Quaternion":
@@ -283,8 +287,8 @@ class Quaternion:
         return Quaternion(*_hamilton(self.wxyz, other.wxyz))
 
     def rotate(self, vectors):
-        """Rotate one 3-vector or an (..., 3) stack of vectors."""
-        v = np.asarray(vectors, dtype=np.float64)
+        """Rotate one finite 3-vector or an (..., 3) stack of them."""
+        v = finite_rows(vectors, 3, "vectors to rotate")
         return np.stack(_rotate(self.wxyz, tuple(np.moveaxis(v, -1, 0))), axis=-1)
 
     def to_rotation_matrix(self) -> np.ndarray:
@@ -312,26 +316,48 @@ def slerp(q0: Quaternion, q1: Quaternion, t: float) -> Quaternion:
 
 def quat_angles(quat) -> np.ndarray:
     """(N,) rotation angles in [0, pi] of the (N, 4) quaternions ``quat``."""
-    return _angle(tuple(np.asarray(quat, dtype=np.float64).T))
+    return _angle(tuple(quat.T))
 
 
 def floats(value, what: str) -> np.ndarray:
-    """``value`` as a new float64 array: a numpy array of numbers as it is,
-    anything else entry by entry through :func:`~endogeo.errors.real`, so a
-    bool, a string, a non-finite entry or a row of a ragged nest raises
-    :class:`ValidationError`; ``what`` names the array in the message."""
+    """``value`` as a new float64 array: a numpy array of an int, uint or float
+    dtype copied, anything else read entry by entry through
+    :func:`~endogeo.errors.number`, so a bool, a string, a complex entry or a
+    ragged nest raises :class:`ValidationError`; ``what`` names the array in
+    the message. NaN and ±inf pass, for the caller to mask or reject."""
     if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
         return value.astype(np.float64)
-    entries = np.array(value, dtype=object)
-    return np.array([real(v, f"{what} entry") for v in entries.flat], dtype=np.float64).reshape(entries.shape)
+    try:
+        entries = np.array(value, dtype=object)
+    except ValueError:  # nested arrays that numpy cannot stack, even as objects
+        raise ValidationError(f"{what} must be a regular nest of numbers") from None
+    return np.array([number(v, f"{what} entry") for v in entries.flat], dtype=np.float64).reshape(entries.shape)
+
+
+def _triple(value, what: str) -> np.ndarray:
+    """``value`` (see :func:`floats`) as a float64 3-vector, not checked for
+    finiteness."""
+    t = floats(value, what)
+    if t.shape != (3,):
+        raise ValidationError(f"{what} must be a 3-vector, got shape {t.shape}")
+    return t
+
+
+def finite_rows(value, width: int, what: str) -> np.ndarray:
+    """``value`` (see :func:`floats`) as a finite float64 array of
+    (..., ``width``) rows; ``what`` names it in the error message."""
+    a = floats(value, what)
+    if a.shape[-1:] != (width,):
+        raise ValidationError(f"{what} must be a (..., {width}) array, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValidationError(f"{what} must be finite")
+    return a
 
 
 def vec3(value, what: str) -> np.ndarray:
     """``value`` (see :func:`floats`) as a read-only, finite float64
     3-vector; ``what`` names it in the error message."""
-    t = floats(value, what)
-    if t.shape != (3,):
-        raise ValidationError(f"{what} must be a 3-vector, got shape {t.shape}")
+    t = _triple(value, what)
     if not np.all(np.isfinite(t)):
         raise ValidationError(f"{what} must be finite")
     t.flags.writeable = False
@@ -380,8 +406,7 @@ class PoseBatch:
     __slots__ = ("quat", "trans")
 
     def __init__(self, quat, trans):
-        quat = np.asarray(quat, dtype=np.float64)
-        trans = np.array(trans, dtype=np.float64)
+        quat, trans = floats(quat, "quaternion"), floats(trans, "translation")
         if quat.ndim != 2 or quat.shape[1] != 4 or trans.shape != (len(quat), 3):
             raise ValidationError(
                 f"a pose batch needs (N, 4) quaternions and (N, 3) translations, "
@@ -544,7 +569,7 @@ def pixel_rays(u, v, intrinsics: CameraIntrinsics):
 def rotated_rays(matrix, x, y, rows=(0, 1, 2)):
     """The ``rows`` of M @ (x, y, 1) for the 3x3 ``matrix`` M and the ray
     planes ``x, y``: row k is M[k][0] * x + M[k][1] * y + M[k][2]."""
-    m = np.asarray(matrix, dtype=np.float64).tolist()
+    m = matrix.tolist()
     return tuple(m[k][0] * x + m[k][1] * y + m[k][2] for k in rows)
 
 
@@ -561,24 +586,14 @@ def project_planes(x, y, z, intrinsics: CameraIntrinsics):
 def project(points, intrinsics: CameraIntrinsics):
     """Pinhole projection of (..., 3) camera-frame points to (..., 2) pixels.
 
-    Raises when any point has z <= 0; use :func:`project_planes` for
-    per-pixel handling.
+    Raises when any point is not finite or has z <= 0; use
+    :func:`project_planes` for per-pixel handling.
     """
-    p = np.asarray(points, dtype=np.float64)
+    p = finite_rows(points, 3, "points to project")
     u, v, valid = project_planes(p[..., 0], p[..., 1], p[..., 2], intrinsics)
     if not np.all(valid):
         raise ValidationError("cannot project points with non-positive depth")
     return np.stack([u, v], axis=-1)
-
-
-def unproject(pixels, depth, intrinsics: CameraIntrinsics):
-    """Back-project (..., 2) pixels at (...) depths into (..., 3) camera-frame points."""
-    z = np.asarray(depth, dtype=np.float64)
-    if np.any(z <= 0):
-        raise ValidationError("cannot unproject non-positive depth")
-    px = np.asarray(pixels, dtype=np.float64)
-    x, y = pixel_rays(px[..., 0], px[..., 1], intrinsics)
-    return np.stack(np.broadcast_arrays(x * z, y * z, z), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -596,21 +611,20 @@ class SimilarityTransform:
 
 
 def umeyama_align(source, target, with_scale: bool = True) -> SimilarityTransform:
-    """Least-squares similarity (or rigid) transform mapping source onto target.
+    """Least-squares similarity (or rigid) transform mapping the finite
+    (..., 3) points ``source`` onto as many ``target`` points.
 
     Minimizes sum ||s R x_i + t - y_i||^2 via the SVD of the cross-covariance,
     with the reflection guard that keeps det(R) = +1.
     """
     with_scale = boolean(with_scale, "with_scale")
-    src = np.asarray(source, dtype=np.float64).reshape(-1, 3)
-    tgt = np.asarray(target, dtype=np.float64).reshape(-1, 3)
+    src = finite_rows(source, 3, "source points").reshape(-1, 3)
+    tgt = finite_rows(target, 3, "target points").reshape(-1, 3)
     if src.shape != tgt.shape:
         raise ValidationError(f"point counts differ: {src.shape[0]} vs {tgt.shape[0]}")
     n = src.shape[0]
     if n < 2:
         raise ValidationError(f"alignment needs at least 2 point pairs, got {n}")
-    if not (np.all(np.isfinite(src)) and np.all(np.isfinite(tgt))):
-        raise ValidationError("alignment inputs must be finite")
     mu_s = src.mean(axis=0)
     mu_t = tgt.mean(axis=0)
     xs = src - mu_s

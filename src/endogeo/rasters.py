@@ -1,9 +1,12 @@
 """Raster value types: depth, disparity, flow, pointmaps, confidence.
 
 All rasters are row-major (height, width[, channels]) float64 arrays plus a
-boolean validity mask. Constructors intersect the given mask with the type's
-own validity rule (finite, positive where required), so a raster can never
-hold a "valid" entry that violates its invariant. Arrays are copied and
+boolean validity mask. Constructors read the values by the package's one
+array rule, :func:`~endogeo.geometry.floats` (so a bool, string, complex or
+ragged input raises ValidationError), and the mask as a bool array. They
+intersect the given mask with the type's own validity rule (finite, positive
+where required), so a raster can never hold a "valid" entry that violates
+its invariant; NaN and ±inf values are masked. Arrays are copied and
 frozen; instances are immutable and safe to share across threads. They
 compare and hash by identity, as the arrays they hold define no truth value
 or hash.
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .geometry import floats
 
 # disparities at or below this are unusable (depth = b*f/d diverges)
 DISPARITY_EPSILON = 1e-3
@@ -41,7 +45,7 @@ def _freeze(array: np.ndarray) -> np.ndarray:
 
 
 def _as_values(values, ndim_tail: int, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
+    arr = floats(values, name)
     if arr.ndim != 2 + (1 if ndim_tail else 0):
         raise ValidationError(f"{name} must be a {'(H, W, %d)' % ndim_tail if ndim_tail else '(H, W)'} array, got shape {arr.shape}")
     if ndim_tail and arr.shape[2] != ndim_tail:
@@ -181,10 +185,14 @@ def in_bounds(x, y, width: int, height: int):
     return (x >= 0) & (x <= width - 1) & (y >= 0) & (y <= height - 1)
 
 
-def _floor_index(x, top: int) -> np.ndarray:
-    """floor(x) clamped to [0, top] as int64. NaN becomes 0 and ±inf a finite
-    extreme before the clamp, so no NaN or inf ever reaches the cast."""
-    return np.clip(np.nan_to_num(np.floor(x)), 0, max(top, 0)).astype(np.int64)
+def _axis_taps(x, size: int):
+    """For coordinates ``x`` on an axis of ``size`` cells: the mask of those in
+    [0, size-1], the left tap floor(x) clamped to [0, size-2] as int64 (NaN
+    becomes 0 and ±inf a finite extreme before the cast), and the fraction
+    x - left, 0 outside the mask."""
+    inside = (x >= 0) & (x <= size - 1)
+    left = np.fmin(np.fmax(np.floor(x), 0.0), max(size - 2, 0)).astype(np.int64)
+    return inside, left, np.where(inside, x - left, 0.0)
 
 
 def bilinear_sample(values, x, y, valid=None):
@@ -196,7 +204,9 @@ def bilinear_sample(values, x, y, valid=None):
     0 wherever ``ok`` is False; only samples where it is True read ``values``,
     so what a masked cell holds (inf, NaN) never enters the arithmetic.
     ``x`` and ``y`` broadcast against each other, so a (1, W) row of x and an
-    (H, 1) column of y sample a whole grid. Bool ``values`` sample as 1.0/0.0.
+    (H, 1) column of y sample a whole grid; the taps of each axis are found
+    on its own array, and only the weights and indices take the full shape.
+    Bool ``values`` sample as 1.0/0.0.
 
     The top-left corner of the 2x2 stencil is clamped to at most (W-2, H-2),
     so a location on the far edge still uses an in-bounds block; outside
@@ -206,23 +216,22 @@ def bilinear_sample(values, x, y, valid=None):
     the right (or lower) corners repeat the left (or upper) ones.
     """
     height, width = values.shape[:2]
-    ok = in_bounds(x, y, width, height)
-    x0 = _floor_index(x, width - 2)
-    y0 = _floor_index(y, height - 2)
-    a = np.where(ok, x - x0, 0.0)
-    b = np.where(ok, y - y0, 0.0)
+    ok_x, x0, a = _axis_taps(x, width)
+    ok_y, y0, b = _axis_taps(y, height)
+    ok = ok_x & ok_y
     i00 = y0 * width + x0
     right = 1 if width > 1 else 0
     down = width if height > 1 else 0
+    a1, b1 = 1.0 - a, 1.0 - b
     taps = (
-        ((1.0 - a) * (1.0 - b), i00),
-        (a * (1.0 - b), i00 + right),
-        ((1.0 - a) * b, i00 + down),
+        (a1 * b1, i00),
+        (a * b1, i00 + right),
+        (a1 * b, i00 + down),
         (a * b, i00 + (down + right)),
     )
     # freed before the gathers, so their temporaries reuse this memory
     # instead of faulting in fresh pages
-    del x0, y0, a, b
+    del ok_x, ok_y, x0, y0, a, b, a1, b1
     if valid is not None:
         valid = valid.reshape(-1)
         for _, index in taps:

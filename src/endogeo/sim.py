@@ -42,6 +42,7 @@ from .geometry import (
     check_image_size,
     compose,
     compose_cumulative,
+    floats,
     inverse,
     norms3,
     pixel_grid,
@@ -252,11 +253,14 @@ def look_at(position, target, up=(0.0, 1.0, 0.0)):
     """Camera-to-world pose at ``position`` with +z toward ``target``.
 
     ``position`` is one 3-vector, giving a Pose, or an (N, 3) array, giving a
-    PoseBatch with one pose per row.
+    PoseBatch with one pose per row; ``target`` is one 3-vector or one per
+    position, and ``up`` one 3-vector, all finite.
     """
-    position = np.asarray(position, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    with np.errstate(over="ignore"):  # an overflowing distance is rejected below
+    position, target = floats(position, "look_at camera position"), floats(target, "look_at target")
+    if position.ndim not in (1, 2) or position.shape[-1] != 3 or target.shape not in ((3,), position.shape):
+        raise ValidationError(f"look_at needs (3,) or (N, 3) positions and one target or one per position, "
+                              f"got {position.shape} and {target.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite distance is rejected below
         forward = target - position
         n = norms3(forward)
     if np.any(n <= 0):
@@ -264,7 +268,7 @@ def look_at(position, target, up=(0.0, 1.0, 0.0)):
     if not np.all(np.isfinite(n)):
         raise ValidationError("look_at camera-to-target distance is not finite")
     z = forward / n[..., None]
-    x = np.cross(np.asarray(up, dtype=np.float64), z)
+    x = np.cross(vec3(up, "look_at up vector"), z)
     nx = norms3(x)
     if np.any(nx <= 1e-12):
         raise ValidationError("look_at up vector is parallel to the view direction")

@@ -17,9 +17,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, real
+from .errors import FormatError, ValidationError, number, real
 from .fileio import is_json_number, read_json, write_json
-from .geometry import CameraIntrinsics, Quaternion, floats, pixel_grid, pixel_rays, project, rotated_rays, slerp, vec3
+from .geometry import CameraIntrinsics, Quaternion, finite_rows, floats, pixel_grid, pixel_rays, project, rotated_rays, slerp, vec3
 from .rasters import DepthMap, DisparityMap, bilinear_sample
 
 _UNDISTORT_MAX_ITER = 20
@@ -123,9 +123,10 @@ def undistort_normalized(xd, yd, dist, fx: float, fy: float):
 
 
 def undistort_pixels(cam: MonoCalibration, pixels):
-    """Distorted pixel coordinates -> undistorted normalized coordinates (..., 2)."""
+    """Finite (..., 2) distorted pixel coordinates -> undistorted normalized
+    coordinates (..., 2)."""
     k = cam.intrinsics
-    px = np.asarray(pixels, dtype=np.float64)
+    px = finite_rows(pixels, 2, "pixels to undistort")
     x, y = undistort_normalized(*pixel_rays(px[..., 0], px[..., 1], k), cam.dist, k.fx, k.fy)
     return np.stack([x, y], axis=-1)
 
@@ -137,8 +138,9 @@ def _distorted_pixel_planes(k: CameraIntrinsics, dist, xn, yn):
 
 
 def distort_pixels(cam: MonoCalibration, normalized):
-    """Undistorted normalized coordinates -> distorted pixel coordinates (..., 2)."""
-    n = np.asarray(normalized, dtype=np.float64)
+    """Finite (..., 2) undistorted normalized coordinates -> distorted pixel
+    coordinates (..., 2)."""
+    n = finite_rows(normalized, 2, "normalized coordinates to distort")
     return np.stack(_distorted_pixel_planes(cam.intrinsics, cam.dist, n[..., 0], n[..., 1]), axis=-1)
 
 
@@ -203,15 +205,18 @@ def rectify_pixels(calib: StereoCalibration, maps: RectifyMaps, side: str, pixel
 def remap(image, map_x, map_y, *, fill: float = 0.0):
     """Bilinearly sample ``image`` at (map_x, map_y); out-of-bounds -> fill.
 
-    Accepts (H, W) or (H, W, C) images; maps may have any common 2D shape.
+    Accepts finite (H, W) or (H, W, C) images; maps may have any common
+    shape, and a NaN or ±inf map entry is out of bounds.
     """
-    img = np.asarray(image, dtype=np.float64)
-    mx = np.asarray(map_x, dtype=np.float64)
-    my = np.asarray(map_y, dtype=np.float64)
+    img = floats(image, "remap image")
+    mx, my = floats(map_x, "remap map_x"), floats(map_y, "remap map_y")
+    fill = number(fill, "remap fill")
     if mx.shape != my.shape:
         raise ValidationError(f"map shapes differ: {mx.shape} vs {my.shape}")
     if img.ndim not in (2, 3) or 0 in img.shape[:2]:
         raise ValidationError(f"image must be a non-empty (H, W) or (H, W, C) array, got shape {img.shape}")
+    if not np.all(np.isfinite(img)):
+        raise ValidationError("remap image must be finite")
     sample, ok = bilinear_sample(img, mx, my)
     return np.where(ok[..., None] if img.ndim == 3 else ok, sample, fill)
 

@@ -86,7 +86,6 @@ PUBLIC_NAMES = {
     "total_loss",
     "umeyama_align",
     "undistort_pixels",
-    "unproject",
     "write_depth_pfm",
     "write_flo",
     "write_pfm",
@@ -128,7 +127,6 @@ def test_every_name_the_tracer_wraps_is_bound_where_it_wraps_it():
 # reason each stays
 UNCONSUMED = {
     "depth_to_disparity": "ROADMAP item 9: simulate writes stereo disparities through it",
-    "unproject": "only docstrings mention it; ROADMAP item 14 decides whether it goes",
 }
 
 
@@ -232,3 +230,47 @@ def test_every_docstring_reference_resolves():
                         unresolved.append(f"{path.name}: {ref}")
     assert count > 0
     assert not unresolved, unresolved
+
+
+# the numpy float conversions in the package that read no argument of the
+# public API, exactly (a new one fails, and so does an entry no code makes any
+# more), with the reason each stays: every array the Python API takes is read
+# by geometry.floats instead. Key: (module.function, converted expression).
+INTERNAL_CONVERSIONS = {
+    ("geometry.floats", "[number(v, f'{what} entry') for v in entries.flat]"): "the array rule itself",
+    ("geometry._map_floats", "out"): "the list of floats its kernel just returned",
+    ("stereo.undistort_normalized", "xd"): "undistort_pixels's x plane, from an array the rule read",
+    ("stereo.undistort_normalized", "yd"): "undistort_pixels's y plane, from an array the rule read",
+    ("trajectory.Trajectory._rows", "frames"): "frame numbers to look up, compared with int64 frames only",
+    ("trajectory.parse_tum", "rows"): "the table of floats parsed from TUM text, checked line by line",
+}
+
+
+def _float_conversions(tree, module):
+    """(module.function, source of the converted expression) of each
+    ``np.asarray(...)`` and each ``np.array(..., dtype=np.float64)`` in ``tree``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope + [child.name] if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and ast.unparse(child.func.value) == "np":
+                dtypes = [ast.unparse(k.value) for k in child.keywords if k.arg == "dtype"] + [ast.unparse(a) for a in child.args[1:2]]
+                if child.func.attr == "asarray" or (child.func.attr == "array" and "np.float64" in dtypes):
+                    found.append((".".join([module] + scope), ast.unparse(child.args[0])))
+            visit(child, inner)
+
+    visit(tree, [])
+    return found
+
+
+def test_every_float_conversion_is_the_array_rule_or_a_known_internal_one():
+    src = pathlib.Path(endogeo.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        found += _float_conversions(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert len(found) == len(set(found)), sorted(found)
+    assert set(found) == set(INTERNAL_CONVERSIONS), (
+        sorted(set(found) - set(INTERNAL_CONVERSIONS)),
+        sorted(set(INTERNAL_CONVERSIONS) - set(found)),
+    )

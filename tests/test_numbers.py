@@ -3,13 +3,19 @@
 a ValidationError, never in another exception; a string, None, a bool or a
 non-finite float ends in a ValidationError; and a numpy or Fraction number
 gives the same result as the equal Python number. Every bool it takes passes
-``errors.boolean``, so only a bool, numpy's included, is one.
+``errors.boolean``, so only a bool, numpy's included, is one. Every array it
+takes passes ``geometry.floats``, so a hostile array ends in a result or a
+ValidationError; a bool, string, object, complex or ragged one in a
+ValidationError; and a numeric array of any dtype gives the same result as
+its float64 copy.
 
 Each site gets one hostile value in one parameter, every other argument
 valid. Sizes and counts stay small, so no accepted value allocates much.
 """
 
+import dataclasses
 import math
+import pathlib
 import tempfile
 from fractions import Fraction
 
@@ -18,14 +24,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endogeo.errors import ValidationError
-from endogeo.geometry import CameraIntrinsics, Quaternion, SimilarityTransform, slerp, umeyama_align
+from endogeo.errors import FormatError, ValidationError
+from endogeo.fileio import write_pfm
+from endogeo.geometry import (
+    CameraIntrinsics,
+    Pose,
+    PoseBatch,
+    Quaternion,
+    SimilarityTransform,
+    project,
+    slerp,
+    umeyama_align,
+)
 from endogeo.losses import LossConfig, NormalizationSpec
 from endogeo.metrics import DepthEvalConfig, resize_depth, rpe
-from endogeo.rasters import DepthMap, DisparityMap
+from endogeo.rasters import ConfidenceMap, DepthMap, DisparityMap, FlowField, Pointmap
 from endogeo.rng import SplitMix64
-from endogeo.sim import DriftSpec, SceneSpec, gen_trajectory, simulate_dataset
-from endogeo.stereo import MonoCalibration, depth_to_disparity, disparity_to_depth
+from endogeo.sim import DriftSpec, SceneSpec, gen_trajectory, look_at, simulate_dataset
+from endogeo.stereo import MonoCalibration, depth_to_disparity, disparity_to_depth, distort_pixels, remap, undistort_pixels
 from endogeo.trajectory import Trajectory
 
 _LINE = gen_trajectory(20, "linear")
@@ -146,3 +162,181 @@ def test_a_bool_parameter_takes_a_bool_and_nothing_else(site):
         with pytest.raises(ValidationError, match="must be a boolean"):
             build(value)
     assert repr(build(np.bool_(False))) == repr(build(False)) != repr(build(True))
+
+
+_K = CameraIntrinsics(**_CAMERA)
+_LENS = MonoCalibration(_K, (0.01, 0.0, 0.0, 0.0, 0.0))
+_TURN = Quaternion.from_axis_angle((0.0, 0.0, 1.0), 0.5)
+_IMAGE = np.arange(12.0).reshape(3, 4)
+_MAP_X = np.array([[0.5, 1.5], [2.25, 10.0]])
+_MAP_Y = np.array([[0.0, 1.75], [2.0, -1.0]])
+
+
+def _quaternion(a):
+    """Quaternion(*a) for a draw of components; a 0-d draw is w alone."""
+    return Quaternion(*a) if isinstance(a, list) or np.ndim(a) else Quaternion(a, 0.0, 0.0, 0.0)
+
+
+def _pfm_bytes(a):
+    with tempfile.TemporaryDirectory() as out:
+        path = pathlib.Path(out) / "a.pfm"
+        write_pfm(path, a)
+        return path.read_bytes()
+
+
+# site -> (the shape of a valid array there, a call with the array in that
+# one parameter)
+ARRAY_SITES = {
+    "DepthMap.values": ((3, 4), DepthMap),
+    "DisparityMap.values": ((3, 4), DisparityMap),
+    "FlowField.vectors": ((3, 4, 2), FlowField),
+    "Pointmap.points": ((3, 4, 3), Pointmap),
+    "ConfidenceMap.values": ((3, 4), ConfidenceMap),
+    "PoseBatch.quat": ((2, 4), lambda a: PoseBatch(a, np.zeros((2, 3)))),
+    "PoseBatch.trans": ((2, 3), lambda a: PoseBatch(np.tile(_TURN.wxyz, (2, 1)), a)),
+    "Quaternion": ((4,), _quaternion),
+    "Quaternion.rotate": ((2, 3), _TURN.rotate),
+    "Pose.transform": ((2, 3), Pose(_TURN, (1.0, 2.0, 3.0)).transform),
+    "Pose.translation": ((3,), lambda a: Pose(_TURN, a)),
+    "SimilarityTransform.apply": ((2, 3), SimilarityTransform(2.0, _TURN, (1.0, 2.0, 3.0)).apply),
+    "Quaternion.from_axis_angle.axis": ((3,), lambda a: Quaternion.from_axis_angle(a, 0.5)),
+    "Quaternion.from_rotation_vector": ((3,), Quaternion.from_rotation_vector),
+    "Quaternion.from_rotation_matrix": ((3, 3), Quaternion.from_rotation_matrix),
+    "project": ((2, 3), lambda a: project(a, _K)),
+    "umeyama_align.source": ((4, 3), lambda a: umeyama_align(a, _CLOUD)),
+    "umeyama_align.target": ((4, 3), lambda a: umeyama_align(_CLOUD, a)),
+    "look_at.position": ((3,), lambda a: look_at(a, (0.0, 0.0, 100.0))),
+    "look_at.target": ((3,), lambda a: look_at((1.0, 2.0, -3.0), a)),
+    "look_at.up": ((3,), lambda a: look_at((1.0, 2.0, -3.0), (0.0, 0.0, 100.0), a)),
+    "MonoCalibration.dist": ((5,), lambda a: MonoCalibration(_K, a)),
+    "undistort_pixels": ((2, 2), lambda a: undistort_pixels(_LENS, a)),
+    "distort_pixels": ((2, 2), lambda a: distort_pixels(_LENS, a)),
+    "remap.image": ((3, 4), lambda a: remap(a, _MAP_X, _MAP_Y)),
+    "remap.map_x": ((2, 2), lambda a: remap(_IMAGE, a, _MAP_Y)),
+    "remap.map_y": ((2, 2), lambda a: remap(_IMAGE, _MAP_X, a)),
+    "write_pfm.array": ((3, 4), _pfm_bytes),
+}
+
+# a PFM holds (H, W) or (H, W, 3) values, so a writer given another shape
+# raises FormatError (tests/test_fileio.py pins it); every other site's shape
+# error is a ValidationError
+SHAPE_ERRORS = {"write_pfm.array": FormatError}
+
+NUMERIC_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64,
+                  np.float16, np.float32, np.float64, np.longdouble)
+
+
+def _nest(flat, shape):
+    """The Python list of ``shape`` holding ``flat`` row-major."""
+    if not shape:
+        return flat[0]
+    step = len(flat) // shape[0]
+    return [_nest(flat[k * step:(k + 1) * step], shape[1:]) for k in range(shape[0])]
+
+
+@st.composite
+def hostile_arrays(draw, shape):
+    """``(kind, value)`` for a site whose valid arrays have ``shape``: a numeric
+    array of any int, uint or float dtype, float64 with NaN or ±inf entries,
+    a nested list of Python numbers, or, as an array or a nested list, all
+    bools, all strings, numbers with one string entry (object), all complex,
+    or a ragged nested list; or a 0-d array or bare number. Numbers are small
+    multiples of 1/4, exact in every dtype."""
+    size = math.prod(shape)
+    kind = draw(st.sampled_from(["numeric", "nonfinite", "list", "bool", "str", "object", "complex", "ragged", "0-d"]))
+    dtype = draw(st.sampled_from(NUMERIC_DTYPES))
+    low = 0 if np.dtype(dtype).kind == "u" else -100
+    ints = draw(st.lists(st.integers(low, 100), min_size=size, max_size=size))
+    numbers = [k / 4 for k in ints] if np.dtype(dtype).kind == "f" else ints
+    as_array = draw(st.booleans())
+    if kind == "numeric":
+        return kind, np.array(numbers, dtype=dtype).reshape(shape)
+    if kind == "nonfinite":
+        values = np.array(numbers, dtype=np.float64)
+        spots = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=size))
+        values[spots] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        return kind, values.reshape(shape)
+    if kind == "list":
+        return kind, _nest([float(v) for v in numbers] if draw(st.booleans()) else ints, shape)
+    if kind == "0-d":
+        return kind, np.array(numbers[0], dtype=dtype) if as_array else float(numbers[0])
+    spot = draw(st.integers(0, size - 1))
+    if kind == "bool":
+        entries = [v > 0 for v in ints]
+    elif kind == "str":
+        entries = [str(v) for v in numbers]
+    elif kind == "object":
+        entries = [*numbers[:spot], "a", *numbers[spot + 1:]]
+    elif kind == "complex":
+        entries = [complex(v) for v in numbers]
+    else:  # ragged: one innermost row one entry longer
+        entries = [*numbers[:spot], [numbers[spot], 1.0], *numbers[spot + 1:]]
+    nest = _nest(entries, shape)
+    if not as_array or kind == "ragged":  # a ragged numpy array is an object one
+        return kind, nest
+    return kind, np.array(nest, dtype=object if kind == "object" else None)
+
+
+def _comparable(result):
+    """``result`` in a form that compares by value and type, bit for bit."""
+    if isinstance(result, np.ndarray):
+        return result.dtype.str, result.shape, result.tobytes()
+    if dataclasses.is_dataclass(result):
+        return tuple(_comparable(getattr(result, f.name)) for f in dataclasses.fields(result))
+    if isinstance(result, PoseBatch):
+        return _comparable(result.quat), _comparable(result.trans)
+    return repr(result)
+
+
+def _array_outcome(build, value):
+    try:
+        return _comparable(build(value))
+    except (ValidationError, FormatError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("site", sorted(ARRAY_SITES))
+def test_a_hostile_array_gives_a_result_or_a_validation_error(site):
+    shape, build = ARRAY_SITES[site]
+
+    @settings(max_examples=60, deadline=None)
+    @given(hostile_arrays(shape))
+    def check(draw):
+        kind, value = draw
+        outcome = _array_outcome(build, value)
+        if kind in ("bool", "str", "object", "complex", "ragged"):
+            assert outcome is ValidationError
+        elif kind == "0-d":
+            assert outcome is not FormatError or SHAPE_ERRORS.get(site) is FormatError
+        else:
+            assert outcome is not FormatError
+        if kind == "numeric":
+            assert outcome == _array_outcome(build, value.astype(np.float64))
+        elif kind == "list":
+            assert outcome == _array_outcome(build, np.array(value, dtype=np.float64))
+
+    check()
+
+
+# the holes the array rule closes: each of these built, or raised numpy's
+# ValueError, before every array went through it
+KNOWN_HOLES = {
+    "DepthMap of strings": lambda: DepthMap([["1", "2"], ["3", "4"]]),
+    "DepthMap of bools": lambda: DepthMap(np.ones((2, 2), dtype=bool)),
+    "PoseBatch with a bool": lambda: PoseBatch([[True, 0, 0, 0]], [[0, 0, 0]]),
+    "PoseBatch with a string": lambda: PoseBatch([[1, 0, 0, 0]], [["a", "b", "c"]]),
+    "Quaternion of a string": lambda: Quaternion("1", 0, 0, 0),
+    "Quaternion of bools": lambda: Quaternion(True, False, 0, 0),
+    "FlowField with a string": lambda: FlowField(np.array([[[1.0, "a"]]], dtype=object)),
+    "ragged Pointmap": lambda: Pointmap([[[1.0, 2.0, 3.0], [1.0, 2.0]]]),
+    "DepthMap of arrays numpy cannot stack": lambda: DepthMap([np.zeros((2, 2)), np.zeros((2, 3))]),
+    "umeyama_align of strings": lambda: umeyama_align(_CLOUD.astype(str), _CLOUD),
+    "remap of strings": lambda: remap(_IMAGE.astype(str), _MAP_X, _MAP_Y),
+    "project of strings": lambda: project(np.array(["1", "2", "3"]), _K),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KNOWN_HOLES))
+def test_a_known_array_hole_is_a_validation_error(case):
+    with pytest.raises(ValidationError):
+        KNOWN_HOLES[case]()

@@ -18,7 +18,8 @@ from oracles import _bilinear
 def sampling_cases(draw, channel_counts=(0, 1, 3)):
     """An (H, W) or (H, W, C) raster, C drawn from ``channel_counts`` (0 for
     (H, W)), a validity mask, and sample locations mixing arbitrary floats,
-    exact integers and the far edge, in and out of bounds."""
+    exact integers, the far edge, -0.0, NaN, ±inf and ±1e300, in and out of
+    bounds."""
     height = draw(st.integers(1, 6))
     width = draw(st.integers(1, 6))
     channels = draw(st.sampled_from(channel_counts))
@@ -35,6 +36,7 @@ def sampling_cases(draw, channel_counts=(0, 1, 3)):
             st.floats(-1.5, size + 0.5),
             st.integers(-1, size).map(float),
             st.just(float(size - 1)),
+            st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e300, -1e300]),
         )
 
     n = draw(st.integers(1, 12))
