@@ -83,11 +83,7 @@ def main():
     v_conf, _, _ = conf_loss(Pointmap(pred_pts), Pointmap(ref_pts), conf, cfg)
     print(f"  conf_loss, scaled pointmap, c = alpha: {v_conf:.4f} "
           f"(pure confidence regularizer)")
-    v_pose = pose_loss(
-        [traj.pose_at(k) for k in traj.frames],
-        [traj.pose_at(k) for k in traj.frames],
-        NormalizationSpec(1.0, 1.0),
-    )
+    v_pose = pose_loss(traj.poses, traj.poses, NormalizationSpec(1.0, 1.0))
     print(f"  pose_loss on identical trajectories:   {v_pose:.4f}")
     consistency, weighted = consistency_total(v_flow, v_temp, v_prior, cfg)
     print(f"  consistency composite: {consistency:.2e} "

@@ -21,6 +21,7 @@ from .errors import EndogeoError, FormatError, NumericError, ValidationError
 from .geometry import (
     CameraIntrinsics,
     Pose,
+    PoseBatch,
     Quaternion,
     SimilarityTransform,
     compose,

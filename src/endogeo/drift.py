@@ -139,4 +139,4 @@ def correct_long_trajectory(anchors: Trajectory, segments) -> tuple:
     keep = np.ones(len(frames), dtype=bool)
     keep[starts[1:]] = False
     report = CorrectionReport(tuple(reports), max_res_rot, max_res_trans)
-    return Trajectory.from_poses(frames[keep], corrected[keep]), report
+    return Trajectory(frames[keep], corrected[keep]), report

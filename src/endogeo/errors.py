@@ -6,9 +6,10 @@ the CLI returns for it: FormatError 2, ValidationError 3, NumericError 4.
 Every scalar the Python API takes passes :func:`integer` (an integral number)
 or :func:`real` (a finite real number), numpy ones included but no bool or
 string, or :func:`boolean` (a bool, numpy's included), and the caller keeps
-the int, float or bool returned. Every entry of an array it takes passes
+the int, float or bool returned. Every entry of a float array it takes passes
 :func:`number` (a real number, NaN and ±inf included) through
-``geometry.floats``.
+``geometry.floats``, and every frame index, alone or in a sequence,
+:func:`integer` through ``trajectory._frame``.
 """
 
 import math

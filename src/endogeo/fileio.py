@@ -133,9 +133,7 @@ def write_pfm(path, array, *, scale: float = -1.0) -> None:
     elif data.ndim == 3 and data.shape[2] == 3:
         magic = b"PF"
     else:
-        raise FormatError(
-            f"PFM supports (H, W) or (H, W, 3) arrays, got shape {data.shape}", path=path
-        )
+        raise ValidationError(f"{path}: PFM supports (H, W) or (H, W, 3) arrays, got shape {data.shape}")
     scale = real(scale, "PFM scale")
     if scale == 0:
         raise ValidationError("PFM scale must be nonzero")

@@ -590,10 +590,14 @@ def project(points, intrinsics: CameraIntrinsics):
     :func:`project_planes` for per-pixel handling.
     """
     p = finite_rows(points, 3, "points to project")
-    u, v, valid = project_planes(p[..., 0], p[..., 1], p[..., 2], intrinsics)
+    with np.errstate(over="ignore"):  # a huge x / z gives inf, rejected below
+        u, v, valid = project_planes(p[..., 0], p[..., 1], p[..., 2], intrinsics)
     if not np.all(valid):
         raise ValidationError("cannot project points with non-positive depth")
-    return np.stack([u, v], axis=-1)
+    pixels = np.stack([u, v], axis=-1)
+    if not np.all(np.isfinite(pixels)):
+        raise ValidationError("projected pixels overflow the float range")
+    return pixels
 
 
 @dataclass(frozen=True)
@@ -610,6 +614,9 @@ class SimilarityTransform:
         return self.scale * self.rotation.rotate(points) + self.translation
 
 
+# huge points overflow to inf or NaN: rejected in the body, or as a scale or a
+# translation by SimilarityTransform
+@np.errstate(over="ignore", invalid="ignore")
 def umeyama_align(source, target, with_scale: bool = True) -> SimilarityTransform:
     """Least-squares similarity (or rigid) transform mapping the finite
     (..., 3) points ``source`` onto as many ``target`` points.
@@ -630,6 +637,8 @@ def umeyama_align(source, target, with_scale: bool = True) -> SimilarityTransfor
     xs = src - mu_s
     ys = tgt - mu_t
     cov = ys.T @ xs / n
+    if not np.all(np.isfinite(cov)):
+        raise ValidationError("points are too large to align: their covariance overflows")
     u, d, vt = np.linalg.svd(cov)
     sign = 1.0 if np.linalg.det(u) * np.linalg.det(vt) >= 0 else -1.0
     rot = u @ np.diag([1.0, 1.0, sign]) @ vt
@@ -637,6 +646,8 @@ def umeyama_align(source, target, with_scale: bool = True) -> SimilarityTransfor
         var_s = float((xs**2).sum()) / n
         if var_s <= 0:
             raise ValidationError("scale is undefined: source points coincide")
+        if var_s == math.inf:
+            raise ValidationError("points are too large to align: their variance overflows")
         scale = float(d[0] + d[1] + sign * d[2]) / var_s
         if scale <= 0:
             raise ValidationError("alignment produced a non-positive scale")

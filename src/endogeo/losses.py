@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ValidationError, real
-from .geometry import CameraIntrinsics, Pose, pixel_rays, project_planes
+from .geometry import CameraIntrinsics, Pose, PoseBatch, pixel_rays, project_planes
 from .rasters import ConfidenceMap, DepthMap, FlowField, Pointmap, bilinear_sample, candidate_chunks, cell_coords, in_bounds, scatter_chunks
 
 
@@ -99,25 +99,21 @@ def conf_loss(pred: Pointmap, ref: Pointmap, conf: ConfidenceMap, cfg: LossConfi
     return float(raster[mask].sum()), raster, mask
 
 
-def pose_loss(pred, ref, norms: NormalizationSpec) -> float:
+def pose_loss(pred: PoseBatch, ref: PoseBatch, norms: NormalizationSpec) -> float:
     """Sum over frames of ||q_hat - q||_2 + ||t_hat/s_hat - t/s||_2, with the
     quaternion sign chosen per frame to minimize the first term."""
-    pred = list(pred)
-    ref = list(ref)
+    if not (isinstance(pred, PoseBatch) and isinstance(ref, PoseBatch)):
+        raise ValidationError(f"poses must be PoseBatches, got {type(pred).__name__} and {type(ref).__name__}")
     if len(pred) != len(ref):
-        raise ValidationError(f"pose list lengths differ: {len(pred)} vs {len(ref)}")
-    if not pred:
-        raise ValidationError("pose lists are empty")
-    total = 0.0
-    for p, r in zip(pred, ref):
-        qp = np.array([p.rotation.w, p.rotation.x, p.rotation.y, p.rotation.z])
-        qr = np.array([r.rotation.w, r.rotation.x, r.rotation.y, r.rotation.z])
-        q_term = min(
-            float(np.sqrt(((qp - qr) ** 2).sum())), float(np.sqrt(((qp + qr) ** 2).sum()))
-        )
-        t_diff = p.translation / norms.s_hat - r.translation / norms.s
-        total += q_term + float(np.sqrt((t_diff**2).sum()))
-    return total
+        raise ValidationError(f"pose batch lengths differ: {len(pred)} vs {len(ref)}")
+    if not len(pred):
+        raise ValidationError("pose batches are empty")
+    q_term = np.minimum(
+        np.sqrt(((pred.quat - ref.quat) ** 2).sum(axis=1)), np.sqrt(((pred.quat + ref.quat) ** 2).sum(axis=1))
+    )
+    t_diff = pred.trans / norms.s_hat - ref.trans / norms.s
+    # a running total in frame order, as numpy's pairwise sum would round differently
+    return float(np.cumsum(q_term + np.sqrt((t_diff**2).sum(axis=1)))[-1])
 
 
 def induced_reprojection(

@@ -308,7 +308,7 @@ def gen_trajectory(
         quat = np.tile(Quaternion.identity().wxyz, (n_frames, 1))
         with np.errstate(over="ignore"):  # PoseBatch rejects an overflowing position
             position = frames[:, None] * step
-        return Trajectory.from_poses(frames, PoseBatch(quat, position))
+        return Trajectory(frames, PoseBatch(quat, position))
 
     if path == "orbit":
         radius = real(radius, "orbit radius", 0)
@@ -318,7 +318,7 @@ def gen_trajectory(
         position = np.array(
             [[radius * math.cos(th), radius * math.sin(th), 0.0] for th in theta]
         )
-        return Trajectory.from_poses(frames, look_at(position, target))
+        return Trajectory(frames, look_at(position, target))
 
     # spline: Catmull-Rom through seeded control points near the origin
     radius = real(radius, "spline radius")
@@ -345,7 +345,7 @@ def gen_trajectory(
             + (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3) * f * f
             + (-p0 + 3.0 * p1 - 3.0 * p2 + p3) * f * f * f
         )
-    return Trajectory.from_poses(frames, look_at(position, target))
+    return Trajectory(frames, look_at(position, target))
 
 
 def induced_flow(
@@ -479,4 +479,4 @@ def inject_drift(gt: Trajectory, spec: DriftSpec) -> Trajectory:
     noise = PoseBatch(quats_from_rotation_vectors(rotations), translations)
     poses = gt.poses
     rel = compose(inverse(poses[:-1]), poses[1:])
-    return Trajectory.from_poses(gt.frames, compose_cumulative(poses[0], compose(rel, noise)))
+    return Trajectory(gt.frames, compose_cumulative(poses[0], compose(rel, noise)))

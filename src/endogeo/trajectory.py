@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, integer
 from .fileio import read_text, write_text
 from .geometry import Pose, PoseBatch
 
@@ -26,55 +25,28 @@ _NORM_WARN_TOL = 1e-3
 _TUM_LINE = "%d" + " %.17g" * 7  # the same digits as format(value, ".17g")
 
 
-def _exact_frame(entry):
-    """A frame-list entry as an exact int, or None if it is no integral
-    number within int64 (a bool or a string is no number here)."""
-    if isinstance(entry, (bool, np.bool_)) or not isinstance(entry, numbers.Real):
-        return None
-    if not isinstance(entry, numbers.Integral):
-        entry = float(entry)
-        if not entry.is_integer():  # nor is NaN or inf
-            return None
-    value = int(entry)
-    return value if -(2**63) <= value < 2**63 else None
+def _frame(value) -> int:
+    """``value`` as a frame index: :func:`~endogeo.errors.integer`, in [0, 2**63)."""
+    frame = integer(value, "frame index", low=0)
+    if frame >= 2**63:
+        raise ValidationError(f"frame index must be below 2**63, got {value!r}")
+    return frame
 
 
-def _not_a_frame(entry) -> ValidationError:
-    return ValidationError(f"frame index must be a finite integral number, got {entry!r}")
-
-
-def _exact_frames(entries: list) -> list:
-    """``_exact_frame`` of each of ``entries``, raising on the first that has none."""
-    exact = [_exact_frame(f) for f in entries]
-    if None in exact:
-        raise _not_a_frame(entries[exact.index(None)])
-    return exact
-
-
-def _check_frames(frames) -> np.ndarray:
-    """``frames`` as a new (N,) int64 array: integral numbers within int64, not
-    bools or strings, each above the one before and the first non-negative."""
-    if not isinstance(frames, np.ndarray) or frames.dtype == object:
-        # one by one, as numpy would read a bool among numbers as a number
-        # and round a large integer among floats
-        entries = np.array(frames, dtype=object).reshape(-1).tolist()
-        frames = np.array(_exact_frames(entries), dtype=np.int64)
-    else:
-        values = frames.reshape(-1) if frames.dtype.kind in "iuf" else np.full(frames.size, math.nan)
-        # NaN fails every comparison, and inf the last one
-        ok = (np.floor(values) == values) & (values >= -(2**63)) & (values < 2**63)
-        if not ok.all():
-            raise _not_a_frame(frames.reshape(-1)[int(np.argmin(ok))].item())
-        frames = values.astype(np.int64)
-    if len(frames) and frames[0] < 0:
-        raise ValidationError(f"negative frame index {frames[0]}")
-    steps = np.flatnonzero(frames[1:] <= frames[:-1])
-    if steps.size:
-        i = steps[0] + 1
-        raise ValidationError(
-            f"frame indices must be strictly increasing: {frames[i]} after {frames[i - 1]}"
-        )
-    return frames
+def _frames(value) -> np.ndarray:
+    """``value`` as a new (N,) int64 array of frame indices: a 1-D numpy int or
+    uint array taken as it is, anything else read entry by entry through
+    :func:`_frame`."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iu" and value.ndim == 1:
+        frames = value.astype(np.int64)  # a uint64 from 2**63 on wraps negative
+        if np.any(frames < 0):
+            _frame(value[np.argmax(frames < 0)].item())  # raises, naming the first bad entry
+        return frames
+    try:
+        entries = list(value)
+    except TypeError:
+        raise ValidationError(f"frames must be an iterable of frame indices, got {value!r}") from None
+    return np.array([_frame(v) for v in entries], dtype=np.int64)
 
 
 class Trajectory:
@@ -83,37 +55,28 @@ class Trajectory:
     :class:`~endogeo.geometry.PoseBatch` whose ``quat`` (N, 4) and ``trans``
     (N, 3) hold the rotations and positions.
 
-    ``Trajectory(entries)`` takes ``(frame, Pose)`` pairs;
-    :meth:`from_poses` takes the arrays. Iteration and ``entries`` give the
-    pairs back, with each Pose a scalar view of one row.
+    ``Trajectory(frames, poses)`` puts ``poses[i]`` at ``frames[i]``; each
+    frame is an integral number in [0, 2**63), numpy's included but no bool,
+    float or string. ``poses[i]`` gives one pose as a :class:`Pose`.
     """
 
     __slots__ = ("frames", "poses")
     __hash__ = None
 
-    def __init__(self, entries=()):
-        try:
-            entries = tuple(entries)
-        except TypeError:
-            raise ValidationError(f"trajectory entries must be an iterable of pairs, got {entries!r}") from None
-        for i, entry in enumerate(entries):
-            try:
-                frame, pose = entry
-            except (TypeError, ValueError):
-                raise ValidationError(f"entry {i} is not a (frame, Pose) pair") from None
-            if not isinstance(pose, Pose):
-                raise ValidationError(f"entry at frame {frame} is not a Pose")
-        self.frames = _check_frames([f for f, _ in entries])
-        self.frames.flags.writeable = False
-        self.poses = PoseBatch.stack(p for _, p in entries)
-
-    @classmethod
-    def from_poses(cls, frames, poses: PoseBatch) -> "Trajectory":
-        """The trajectory with ``poses[i]`` at ``frames[i]``."""
-        frames = _check_frames(frames)
+    def __init__(self, frames, poses: PoseBatch):
+        if not isinstance(poses, PoseBatch):
+            raise ValidationError(f"poses must be a PoseBatch, got {type(poses).__name__}")
+        frames = _frames(frames)
+        steps = np.flatnonzero(frames[1:] <= frames[:-1])
+        if steps.size:
+            i = steps[0] + 1
+            raise ValidationError(
+                f"frame indices must be strictly increasing: {frames[i]} after {frames[i - 1]}"
+            )
         if len(frames) != len(poses):
             raise ValidationError(f"{len(frames)} frames for {len(poses)} poses")
-        return cls._of(frames, poses)
+        frames.flags.writeable = False
+        self.frames, self.poses = frames, poses
 
     @classmethod
     def _of(cls, frames: np.ndarray, poses: PoseBatch) -> "Trajectory":
@@ -122,15 +85,8 @@ class Trajectory:
         traj.frames, traj.poses = frames, poses
         return traj
 
-    @property
-    def entries(self) -> tuple:
-        return tuple((frame, self.poses[i]) for i, frame in enumerate(self.frames.tolist()))
-
     def __len__(self):
         return len(self.frames)
-
-    def __iter__(self):
-        return iter(self.entries)
 
     def __eq__(self, other):
         if not isinstance(other, Trajectory):
@@ -158,19 +114,19 @@ class Trajectory:
         return np.where(found, rows, -1)
 
     def pose_at(self, frame: int) -> Pose:
-        i = int(self._rows(frame))
+        i = int(self._rows(_frame(frame)))
         if i < 0:
             raise ValidationError(f"frame {frame} not present in trajectory")
         return self.poses[i]
 
     def has_frame(self, frame: int) -> bool:
-        return int(self._rows(frame)) >= 0
+        return int(self._rows(_frame(frame))) >= 0
 
     def restricted_to(self, frames) -> "Trajectory":
-        wanted = sorted(set(_exact_frames(list(frames))))
+        wanted = np.unique(_frames(frames))
         rows = self._rows(wanted)
         if np.any(rows < 0):
-            missing = [f for f, r in zip(wanted, rows.tolist()) if r < 0]
+            missing = wanted[rows < 0].tolist()
             raise ValidationError(f"frames not in trajectory: {missing}")
         return self.subset(rows)
 

@@ -16,11 +16,13 @@ import numpy as np
 import pytest
 
 import oracles
+from builders import pairs, trajectory
 from endogeo.cli import main
 from endogeo.drift import correct_long_trajectory
 from endogeo.geometry import (
     CameraIntrinsics,
     Pose,
+    PoseBatch,
     Quaternion,
     SimilarityTransform,
     compose,
@@ -95,7 +97,7 @@ def test_correction_improves_every_seed(ablation_runs):
 def test_anchor_passthrough(ablation_runs):
     runs, _ = ablation_runs
     for _, _, corrected, anchors, _, _ in runs:
-        for frame, anchor_pose in anchors.entries:
+        for frame, anchor_pose in pairs(anchors):
             rot_err, trans_err = pose_distance(corrected.pose_at(frame), anchor_pose)
             assert rot_err <= 1e-9, f"frame {frame}: rotation residual {rot_err}"
             assert trans_err <= 1e-9, f"frame {frame}: translation residual {trans_err}"
@@ -191,7 +193,7 @@ def test_oracle_equivalence_on_random_fixtures():
         pred_poses = [rand_pose() for _ in range(4)]
         ref_poses = [rand_pose() for _ in range(4)]
         s_hat, s = ps.uniform_in(0.5, 2.0), ps.uniform_in(0.5, 2.0)
-        got = pose_loss(pred_poses, ref_poses, NormalizationSpec(s_hat, s))
+        got = pose_loss(PoseBatch.stack(pred_poses), PoseBatch.stack(ref_poses), NormalizationSpec(s_hat, s))
         want = oracles.oracle_pose_loss(
             [((p.rotation.w, p.rotation.x, p.rotation.y, p.rotation.z), tuple(p.translation)) for p in pred_poses],
             [((p.rotation.w, p.rotation.x, p.rotation.y, p.rotation.z), tuple(p.translation)) for p in ref_poses],
@@ -339,19 +341,17 @@ def test_metric_invariances():
     sim3 = SimilarityTransform(
         1.7, Quaternion.from_axis_angle((0.3, -1.0, 0.5), 0.9), (7.0, -3.0, 2.0)
     )
-    entries = []
-    for frame, pose in gt.entries:
+    poses = []
+    for pose in gt.poses:
         rot = compose(Pose(sim3.rotation, (0, 0, 0)), Pose(pose.rotation, (0, 0, 0))).rotation
-        entries.append((frame, Pose(rot, sim3.apply(pose.translation[None])[0])))
-    from endogeo.trajectory import Trajectory
-
-    transformed = Trajectory(entries)
+        poses.append(Pose(rot, sim3.apply(pose.translation[None])[0]))
+    transformed = trajectory(gt.frames, poses)
     assert ate(transformed, gt, "sim3") < 1e-9
     assert ate(gt, gt, "sim3") < 1e-12
 
     # one global rigid transform leaves relative pose errors untouched
     rigid = Pose(Quaternion.from_axis_angle((1, 2, 3), 0.7), (4.0, 5.0, -6.0))
-    moved = Trajectory([(f, compose(rigid, p)) for f, p in gt.entries])
+    moved = trajectory(gt.frames, [compose(rigid, p) for p in gt.poses])
     assert rpe(moved, gt, 16)[0] < 1e-9
     assert abs(rpe(moved, gt, 16)[0] - rpe(gt, gt, 16)[0]) < 1e-9
 
@@ -507,18 +507,16 @@ def test_cli_byte_reproducibility(tmp_path):
 def test_format_round_trips(tmp_path):
     rng = SplitMix64(321)
     qs = rng.derive("traj")
-    from endogeo.trajectory import Trajectory
-
-    entries = []
-    for frame in range(100):
+    poses = []
+    for _ in range(100):
         axis = (qs.uniform_in(-1, 1), qs.uniform_in(-1, 1), qs.uniform_in(-1, 1))
         q = Quaternion.from_axis_angle(axis, qs.uniform_in(-3, 3))
         t = (qs.uniform_in(-50, 50), qs.uniform_in(-50, 50), qs.uniform_in(-50, 50))
-        entries.append((frame, Pose(q, t)))
-    traj = Trajectory(entries)
+        poses.append(Pose(q, t))
+    traj = trajectory(range(100), poses)
     text = serialize_tum(traj)
     back = parse_tum(text)
-    for (fa, pa), (fb, pb) in zip(traj.entries, back.entries):
+    for (fa, pa), (fb, pb) in zip(pairs(traj), pairs(back)):
         assert fa == fb
         assert (pa.rotation.w, pa.rotation.x, pa.rotation.y, pa.rotation.z) == (
             pb.rotation.w, pb.rotation.x, pb.rotation.y, pb.rotation.z

@@ -28,6 +28,7 @@ PUBLIC_NAMES = {
     "NumericError",
     "Pointmap",
     "Pose",
+    "PoseBatch",
     "Quaternion",
     "RectifyMaps",
     "SceneSpec",

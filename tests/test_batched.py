@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from builders import pairs, trajectory
 from endogeo.drift import correct_long_trajectory
 from endogeo.errors import ValidationError
 from endogeo.geometry import (
@@ -90,7 +91,7 @@ def assert_pose_equals(pose, item):
 
 
 def trajectory_of(entries):
-    return Trajectory([(f, to_pose(p)) for f, p in entries])
+    return trajectory([f for f, _ in entries], [to_pose(p) for _, p in entries])
 
 
 class TestKernels:
@@ -273,8 +274,8 @@ class TestTrajectoryOps:
     def test_rpe_and_ate_on_simulated_data(self):
         gt = gen_trajectory(300, "orbit", 4)
         pred = inject_drift(gt, DriftSpec(0.002, 0.05, 4))
-        pred_entries = [(f, (p.rotation.wxyz, p.translation)) for f, p in pred]
-        gt_entries = [(f, (p.rotation.wxyz, p.translation)) for f, p in gt]
+        pred_entries = [(f, (p.rotation.wxyz, p.translation)) for f, p in pairs(pred)]
+        gt_entries = [(f, (p.rotation.wxyz, p.translation)) for f, p in pairs(gt)]
         assert rpe(pred, gt, 16) == oracles.oracle_rpe(pred_entries, gt_entries, 16)
         # ATE as the per-pose code computed it, from positions stacked pose by pose
         p = np.stack([pose[1] for _, pose in pred_entries])
@@ -287,6 +288,6 @@ class TestTrajectoryOps:
         gt = gen_trajectory(40, "spline", 2)
         pred = inject_drift(gt, DriftSpec(0.01, 0.1, 2))
         even = list(range(0, 40, 2))
-        relabeled = Trajectory([(f // 2, p) for f, p in pred.restricted_to(even)])
-        relabeled_gt = Trajectory([(f // 2, p) for f, p in gt.restricted_to(even)])
+        relabeled = Trajectory(np.arange(20), pred.restricted_to(even).poses)
+        relabeled_gt = Trajectory(np.arange(20), gt.restricted_to(even).poses)
         assert rpe(pred.restricted_to(even), gt.restricted_to(even), 4) == rpe(relabeled, relabeled_gt, 2)

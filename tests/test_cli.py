@@ -11,15 +11,16 @@ import weakref
 import numpy as np
 import pytest
 
+from builders import line, still
 from endogeo import cli, fileio, sim
 from endogeo.cli import main
 from endogeo.errors import FormatError, NumericError, ValidationError
 from endogeo.fileio import read_depth_pfm, write_depth_pfm, write_flo, write_pfm
-from endogeo.geometry import CameraIntrinsics, Pose, Quaternion, pose_distance
+from endogeo.geometry import CameraIntrinsics, Quaternion, pose_distance
 from endogeo.rasters import DepthMap, DisparityMap, FlowField
 from endogeo.sim import gen_trajectory
 from endogeo.stereo import MonoCalibration, StereoCalibration, save_calibration
-from endogeo.trajectory import Trajectory, load_tum, save_tum
+from endogeo.trajectory import load_tum, save_tum
 
 
 def run(argv, capsys):
@@ -186,12 +187,8 @@ class TestEvalTraj:
         assert report["config_echo"]["window"] == 4
 
     def test_scaled_prediction_needs_sim3(self, tmp_path, capsys):
-        gt = Trajectory(
-            [(k, Pose(Quaternion.identity(), (float(k), 0.0, 0.0))) for k in range(10)]
-        )
-        pred = Trajectory(
-            [(f, Pose(p.rotation, 2.0 * p.translation)) for f, p in gt.entries]
-        )
+        gt = line(10)
+        pred = line(10, step=2.0)
         save_tum(tmp_path / "gt.tum", gt)
         save_tum(tmp_path / "pred.tum", pred)
         base = [
@@ -296,10 +293,7 @@ class TestEvalConsistency:
             depths / "depth_0001.pfm", DepthMap(np.full((h, w), depth_j_factor * 42.0))
         )
         write_flo(flows / "flow_0000_0001.flo", FlowField(np.zeros((h, w, 2))))
-        save_tum(
-            tmp_path / "poses.tum",
-            Trajectory([(0, Pose.identity()), (1, Pose.identity())]),
-        )
+        save_tum(tmp_path / "poses.tum", still([0, 1]))
         return [
             "eval-consistency",
             "--depths", str(depths),
@@ -369,7 +363,7 @@ class TestEvalConsistency:
             write_depth_pfm(tmp_path / f"depth_{k:04d}.pfm", DepthMap(np.full((4, 4), 40.0)))
         for k in frames[:-1]:
             write_flo(tmp_path / f"flow_{k:04d}_{k + 1:04d}.flo", FlowField(np.zeros((4, 4, 2))))
-        save_tum(tmp_path / "gt.tum", Trajectory([(k, Pose.identity()) for k in frames]))
+        save_tum(tmp_path / "gt.tum", still(frames))
         d = str(tmp_path)
         report = run_json(["eval-consistency", "--depths", d, "--flows", d, "--poses", d + "/gt.tum",
                            "--calib", d + "/calib.json", "--ref-depths", d], capsys)
@@ -542,7 +536,7 @@ class TestExitCodes:
         assert code == 2
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
-        traj = Trajectory([(0, Pose.identity()), (1, Pose.identity())])
+        traj = still([0, 1])
         save_tum(tmp_path / "t.tum", traj)
         code, _, _ = run(
             [

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from builders import line, pairs, still, trajectory
 from endogeo.drift import compute_drift_error, correct_long_trajectory
 from endogeo.errors import ValidationError
 from endogeo.geometry import Pose, Quaternion, compose, inverse, pose_distance
 from endogeo.rng import SplitMix64
 from endogeo.sim import DriftSpec, gen_trajectory, inject_drift
-from endogeo.trajectory import Trajectory, split_into_segments
+from endogeo.trajectory import split_into_segments
 
 
 def rand_pose(stream):
@@ -19,13 +20,14 @@ def rand_pose(stream):
 
 def rand_segment(seed, frames):
     stream = SplitMix64(seed).derive("seg")
-    return Trajectory([(f, rand_pose(stream)) for f in frames])
+    frames = list(frames)
+    return trajectory(frames, [rand_pose(stream) for _ in frames])
 
 
 def correct_one(segment, start, end):
     """``segment`` corrected as the one segment between the anchors ``start``
     and ``end`` on its first and last frames."""
-    anchors = Trajectory([(int(segment.frames[0]), start), (int(segment.frames[-1]), end)])
+    anchors = trajectory(segment.frames[[0, -1]], [start, end])
     return correct_long_trajectory(anchors, [segment])[0]
 
 
@@ -55,9 +57,7 @@ class TestAlignSegmentStart:
         assert aligned.poses[0] == anchor  # exact substitution at the start
 
     def test_identity_start_translated_anchor_shifts_all(self):
-        traj = Trajectory(
-            [(k, Pose(Quaternion.identity(), (float(k), 0.0, 0.0))) for k in range(4)]
-        )
+        traj = line(4)
         anchor = Pose(Quaternion.identity(), (5.0, 0.0, 0.0))
         aligned = align(traj, anchor)
         for k in range(4):
@@ -110,13 +110,13 @@ class TestDistributeDrift:
             assert rot < 1e-12 and trans < 1e-12
 
     def test_linear_translation_ramp(self):
-        traj = Trajectory([(k, Pose.identity()) for k in range(5)])
+        traj = still(range(5))
         out = distribute(traj, Pose(Quaternion.identity(), (4.0, 0.0, 0.0)))
         for k in range(5):
             assert np.abs(out.pose_at(k).translation - [float(k), 0.0, 0.0]).max() < 1e-12
 
     def test_rotation_midpoint_gets_half(self):
-        traj = Trajectory([(0, Pose.identity()), (5, Pose.identity()), (10, Pose.identity())])
+        traj = still([0, 5, 10])
         sixty = Pose(Quaternion.from_axis_angle((0, 0, 1), math.pi / 3), (0, 0, 0))
         out = distribute(traj, sixty)
         assert out.pose_at(5).rotation.angle() == pytest.approx(math.pi / 6, abs=1e-12)
@@ -124,7 +124,7 @@ class TestDistributeDrift:
 
     def test_fraction_is_linear_in_frame_index_not_position(self):
         # unevenly spaced frames: the ramp follows frame indices
-        traj = Trajectory([(0, Pose.identity()), (1, Pose.identity()), (10, Pose.identity())])
+        traj = still([0, 1, 10])
         out = distribute(traj, Pose(Quaternion.identity(), (10.0, 0.0, 0.0)))
         assert out.pose_at(1).translation[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -137,7 +137,7 @@ class TestDistributeDrift:
 class TestCorrectLongTrajectory:
     def test_exact_segments_reproduce_ground_truth(self):
         stream = SplitMix64(9).derive("gt")
-        gt = Trajectory([(k, rand_pose(stream)) for k in range(17)])
+        gt = trajectory(range(17), [rand_pose(stream) for _ in range(17)])
         anchors = gt.restricted_to([0, 4, 8, 12, 16])
         segments = split_into_segments(gt, anchors)
         corrected, report = correct_long_trajectory(anchors, segments)
@@ -150,13 +150,8 @@ class TestCorrectLongTrajectory:
             assert seg_report.drift_trans_mm < 1e-12
 
     def test_single_segment_matches_distribute_example(self):
-        traj = Trajectory([(k, Pose(Quaternion.identity(), (float(k), 0.0, 0.0))) for k in range(5)])
-        anchors_traj = Trajectory(
-            [
-                (0, Pose.identity()),
-                (4, Pose(Quaternion.identity(), (8.0, 0.0, 0.0))),
-            ]
-        )
+        traj = line(5)
+        anchors_traj = trajectory([0, 4], [Pose.identity(), Pose(Quaternion.identity(), (8.0, 0.0, 0.0))])
         corrected, _ = correct_long_trajectory(anchors_traj, [traj])
         # start pinned at origin; end pinned at (8,0,0); drift (4,0,0) ramps linearly
         for k in range(5):
@@ -166,10 +161,10 @@ class TestCorrectLongTrajectory:
 
     def test_anchor_poses_substituted_exactly(self):
         stream = SplitMix64(10).derive("gt")
-        gt = Trajectory([(k, rand_pose(stream)) for k in range(9)])
-        noisy = Trajectory(
-            [(k, compose(p, Pose(Quaternion.from_axis_angle((0, 0, 1), 0.01 * k), (0.1 * k, 0, 0))))
-             for k, p in gt.entries]
+        gt = trajectory(range(9), [rand_pose(stream) for _ in range(9)])
+        noisy = trajectory(
+            range(9),
+            [compose(p, Pose(Quaternion.from_axis_angle((0, 0, 1), 0.01 * k), (0.1 * k, 0, 0))) for k, p in pairs(gt)],
         )
         anchors = gt.restricted_to([0, 4, 8])
         segments = split_into_segments(noisy, anchors)
@@ -178,14 +173,14 @@ class TestCorrectLongTrajectory:
             assert corrected.pose_at(frame) == gt.pose_at(frame)
 
     def test_segment_count_mismatch_rejected(self):
-        gt = Trajectory([(k, Pose.identity()) for k in range(9)])
+        gt = still(range(9))
         anchors = gt.restricted_to([0, 4, 8])
         segments = split_into_segments(gt, anchors)
         with pytest.raises(ValidationError, match="segment"):
             correct_long_trajectory(anchors, segments[:1])
 
     def test_gap_mismatch_names_the_gap(self):
-        gt = Trajectory([(k, Pose.identity()) for k in range(9)])
+        gt = still(range(9))
         anchors = gt.restricted_to([0, 4, 8])
         segments = split_into_segments(gt, anchors)
         swapped = [segments[1], segments[0]]
@@ -198,7 +193,7 @@ class TestCorrectLongTrajectory:
         ids=["empty", "single-pose", "late-start", "early-end", "late-end"],
     )
     def test_segment_endpoints_must_match_gap(self, first):
-        gt = Trajectory([(k, Pose.identity()) for k in range(9)])
+        gt = still(range(9))
         segments = [gt.restricted_to(first), gt.restricted_to(range(4, 9))]
         with pytest.raises(ValidationError, match=r"anchor gap 0\.\.4 "):
             correct_long_trajectory(gt.restricted_to([0, 4, 8]), segments)
@@ -209,12 +204,12 @@ class TestCorrectLongTrajectory:
         ids=["no-anchors", "single-anchor", "uneven-gap"],
     )
     def test_anchors_checked(self, anchor_frames, message):
-        gt = Trajectory([(k, Pose.identity()) for k in range(9)])
+        gt = still(range(9))
         with pytest.raises(ValidationError, match=message):
             correct_long_trajectory(gt.restricted_to(anchor_frames), [gt])
 
     def test_report_serializable(self):
-        gt = Trajectory([(k, Pose.identity()) for k in range(5)])
+        gt = still(range(5))
         anchors = gt.restricted_to([0, 4])
         corrected, report = correct_long_trajectory(anchors, split_into_segments(gt, anchors))
         payload = report.to_dict()

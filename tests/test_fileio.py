@@ -72,10 +72,11 @@ class TestPfmFormat:
         assert (back == img).all()
 
     def test_rejects_bad_shapes(self, tmp_path):
-        with pytest.raises(FormatError):
-            write_pfm(tmp_path / "x.pfm", np.zeros((2, 2, 4)))
-        with pytest.raises(FormatError):
-            write_pfm(tmp_path / "x.pfm", np.zeros(5))
+        # the array is an argument, so a bad shape is a ValidationError, as a bad scale is
+        for shape in ((2, 2, 4), (5,), ()):
+            with pytest.raises(ValidationError, match=r"PFM supports \(H, W\) or \(H, W, 3\) arrays"):
+                write_pfm(tmp_path / "x.pfm", np.zeros(shape))
+        assert not (tmp_path / "x.pfm").exists()
 
     def test_rejects_zero_scale(self, tmp_path):
         # the writer's scale is an argument, so a bad one is a ValidationError;

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from endogeo import geometry, losses, rasters
 from endogeo.errors import ValidationError
-from endogeo.geometry import CameraIntrinsics, Pose, Quaternion
+from endogeo.geometry import CameraIntrinsics, Pose, PoseBatch, Quaternion
 from endogeo.losses import (
     LossConfig,
     NormalizationSpec,
@@ -151,39 +151,53 @@ class TestConfLoss:
             conf_loss(pred, ref, ConfidenceMap(np.ones((1, 2))), CFG)
 
 
+def batch(*poses):
+    return PoseBatch.stack(poses)
+
+
 class TestPoseLoss:
     def test_identical_poses(self):
-        poses = [Pose(Quaternion.from_axis_angle((0, 0, 1), 0.3), (1.0, 2.0, 3.0))]
-        assert pose_loss(poses, list(poses), NormalizationSpec(1.0, 1.0)) == 0.0
+        poses = batch(Pose(Quaternion.from_axis_angle((0, 0, 1), 0.3), (1.0, 2.0, 3.0)))
+        assert pose_loss(poses, poses, NormalizationSpec(1.0, 1.0)) == 0.0
 
     def test_double_cover_immune(self):
         q = Quaternion(0.0, 1.0, 0.0, 0.0)
         q_neg = Quaternion(-0.0, -1.0, 0.0, 0.0)
-        a = [Pose(q, (0.0, 0.0, 0.0))]
-        b = [Pose(q_neg, (0.0, 0.0, 0.0))]
+        a = batch(Pose(q, (0.0, 0.0, 0.0)))
+        b = batch(Pose(q_neg, (0.0, 0.0, 0.0)))
         assert pose_loss(a, b, NormalizationSpec(1.0, 1.0)) == pytest.approx(0.0, abs=1e-15)
 
     def test_translation_triangle(self):
-        a = [Pose(Quaternion.identity(), (3.0, 4.0, 0.0))]
-        b = [Pose(Quaternion.identity(), (0.0, 0.0, 0.0))]
+        a = batch(Pose(Quaternion.identity(), (3.0, 4.0, 0.0)))
+        b = batch(Pose(Quaternion.identity(), (0.0, 0.0, 0.0)))
         assert pose_loss(a, b, NormalizationSpec(1.0, 1.0)) == pytest.approx(5.0)
 
     def test_scale_normalization(self):
-        a = [Pose(Quaternion.identity(), (2.0, 0.0, 0.0))]
-        b = [Pose(Quaternion.identity(), (1.0, 0.0, 0.0))]
+        a = batch(Pose(Quaternion.identity(), (2.0, 0.0, 0.0)))
+        b = batch(Pose(Quaternion.identity(), (1.0, 0.0, 0.0)))
         assert pose_loss(a, b, NormalizationSpec(2.0, 1.0)) == pytest.approx(0.0, abs=1e-15)
 
     def test_sums_over_frames(self):
-        a = [Pose(Quaternion.identity(), (1.0, 0.0, 0.0))] * 3
-        b = [Pose(Quaternion.identity(), (0.0, 0.0, 0.0))] * 3
+        a = batch(*[Pose(Quaternion.identity(), (1.0, 0.0, 0.0))] * 3)
+        b = batch(*[Pose(Quaternion.identity(), (0.0, 0.0, 0.0))] * 3)
         assert pose_loss(a, b, NormalizationSpec(1.0, 1.0)) == pytest.approx(3.0)
 
     def test_length_mismatch_rejected(self):
-        p = [Pose.identity()]
-        with pytest.raises(ValidationError):
-            pose_loss(p, p * 2, NormalizationSpec(1.0, 1.0))
-        with pytest.raises(ValidationError):
-            pose_loss([], [], NormalizationSpec(1.0, 1.0))
+        p = batch(Pose.identity())
+        with pytest.raises(ValidationError, match="pose batch lengths differ: 1 vs 2"):
+            pose_loss(p, batch(Pose.identity(), Pose.identity()), NormalizationSpec(1.0, 1.0))
+        with pytest.raises(ValidationError, match="pose batches are empty"):
+            pose_loss(batch(), batch(), NormalizationSpec(1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "pred", [[Pose.identity()], (Pose.identity(),), Pose.identity(), ["x"], None],
+        ids=["list", "tuple", "Pose", "strings", "None"],
+    )
+    def test_takes_pose_batches(self, pred):
+        # a sequence of poses is a PoseBatch everywhere
+        for args in ((pred, batch(Pose.identity())), (batch(Pose.identity()), pred)):
+            with pytest.raises(ValidationError, match="poses must be PoseBatches"):
+                pose_loss(*args, NormalizationSpec(1.0, 1.0))
 
 
 class TestInducedReprojection:

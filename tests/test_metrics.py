@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from builders import line, still, trajectory
 from endogeo.errors import ValidationError
-from endogeo.geometry import Pose, Quaternion
+from endogeo.geometry import Pose, PoseBatch, Quaternion, compose
 from endogeo.metrics import (
     DepthEvalConfig,
     ate,
@@ -21,80 +22,59 @@ from endogeo.trajectory import Trajectory
 from oracles import oracle_depth_metrics, oracle_resize_depth
 
 
-def line_trajectory(n, step=1.0):
-    return Trajectory(
-        [(k, Pose(Quaternion.identity(), (k * step, 0.0, 0.0))) for k in range(n)]
-    )
-
-
 def rigidly_moved(traj, rotation, translation):
-    t = Pose(rotation, translation)
-    from endogeo.geometry import compose
-
-    return Trajectory([(f, compose(t, p)) for f, p in traj.entries])
+    return Trajectory(traj.frames, compose(Pose(rotation, translation), traj.poses))
 
 
 class TestAte:
     def test_perfect_prediction(self):
-        traj = line_trajectory(10)
+        traj = line(10)
         assert ate(traj, traj) == pytest.approx(0.0, abs=1e-12)
 
     def test_rigid_offset_absorbed_by_alignment(self):
-        gt = line_trajectory(12)
+        gt = line(12)
         pred = rigidly_moved(gt, Quaternion.from_axis_angle((0, 0, 1), 0.7), (5.0, -3.0, 2.0))
         assert ate(pred, gt, align="sim3") < 1e-9
         assert ate(pred, gt, align="se3") < 1e-9
 
     def test_uniform_scale_absorbed_only_by_sim3(self):
-        gt = line_trajectory(8)
-        pred = Trajectory(
-            [(f, Pose(p.rotation, 2.0 * p.translation)) for f, p in gt.entries]
-        )
+        gt = line(8)
+        pred = Trajectory(gt.frames, PoseBatch(gt.poses.quat, 2.0 * gt.poses.trans))
         assert ate(pred, gt, align="sim3") < 1e-9
         assert ate(pred, gt, align="se3") > 0.1
 
     def test_two_point_rigid_example(self):
         # pred spans 4 mm where gt spans 2 mm; rigid alignment centers both,
         # leaving 1 mm of error at each end
-        gt = Trajectory(
-            [
-                (0, Pose(Quaternion.identity(), (0.0, 0.0, 0.0))),
-                (1, Pose(Quaternion.identity(), (2.0, 0.0, 0.0))),
-            ]
-        )
-        pred = Trajectory(
-            [
-                (0, Pose(Quaternion.identity(), (0.0, 0.0, 0.0))),
-                (1, Pose(Quaternion.identity(), (4.0, 0.0, 0.0))),
-            ]
-        )
+        gt = line(2, step=2.0)
+        pred = line(2, step=4.0)
         assert ate(pred, gt, align="se3") == pytest.approx(1.0, abs=1e-12)
         assert ate(pred, gt, align="sim3") == pytest.approx(0.0, abs=1e-9)
 
     def test_frame_set_mismatch_rejected(self):
-        a = line_trajectory(5)
-        b = Trajectory(list(a.entries)[:4])
+        a = line(5)
+        b = a.subset(slice(4))
         with pytest.raises(ValidationError, match="frame"):
             ate(a, b)
 
     def test_too_few_frames_rejected(self):
-        one = Trajectory([(0, Pose.identity())])
+        one = still([0])
         with pytest.raises(ValidationError):
             ate(one, one)
 
     def test_unknown_alignment_rejected(self):
-        traj = line_trajectory(4)
+        traj = line(4)
         with pytest.raises(ValidationError, match="align"):
             ate(traj, traj, align="affine")
 
 
 class TestRte:
     def test_perfect_prediction(self):
-        traj = line_trajectory(40)
+        traj = line(40)
         assert rpe(traj, traj)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_global_rigid_motion_invisible(self):
-        gt = line_trajectory(40)
+        gt = line(40)
         pred = rigidly_moved(gt, Quaternion.from_axis_angle((1, 1, 0), 0.4), (9.0, 9.0, -9.0))
         t_err, r_err = rpe(pred, gt)
         assert t_err < 1e-9
@@ -102,34 +82,30 @@ class TestRte:
 
     def test_step_length_mismatch(self):
         # every window-16 relative translation is 16 mm vs 17.6 mm: error 1.6
-        gt = line_trajectory(40, step=1.0)
-        pred = line_trajectory(40, step=1.1)
+        gt = line(40, step=1.0)
+        pred = line(40, step=1.1)
         assert rpe(pred, gt, window=16)[0] == pytest.approx(1.6, abs=1e-9)
 
     def test_window_changes_error_magnitude(self):
-        gt = line_trajectory(40, step=1.0)
-        pred = line_trajectory(40, step=1.1)
+        gt = line(40, step=1.0)
+        pred = line(40, step=1.1)
         assert rpe(pred, gt, window=8)[0] == pytest.approx(0.8, abs=1e-9)
 
     def test_rotation_component_reported(self):
-        gt = Trajectory([(k, Pose.identity()) for k in range(20)])
-        pred = Trajectory(
-            [
-                (k, Pose(Quaternion.from_axis_angle((0, 0, 1), 0.01 * k), (0.0, 0.0, 0.0)))
-                for k in range(20)
-            ]
-        )
+        gt = still(range(20))
+        turns = [Pose(Quaternion.from_axis_angle((0, 0, 1), 0.01 * k), (0.0, 0.0, 0.0)) for k in range(20)]
+        pred = trajectory(range(20), turns)
         t_err, r_err = rpe(pred, gt, window=16)
         assert t_err == pytest.approx(0.0, abs=1e-12)
         assert r_err == pytest.approx(0.16, abs=1e-9)
 
     def test_too_short_rejected(self):
-        traj = line_trajectory(16)
+        traj = line(16)
         with pytest.raises(ValidationError, match="window"):
             rpe(traj, traj, window=16)
 
     def test_bad_window_rejected(self):
-        traj = line_trajectory(20)
+        traj = line(20)
         with pytest.raises(ValidationError):
             rpe(traj, traj, window=0)
         # a bool used to run as window 1, and 1.5 to find no pairs

@@ -1,13 +1,13 @@
 """The one number rule: every number the Python API takes passes
-``errors.integer`` or ``errors.real``, so a hostile scalar ends in a result or
-a ValidationError, never in another exception; a string, None, a bool or a
-non-finite float ends in a ValidationError; and a numpy or Fraction number
-gives the same result as the equal Python number. Every bool it takes passes
-``errors.boolean``, so only a bool, numpy's included, is one. Every array it
-takes passes ``geometry.floats``, so a hostile array ends in a result or a
-ValidationError; a bool, string, object, complex or ragged one in a
-ValidationError; and a numeric array of any dtype gives the same result as
-its float64 copy.
+``errors.integer`` or ``errors.real`` (a frame index ``errors.integer`` below
+2**63), so a hostile scalar ends in a result or a ValidationError, never in
+another exception; a string, None, a bool or a non-finite float ends in a
+ValidationError; and a numpy or Fraction number gives the same result as the
+equal Python number. Every bool it takes passes ``errors.boolean``, so only a
+bool, numpy's included, is one. Every array it takes passes
+``geometry.floats``, so a hostile array ends in a result or a ValidationError;
+a bool, string, object, complex or ragged one in a ValidationError; and a
+numeric array of any dtype gives the same result as its float64 copy.
 
 Each site gets one hostile value in one parameter, every other argument
 valid. Sizes and counts stay small, so no accepted value allocates much.
@@ -36,7 +36,7 @@ from endogeo.geometry import (
     slerp,
     umeyama_align,
 )
-from endogeo.losses import LossConfig, NormalizationSpec
+from endogeo.losses import LossConfig, NormalizationSpec, pose_loss
 from endogeo.metrics import DepthEvalConfig, resize_depth, rpe
 from endogeo.rasters import ConfidenceMap, DepthMap, DisparityMap, FlowField, Pointmap
 from endogeo.rng import SplitMix64
@@ -45,6 +45,7 @@ from endogeo.stereo import MonoCalibration, depth_to_disparity, disparity_to_dep
 from endogeo.trajectory import Trajectory
 
 _LINE = gen_trajectory(20, "linear")
+_ONE_POSE = PoseBatch.stack([Pose.identity()])
 _MAP = np.arange(1.0, 25.0).reshape(4, 6)
 _CAMERA = dict(fx=50.0, fy=50.0, cx=7.5, cy=5.5, width=16, height=12)
 
@@ -95,6 +96,10 @@ SITES = {
     "depth_to_disparity.focal": lambda v: depth_to_disparity(DepthMap(_MAP), 5.0, v),
     "slerp.t": lambda v: slerp(Quaternion.identity(), Quaternion.from_axis_angle((0, 0, 1), 1.0), v),
     "Quaternion.from_axis_angle.angle": lambda v: Quaternion.from_axis_angle((0, 0, 1), v),
+    "Trajectory.frames": lambda v: Trajectory([v], _ONE_POSE),
+    "Trajectory.pose_at": lambda v: _LINE.pose_at(v),
+    "Trajectory.has_frame": lambda v: _LINE.has_frame(v),
+    "Trajectory.restricted_to": lambda v: _LINE.restricted_to([v]),
 }
 
 HOSTILE = st.one_of(
@@ -217,11 +222,6 @@ ARRAY_SITES = {
     "write_pfm.array": ((3, 4), _pfm_bytes),
 }
 
-# a PFM holds (H, W) or (H, W, 3) values, so a writer given another shape
-# raises FormatError (tests/test_fileio.py pins it); every other site's shape
-# error is a ValidationError
-SHAPE_ERRORS = {"write_pfm.array": FormatError}
-
 NUMERIC_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64,
                   np.float16, np.float32, np.float64, np.longdouble)
 
@@ -306,8 +306,6 @@ def test_a_hostile_array_gives_a_result_or_a_validation_error(site):
         outcome = _array_outcome(build, value)
         if kind in ("bool", "str", "object", "complex", "ragged"):
             assert outcome is ValidationError
-        elif kind == "0-d":
-            assert outcome is not FormatError or SHAPE_ERRORS.get(site) is FormatError
         else:
             assert outcome is not FormatError
         if kind == "numeric":
@@ -318,8 +316,9 @@ def test_a_hostile_array_gives_a_result_or_a_validation_error(site):
     check()
 
 
-# the holes the array rule closes: each of these built, or raised numpy's
-# ValueError, before every array went through it
+# the holes the array rule and the overflow checks close: each of these built,
+# or raised numpy's ValueError or an overflow RuntimeWarning, before every
+# array went through them
 KNOWN_HOLES = {
     "DepthMap of strings": lambda: DepthMap([["1", "2"], ["3", "4"]]),
     "DepthMap of bools": lambda: DepthMap(np.ones((2, 2), dtype=bool)),
@@ -333,6 +332,8 @@ KNOWN_HOLES = {
     "umeyama_align of strings": lambda: umeyama_align(_CLOUD.astype(str), _CLOUD),
     "remap of strings": lambda: remap(_IMAGE.astype(str), _MAP_X, _MAP_Y),
     "project of strings": lambda: project(np.array(["1", "2", "3"]), _K),
+    "project overflowing": lambda: project([1e308, 0.0, 1e-300], _K),
+    "umeyama_align of points at 1e308": lambda: umeyama_align(np.array([[1e308, 0, 0], [-1e308, 0, 0]]), _CLOUD[:2]),
 }
 
 
@@ -340,3 +341,20 @@ KNOWN_HOLES = {
 def test_a_known_array_hole_is_a_validation_error(case):
     with pytest.raises(ValidationError):
         KNOWN_HOLES[case]()
+
+
+# the holes the frame rule and the PoseBatch checks close: each of these built
+# a Trajectory that failed later, read a float as a frame, or raised TypeError
+# or AttributeError, before
+SEQUENCE_HOLES = {
+    "Trajectory of a list of poses": lambda: Trajectory([0], [Pose.identity()]),
+    "Trajectory of float frames": lambda: Trajectory([0.0, 3.0], PoseBatch.stack([Pose.identity()] * 2)),
+    "pose_at(None)": lambda: _LINE.pose_at(None),
+    "pose_loss of strings": lambda: pose_loss(["x"], ["y"], NormalizationSpec(1.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEQUENCE_HOLES))
+def test_a_known_sequence_hole_is_a_validation_error(case):
+    with pytest.raises(ValidationError):
+        SEQUENCE_HOLES[case]()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from builders import still
 from endogeo import rasters, sim
 from endogeo.errors import ValidationError
 from endogeo.fileio import read_flo
@@ -27,7 +28,6 @@ from endogeo.sim import (
     render_depth,
     simulate_dataset,
 )
-from endogeo.trajectory import Trajectory
 
 from oracles import oracle_heightfield_depth
 
@@ -355,7 +355,7 @@ class TestInjectDrift:
 
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValidationError):
-            inject_drift(Trajectory(()), DriftSpec(0.001, 0.05, 0))
+            inject_drift(still([]), DriftSpec(0.001, 0.05, 0))
 
     @pytest.mark.parametrize("sigmas", [(math.inf, 0.0), (0.0, math.inf), (math.nan, 0.0), (0.0, math.nan), (-1.0, 0.0)])
     def test_sigmas_must_be_finite_and_non_negative(self, sigmas):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from builders import pairs, still, trajectory
 from endogeo.errors import FormatError, ValidationError
 from endogeo.geometry import Pose, Quaternion
 from endogeo.rng import SplitMix64
@@ -19,91 +20,115 @@ from endogeo.trajectory import (
 )
 
 
-def identity_traj(frames):
-    return Trajectory([(f, Pose.identity()) for f in frames])
-
-
 def rand_traj(seed, n):
     stream = SplitMix64(seed).derive("traj")
-    entries = []
-    for frame in range(n):
+    poses = []
+    for _ in range(n):
         axis = (stream.uniform_in(-1, 1), stream.uniform_in(-1, 1), stream.uniform_in(-1, 1))
         q = Quaternion.from_axis_angle(axis, stream.uniform_in(-3, 3))
         t = (stream.uniform_in(-50, 50), stream.uniform_in(-50, 50), stream.uniform_in(-50, 50))
-        entries.append((frame, Pose(q, t)))
-    return Trajectory(entries)
+        poses.append(Pose(q, t))
+    return trajectory(range(n), poses)
+
+
+def two_poses():
+    return still([0, 1]).poses
 
 
 class TestTrajectory:
     def test_frames_strictly_increasing(self):
-        with pytest.raises(ValidationError):
-            Trajectory([(0, Pose.identity()), (0, Pose.identity())])
-        with pytest.raises(ValidationError):
-            Trajectory([(3, Pose.identity()), (1, Pose.identity())])
+        with pytest.raises(ValidationError, match="strictly increasing: 0 after 0"):
+            Trajectory([0, 0], two_poses())
+        with pytest.raises(ValidationError, match="strictly increasing: 1 after 3"):
+            Trajectory([3, 1], two_poses())
 
     def test_rejects_negative_frames(self):
-        with pytest.raises(ValidationError):
-            Trajectory([(-1, Pose.identity())])
+        with pytest.raises(ValidationError, match="frame index must be an integer >= 0, got -1"):
+            Trajectory([-1], still([0]).poses)
+        with pytest.raises(ValidationError, match="frame index must be an integer >= 0, got -1"):
+            Trajectory(np.array([0, -1]), two_poses())
 
     @pytest.mark.parametrize(
         "frame",
         [1.5, -0.5, math.nan, math.inf, -math.inf, 1e30, 2**63, 2**70, "3", True, np.bool_(False), None],
     )
     def test_rejects_frames_that_are_not_integral_numbers(self, frame):
-        poses = identity_traj([0, 1]).poses
-        for build in (
-            lambda: Trajectory([(0, Pose.identity()), (frame, Pose.identity())]),
-            lambda: Trajectory.from_poses([0, frame], poses),
-        ):
-            with pytest.raises(ValidationError, match="finite integral number"):
-                build()
+        with pytest.raises(ValidationError, match="frame index must be"):
+            Trajectory([0, frame], two_poses())
 
     @pytest.mark.parametrize(
         "frames", [np.array([0.0, 2.5]), np.array([0.0, np.nan]), np.array([False, True]), np.array(["0", "1"])]
     )
     def test_rejects_frame_arrays_that_are_not_integral(self, frames):
-        with pytest.raises(ValidationError, match="finite integral number"):
-            Trajectory.from_poses(frames, identity_traj([0, 1]).poses)
-
-    @pytest.mark.parametrize("entry", [(1,), (1, Pose.identity(), 3), 1])
-    def test_rejects_entries_that_are_not_pairs(self, entry):
-        with pytest.raises(ValidationError, match=r"entry 1 is not a \(frame, Pose\) pair"):
-            Trajectory([(0, Pose.identity()), entry])
+        with pytest.raises(ValidationError, match="frame index must be"):
+            Trajectory(frames, two_poses())
 
     def test_rejects_entries_that_are_not_iterable(self):
         # raised TypeError: 'int' object is not iterable
         with pytest.raises(ValidationError, match="iterable"):
-            Trajectory(5)
+            Trajectory(5, still([0]).poses)
 
-    def test_integral_floats_are_frames(self):
-        poses = identity_traj([0, 1]).poses
-        assert Trajectory.from_poses([0.0, 3.0], poses).frames.tolist() == [0, 3]
-        assert Trajectory([(2.0, Pose.identity())]).frames.tolist() == [2]
-        assert Trajectory.from_poses(np.arange(2, dtype=np.uint8), poses).frames.tolist() == [0, 1]
-        # an integer among floats stays exact: numpy would round it through float64
-        for big in (2**53 + 1, 2**63 - 1, np.int64(2**63 - 1)):
-            assert Trajectory([(1.0, Pose.identity()), (big, Pose.identity())]).frames.tolist() == [1, big]
-            assert Trajectory.from_poses([1.0, big], poses).frames.tolist() == [1, big]
+    @pytest.mark.parametrize("poses", [[Pose.identity()], (Pose.identity(),), Pose.identity(), None])
+    def test_rejects_poses_that_are_not_a_pose_batch(self, poses):
+        # a sequence of poses is a PoseBatch, not a list of Poses
+        with pytest.raises(ValidationError, match="poses must be a PoseBatch"):
+            Trajectory([0], poses)
+
+    def test_rejects_a_frame_count_that_is_not_the_pose_count(self):
+        with pytest.raises(ValidationError, match="1 frames for 2 poses"):
+            Trajectory([0], two_poses())
+
+    def test_floats_are_not_frames(self):
+        # a frame index is an integer, as a window is, so no float is one
+        for frames in ([0.0, 3.0], [0, 3.0], np.array([0.0, 1.0]), np.array([0, 1], dtype=np.float32)):
+            with pytest.raises(ValidationError, match="frame index must be an integer"):
+                Trajectory(frames, two_poses())
+        # numpy integers of every width are frames, up to 2**63 - 1
+        assert Trajectory(np.arange(2, dtype=np.uint8), two_poses()).frames.tolist() == [0, 1]
+        assert Trajectory([np.uint64(0), np.int8(1)], two_poses()).frames.tolist() == [0, 1]
+        for big in (2**53 + 1, 2**63 - 1, np.int64(2**63 - 1), np.uint64(2**63 - 1)):
+            assert Trajectory([1, big], two_poses()).frames.tolist() == [1, big]
+            assert Trajectory(np.array([1, big], dtype=np.uint64), two_poses()).frames.tolist() == [1, big]
+        # from 2**63 on, a uint64 is no frame, in a list or an array
+        for frames in ([1, np.uint64(2**63)], np.array([1, 2**63], dtype=np.uint64)):
+            with pytest.raises(ValidationError, match=r"frame index must be below 2\*\*63, got .*9223372036854775808"):
+                Trajectory(frames, two_poses())
+
+    def test_frames_are_a_frozen_copy(self):
+        frames = np.array([0, 1])
+        traj = Trajectory(frames, two_poses())
+        frames[0] = 7
+        assert traj.frames.tolist() == [0, 1] and not traj.frames.flags.writeable
 
     def test_lookup(self):
-        traj = identity_traj([0, 2, 5])
+        traj = still([0, 2, 5])
         assert traj.has_frame(2) and not traj.has_frame(3)
+        assert traj.has_frame(np.uint8(5)) and not traj.has_frame(2**63 - 1)
         assert traj.pose_at(5) == Pose.identity()
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="frame 3 not present"):
             traj.pose_at(3)
+
+    @pytest.mark.parametrize("frame", [None, 1.5, 2.0, "1", True, -1, 2**63, [2]])
+    def test_lookup_takes_a_frame_index(self, frame):
+        traj = still([0, 1, 2])
+        for lookup in (traj.pose_at, traj.has_frame):
+            with pytest.raises(ValidationError, match="frame index must be"):
+                lookup(frame)
 
     def test_restricted_to(self):
         traj = rand_traj(1, 10)
         sub = traj.restricted_to([2, 5, 7])
         assert sub.frames.tolist() == [2, 5, 7]
         assert sub.pose_at(5) == traj.pose_at(5)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"frames not in trajectory: \[99\]"):
             traj.restricted_to([2, 99])
-        assert traj.restricted_to(np.array([5.0, 2.0, 5.0])).frames.tolist() == [2, 5]
-        # 1.5 used to be read as frame 1
-        for entry in (1.5, True, "2", math.nan):
+        assert traj.restricted_to(np.array([5, 2, 5])).frames.tolist() == [2, 5]
+        assert traj.restricted_to(range(0, 10, 3)).frames.tolist() == [0, 3, 6, 9]
+        assert len(traj.restricted_to([])) == 0
+        # no float is a frame, integral or not
+        for frames in ([2, 1.5], [2, True], [2, "2"], [2, math.nan], [2.0], np.array([5.0, 2.0])):
             with pytest.raises(ValidationError, match="frame index"):
-                traj.restricted_to([2, entry])
+                traj.restricted_to(frames)
 
 
 class TestTumFormat:
@@ -127,7 +152,7 @@ class TestTumFormat:
         traj = rand_traj(3, 100)
         text = serialize_tum(traj)
         back = parse_tum(text)
-        for (fa, pa), (fb, pb) in zip(traj.entries, back.entries):
+        for (fa, pa), (fb, pb) in zip(pairs(traj), pairs(back)):
             assert fa == fb
             assert (pa.rotation.w, pa.rotation.x, pa.rotation.y, pa.rotation.z) == (
                 pb.rotation.w, pb.rotation.x, pb.rotation.y, pb.rotation.z
@@ -154,8 +179,8 @@ class TestTumFormat:
             parse_tum("0.5 0 0 0 0 0 0 1\n")
 
     @given(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=5, unique=True))
-    def test_round_trip_exact_frames(self, frames):
-        traj = identity_traj(sorted(frames))
+    def test_round_trip_frames_exactly(self, frames):
+        traj = still(sorted(frames))
         assert parse_tum(serialize_tum(traj)).frames.tolist() == sorted(frames)
 
     def test_integer_literal_frame_read_exactly(self):
@@ -213,7 +238,7 @@ class TestTumFormat:
     def test_qw_last_on_disk(self):
         # quaternion serialized qx qy qz qw; a 90 degree turn about z
         q = Quaternion.from_axis_angle((0, 0, 1), np.pi / 2)
-        line = serialize_tum(Trajectory([(0, Pose(q, (0, 0, 0)))])).splitlines()[-1]
+        line = serialize_tum(trajectory([0], [Pose(q, (0, 0, 0))])).splitlines()[-1]
         fields = line.split()
         assert float(fields[6]) == pytest.approx(q.z)
         assert float(fields[7]) == pytest.approx(q.w)
@@ -221,29 +246,29 @@ class TestTumFormat:
 
 class TestSplitIntoSegments:
     def test_two_even_segments(self):
-        local = identity_traj(range(9))
-        segments = split_into_segments(local, identity_traj([0, 4, 8]))
+        local = still(range(9))
+        segments = split_into_segments(local, still([0, 4, 8]))
         assert [type(s) for s in segments] == [Trajectory, Trajectory]
         assert segments[0].frames.tolist() == [0, 1, 2, 3, 4]
         assert segments[1].frames.tolist() == [4, 5, 6, 7, 8]
 
     def test_single_anchor_rejected(self):
-        local = identity_traj(range(5))
+        local = still(range(5))
         with pytest.raises(ValidationError, match="at least 2"):
-            split_into_segments(local, identity_traj([0]))
+            split_into_segments(local, still([0]))
 
     def test_short_tail_segment(self):
-        local = identity_traj(range(8))
-        segments = split_into_segments(local, identity_traj([0, 3, 6, 7]))
+        local = still(range(8))
+        segments = split_into_segments(local, still([0, 3, 6, 7]))
         assert len(segments) == 3
         assert segments[-1].frames.tolist() == [6, 7]
 
     def test_short_tail_allowed(self):
-        segments = split_into_segments(identity_traj(range(11)), identity_traj([0, 4, 8, 10]))
+        segments = split_into_segments(still(range(11)), still([0, 4, 8, 10]))
         assert [(s.frames[0], s.frames[-1]) for s in segments] == [(0, 4), (4, 8), (8, 10)]
 
     def test_uniform_stride_ok(self):
-        segments = split_into_segments(identity_traj(range(13)), identity_traj([0, 4, 8, 12]))
+        segments = split_into_segments(still(range(13)), still([0, 4, 8, 12]))
         assert [s.frames.tolist()[::4] for s in segments] == [[0, 4], [4, 8], [8, 12]]
 
     @pytest.mark.parametrize(
@@ -253,12 +278,12 @@ class TestSplitIntoSegments:
     )
     def test_uneven_anchor_gap_rejected(self, anchor_frames, gap):
         with pytest.raises(ValidationError, match=f"anchor gap {gap} "):
-            split_into_segments(identity_traj(range(11)), identity_traj(anchor_frames))
+            split_into_segments(still(range(11)), still(anchor_frames))
 
     def test_missing_coverage_rejected(self):
-        local = identity_traj([0, 1, 2, 3, 5, 6, 7, 8])  # frame 4 missing
+        local = still([0, 1, 2, 3, 5, 6, 7, 8])  # frame 4 missing
         with pytest.raises(ValidationError):
-            split_into_segments(local, identity_traj([0, 4, 8]))
+            split_into_segments(local, still([0, 4, 8]))
 
     def test_boundary_frames_shared(self):
         local = rand_traj(9, 9)
