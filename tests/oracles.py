@@ -39,17 +39,10 @@ def _apply_pose(rot_matrix, translation, point):
     return out
 
 
-def _cross(a, b):
-    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
-
-
-def _apply_pose_quat(quat, translation, point):
-    # the unit quaternion's rotation as p + w t + u x t with t = 2 u x p, then
-    # the translation; no matrix is formed
-    w, u = quat[0], quat[1:]
-    t = [2.0 * c for c in _cross(u, point)]
-    c = _cross(u, t)
-    return [point[k] + w * t[k] + c[k] + translation[k] for k in range(3)]
+def _move_ray(rot_matrix, translation, x, y, z):
+    # z * (R @ (x, y, 1)) + t: the point at depth z on the ray (x, y, 1),
+    # rotated as a ray before it is scaled by the depth
+    return [z * (m[0] * x + m[1] * y + m[2]) + translation[row] for row, m in enumerate(rot_matrix)]
 
 
 def _bilinear(values, valid, width, height, u, v):
@@ -260,14 +253,17 @@ def oracle_c_flow(
     is usable when: depth valid, flow valid, moved z > 0, and (u', v') inside
     [0, width-1] x [0, height-1].
 
-    The point is moved by the quaternion itself, not by its matrix. The
-    projection divides by the moved z, which may be as small as the data
-    make it, and that quotient magnifies the last-bit difference between
-    the two rotation formulas without limit; with the quaternion form each
-    pixel's term is the same scalar arithmetic written out.
+    The ray (x, y, 1) is rotated by the quaternion's matrix and then scaled
+    by the depth, z * (R @ (x, y, 1)) + t. The projection divides by the
+    moved z, which may be as small as the data make it, and that quotient
+    magnifies without limit the last-bit difference between this order and
+    another (rotating the scaled point, or rotating by the quaternion
+    itself); in this order each pixel's term is the same scalar arithmetic
+    written out.
     """
     fx_i, fy_i, cx_i, cy_i = intr_from
     fx_j, fy_j, cx_j, cy_j = intr_to
+    rot = _quat_to_matrix(*quat)
     total = 0.0
     count = 0
     for i in range(height):
@@ -277,8 +273,7 @@ def oracle_c_flow(
             if not flow_valid[i][j]:
                 continue
             z = float(depth[i][j])
-            point = [(j - cx_i) / fx_i * z, (i - cy_i) / fy_i * z, z]
-            moved = _apply_pose_quat(quat, translation, point)
+            moved = _move_ray(rot, translation, (j - cx_i) / fx_i, (i - cy_i) / fy_i, z)
             if moved[2] <= 0.0:
                 continue
             u = j + float(flow[i][j][0])
