@@ -2,8 +2,10 @@
 
 PFM layout: header ``Pf\\n<width> <height>\\n<scale>\\n`` (``PF`` for
 3-channel), scale sign encodes endianness (negative = little-endian), pixel
-rows are stored bottom-to-top as 32-bit floats. Depth/disparity wrappers
-serialize invalid pixels as 0.0.
+rows are stored bottom-to-top as 32-bit floats. The writer always stores
+little-endian with scale -1.0; the reader takes either byte order, as PFM
+files come from other programs too. Depth/disparity wrappers serialize
+invalid pixels as 0.0.
 
 .flo layout: float32 magic 202021.25, int32 width, int32 height, then
 interleaved float32 (du, dv) top-to-bottom, always little-endian. Components
@@ -27,7 +29,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, real
+from .errors import FormatError, ValidationError
 from .geometry import floats
 from .rasters import DepthMap, DisparityMap, FlowField
 
@@ -123,10 +125,10 @@ def _as_float32(array, path) -> np.ndarray:
     return array.astype(np.float32, copy=False)
 
 
-def write_pfm(path, array, *, scale: float = -1.0) -> None:
+def write_pfm(path, array) -> None:
     """Write a (H, W) or (H, W, 3) array of numbers (read by
-    :func:`~endogeo.geometry.floats`). Negative scale selects little-endian
-    storage, positive big-endian; the magnitude is stored as-is."""
+    :func:`~endogeo.geometry.floats`), with a positive height and width, as
+    little-endian float32 with scale -1.0."""
     data = _as_float32(floats(array, "PFM array"), path)
     if data.ndim == 2:
         magic = b"Pf"
@@ -134,16 +136,14 @@ def write_pfm(path, array, *, scale: float = -1.0) -> None:
         magic = b"PF"
     else:
         raise ValidationError(f"{path}: PFM supports (H, W) or (H, W, 3) arrays, got shape {data.shape}")
-    scale = real(scale, "PFM scale")
-    if scale == 0:
-        raise ValidationError("PFM scale must be nonzero")
-    dtype = "<f4" if scale < 0 else ">f4"
     height, width = data.shape[:2]
+    if not (height and width):
+        raise ValidationError(f"{path}: PFM dimensions must be positive, got {width}x{height}")
     with open(path, "wb") as fh:
         fh.write(magic + b"\n")
         fh.write(f"{width} {height}\n".encode("ascii"))
-        fh.write(f"{scale}\n".encode("ascii"))
-        fh.write(np.flipud(data).astype(dtype).tobytes())
+        fh.write(b"-1.0\n")
+        fh.write(np.flipud(data).astype("<f4").tobytes())
 
 
 def read_pfm(path):

@@ -258,11 +258,6 @@ class Quaternion:
         return Quaternion(*quats_from_axis_angle(_triple(axis, "rotation axis"), real(angle, "rotation angle")))
 
     @staticmethod
-    def from_rotation_vector(vec) -> "Quaternion":
-        """Exponential map: ``vec`` is axis * angle."""
-        return Quaternion(*quats_from_rotation_vectors(_triple(vec, "rotation vector"))[0])
-
-    @staticmethod
     def from_rotation_matrix(matrix) -> "Quaternion":
         """The rotation of the 3x3 ``matrix`` M, which must have det M > 0 and no
         entry of M M^T - I above 1e-6, or :class:`ValidationError`."""
@@ -276,15 +271,6 @@ class Quaternion:
         if not np.linalg.det(m) > 0.0:
             raise ValidationError("rotation matrix is a reflection (negative determinant)")
         return Quaternion(*quats_from_rotation_matrices(m))
-
-    def norm(self) -> float:
-        return math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(*_conjugate(self.wxyz))
-
-    def multiply(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(*_hamilton(self.wxyz, other.wxyz))
 
     def rotate(self, vectors):
         """Rotate one finite 3-vector or an (..., 3) stack of them."""
@@ -304,9 +290,6 @@ class Quaternion:
     def angle(self) -> float:
         """Rotation angle in [0, pi]."""
         return _angle(self.wxyz)
-
-    def angle_to(self, other: "Quaternion") -> float:
-        return self.conjugate().multiply(other).angle()
 
 
 def slerp(q0: Quaternion, q1: Quaternion, t: float) -> Quaternion:
@@ -374,13 +357,6 @@ class Pose:
             raise ValidationError(f"pose rotation must be a Quaternion, got {self.rotation!r}")
         t = self.translation if self.translation is not None else (0.0, 0.0, 0.0)
         object.__setattr__(self, "translation", vec3(t, "translation"))
-
-    @staticmethod
-    def identity() -> "Pose":
-        return Pose(Quaternion.identity(), np.zeros(3))
-
-    def transform(self, points):
-        return self.rotation.rotate(points) + self.translation
 
     def move_rays(self, x, y, z, rows=(0, 1, 2)):
         """The ``rows`` of z * (R @ (x, y, 1)) + t: the points at depths ``z``

@@ -3,13 +3,14 @@
 All rasters are row-major (height, width[, channels]) float64 arrays plus a
 boolean validity mask. Constructors read the values by the package's one
 array rule, :func:`~endogeo.geometry.floats` (so a bool, string, complex or
-ragged input raises ValidationError), and the mask as a bool array. They
-intersect the given mask with the type's own validity rule (finite, positive
-where required), so a raster can never hold a "valid" entry that violates
-its invariant; NaN and ±inf values are masked. Arrays are copied and
-frozen; instances are immutable and safe to share across threads. They
-compare and hash by identity, as the arrays they hold define no truth value
-or hash.
+ragged input raises ValidationError), and the mask as a bool array. A raster
+with no rows or no columns raises ValidationError, as the file readers
+reject one. Constructors intersect the given mask with the type's own
+validity rule (finite, positive where required), so a raster can never hold
+a "valid" entry that violates its invariant; NaN and ±inf values are
+masked. Arrays are copied and frozen; instances are immutable and safe to
+share across threads. They compare and hash by identity, as the arrays they
+hold define no truth value or hash.
 
 The package's one bilinear sampler, :func:`bilinear_sample`, lives here too
 (``metrics.resize_depth`` is the ratio of two of its samples), and so does
@@ -50,6 +51,8 @@ def _as_values(values, ndim_tail: int, name: str) -> np.ndarray:
         raise ValidationError(f"{name} must be a {'(H, W, %d)' % ndim_tail if ndim_tail else '(H, W)'} array, got shape {arr.shape}")
     if ndim_tail and arr.shape[2] != ndim_tail:
         raise ValidationError(f"{name} must have {ndim_tail} channels, got {arr.shape[2]}")
+    if 0 in arr.shape[:2]:
+        raise ValidationError(f"{name} must have a positive height and width, got shape {arr.shape}")
     return arr
 
 

@@ -287,13 +287,12 @@ def gen_trajectory(
     *,
     radius: float = 8.0,
     target=(0.0, 0.0, 100.0),
-    step=(1.0, 0.0, 0.0),
 ) -> Trajectory:
     """Smooth deterministic camera path, always facing the scene.
 
     orbit: constant-radius arc in the z = 0 plane around the origin, look-at
     target; spline: Catmull-Rom through seeded control points, look-at target;
-    linear: constant step with identity rotation.
+    linear: frame k at (k, 0, 0) with identity rotation.
     """
     if path not in PATH_KINDS:
         raise ValidationError(f"path must be one of {PATH_KINDS}, got {path!r}")
@@ -304,11 +303,8 @@ def gen_trajectory(
     t = frames / (n_frames - 1) if n_frames > 1 else np.zeros(1)
 
     if path == "linear":
-        step = vec3(step, "step")
         quat = np.tile(Quaternion.identity().wxyz, (n_frames, 1))
-        with np.errstate(over="ignore"):  # PoseBatch rejects an overflowing position
-            position = frames[:, None] * step
-        return Trajectory(frames, PoseBatch(quat, position))
+        return Trajectory(frames, PoseBatch(quat, frames[:, None] * (1.0, 0.0, 0.0)))
 
     if path == "orbit":
         radius = real(radius, "orbit radius", 0)

@@ -4,6 +4,8 @@ generation, bilinear remapping, and metric depth from disparity.
 Extrinsics convention: (rotation, translation) place the right camera in the
 left camera frame, i.e. X_left = R * X_right + T. For an ideal horizontal rig
 T = (baseline, 0, 0), which makes disparity = f * baseline / z positive.
+:class:`StereoCalibration` takes R as a :class:`~endogeo.geometry.Quaternion`;
+:func:`load_calibration` reads it from the file's 3x3 matrix.
 
 Distortion model: 5-coefficient radial-tangential (k1, k2, p1, p2, k3) on
 normalized coordinates; the inverse runs at most 20 fixed-point iterations to
@@ -17,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, number, real
+from .errors import FormatError, ValidationError, real
 from .fileio import is_json_number, read_json, write_json
 from .geometry import CameraIntrinsics, Quaternion, finite_rows, floats, pixel_grid, pixel_rays, project, rotated_rays, slerp, vec3
 from .rasters import DepthMap, DisparityMap, bilinear_sample
@@ -57,7 +59,7 @@ class StereoCalibration:
 
     def __post_init__(self):
         if not isinstance(self.rotation, Quaternion):
-            object.__setattr__(self, "rotation", Quaternion.from_rotation_matrix(self.rotation))
+            raise ValidationError(f"rig rotation must be a Quaternion, got {self.rotation!r}")
         t = vec3(self.translation, "extrinsic translation")
         with np.errstate(over="ignore"):  # an overflowing baseline is rejected below
             baseline = float(np.linalg.norm(t))
@@ -117,7 +119,7 @@ def undistort_normalized(xd, yd, dist, fx: float, fy: float):
         y_new = (yd - dy) / radial
         step = np.maximum(np.abs(x_new - x) * fx, np.abs(y_new - y) * fy)
         x, y = x_new, y_new
-        if float(step.max()) < _UNDISTORT_TOL_PX:
+        if float(step.max(initial=0.0)) < _UNDISTORT_TOL_PX:  # no pixels: nothing to solve
             break
     return x, y
 
@@ -202,23 +204,21 @@ def rectify_pixels(calib: StereoCalibration, maps: RectifyMaps, side: str, pixel
     return project(np.stack(rotated_rays(rot.to_rotation_matrix().T, x, y), axis=-1), maps.intrinsics)
 
 
-def remap(image, map_x, map_y, *, fill: float = 0.0):
-    """Bilinearly sample ``image`` at (map_x, map_y); out-of-bounds -> fill.
+def remap(image, map_x, map_y):
+    """Bilinearly sample ``image`` at (map_x, map_y); out-of-bounds -> 0.
 
     Accepts finite (H, W) or (H, W, C) images; maps may have any common
     shape, and a NaN or ±inf map entry is out of bounds.
     """
     img = floats(image, "remap image")
     mx, my = floats(map_x, "remap map_x"), floats(map_y, "remap map_y")
-    fill = number(fill, "remap fill")
     if mx.shape != my.shape:
         raise ValidationError(f"map shapes differ: {mx.shape} vs {my.shape}")
     if img.ndim not in (2, 3) or 0 in img.shape[:2]:
         raise ValidationError(f"image must be a non-empty (H, W) or (H, W, C) array, got shape {img.shape}")
     if not np.all(np.isfinite(img)):
         raise ValidationError("remap image must be finite")
-    sample, ok = bilinear_sample(img, mx, my)
-    return np.where(ok[..., None] if img.ndim == 3 else ok, sample, fill)
+    return bilinear_sample(img, mx, my)[0]
 
 
 def _bf_over(raster, baseline: float, focal: float) -> np.ndarray:

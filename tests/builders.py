@@ -1,8 +1,19 @@
 """Trajectories built for the tests through the one constructor,
-``Trajectory(frames, poses)``, from Poses."""
+``Trajectory(frames, poses)``, from Poses, and the pose arithmetic the tests
+write through the public API."""
 
-from endogeo.geometry import Pose, PoseBatch, Quaternion
+from endogeo.geometry import Pose, PoseBatch, Quaternion, pose_distance
 from endogeo.trajectory import Trajectory
+
+
+def angle_between(q0: Quaternion, q1: Quaternion) -> float:
+    """The angle, in radians, of the rotation that takes ``q0`` to ``q1``."""
+    return pose_distance(Pose(q0), Pose(q1))[0]
+
+
+def transform(pose: Pose, points):
+    """``points`` moved by ``pose``: R p + t for each (..., 3) row p."""
+    return pose.rotation.rotate(points) + pose.translation
 
 
 def trajectory(frames, poses) -> Trajectory:
@@ -13,7 +24,7 @@ def trajectory(frames, poses) -> Trajectory:
 def still(frames) -> Trajectory:
     """The identity pose at each of ``frames``."""
     frames = list(frames)
-    return trajectory(frames, [Pose.identity()] * len(frames))
+    return trajectory(frames, [Pose(Quaternion.identity())] * len(frames))
 
 
 def line(n, step=1.0) -> Trajectory:

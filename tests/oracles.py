@@ -701,11 +701,10 @@ def oracle_look_at(position, target, up=(0.0, 1.0, 0.0)):
     return oracle_from_rotation_matrix(np.column_stack([x, y, z])), position
 
 
-def oracle_gen_trajectory(n_frames, path, stream, radius, target, step):
+def oracle_gen_trajectory(n_frames, path, stream, radius, target):
     """``stream`` is the trajectory's random stream (``uniform_in(low, high)``)."""
     if path == "linear":
-        step = np.asarray(step, dtype=np.float64)
-        return [(k, (_IDENTITY, k * step)) for k in range(n_frames)]
+        return [(k, (_IDENTITY, np.array([float(k), 0.0, 0.0]))) for k in range(n_frames)]
     entries = []
     if path == "orbit":
         theta0 = stream.uniform_in(0.0, 2.0 * math.pi)

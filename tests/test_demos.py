@@ -20,7 +20,7 @@ def test_demo_exits_zero(demo, tmp_path):
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     result = subprocess.run(
         # a warning fails a demo as it fails a test
-        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,

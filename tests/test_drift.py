@@ -80,12 +80,12 @@ class TestComputeDriftError:
     def test_equal_poses_give_identity(self):
         p = rand_pose(SplitMix64(3).derive("p"))
         err = compute_drift_error(p, p)
-        rot, trans = pose_distance(err, Pose.identity())
+        rot, trans = pose_distance(err, Pose(Quaternion.identity()))
         assert rot < 1e-12 and trans < 1e-12
 
     def test_identity_end_translation_anchor(self):
         anchor = Pose(Quaternion.identity(), (0.0, 0.0, 3.0))
-        err = compute_drift_error(Pose.identity(), anchor)
+        err = compute_drift_error(Pose(Quaternion.identity()), anchor)
         assert (err.translation == [0.0, 0.0, 3.0]).all()
         assert err.rotation.angle() == 0.0
 
@@ -104,7 +104,7 @@ class TestDistributeDrift:
 
     def test_identity_error_is_noop(self):
         seg = rand_segment(5, range(5))
-        out = distribute(seg, Pose.identity())
+        out = distribute(seg, Pose(Quaternion.identity()))
         for frame in seg.frames:
             rot, trans = pose_distance(out.pose_at(frame), seg.pose_at(frame))
             assert rot < 1e-12 and trans < 1e-12
@@ -151,7 +151,7 @@ class TestCorrectLongTrajectory:
 
     def test_single_segment_matches_distribute_example(self):
         traj = line(5)
-        anchors_traj = trajectory([0, 4], [Pose.identity(), Pose(Quaternion.identity(), (8.0, 0.0, 0.0))])
+        anchors_traj = trajectory([0, 4], [Pose(Quaternion.identity()), Pose(Quaternion.identity(), (8.0, 0.0, 0.0))])
         corrected, _ = correct_long_trajectory(anchors_traj, [traj])
         # start pinned at origin; end pinned at (8,0,0); drift (4,0,0) ramps linearly
         for k in range(5):

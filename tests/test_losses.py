@@ -25,6 +25,7 @@ from endogeo.losses import (
 from endogeo.rasters import ConfidenceMap, DepthMap, FlowField, Pointmap
 from endogeo.sim import SceneSpec, default_intrinsics, induced_flow, relative_motion, render_depth
 
+from builders import transform
 from oracles import oracle_c_flow, oracle_c_prior, oracle_conf_loss
 
 CFG = LossConfig()
@@ -183,19 +184,19 @@ class TestPoseLoss:
         assert pose_loss(a, b, NormalizationSpec(1.0, 1.0)) == pytest.approx(3.0)
 
     def test_length_mismatch_rejected(self):
-        p = batch(Pose.identity())
+        p = batch(Pose(Quaternion.identity()))
         with pytest.raises(ValidationError, match="pose batch lengths differ: 1 vs 2"):
-            pose_loss(p, batch(Pose.identity(), Pose.identity()), NormalizationSpec(1.0, 1.0))
+            pose_loss(p, batch(Pose(Quaternion.identity()), Pose(Quaternion.identity())), NormalizationSpec(1.0, 1.0))
         with pytest.raises(ValidationError, match="pose batches are empty"):
             pose_loss(batch(), batch(), NormalizationSpec(1.0, 1.0))
 
     @pytest.mark.parametrize(
-        "pred", [[Pose.identity()], (Pose.identity(),), Pose.identity(), ["x"], None],
+        "pred", [[Pose(Quaternion.identity())], (Pose(Quaternion.identity()),), Pose(Quaternion.identity()), ["x"], None],
         ids=["list", "tuple", "Pose", "strings", "None"],
     )
     def test_takes_pose_batches(self, pred):
         # a sequence of poses is a PoseBatch everywhere
-        for args in ((pred, batch(Pose.identity())), (batch(Pose.identity()), pred)):
+        for args in ((pred, batch(Pose(Quaternion.identity()))), (batch(Pose(Quaternion.identity())), pred)):
             with pytest.raises(ValidationError, match="poses must be PoseBatches"):
                 pose_loss(*args, NormalizationSpec(1.0, 1.0))
 
@@ -204,7 +205,7 @@ class TestInducedReprojection:
     def test_identity_motion_maps_pixels_to_themselves(self):
         k = small_intr()
         depth = DepthMap(np.full((k.height, k.width), 80.0))
-        out = induced_reprojection(depth, k, k, Pose.identity())
+        out = induced_reprojection(depth, k, k, Pose(Quaternion.identity()))
         uu, vv = np.meshgrid(np.arange(8.0), np.arange(6.0))
         assert np.abs(out.vectors[..., 0] - uu).max() < 1e-12
         assert np.abs(out.vectors[..., 1] - vv).max() < 1e-12
@@ -242,7 +243,7 @@ class TestFlowConsistency:
     def test_zero_flow_identity_motion(self):
         k = small_intr()
         depth = DepthMap(np.full((k.height, k.width), 60.0))
-        value, raster, mask = c_flow(depth, k, k, Pose.identity(), zero_flow(k.width, k.height))
+        value, raster, mask = c_flow(depth, k, k, Pose(Quaternion.identity()), zero_flow(k.width, k.height))
         assert value < 1e-12  # unproject/project round trip leaves ~1 ulp
         assert mask.all()
 
@@ -251,7 +252,7 @@ class TestFlowConsistency:
         depth = DepthMap(np.full((k.height, k.width), 60.0))
         vectors = np.zeros((k.height, k.width, 2))
         vectors[..., 0] = 1.0
-        value, _, mask = c_flow(depth, k, k, Pose.identity(), FlowField(vectors))
+        value, _, mask = c_flow(depth, k, k, Pose(Quaternion.identity()), FlowField(vectors))
         assert value == pytest.approx(1.0, abs=1e-12)
         assert not mask[:, -1].any()  # targets past the right edge drop out
 
@@ -545,7 +546,7 @@ def test_sizes_must_match_their_cameras(call):
     depth = DepthMap(np.full((6, 8), 42.0))
     large = DepthMap(np.full((60, 80), 42.0))
     with pytest.raises(ValidationError, match="dimensions differ"):
-        call(depth, large, zero_flow(8, 6), Pose.identity())
+        call(depth, large, zero_flow(8, 6), Pose(Quaternion.identity()))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -564,7 +565,7 @@ class TestTemporalConsistency:
     def test_identical_depths_zero(self):
         k = small_intr()
         depth = DepthMap(np.full((k.height, k.width), 42.0))
-        value, _, mask = c_temp(depth, depth, k, k, Pose.identity(), zero_flow(k.width, k.height))
+        value, _, mask = c_temp(depth, depth, k, k, Pose(Quaternion.identity()), zero_flow(k.width, k.height))
         assert value == 0.0
         assert mask.all()
 
@@ -572,7 +573,7 @@ class TestTemporalConsistency:
         k = small_intr()
         d = np.full((k.height, k.width), 42.0)
         value, _, _ = c_temp(
-            DepthMap(d), DepthMap(2.0 * d), k, k, Pose.identity(), zero_flow(k.width, k.height)
+            DepthMap(d), DepthMap(2.0 * d), k, k, Pose(Quaternion.identity()), zero_flow(k.width, k.height)
         )
         assert value == pytest.approx(1.0, abs=1e-12)
 
@@ -580,10 +581,10 @@ class TestTemporalConsistency:
         k = small_intr()
         d = np.full((k.height, k.width), 42.0)
         halved, _, _ = c_temp(
-            DepthMap(d), DepthMap(0.5 * d), k, k, Pose.identity(), zero_flow(k.width, k.height)
+            DepthMap(d), DepthMap(0.5 * d), k, k, Pose(Quaternion.identity()), zero_flow(k.width, k.height)
         )
         doubled, _, _ = c_temp(
-            DepthMap(d), DepthMap(2.0 * d), k, k, Pose.identity(), zero_flow(k.width, k.height)
+            DepthMap(d), DepthMap(2.0 * d), k, k, Pose(Quaternion.identity()), zero_flow(k.width, k.height)
         )
         assert halved == pytest.approx(doubled, abs=1e-12)
 
@@ -593,7 +594,7 @@ class TestTemporalConsistency:
         valid_j = np.ones((k.height, k.width), dtype=bool)
         valid_j[2, 3] = False
         _, _, mask = c_temp(
-            DepthMap(d), DepthMap(d, valid_j), k, k, Pose.identity(),
+            DepthMap(d), DepthMap(d, valid_j), k, k, Pose(Quaternion.identity()),
             zero_flow(k.width, k.height),
         )
         # every pixel whose 2x2 bilinear support includes (2, 3) is rejected,
@@ -711,7 +712,7 @@ class TestClosedForms:
     def test_moved_rays_equal_transform(self, quat, translation, points):
         motion = Pose(Quaternion(*quat), translation)
         x, y, z = (np.array(c) for c in zip(*points))
-        want = motion.transform(np.stack([x * z, y * z, z], axis=-1))
+        want = transform(motion, np.stack([x * z, y * z, z], axis=-1))
         # relative to the size of the point and of the translation
         scale = z * np.sqrt(x * x + y * y + 1.0) + np.sqrt(sum(t * t for t in translation))
         for rows in ((0, 1, 2), (2,)):

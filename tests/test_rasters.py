@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from endogeo.errors import ValidationError
 from endogeo.fileio import read_flo
 from endogeo.rasters import ConfidenceMap, DepthMap, DisparityMap, FlowField, Pointmap, bilinear_sample
 
@@ -103,9 +104,12 @@ class TestBilinearSample:
         assert np.array_equal(sample, expected)
 
 
-@pytest.mark.parametrize("kind, shape", [
+_KINDS = [
     (DepthMap, (2, 3)), (DisparityMap, (2, 3)), (FlowField, (2, 3, 2)), (Pointmap, (2, 3, 3)), (ConfidenceMap, (2, 3)),
-])
+]
+
+
+@pytest.mark.parametrize("kind, shape", _KINDS)
 def test_rasters_compare_and_hash_by_identity(kind, shape):
     values = np.ones(shape)
     a, b = kind(values), kind(values)
@@ -113,6 +117,17 @@ def test_rasters_compare_and_hash_by_identity(kind, shape):
     assert a != b
     assert hash(a) == hash(a)
     assert len({a, b}) == 2
+
+
+@pytest.mark.parametrize("kind, shape", _KINDS)
+def test_a_raster_without_rows_or_columns_is_rejected(kind, shape):
+    # these built, and then resize_depth and depth_metrics raised IndexError
+    # and the PFM and .flo writers wrote files their readers refuse
+    for axis in (0, 1):
+        empty = list(shape)
+        empty[axis] = 0
+        with pytest.raises(ValidationError, match="positive height and width"):
+            kind(np.ones(empty))
 
 
 # every value a channel validity rule can turn on: NaN, infinities, the .flo

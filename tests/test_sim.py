@@ -9,11 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from builders import still
+from builders import still, transform
 from endogeo import rasters, sim
 from endogeo.errors import ValidationError
 from endogeo.fileio import read_flo
-from endogeo.geometry import CameraIntrinsics, Pose, Quaternion, pixel_grid, pixel_rays
+from endogeo.geometry import CameraIntrinsics, Pose, Quaternion, compose, inverse, pixel_grid, pixel_rays
 from endogeo.metrics import ate
 from endogeo.rng import SplitMix64
 from endogeo.sim import (
@@ -34,7 +34,7 @@ from oracles import oracle_heightfield_depth
 
 class TestGenTrajectory:
     def test_linear_path(self):
-        traj = gen_trajectory(3, path="linear", step=(1.0, 0.0, 0.0))
+        traj = gen_trajectory(3, path="linear")
         assert traj.frames.tolist() == [0, 1, 2]
         for k in range(3):
             pose = traj.pose_at(k)
@@ -70,12 +70,6 @@ class TestGenTrajectory:
                 gen_trajectory(n_frames, path="orbit")
         with pytest.raises(ValidationError):
             gen_trajectory(10, path="orbit", radius=0.0)
-        # 0 * inf used to raise numpy's RuntimeWarning first
-        for step in ((math.inf, 0.0, 0.0), (0.0, math.nan, 0.0), (1.0, 0.0)):
-            with pytest.raises(ValidationError, match="step"):
-                gen_trajectory(5, path="linear", step=step)
-        with pytest.raises(ValidationError, match="translation must be finite"):
-            gen_trajectory(5, path="linear", step=(1e308, 0.0, 0.0))  # 4e308 overflows
 
 
 class TestLookAt:
@@ -97,7 +91,7 @@ class TestLookAt:
 class TestRenderDepth:
     def test_frontal_plane_constant_depth(self):
         scene = SceneSpec(kind="plane", extent=100.0)
-        depth = render_depth(scene, Pose.identity(), default_intrinsics())
+        depth = render_depth(scene, Pose(Quaternion.identity()), default_intrinsics())
         assert depth.valid.all()
         assert (depth.values == 100.0).all()
 
@@ -114,7 +108,7 @@ class TestRenderDepth:
         from endogeo.geometry import CameraIntrinsics
 
         intr = CameraIntrinsics(80.0, 80.0, 32.0, 24.0, 65, 49)  # wide FOV
-        depth = render_depth(scene, Pose.identity(), intr)
+        depth = render_depth(scene, Pose(Quaternion.identity()), intr)
         ci, cj = int(intr.cy), int(intr.cx)
         assert depth.valid[ci, cj]
         assert depth.values[ci, cj] == pytest.approx(100.0, abs=1e-9)
@@ -123,7 +117,7 @@ class TestRenderDepth:
 
     def test_heightfield_fully_valid_near_axis(self):
         scene = SceneSpec(kind="heightfield", extent=100.0, seed=7)
-        depth = render_depth(scene, Pose.identity(), default_intrinsics(32, 24))
+        depth = render_depth(scene, Pose(Quaternion.identity()), default_intrinsics(32, 24))
         assert depth.valid.all()
         assert (np.abs(depth.values - 100.0) < 25.0).all()
 
@@ -180,11 +174,8 @@ def heightfield_views(draw):
     tilt = draw(st.one_of(st.floats(0.0, math.pi / 2), st.floats(0.0, math.pi), st.just(math.pi / 2)))
     azimuth = draw(st.floats(0.0, 2.0 * math.pi))
     roll = draw(st.floats(0.0, 2.0 * math.pi))
-    rotation = (
-        Quaternion.from_axis_angle((math.cos(azimuth), math.sin(azimuth), 0.0), tilt)
-        .multiply(facing)
-        .multiply(Quaternion.from_axis_angle((0.0, 0.0, 1.0), roll))
-    )
+    tilted = Pose(Quaternion.from_axis_angle((math.cos(azimuth), math.sin(azimuth), 0.0), tilt))
+    rotation = compose(compose(tilted, Pose(facing)), Pose(Quaternion.from_axis_angle((0.0, 0.0, 1.0), roll))).rotation
     lateral = st.floats(-scene.extent, scene.extent)
     origin = (draw(lateral), draw(lateral), scene.extent * (1.0 + offset))
     width, height = draw(st.integers(1, 8)), draw(st.integers(1, 6))
@@ -238,7 +229,7 @@ class TestHeightfieldOracle:
         x, y = x * extent, y * extent
         surface = extent + float((amplitude * np.cos(kx * x + ky * y + phase)).sum())
         facing = Quaternion.identity() if side < 0 else Quaternion.from_axis_angle((1.0, 0.0, 0.0), math.pi)
-        rotation = facing.multiply(Quaternion.from_axis_angle((0.0, 0.0, 1.0), roll))
+        rotation = compose(Pose(facing), Pose(Quaternion.from_axis_angle((0.0, 0.0, 1.0), roll))).rotation
         pose = Pose(rotation, (x, y, surface + side * gap * extent))
         depth, _ = assert_heightfield_matches_oracle(scene, pose, CameraIntrinsics(20.0, 20.0, 6.0, 4.5, 12, 9))
         assert (depth > 0).all()
@@ -289,7 +280,7 @@ class TestInducedFlow:
     def test_lateral_translation_constant_flow(self):
         scene = SceneSpec(kind="plane", extent=100.0)
         intr = default_intrinsics(32, 24)
-        pose_i = Pose.identity()
+        pose_i = Pose(Quaternion.identity())
         pose_j = Pose(Quaternion.identity(), (1.0, 0.0, 0.0))
         flow = induced_flow(render_depth(scene, pose_i, intr), pose_i, pose_j, intr)
         # camera moves +x, the image content slides -x by fx * t / z
@@ -301,14 +292,13 @@ class TestInducedFlow:
         pose_j = Pose(Quaternion.from_axis_angle((1, 0, 0), -0.1), (0.0, 4.0, 1.0))
         motion = relative_motion(pose_i, pose_j)
         world = np.array([5.0, -6.0, 40.0])
-        in_i = pose_i.rotation.conjugate().rotate(world - pose_i.translation)
-        in_j = pose_j.rotation.conjugate().rotate(world - pose_j.translation)
-        assert np.abs(motion.transform(in_i) - in_j).max() < 1e-9
+        in_i, in_j = transform(inverse(pose_i), world), transform(inverse(pose_j), world)
+        assert np.abs(transform(motion, in_i) - in_j).max() < 1e-9
 
 
 class TestInjectDrift:
     def make_line(self, n):
-        return gen_trajectory(n, path="linear", step=(1.0, 0.0, 0.0))
+        return gen_trajectory(n, path="linear")
 
     def test_zero_noise_returns_same_object(self):
         gt = self.make_line(10)
