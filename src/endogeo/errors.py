@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by the whole package, and its one number rule.
+"""Exception hierarchy shared by the whole package, and its one number and overflow rules.
 
 Each concrete class carries, as ``exit_code``, the process exit code that
 the CLI returns for it: FormatError 2, ValidationError 3, NumericError 4.
@@ -9,9 +9,11 @@ string, or :func:`boolean` (a bool, numpy's included), and the caller keeps
 the int, float or bool returned. Every entry of a float array it takes passes
 :func:`number` (a real number, NaN and ±inf included) through
 ``geometry.floats``, and every frame index, alone or in a sequence,
-:func:`integer` through ``trajectory._frame``.
+:func:`integer` through ``trajectory._frame``. Finite input whose arithmetic
+overflows raises :class:`ValidationError` through :func:`finite_result`.
 """
 
+import functools
 import math
 import numbers
 
@@ -87,3 +89,18 @@ def boolean(value, what: str) -> bool:
     if not isinstance(value, (bool, np.bool_)):
         raise ValidationError(f"{what} must be a boolean, got {value!r}")
     return bool(value)
+
+
+def finite_result(what: str):
+    """Decorator: run quiet under numpy's overflow and invalid warnings; a returned
+    ndarray holding NaN or ±inf raises ValidationError naming it ``what``."""
+    def wrap(fn):
+        @functools.wraps(fn)
+        def guarded(*args, **kwargs):
+            with np.errstate(over="ignore", invalid="ignore"):
+                result = fn(*args, **kwargs)
+            if isinstance(result, np.ndarray) and not np.isfinite(result).all():
+                raise ValidationError(f"{what}: the arithmetic overflows the float range")
+            return result
+        return guarded
+    return wrap

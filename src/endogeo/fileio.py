@@ -44,8 +44,11 @@ _FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 def format_json(obj) -> str:
     """The one JSON text form the package writes: sorted keys, two-space
-    indentation, trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    indentation, trailing newline; a NaN or ±inf raises :class:`ValidationError`."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValidationError(f"cannot write JSON: {exc}") from None
 
 
 def write_json(path, obj) -> None:

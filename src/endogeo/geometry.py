@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, boolean, integer, number, real
+from .errors import ValidationError, boolean, finite_result, integer, number, real
 
 # |norm^2 - 1| below this is treated as already unit and left untouched,
 # which keeps text round trips bit-exact while staying well inside the
@@ -179,13 +179,13 @@ def norms3(v):
     return np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
 
 
+@finite_result("rotation quaternions")
 def quats_from_axis_angle(axis, angle) -> np.ndarray:
     """(..., 4) canonical quaternions of rotations by the finite (...)
     ``angle`` about the (..., 3) ``axis``, whose norm is nonzero and finite."""
     if not np.all(np.isfinite(angle)):
         raise ValidationError("rotation angle must be finite")
-    with np.errstate(over="ignore"):
-        n = norms3(axis)
+    n = norms3(axis)
     if not np.all((n > 0.0) & (n < math.inf)):
         raise ValidationError("rotation axis must be nonzero with a finite norm")
     half = 0.5 * angle
@@ -194,12 +194,12 @@ def quats_from_axis_angle(axis, angle) -> np.ndarray:
     return np.stack(_canonical(q), axis=-1)
 
 
+@finite_result("rotation quaternions")
 def quats_from_rotation_vectors(vectors) -> np.ndarray:
     """(N, 4) canonical quaternions of the (N, 3) axis * angle ``vectors``
     (exponential map); zero vectors give the identity."""
     v = vectors.reshape(-1, 3)
-    with np.errstate(over="ignore"):  # an overflowing norm is a non-finite angle, rejected below
-        angle = norms3(v)
+    angle = norms3(v)  # an overflowing norm is a non-finite angle, rejected below
     zero = angle == 0.0
     q = quats_from_axis_angle(np.where(zero[:, None], 1.0, v), np.where(zero, 1.0, angle))
     q[zero] = _IDENTITY
@@ -214,7 +214,7 @@ def quats_from_rotation_matrices(m) -> np.ndarray:
     m10, m11, m12 = m[..., 1, 0], m[..., 1, 1], m[..., 1, 2]
     m20, m21, m22 = m[..., 2, 0], m[..., 2, 1], m[..., 2, 2]
     t = m00 + m11 + m22
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore"):  # a row keeps only the branch it picks
         s0 = np.sqrt(t + 1.0) * 2.0
         s1 = np.sqrt(1.0 + m00 - m11 - m22) * 2.0
         s2 = np.sqrt(1.0 + m11 - m00 - m22) * 2.0
@@ -258,20 +258,21 @@ class Quaternion:
         return Quaternion(*quats_from_axis_angle(_triple(axis, "rotation axis"), real(angle, "rotation angle")))
 
     @staticmethod
+    @finite_result("rotation quaternion")
     def from_rotation_matrix(matrix) -> "Quaternion":
         """The rotation of the 3x3 ``matrix`` M, which must have det M > 0 and no
         entry of M M^T - I above 1e-6, or :class:`ValidationError`."""
         m = floats(matrix, "rotation matrix")
         if m.shape != (3, 3):
             raise ValidationError(f"rotation matrix must be 3x3, got {m.shape}")
-        with np.errstate(over="ignore", invalid="ignore"):  # huge entries give inf or nan, rejected here
-            error = float(np.abs(m @ m.T - np.eye(3)).max())
+        error = float(np.abs(m @ m.T - np.eye(3)).max())  # huge entries give inf or nan, rejected here
         if not error <= 1e-6:
             raise ValidationError(f"rotation matrix is not orthogonal (orthogonality error {error:.3g})")
         if not np.linalg.det(m) > 0.0:
             raise ValidationError("rotation matrix is a reflection (negative determinant)")
         return Quaternion(*quats_from_rotation_matrices(m))
 
+    @finite_result("rotated vectors")
     def rotate(self, vectors):
         """Rotate one finite 3-vector or an (..., 3) stack of them."""
         v = finite_rows(vectors, 3, "vectors to rotate")
@@ -381,6 +382,7 @@ class PoseBatch:
 
     __slots__ = ("quat", "trans")
 
+    @finite_result("pose batch")
     def __init__(self, quat, trans):
         quat, trans = floats(quat, "quaternion"), floats(trans, "translation")
         if quat.ndim != 2 or quat.shape[1] != 4 or trans.shape != (len(quat), 3):
@@ -559,6 +561,7 @@ def project_planes(x, y, z, intrinsics: CameraIntrinsics):
     return np.where(valid, u, 0.0), np.where(valid, v, 0.0), valid
 
 
+@finite_result("projected pixels")
 def project(points, intrinsics: CameraIntrinsics):
     """Pinhole projection of (..., 3) camera-frame points to (..., 2) pixels.
 
@@ -566,14 +569,10 @@ def project(points, intrinsics: CameraIntrinsics):
     :func:`project_planes` for per-pixel handling.
     """
     p = finite_rows(points, 3, "points to project")
-    with np.errstate(over="ignore"):  # a huge x / z gives inf, rejected below
-        u, v, valid = project_planes(p[..., 0], p[..., 1], p[..., 2], intrinsics)
+    u, v, valid = project_planes(p[..., 0], p[..., 1], p[..., 2], intrinsics)
     if not np.all(valid):
         raise ValidationError("cannot project points with non-positive depth")
-    pixels = np.stack([u, v], axis=-1)
-    if not np.all(np.isfinite(pixels)):
-        raise ValidationError("projected pixels overflow the float range")
-    return pixels
+    return np.stack([u, v], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -586,13 +585,12 @@ class SimilarityTransform:
         object.__setattr__(self, "scale", real(self.scale, "scale", 0))
         object.__setattr__(self, "translation", vec3(self.translation, "translation"))
 
+    @finite_result("transformed points")
     def apply(self, points):
         return self.scale * self.rotation.rotate(points) + self.translation
 
 
-# huge points overflow to inf or NaN: rejected in the body, or as a scale or a
-# translation by SimilarityTransform
-@np.errstate(over="ignore", invalid="ignore")
+@finite_result("similarity transform")
 def umeyama_align(source, target, with_scale: bool = True) -> SimilarityTransform:
     """Least-squares similarity (or rigid) transform mapping the finite
     (..., 3) points ``source`` onto as many ``target`` points.

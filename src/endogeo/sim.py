@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, integer, real
+from .errors import ValidationError, finite_result, integer, real
 from .geometry import (
     CameraIntrinsics,
     Pose,
@@ -178,7 +178,7 @@ def _heightfield_hits(scene: SceneSpec, o, d):
     relief = float(np.abs(amplitude).sum()) + _SLAB_MARGIN * scene.extent
     moving = dz != 0
     safe_dz = np.where(moving, dz, 1.0)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # a tiny dz gives an inf slab bound, which the grid clips
         t_a = (-relief - base) / safe_dz
         t_b = (relief - base) / safe_dz
     inside = abs(base) <= relief
@@ -219,7 +219,7 @@ def _heightfield_hits(scene: SceneSpec, o, d):
         same_side = np.sign(f) == np.sign(f_lo)
         lo, f_lo = np.where(same_side, lam, lo), np.where(same_side, f, f_lo)
         hi = np.where(same_side, hi, lam)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero slope's step fails the bracket test
             lam_next = lam - f / slope
         lam_next = np.where((lo <= lam_next) & (lam_next <= hi), lam_next, 0.5 * (lo + hi))
         settled = np.abs(lam_next - lam) <= _NEWTON_RTOL * lam
@@ -249,6 +249,7 @@ def render_depth(scene: SceneSpec, pose: Pose, intrinsics: CameraIntrinsics) -> 
     return DepthMap(*scatter_chunks(np.ones((intrinsics.height, intrinsics.width), dtype=bool), depth))
 
 
+@finite_result("look_at pose")
 def look_at(position, target, up=(0.0, 1.0, 0.0)):
     """Camera-to-world pose at ``position`` with +z toward ``target``.
 
@@ -260,9 +261,8 @@ def look_at(position, target, up=(0.0, 1.0, 0.0)):
     if position.ndim not in (1, 2) or position.shape[-1] != 3 or target.shape not in ((3,), position.shape):
         raise ValidationError(f"look_at needs (3,) or (N, 3) positions and one target or one per position, "
                               f"got {position.shape} and {target.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite distance is rejected below
-        forward = target - position
-        n = norms3(forward)
+    forward = target - position
+    n = norms3(forward)
     if np.any(n <= 0):
         raise ValidationError("look_at target coincides with the camera position")
     if not np.all(np.isfinite(n)):
@@ -270,6 +270,8 @@ def look_at(position, target, up=(0.0, 1.0, 0.0)):
     z = forward / n[..., None]
     x = np.cross(vec3(up, "look_at up vector"), z)
     nx = norms3(x)
+    if not np.all(np.isfinite(nx)):
+        raise ValidationError("look_at up vector too large: its cross product with the view direction overflows")
     if np.any(nx <= 1e-12):
         raise ValidationError("look_at up vector is parallel to the view direction")
     x = x / nx[..., None]
@@ -280,6 +282,7 @@ def look_at(position, target, up=(0.0, 1.0, 0.0)):
     return PoseBatch(quat, position)
 
 
+@finite_result("camera path")
 def gen_trajectory(
     n_frames: int,
     path: str = "orbit",
@@ -334,13 +337,12 @@ def gen_trajectory(
     i = np.minimum(np.floor(s).astype(np.int64), n_ctrl - 2)
     f = (s - i)[:, None]
     p0, p1, p2, p3 = padded[i], padded[i + 1], padded[i + 2], padded[i + 3]
-    with np.errstate(over="ignore", invalid="ignore"):  # look_at rejects a non-finite position
-        position = 0.5 * (
-            2.0 * p1
-            + (-p0 + p2) * f
-            + (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3) * f * f
-            + (-p0 + 3.0 * p1 - 3.0 * p2 + p3) * f * f * f
-        )
+    position = 0.5 * (  # look_at rejects a non-finite position
+        2.0 * p1
+        + (-p0 + p2) * f
+        + (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3) * f * f
+        + (-p0 + 3.0 * p1 - 3.0 * p2 + p3) * f * f * f
+    )
     return Trajectory(frames, look_at(position, target))
 
 
@@ -455,6 +457,7 @@ def simulate_dataset(
     return manifest
 
 
+@finite_result("drifted trajectory")
 def inject_drift(gt: Trajectory, spec: DriftSpec) -> Trajectory:
     """Perturb each ground-truth relative pose with seeded noise and
     re-accumulate from the true first pose. Zero sigmas return the input
@@ -470,8 +473,8 @@ def inject_drift(gt: Trajectory, spec: DriftSpec) -> Trajectory:
         raise ValidationError("cannot inject drift into an empty trajectory")
     stream = SplitMix64(spec.seed).derive("drift")
     normals = np.array(stream.normals(6 * (len(gt) - 1))).reshape(-1, 6)
-    with np.errstate(over="ignore"):  # an overflowing draw is rejected as non-finite below
-        rotations, translations = normals[:, 3:] * spec.sigma_rot, normals[:, :3] * spec.sigma_trans
+    # an overflowing draw is rejected as non-finite below
+    rotations, translations = normals[:, 3:] * spec.sigma_rot, normals[:, :3] * spec.sigma_trans
     noise = PoseBatch(quats_from_rotation_vectors(rotations), translations)
     poses = gt.poses
     rel = compose(inverse(poses[:-1]), poses[1:])

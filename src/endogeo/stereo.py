@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, real
+from .errors import FormatError, ValidationError, finite_result, real
 from .fileio import is_json_number, read_json, write_json
 from .geometry import CameraIntrinsics, Quaternion, finite_rows, floats, pixel_grid, pixel_rays, project, rotated_rays, slerp, vec3
 from .rasters import DepthMap, DisparityMap, bilinear_sample
@@ -57,16 +57,14 @@ class StereoCalibration:
     rotation: Quaternion  # right camera orientation in the left frame
     translation: np.ndarray  # right camera position in the left frame, mm
 
+    @finite_result("rig")
     def __post_init__(self):
         if not isinstance(self.rotation, Quaternion):
             raise ValidationError(f"rig rotation must be a Quaternion, got {self.rotation!r}")
         t = vec3(self.translation, "extrinsic translation")
-        with np.errstate(over="ignore"):  # an overflowing baseline is rejected below
-            baseline = float(np.linalg.norm(t))
-        if baseline <= 0:
-            raise ValidationError("degenerate rig: zero baseline")
-        if not math.isfinite(baseline):
-            raise ValidationError("rig baseline (the norm of the extrinsic translation) must be finite")
+        baseline = float(np.linalg.norm(t))
+        if not 0 < baseline < math.inf:
+            raise ValidationError("rig baseline (the norm of the extrinsic translation) must be finite and > 0")
         object.__setattr__(self, "translation", t)
 
     @property
@@ -124,6 +122,7 @@ def undistort_normalized(xd, yd, dist, fx: float, fy: float):
     return x, y
 
 
+@finite_result("undistorted coordinates")
 def undistort_pixels(cam: MonoCalibration, pixels):
     """Finite (..., 2) distorted pixel coordinates -> undistorted normalized
     coordinates (..., 2)."""
@@ -139,6 +138,7 @@ def _distorted_pixel_planes(k: CameraIntrinsics, dist, xn, yn):
     return k.fx * xd + k.cx, k.fy * yd + k.cy
 
 
+@finite_result("distorted pixels")
 def distort_pixels(cam: MonoCalibration, normalized):
     """Finite (..., 2) undistorted normalized coordinates -> distorted pixel
     coordinates (..., 2)."""
@@ -221,6 +221,7 @@ def remap(image, map_x, map_y):
     return bilinear_sample(img, mx, my)[0]
 
 
+@finite_result("depth <-> disparity conversion")
 def _bf_over(raster, baseline: float, focal: float) -> np.ndarray:
     """baseline * focal / value on valid pixels, 0 elsewhere: the one formula
     behind both directions of the depth <-> disparity conversion."""

@@ -367,31 +367,67 @@ INTERNAL_CONVERSIONS = {
 }
 
 
-def _float_conversions(tree, module):
-    """(module.function, source of the converted expression) of each
-    ``np.asarray(...)`` and each ``np.array(..., dtype=np.float64)`` in ``tree``."""
+def _scoped_calls(tree, module):
+    """(module.function, call) of each call in ``tree``; the function is the
+    chain of defs and classes the call sits in, decorators included."""
     found = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             inner = scope + [child.name] if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and ast.unparse(child.func.value) == "np":
-                dtypes = [ast.unparse(k.value) for k in child.keywords if k.arg == "dtype"] + [ast.unparse(a) for a in child.args[1:2]]
-                if child.func.attr == "asarray" or (child.func.attr == "array" and "np.float64" in dtypes):
-                    found.append((".".join([module] + scope), ast.unparse(child.args[0])))
+            if isinstance(child, ast.Call):
+                found.append((".".join([module] + scope), child))
             visit(child, inner)
 
     visit(tree, [])
     return found
 
 
-def test_every_float_conversion_is_the_array_rule_or_a_known_internal_one():
+def _package_calls():
     src = pathlib.Path(endogeo.__file__).parent
+    return [found for path in sorted(src.glob("*.py"))
+            for found in _scoped_calls(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
+
+
+def _float_conversions(calls):
+    """(module.function, source of the converted expression) of each
+    ``np.asarray(...)`` and each ``np.array(..., dtype=np.float64)`` in ``calls``."""
     found = []
-    for path in sorted(src.glob("*.py")):
-        found += _float_conversions(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    for scope, call in calls:
+        if isinstance(call.func, ast.Attribute) and ast.unparse(call.func.value) == "np":
+            dtypes = [ast.unparse(k.value) for k in call.keywords if k.arg == "dtype"] + [ast.unparse(a) for a in call.args[1:2]]
+            if call.func.attr == "asarray" or (call.func.attr == "array" and "np.float64" in dtypes):
+                found.append((scope, ast.unparse(call.args[0])))
+    return found
+
+
+def test_every_float_conversion_is_the_array_rule_or_a_known_internal_one():
+    found = _float_conversions(_package_calls())
     assert len(found) == len(set(found)), sorted(found)
     assert set(found) == set(INTERNAL_CONVERSIONS), (
         sorted(set(found) - set(INTERNAL_CONVERSIONS)),
         sorted(set(INTERNAL_CONVERSIONS) - set(found)),
+    )
+
+
+# the np.errstate calls in the package, exactly (a new one fails, and so does
+# an entry no code makes any more), with the reason each stays: finite input
+# whose arithmetic overflows meets errors.finite_result, the one overflow
+# rule, instead of a block of its own. Key: (module.function, the call).
+ERRSTATE_CALLS = {
+    ("errors.finite_result.wrap.guarded", "np.errstate(over='ignore', invalid='ignore')"): "the overflow rule itself",
+    ("geometry.quats_from_rotation_matrices", "np.errstate(invalid='ignore', divide='ignore')"):
+        "every row evaluates all four branches and keeps the one it picks",
+    ("sim._heightfield_hits", "np.errstate(over='ignore')"): "a tiny ray dz gives an inf slab bound, which is used",
+    ("sim._heightfield_hits", "np.errstate(divide='ignore', invalid='ignore')"):
+        "a zero slope gives a non-finite Newton step, which the bracket test replaces",
+}
+
+
+def test_every_errstate_is_the_overflow_rule_or_a_known_branch_evaluation():
+    found = [(scope, ast.unparse(call)) for scope, call in _package_calls() if ast.unparse(call.func) == "np.errstate"]
+    assert len(found) == len(set(found)), sorted(found)
+    assert set(found) == set(ERRSTATE_CALLS), (
+        sorted(set(found) - set(ERRSTATE_CALLS)),
+        sorted(set(ERRSTATE_CALLS) - set(found)),
     )

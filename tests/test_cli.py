@@ -775,6 +775,22 @@ def test_flow_read_back_as_unknown_exits_3(tmp_path, capsys, caplog):
     assert not any(p.suffix == ".flo" for p in (tmp_path / "sim").iterdir())
 
 
+def test_report_that_would_hold_infinity_exits_3(tmp_path, capsys, caplog):
+    # a flow weight of 1e308 makes the weighted flow term and the total inf;
+    # the report was written with "Infinity", which is not JSON, and exited 0
+    sim = tmp_path / "sim"
+    code, _, err = run(["simulate", "--out", str(sim), "--width", "16", "--height", "12", "--n-frames", "4",
+                        "--depth-count", "2"], capsys)
+    assert code == 0, err
+    report = tmp_path / "report.json"
+    code, out, _ = run(["eval-consistency", "--depths", str(sim), "--poses", str(sim / "gt.tum"), "--flows", str(sim),
+                        "--calib", str(sim / "calib.json"), "--w-flow", "1e308", "--uncertainty-constant", "10",
+                        "--out", str(report)], capsys)
+    assert code == 3
+    assert "JSON" in caplog.text
+    assert not report.exists() and out == ""
+
+
 def _peak_live(monkeypatch, owner, name, argv, capsys) -> int:
     """Run ``argv`` and return the largest number of DepthMaps made by
     ``owner.name`` that were alive at once."""

@@ -287,6 +287,14 @@ class TestJson:
         assert format_json({"b": 1, "a": 2}) == '{\n  "a": 2,\n  "b": 1\n}\n'
         assert read_json(path) == {"a": "x", "b": [1, 2.5]}
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_writes_no_nan_or_infinity(self, tmp_path, value):
+        # read_json rejects NaN and Infinity, so the writer must not make them
+        path = tmp_path / "x.json"
+        with pytest.raises(ValidationError, match="JSON"):
+            write_json(path, {"total": [1.0, value]})
+        assert not path.exists()
+
     @pytest.mark.parametrize(
         "text",
         [

@@ -7,7 +7,10 @@ equal Python number. Every bool it takes passes ``errors.boolean``, so only a
 bool, numpy's included, is one. Every array it takes passes
 ``geometry.floats``, so a hostile array ends in a result or a ValidationError;
 a bool, string, object, complex or ragged one in a ValidationError; and a
-numeric array of any dtype gives the same result as its float64 copy.
+numeric array of any dtype gives the same result as its float64 copy. Finite
+arrays whose arithmetic overflows follow the one overflow rule,
+``errors.finite_result``: they give a finite result or a ValidationError, and
+never a numpy RuntimeWarning (every warning is an error in these tests).
 
 Each site gets one hostile value in one parameter, every other argument
 valid. Sizes and counts stay small, so no accepted value allocates much.
@@ -232,18 +235,20 @@ def _nest(flat, shape):
     return [_nest(flat[k * step:(k + 1) * step], shape[1:]) for k in range(shape[0])]
 
 
-KINDS = ("numeric", "nonfinite", "list", "bool", "str", "object", "complex", "ragged", "0-d", "empty")
+KINDS = ("numeric", "nonfinite", "huge", "list", "bool", "str", "object", "complex", "ragged", "0-d", "empty")
 
 
 @st.composite
 def hostile_arrays(draw, shape, kinds=KINDS):
     """``(kind, value)`` for a site whose valid arrays have ``shape``: a numeric
     array of any int, uint or float dtype, float64 with NaN or ±inf entries,
-    a nested list of Python numbers, or, as an array or a nested list, all
-    bools, all strings, numbers with one string entry (object), all complex,
-    or a ragged nested list; or a 0-d array or bare number; or a numeric
-    array of ``shape`` with one axis 0. Numbers are small multiples of 1/4,
-    exact in every dtype."""
+    float64 with finite entries of magnitude 1e150 to 1.7e308 and random
+    signs, some of them ±1e-300 instead (huge), a nested list of Python
+    numbers, or, as an array or a nested list, all bools, all strings,
+    numbers with one string entry (object), all complex, or a ragged nested
+    list; or a 0-d array or bare number; or a numeric array of ``shape``
+    with one axis 0. Numbers other than the huge ones are
+    small multiples of 1/4, exact in every dtype."""
     size = math.prod(shape)
     kind = draw(st.sampled_from(kinds))
     dtype = draw(st.sampled_from(NUMERIC_DTYPES))
@@ -257,6 +262,13 @@ def hostile_arrays(draw, shape, kinds=KINDS):
         values = np.array(numbers, dtype=np.float64)
         spots = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=size))
         values[spots] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        return kind, values.reshape(shape)
+    if kind == "huge":
+        magnitudes = draw(st.lists(st.floats(1e150, 1.7e308), min_size=size, max_size=size))
+        signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=size, max_size=size))
+        values = np.array(magnitudes) * signs
+        spots = draw(st.lists(st.integers(0, size - 1), max_size=size))
+        values[spots] = draw(st.sampled_from([1e-300, -1e-300]))
         return kind, values.reshape(shape)
     if kind == "list":
         return kind, _nest([float(v) for v in numbers] if draw(st.booleans()) else ints, shape)
@@ -293,6 +305,18 @@ def _comparable(result):
     return repr(result)
 
 
+def _finite(result) -> bool:
+    """Every float in ``result`` is finite (a PFM file's bytes are taken as
+    they are: the writer refuses values beyond float32)."""
+    if isinstance(result, np.ndarray):
+        return bool(np.isfinite(result).all()) if result.dtype.kind == "f" else True
+    if dataclasses.is_dataclass(result):
+        return all(_finite(getattr(result, f.name)) for f in dataclasses.fields(result))
+    if isinstance(result, PoseBatch):
+        return _finite(result.quat) and _finite(result.trans)
+    return math.isfinite(result) if isinstance(result, float) else True
+
+
 def _array_outcome(build, value):
     try:
         return _comparable(build(value))
@@ -322,11 +346,13 @@ def test_a_hostile_array_gives_a_result_or_a_validation_error(site):
             assert outcome == _array_outcome(build, value.astype(np.float64))
         elif kind == "list":
             assert outcome == _array_outcome(build, np.array(value, dtype=np.float64))
+        elif kind == "huge":
+            assert outcome is ValidationError or _finite(build(value))
 
     check()
 
 
-# the holes the array rule, the overflow checks and the non-empty rule close:
+# the holes the array rule, the overflow rule and the non-empty rule close:
 # each of these built, or raised numpy's ValueError or an overflow
 # RuntimeWarning, before every array went through them
 KNOWN_HOLES = {
@@ -344,6 +370,14 @@ KNOWN_HOLES = {
     "project of strings": lambda: project(np.array(["1", "2", "3"]), _K),
     "project overflowing": lambda: project([1e308, 0.0, 1e-300], _K),
     "umeyama_align of points at 1e308": lambda: umeyama_align(np.array([[1e308, 0, 0], [-1e308, 0, 0]]), _CLOUD[:2]),
+    "Quaternion.rotate overflowing": lambda: Quaternion(0, 0, 0, 1).rotate([1.5e308, 0, 0]),
+    "SimilarityTransform.apply overflowing": lambda: SimilarityTransform(2.0, Quaternion.identity(), (0, 0, 0)).apply(
+        [1e308, 0, 0]),
+    "distort_pixels overflowing": lambda: distort_pixels(_LENS, [[1e200, 0]]),
+    "undistort_pixels overflowing": lambda: undistort_pixels(_LENS, [[1e200, 0]]),
+    "PoseBatch of a huge quaternion": lambda: PoseBatch([[1e200, 1e200, 0, 0]], [[0, 0, 0]]),
+    "look_at with a huge up vector": lambda: look_at((1, 2, -3), (0, 0, 100), (1e154, 1e154, 0)),
+    "disparity_to_depth overflowing": lambda: disparity_to_depth(DisparityMap([[2e-3, 1.0]]), 1e153, 1e153),
     "DepthMap with no rows": lambda: DepthMap(np.zeros((0, 5))),
     "write_pfm of an array with no columns": lambda: _pfm_bytes(np.zeros((5, 0))),
 }

@@ -86,6 +86,10 @@ class TestLookAt:
             look_at((1.0, 2.0, 3.0), (1.0, 2.0, 3.0))
         with pytest.raises(ValidationError):
             look_at((0.0, 0.0, 0.0), (0.0, 5.0, 0.0), up=(0.0, 1.0, 0.0))
+        # not parallel to the view direction, but their cross product overflows
+        # (it warned, and a pose was returned)
+        with pytest.raises(ValidationError, match="up vector too large"):
+            look_at((1.0, 2.0, -3.0), (0.0, 0.0, 100.0), up=(1e154, 1e154, 0.0))
 
 
 class TestRenderDepth:
