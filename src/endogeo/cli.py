@@ -6,7 +6,9 @@ rejects unknown config keys. Reports are JSON with sorted keys and always
 include a ``config_echo`` object listing every effective parameter, so there
 are no hidden defaults. Logs go to stderr; data goes to files or stdout.
 Outputs are deterministic: rerunning a command on the same inputs produces
-byte-identical files.
+byte-identical files. ``eval-consistency`` computes each pair's prior term on
+one worker thread, beside the pair's flow and temporal terms on the calling
+thread; its report is the same bytes as a serial loop's.
 
 Defaults are the library's own: a parameter that a library function or
 config class consumes takes its default and type from that consumer's
@@ -229,6 +231,9 @@ def _read_depth(files: dict, directory: str, frame: int):
 
 
 def _cmd_eval_consistency(cfg: dict) -> None:
+    # imported here, so that the commands that start no thread do not load it
+    from concurrent.futures import ThreadPoolExecutor
+
     loss_cfg = _config_of(losses.LossConfig, cfg)
     calib = stereo.load_calibration(cfg["calib"])
     intr = calib.left.intrinsics
@@ -243,35 +248,44 @@ def _cmd_eval_consistency(cfg: dict) -> None:
     prior_skipped = ref_dir is None
     ref_files = None if prior_skipped else _frame_files(ref_dir, 1)
     pair_reports = []
+    kept = None  # (frame, map): the last pair's depth_j, the next pair's depth_i on a chain
 
-    # one pair's maps at a time, each read when its pair needs it
-    for (i, j), flow_path in pairs:
-        flow = fileio.read_flo(flow_path)
-        depth_i = _read_depth(depth_files, cfg["depths"], i)
-        depth_j = _read_depth(depth_files, cfg["depths"], j)
-        for frame in (i, j):
-            if not poses.has_frame(frame):
-                raise ValidationError(f"pose for frame {frame} missing from {cfg['poses']}")
-        motion = compose(inverse(poses.pose_at(j)), poses.pose_at(i))
-        flow_val, _, flow_mask = losses.c_flow(depth_i, intr, intr, motion, flow)
-        temp_val, _, temp_mask = losses.c_temp(depth_i, depth_j, intr, intr, motion, flow)
-        entry = {
-            "i": i,
-            "j": j,
-            "c_flow": flow_val,
-            "c_temp": temp_val,
-            "n_valid_flow": int(flow_mask.sum()),
-            "n_valid_temp": int(temp_mask.sum()),
-        }
-        if prior_skipped:
-            prior_val = 0.0
-        else:
-            ref = _read_depth(ref_files, ref_dir, i)
-            prior_val, breakdown = losses.c_prior(depth_i, ref, intr, loss_cfg)
-            entry.update(breakdown)
-        entry["c_prior"] = prior_val
-        entry["total"], _ = losses.consistency_total(flow_val, temp_val, prior_val, loss_cfg)
-        pair_reports.append(entry)
+    # one pair's maps at a time, each read once. A pair's prior term runs on
+    # the worker while this thread computes its flow and temporal terms; every
+    # file read and every other call stays on this thread, so a counter wrapped
+    # around one (as perfbench's tracer does) is only ever updated from it.
+    # Leaving the block waits for the worker, on an error too.
+    with ThreadPoolExecutor(1) as worker:
+        for (i, j), flow_path in pairs:
+            flow = fileio.read_flo(flow_path)
+            depth_i = kept[1] if kept and kept[0] == i else _read_depth(depth_files, cfg["depths"], i)
+            depth_j = _read_depth(depth_files, cfg["depths"], j)
+            kept = j, depth_j
+            for frame in (i, j):
+                if not poses.has_frame(frame):
+                    raise ValidationError(f"pose for frame {frame} missing from {cfg['poses']}")
+            motion = compose(inverse(poses.pose_at(j)), poses.pose_at(i))
+            if not prior_skipped:
+                ref = _read_depth(ref_files, ref_dir, i)
+                prior = worker.submit(losses.c_prior, depth_i, ref, intr, loss_cfg)
+            flow_val, _, flow_mask = losses.c_flow(depth_i, intr, intr, motion, flow)
+            temp_val, _, temp_mask = losses.c_temp(depth_i, depth_j, intr, intr, motion, flow)
+            entry = {
+                "i": i,
+                "j": j,
+                "c_flow": flow_val,
+                "c_temp": temp_val,
+                "n_valid_flow": int(flow_mask.sum()),
+                "n_valid_temp": int(temp_mask.sum()),
+            }
+            if prior_skipped:
+                prior_val = 0.0
+            else:
+                prior_val, breakdown = prior.result()
+                entry.update(breakdown)
+            entry["c_prior"] = prior_val
+            entry["total"], _ = losses.consistency_total(flow_val, temp_val, prior_val, loss_cfg)
+            pair_reports.append(entry)
 
     n = len(pairs)
     # each term added in pair order; sum() compensates float rounding from Python 3.12 on

@@ -93,13 +93,13 @@ def boolean(value, what: str) -> bool:
 
 def finite_result(what: str):
     """Decorator: run quiet under numpy's overflow and invalid warnings; a returned
-    ndarray holding NaN or ±inf raises ValidationError naming it ``what``."""
+    ndarray or numpy float holding NaN or ±inf raises ValidationError naming it ``what``."""
     def wrap(fn):
         @functools.wraps(fn)
         def guarded(*args, **kwargs):
             with np.errstate(over="ignore", invalid="ignore"):
                 result = fn(*args, **kwargs)
-            if isinstance(result, np.ndarray) and not np.isfinite(result).all():
+            if isinstance(result, (np.ndarray, np.floating)) and not np.isfinite(result).all():
                 raise ValidationError(f"{what}: the arithmetic overflows the float range")
             return result
         return guarded

@@ -451,11 +451,13 @@ def _pose(q, t):
     return Pose(Quaternion(*q), t)
 
 
+@finite_result("composed poses")
 def compose(a, b):
     """a o b: the transform x -> a(b(x)); Poses or PoseBatches, broadcast."""
     return _pose(*_compose(_parts(a), _parts(b)))
 
 
+@finite_result("inverse poses")
 def inverse(p):
     q, t = _parts(p)
     qi = _conjugate(q)
@@ -490,8 +492,15 @@ def pose_distance(a, b):
     batches, two arrays."""
     (qa, ta), (qb, tb) = _parts(a), _parts(b)
     rot = _angle(_canonical(_hamilton(_conjugate(qa), qb)))
-    trans = norms3(np.stack(np.broadcast_arrays(*(r - s for r, s in zip(ta, tb))), axis=-1))
+    trans = _translation_distances(ta, tb)
     return rot, (float(trans) if trans.ndim == 0 else trans)
+
+
+@finite_result("pose translation distance")
+def _translation_distances(ta, tb):
+    """Norms of the differences of the translation components ``ta`` and
+    ``tb``: a numpy float for two Poses, else an array."""
+    return norms3(np.stack(np.broadcast_arrays(*(r - s for r, s in zip(ta, tb))), axis=-1))
 
 
 def check_image_size(width, height, what: str) -> tuple:

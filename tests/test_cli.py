@@ -6,20 +6,22 @@ import re
 import struct
 import subprocess
 import sys
+import threading
 import weakref
 
 import numpy as np
 import pytest
 
 from builders import line, still
-from endogeo import cli, fileio, sim
+from endogeo import cli, fileio, losses, sim
 from endogeo.cli import main
 from endogeo.errors import FormatError, NumericError, ValidationError
 from endogeo.fileio import read_depth_pfm, write_depth_pfm, write_flo, write_pfm
-from endogeo.geometry import CameraIntrinsics, Quaternion, pose_distance
+from endogeo.geometry import CameraIntrinsics, Quaternion, compose, inverse, pose_distance
+from endogeo.losses import LossConfig
 from endogeo.rasters import DepthMap, DisparityMap, FlowField
 from endogeo.sim import gen_trajectory
-from endogeo.stereo import MonoCalibration, StereoCalibration, save_calibration
+from endogeo.stereo import MonoCalibration, StereoCalibration, load_calibration, save_calibration
 from endogeo.trajectory import load_tum, save_tum
 
 
@@ -346,6 +348,25 @@ class TestEvalConsistency:
         code, _, _ = run(args + ["--ref-depths", str(refs)], capsys)
         assert code == 3
         assert f"missing depth_0000.pfm in {refs}" in caplog.text
+
+    @pytest.mark.parametrize("ref_bytes, want_code, want_message", [
+        (None, 3, "missing depth_0000.pfm in "),
+        (b"Pf\nxx\n", 2, "malformed PFM dimensions line"),
+    ])
+    def test_reference_fault_is_reported_before_an_empty_flow(self, tmp_path, capsys, caplog, ref_bytes,
+                                                              want_code, want_message):
+        # the reference map is read before the flow term runs, so a pair with
+        # both faults reports the reference map's, with its exit code
+        args = self.write_fixture(tmp_path)
+        write_flo(tmp_path / "flows" / "flow_0000_0001.flo", FlowField(np.full((12, 16, 2), np.nan)))
+        refs = tmp_path / "refs"
+        refs.mkdir()
+        if ref_bytes is not None:
+            (refs / "depth_0000.pfm").write_bytes(ref_bytes)
+        code, _, _ = run(args + ["--ref-depths", str(refs)], capsys)
+        assert code == want_code
+        assert want_message in caplog.text
+        assert "flow-consistency" not in caplog.text
 
     def test_calibration_of_another_size_exits_3(self, tmp_path, capsys, caplog):
         # 16x12 maps with a 160x120 camera gave numbers with no error
@@ -823,6 +844,100 @@ def test_live_depth_maps_do_not_grow_with_sequence_length(tmp_path, monkeypatch,
             _peak_live(monkeypatch, fileio, "read_depth_pfm", evaluate, capsys),
         ))
     assert peaks[0] == peaks[1]
+
+
+def _simulated_with_refs(tmp_path, n_frames=5):
+    """A simulated 32x24 set, its eval-consistency argv, and a reference
+    directory of maps that differ from the set's, so every prior term is
+    nonzero."""
+    d = tmp_path / "sim"
+    code = main(["simulate", "--out", str(d), "--n-frames", str(n_frames), "--depth-count", str(n_frames),
+                 "--width", "32", "--height", "24"])
+    assert code == 0
+    refs = tmp_path / "refs"
+    refs.mkdir()
+    v, u = np.mgrid[0:24, 0:32]
+    for k in range(n_frames):
+        values, _ = fileio.read_pfm(d / f"depth_{k:04d}.pfm")
+        write_pfm(refs / f"depth_{k:04d}.pfm", values * (1.0 + 0.05 * np.sin(0.7 * u + k) * np.cos(0.5 * v)))
+    argv = ["eval-consistency", "--depths", str(d), "--flows", str(d), "--poses", str(d / "gt.tum"),
+            "--calib", str(d / "calib.json"), "--ref-depths", str(refs)]
+    return d, refs, argv
+
+
+def test_consistency_report_matches_a_serial_loop(tmp_path, capsys):
+    d, refs, argv = _simulated_with_refs(tmp_path)
+    report = run_json(argv, capsys)
+    del report["config_echo"]
+
+    # the same terms from the public functions, one pair after another
+    intr = load_calibration(d / "calib.json").left.intrinsics
+    poses = load_tum(d / "gt.tum")
+    cfg = LossConfig()
+    pairs = []
+    for i in range(4):
+        j = i + 1
+        flow = fileio.read_flo(d / f"flow_{i:04d}_{j:04d}.flo")
+        depth_i, depth_j = (read_depth_pfm(d / f"depth_{k:04d}.pfm") for k in (i, j))
+        motion = compose(inverse(poses.pose_at(j)), poses.pose_at(i))
+        c_flow, _, flow_mask = losses.c_flow(depth_i, intr, intr, motion, flow)
+        c_temp, _, temp_mask = losses.c_temp(depth_i, depth_j, intr, intr, motion, flow)
+        c_prior, breakdown = losses.c_prior(depth_i, read_depth_pfm(refs / f"depth_{i:04d}.pfm"), intr, cfg)
+        total, _ = losses.consistency_total(c_flow, c_temp, c_prior, cfg)
+        pairs.append({"i": i, "j": j, "c_flow": c_flow, "c_temp": c_temp, "c_prior": c_prior, "total": total,
+                      "n_valid_flow": int(flow_mask.sum()), "n_valid_temp": int(temp_mask.sum()), **breakdown})
+    means = {}
+    for term in ("c_flow", "c_temp", "c_prior"):
+        acc = 0.0
+        for pair in pairs:
+            acc += pair[term]
+        means[term] = acc / len(pairs)
+    total, weighted = losses.consistency_total(means["c_flow"], means["c_temp"], means["c_prior"], cfg)
+    want = {"pairs": pairs, "aggregate": {**means, "weighted": weighted, "total": total},
+            "prior_skipped": False, "n_pairs": 4}
+    assert all(pair["c_prior"] > 0.0 for pair in pairs)
+    # repr keeps every bit of a float, so equal text is equal bits
+    assert json.dumps(report, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def test_eval_consistency_reads_each_map_once(tmp_path, monkeypatch, capsys):
+    d, refs, argv = _simulated_with_refs(tmp_path)
+    reads = []
+    read = fileio.read_depth_pfm
+
+    def counted(path):
+        reads.append(pathlib.Path(path))
+        return read(path)
+
+    monkeypatch.setattr(fileio, "read_depth_pfm", counted)
+    run_json(argv, capsys)
+    # five depth maps, and the reference of each pair's first frame
+    want = [d / f"depth_{k:04d}.pfm" for k in range(5)] + [refs / f"depth_{k:04d}.pfm" for k in range(4)]
+    assert sorted(reads) == sorted(want)
+
+
+def test_no_thread_outlives_eval_consistency(tmp_path, capsys, caplog):
+    d, refs, argv = _simulated_with_refs(tmp_path, n_frames=2)
+    before = threading.active_count()
+    run_json(argv, capsys)
+    assert threading.active_count() == before
+
+    # the prior raises on the worker
+    write_pfm(refs / "depth_0000.pfm", np.zeros((24, 32)))
+    code, _, _ = run(argv, capsys)
+    assert code == 3
+    assert "no jointly valid pixels for the prior loss" in caplog.text
+    assert threading.active_count() == before
+
+    # the flow term raises on this thread while the prior raises on the
+    # worker: the flow error is reported, as a serial loop reports it
+    caplog.clear()
+    write_flo(d / "flow_0000_0001.flo", FlowField(np.full((24, 32, 2), np.nan)))
+    code, _, _ = run(argv, capsys)
+    assert code == 3
+    assert "no valid pixels for the flow-consistency loss" in caplog.text
+    assert "prior" not in caplog.text
+    assert threading.active_count() == before
 
 
 def _doc_tables():

@@ -35,6 +35,9 @@ from endogeo.geometry import (
     PoseBatch,
     Quaternion,
     SimilarityTransform,
+    compose,
+    inverse,
+    pose_distance,
     project,
     slerp,
     umeyama_align,
@@ -380,6 +383,11 @@ KNOWN_HOLES = {
     "disparity_to_depth overflowing": lambda: disparity_to_depth(DisparityMap([[2e-3, 1.0]]), 1e153, 1e153),
     "DepthMap with no rows": lambda: DepthMap(np.zeros((0, 5))),
     "write_pfm of an array with no columns": lambda: _pfm_bytes(np.zeros((5, 0))),
+    "compose of batches overflowing": lambda: compose(PoseBatch([[1, 0, 0, 0]], [[1e308, 0, 0]]),
+                                                      PoseBatch([[0, 0, 0, 1]], [[1e308, 0, 0]])),
+    "inverse of a batch overflowing": lambda: inverse(PoseBatch([[0, 0, 0, 1]], [[1.5e308, 0, 0]])),
+    "pose_distance of batches overflowing": lambda: pose_distance(PoseBatch([[1, 0, 0, 0]], [[1e308, 0, 0]]),
+                                                                  PoseBatch([[1, 0, 0, 0]], [[-1e308, 0, 0]])),
 }
 
 
