@@ -46,8 +46,8 @@ def main():
     motion = relative_motion(pose_i, pose_j)
 
     print("exact rendered inputs:")
-    v_flow, _, _ = c_flow(depth_i, intr, intr, motion, flow)
-    v_temp, _, _ = c_temp(depth_i, depth_j, intr, intr, motion, flow)
+    v_flow, _, _ = c_flow(depth_i, intr, motion, flow)
+    v_temp, _, _ = c_temp(depth_i, depth_j, intr, motion, flow)
     v_prior, _ = c_prior(depth_i, depth_i, intr, cfg)
     print(f"  c_flow  = {v_flow:.2e}   (reprojection explains the flow)")
     print(f"  c_temp  = {v_temp:.2e}   (depth maps agree through the motion)")
@@ -55,14 +55,14 @@ def main():
 
     print("controlled corruptions:")
     v, _, _ = c_temp(
-        depth_i, DepthMap(2.0 * depth_j.values, depth_j.valid), intr, intr, motion, flow
+        depth_i, DepthMap(2.0 * depth_j.values, depth_j.valid), intr, motion, flow
     )
     print(f"  doubled target depth   -> c_temp = {v:.3f} (ratio error |2 - 1|)")
     bad_flow = flow.vectors.copy()
     bad_flow[..., 0] += 0.5
     from endogeo.rasters import FlowField
 
-    v, _, _ = c_flow(depth_i, intr, intr, motion, FlowField(bad_flow, flow.valid))
+    v, _, _ = c_flow(depth_i, intr, motion, FlowField(bad_flow, flow.valid))
     print(f"  flow shifted 0.5 px    -> c_flow = {v:.3f} (mean L1 in px)")
     noisy = DepthMap(
         depth_i.values * np.exp(np.random.default_rng(0).normal(0, 0.05, depth_i.values.shape)),

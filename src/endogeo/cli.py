@@ -134,11 +134,10 @@ def _emit_report(report: dict, cfg: dict, out_path) -> None:
 
 
 def _cmd_simulate(cfg: dict) -> None:
+    # the manifest echoes every parameter but the destination, so runs into
+    # different directories write the same bytes
     out = cfg["out"]
-    # the destination path is not a generation parameter; echoing it would
-    # break byte-identity of runs into different directories
-    kwargs = {k: v for k, v in cfg.items() if k != "out"}
-    manifest = sim.simulate_dataset(out, config_echo=dict(kwargs), **kwargs)
+    manifest = sim.simulate_dataset(out, **{k: v for k, v in cfg.items() if k != "out"})
     log.info("wrote %d artifacts to %s", len(manifest["artifacts"]) + 1, out)
 
 
@@ -268,8 +267,8 @@ def _cmd_eval_consistency(cfg: dict) -> None:
             if not prior_skipped:
                 ref = _read_depth(ref_files, ref_dir, i)
                 prior = worker.submit(losses.c_prior, depth_i, ref, intr, loss_cfg)
-            flow_val, _, flow_mask = losses.c_flow(depth_i, intr, intr, motion, flow)
-            temp_val, _, temp_mask = losses.c_temp(depth_i, depth_j, intr, intr, motion, flow)
+            flow_val, _, flow_mask = losses.c_flow(depth_i, intr, motion, flow)
+            temp_val, _, temp_mask = losses.c_temp(depth_i, depth_j, intr, motion, flow)
             entry = {
                 "i": i,
                 "j": j,
@@ -306,7 +305,12 @@ def _cmd_eval_consistency(cfg: dict) -> None:
 def _cmd_disparity2depth(cfg: dict) -> None:
     calib = stereo.load_calibration(cfg["calib"])
     disparity = fileio.read_disparity_pfm(cfg["input"])
-    focal = calib.left.intrinsics.fx  # rectified intrinsics are the left camera's
+    left = calib.left.intrinsics  # rectified intrinsics are the left camera's
+    if (disparity.width, disparity.height) != (left.width, left.height):
+        raise ValidationError(
+            f"camera dimensions differ: {disparity.width}x{disparity.height} vs {left.width}x{left.height}"
+        )
+    focal = left.fx
     depth = stereo.disparity_to_depth(disparity, calib.baseline, focal)
     fileio.write_depth_pfm(cfg["out"], depth)
     report = {

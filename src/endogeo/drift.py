@@ -85,6 +85,7 @@ def compute_drift_error(aligned_end, next_anchor):
 def correct_long_trajectory(anchors: Trajectory, segments) -> tuple:
     """Run align -> drift error -> distribute on every segment and stitch.
 
+    ``anchors`` are at least 2 poses, at frames with gaps of any size;
     ``segments`` are Trajectories, one per consecutive anchor gap in order,
     each running from the gap's first frame to its last. Duplicate boundary
     frames are resolved in favor of the exact anchor pose. Returns

@@ -10,6 +10,10 @@ Loss functions that reduce over pixels return ``(value, raster, mask)``:
 the per-pixel contribution raster (zero outside the mask) and the mask of
 pixels that entered the reduction.
 
+The frames come from one monocular camera, so :func:`induced_reprojection`,
+:func:`c_flow` and :func:`c_temp` take one ``intrinsics``, in the place that
+:func:`c_prior` takes it, and each map must have that camera's size.
+
 Every per-pixel kernel (:func:`induced_reprojection`, :func:`c_flow`,
 :func:`c_temp`, and :func:`c_prior`'s log residual, gradient and normal terms)
 computes only on its candidates, the pixels that can count, in the chunks of
@@ -116,23 +120,19 @@ def pose_loss(pred: PoseBatch, ref: PoseBatch, norms: NormalizationSpec) -> floa
     return float(np.cumsum(q_term + np.sqrt((t_diff**2).sum(axis=1)))[-1])
 
 
-def induced_reprojection(
-    depth: DepthMap,
-    k_from: CameraIntrinsics,
-    k_to: CameraIntrinsics,
-    motion: Pose,
-) -> FlowField:
-    """Per-pixel target coordinates u(p) = project(motion(unproject(p, D(p)))).
+def induced_reprojection(depth: DepthMap, intrinsics: CameraIntrinsics, motion: Pose) -> FlowField:
+    """Per-pixel target coordinates u(p) = project(motion(unproject(p, D(p)))),
+    both through ``intrinsics``.
 
     ``motion`` maps source-camera coordinates to target-camera coordinates.
     Returns absolute target coordinates (not deltas); pixels whose transformed
     z is non-positive, or whose depth is invalid, are masked out.
     """
-    _require_same_shape(depth, k_from, "camera")
+    _require_same_shape(depth, intrinsics, "camera")
 
     def targets(index):
-        rays = pixel_rays(*cell_coords(index, depth.width), k_from)
-        tu, tv, in_front = project_planes(*motion.move_rays(*rays, depth.values.take(index)), k_to)
+        rays = pixel_rays(*cell_coords(index, depth.width), intrinsics)
+        tu, tv, in_front = project_planes(*motion.move_rays(*rays, depth.values.take(index)), intrinsics)
         return np.stack([tu, tv], axis=-1), in_front
 
     return FlowField(*scatter_chunks(depth.valid, targets, 2))
@@ -147,26 +147,20 @@ def _kept_mean(candidates: np.ndarray, kernel) -> float:
     return float(values.mean()) if values.size else 0.0
 
 
-def c_flow(
-    depth: DepthMap,
-    k_from: CameraIntrinsics,
-    k_to: CameraIntrinsics,
-    motion: Pose,
-    flow: FlowField,
-):
+def c_flow(depth: DepthMap, intrinsics: CameraIntrinsics, motion: Pose, flow: FlowField):
     """Mean L1 distance between the depth/pose-induced reprojection of
     :func:`induced_reprojection` and the flow target p' = p + flow. A pixel
     counts where the moved point is in front of the camera, its reprojection
     is finite, its flow is valid and p' is in bounds."""
     _require_same_shape(depth, flow, "flow")
-    _require_same_shape(depth, k_from, "camera")
-    _require_same_shape(depth, k_to, "camera")
+    _require_same_shape(depth, intrinsics, "camera")
     height, width = depth.values.shape
     vectors = flow.vectors.reshape(-1, 2)
 
     def distance(index):
         u, v = cell_coords(index, width)
-        tu, tv, in_front = project_planes(*motion.move_rays(*pixel_rays(u, v, k_from), depth.values.take(index)), k_to)
+        rays = pixel_rays(u, v, intrinsics)
+        tu, tv, in_front = project_planes(*motion.move_rays(*rays, depth.values.take(index)), intrinsics)
         du, dv = vectors.take(index, axis=0).T
         px, py = u + du, v + dv
         ok = in_front & np.isfinite(tu) & np.isfinite(tv) & in_bounds(px, py, width, height)
@@ -178,31 +172,22 @@ def c_flow(
     return float(raster[mask].mean()), raster, mask
 
 
-def c_temp(
-    depth_i: DepthMap,
-    depth_j: DepthMap,
-    k_i: CameraIntrinsics,
-    k_j: CameraIntrinsics,
-    motion: Pose,
-    flow: FlowField,
-):
+def c_temp(depth_i: DepthMap, depth_j: DepthMap, intrinsics: CameraIntrinsics, motion: Pose, flow: FlowField):
     """Mean of |max(P_z / D_j(p'), D_j(p') / P_z) - 1| over usable pixels.
 
-    P_z is the z of the unprojected source pixel moved into the target frame;
-    D_j is sampled bilinearly at p' = p + flow and the sample is rejected if
-    any of the four neighbors is invalid or the location is out of bounds.
-    ``k_j`` only fixes the size that ``depth_j`` must have: P_z comes from
-    ``motion`` and D_j is sampled at p', so no target ray is formed.
+    P_z is the z of the source pixel, unprojected through ``intrinsics`` and
+    moved into the target frame; D_j is sampled bilinearly at p' = p + flow
+    and the sample is rejected if any of the four neighbors is invalid or the
+    location is out of bounds.
     """
     _require_same_shape(depth_i, flow, "flow")
     _require_same_shape(depth_i, depth_j, "depth")
-    _require_same_shape(depth_i, k_i, "camera")
-    _require_same_shape(depth_j, k_j, "camera")
+    _require_same_shape(depth_i, intrinsics, "camera")
     vectors = flow.vectors.reshape(-1, 2)
 
     def ratio_error(index):
         u, v = cell_coords(index, depth_i.width)
-        (p_z,) = motion.move_rays(*pixel_rays(u, v, k_i), depth_i.values.take(index), rows=(2,))
+        (p_z,) = motion.move_rays(*pixel_rays(u, v, intrinsics), depth_i.values.take(index), rows=(2,))
         du, dv = vectors.take(index, axis=0).T
         sample, ok = bilinear_sample(depth_j.values, u + du, v + dv, depth_j.valid)
         ok &= (p_z > 0) & (sample > 0)

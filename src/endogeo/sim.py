@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -353,9 +354,7 @@ def induced_flow(
     by :func:`render_depth` at ``pose_i``) under the true relative pose.
     Feeding (depth_i, relative pose, this flow) back into the flow
     consistency loss yields zero by construction."""
-    targets = induced_reprojection(
-        depth_i, intrinsics, intrinsics, relative_motion(pose_i, pose_j)
-    )
+    targets = induced_reprojection(depth_i, intrinsics, relative_motion(pose_i, pose_j))
     u, v = pixel_grid(intrinsics.width, intrinsics.height)
     du = np.where(targets.valid, targets.vectors[..., 0] - u, 0.0)
     dv = np.where(targets.valid, targets.vectors[..., 1] - v, 0.0)
@@ -383,7 +382,6 @@ def simulate_dataset(
     focal: float = 700.0,
     orbit_radius: float = 8.0,
     depth_count: int = 4,
-    config_echo: dict | None = None,
 ) -> dict:
     """Emit a complete synthetic dataset directory and return its manifest.
 
@@ -392,9 +390,14 @@ def simulate_dataset(
     the first ``depth_count`` ground-truth poses, flow_%04d_%04d.flo for each
     consecutive depth pair, calib.json for an ideal 5 mm rig with the render
     camera's intrinsics, and manifest.json listing every artifact with its
-    sha256. Nothing in the directory depends on wall-clock time, so a rerun
-    with the same arguments is byte-identical.
+    sha256 and, as ``config_echo``, every argument but ``out_dir`` as it was
+    given (each number as a Python int or float). Nothing in the directory
+    depends on wall-clock time, so a rerun with the same arguments is
+    byte-identical.
     """
+    # the arguments as given, before validation clips or converts any of them
+    echo = dict(locals())
+    del echo["out_dir"]
     import hashlib
     import os
 
@@ -450,9 +453,10 @@ def simulate_dataset(
         artifacts.append(
             {"path": name, "bytes": len(blob), "sha256": hashlib.sha256(blob).hexdigest()}
         )
-    manifest = {"artifacts": artifacts}
-    if config_echo is not None:
-        manifest["config_echo"] = config_echo
+    # every argument was validated above, so each number is a finite real
+    plain = {k: v if isinstance(v, str) else int(v) if isinstance(v, numbers.Integral) else float(v)
+             for k, v in echo.items()}
+    manifest = {"artifacts": artifacts, "config_echo": plain}
     fileio.write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return manifest
 

@@ -207,21 +207,10 @@ def save_tum(path, trajectory: Trajectory) -> None:
 
 
 def _check_anchors(anchors: Trajectory) -> np.ndarray:
-    """The frames of ``anchors``: at least 2, and every gap the size of the
-    first, except the last gap, which may be shorter."""
-    frames = anchors.frames
-    if len(frames) < 2:
-        raise ValidationError(f"need at least 2 anchors, got {len(frames)}")
-    gaps = np.diff(frames)
-    stride = gaps[0]
-    uneven = np.flatnonzero(gaps[:-1] != stride)
-    i = uneven[0] if uneven.size else len(gaps) - 1
-    if uneven.size or gaps[i] > stride:
-        raise ValidationError(
-            f"anchor gap {frames[i]}..{frames[i + 1]} is {gaps[i]}, expected the first "
-            f"gap {stride} (only the last gap may be shorter)"
-        )
-    return frames
+    """The frames of ``anchors``, at least 2; gaps of any size."""
+    if len(anchors) < 2:
+        raise ValidationError(f"need at least 2 anchors, got {len(anchors)}")
+    return anchors.frames
 
 
 def split_into_segments(local: Trajectory, anchors: Trajectory) -> list:

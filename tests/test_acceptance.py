@@ -120,8 +120,8 @@ def test_consistency_losses_vanish_on_rendered_scenes():
         flow = induced_flow(depth_i, pose_i, pose_j, intr)
         motion = relative_motion(pose_i, pose_j)
 
-        flow_term, _, _ = c_flow(depth_i, intr, intr, motion, flow)
-        temp_term, _, _ = c_temp(depth_i, depth_j, intr, intr, motion, flow)
+        flow_term, _, _ = c_flow(depth_i, intr, motion, flow)
+        temp_term, _, _ = c_temp(depth_i, depth_j, intr, motion, flow)
         prior_term, parts = c_prior(depth_i, depth_i, intr, LossConfig())
 
         assert flow_term < 1e-9, f"trial {trial}: c_flow {flow_term}"
@@ -215,7 +215,7 @@ def test_oracle_equivalence_on_random_fixtures():
         )
         t = np.array([ms.uniform_in(-1, 1) for _ in range(3)])
         got, _, _ = c_temp(
-            DepthMap(di, vi), DepthMap(dj, vj), intr, intr, Pose(q, t), FlowField(fl, fv)
+            DepthMap(di, vi), DepthMap(dj, vj), intr, Pose(q, t), FlowField(fl, fv)
         )
         want = oracles.oracle_c_temp(
             di.tolist(), vi.tolist(), dj.tolist(), vj.tolist(),

@@ -421,10 +421,8 @@ class TestEvalConsistency:
 
 class TestStereoCommands:
     def test_disparity2depth(self, tmp_path, capsys):
-        ideal_calib(tmp_path / "calib.json", f=700.0, baseline=5.0)
+        ideal_calib(tmp_path / "calib.json", width=2, height=2, f=700.0, baseline=5.0)
         disp = DisparityMap(np.array([[10.0, 0.0], [70.0, 35.0]]))
-        from endogeo.fileio import write_depth_pfm
-
         write_depth_pfm(tmp_path / "disp.pfm", disp)
         report = run_json(
             [
@@ -442,6 +440,21 @@ class TestStereoCommands:
         assert depth.values[0, 0] == pytest.approx(350.0)
         assert depth.values[1, 0] == pytest.approx(50.0)
         assert not depth.valid[0, 1]
+
+    @pytest.mark.parametrize("width, height", [(2, 1), (16, 11), (15, 12), (12, 16)])
+    def test_disparity_size_must_match_the_left_camera(self, tmp_path, capsys, caplog, width, height):
+        # the left camera's fx is a focal length at its own size only
+        ideal_calib(tmp_path / "calib.json", f=700.0)
+        write_depth_pfm(tmp_path / "disp.pfm", DisparityMap(np.full((height, width), 10.0)))
+        with caplog.at_level(logging.ERROR, logger="endogeo"):
+            code, out, _ = run(
+                ["disparity2depth", "--calib", str(tmp_path / "calib.json"), "--input", str(tmp_path / "disp.pfm"),
+                 "--out", str(tmp_path / "depth.pfm")],
+                capsys,
+            )
+        assert code == 3 and out == ""
+        assert [r.message for r in caplog.records] == [f"camera dimensions differ: {width}x{height} vs 16x12"]
+        assert not (tmp_path / "depth.pfm").exists()
 
     def test_rectify_maps_outputs(self, tmp_path, capsys):
         ideal_calib(tmp_path / "calib.json")
@@ -880,8 +893,8 @@ def test_consistency_report_matches_a_serial_loop(tmp_path, capsys):
         flow = fileio.read_flo(d / f"flow_{i:04d}_{j:04d}.flo")
         depth_i, depth_j = (read_depth_pfm(d / f"depth_{k:04d}.pfm") for k in (i, j))
         motion = compose(inverse(poses.pose_at(j)), poses.pose_at(i))
-        c_flow, _, flow_mask = losses.c_flow(depth_i, intr, intr, motion, flow)
-        c_temp, _, temp_mask = losses.c_temp(depth_i, depth_j, intr, intr, motion, flow)
+        c_flow, _, flow_mask = losses.c_flow(depth_i, intr, motion, flow)
+        c_temp, _, temp_mask = losses.c_temp(depth_i, depth_j, intr, motion, flow)
         c_prior, breakdown = losses.c_prior(depth_i, read_depth_pfm(refs / f"depth_{i:04d}.pfm"), intr, cfg)
         total, _ = losses.consistency_total(c_flow, c_temp, c_prior, cfg)
         pairs.append({"i": i, "j": j, "c_flow": c_flow, "c_temp": c_temp, "c_prior": c_prior, "total": total,

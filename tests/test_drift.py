@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from builders import line, pairs, still, trajectory
 from endogeo.drift import compute_drift_error, correct_long_trajectory
@@ -22,6 +25,16 @@ def rand_segment(seed, frames):
     stream = SplitMix64(seed).derive("seg")
     frames = list(frames)
     return trajectory(frames, [rand_pose(stream) for _ in frames])
+
+
+_SPLINE_FRAMES = 300
+
+
+@functools.cache
+def _drifted_spline(seed):
+    """A ground-truth spline of ``_SPLINE_FRAMES`` frames and its drifted copy."""
+    gt = gen_trajectory(_SPLINE_FRAMES, "spline", seed)
+    return gt, inject_drift(gt, DriftSpec(0.002, 0.05, seed))
 
 
 def correct_one(segment, start, end):
@@ -200,13 +213,44 @@ class TestCorrectLongTrajectory:
 
     @pytest.mark.parametrize(
         ("anchor_frames", "message"),
-        [([], "at least 2"), ([4], "at least 2"), ([0, 2, 6], r"anchor gap 2\.\.6 ")],
-        ids=["no-anchors", "single-anchor", "uneven-gap"],
+        [([], "at least 2"), ([4], "at least 2")],
+        ids=["no-anchors", "single-anchor"],
     )
     def test_anchors_checked(self, anchor_frames, message):
         gt = still(range(9))
         with pytest.raises(ValidationError, match=message):
             correct_long_trajectory(gt.restricted_to(anchor_frames), [gt])
+
+    def test_uneven_anchor_gap_accepted(self):
+        gt = line(9)
+        anchors = gt.restricted_to([0, 2, 6])
+        corrected, report = correct_long_trajectory(anchors, split_into_segments(gt, anchors))
+        assert corrected == gt.restricted_to(range(7))
+        assert [(s.start_frame, s.end_frame) for s in report.segments] == [(0, 2), (2, 6)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 3),
+        anchor_frames=st.lists(st.integers(0, _SPLINE_FRAMES - 1), min_size=2, max_size=12, unique=True).map(sorted),
+    )
+    def test_anchors_at_any_increasing_frames(self, seed, anchor_frames):
+        # criterion 2 on uneven anchors, and each gap corrected as if alone
+        gt, local = _drifted_spline(seed)
+        anchors = gt.restricted_to(anchor_frames)
+        segments = split_into_segments(local, anchors)
+        corrected, _ = correct_long_trajectory(anchors, segments)
+        for frame in anchor_frames:
+            rot, trans = pose_distance(corrected.pose_at(frame), anchors.pose_at(frame))
+            assert rot <= 1e-9 and trans <= 1e-9
+        alone = [
+            correct_long_trajectory(anchors.subset(slice(k, k + 2)), [seg])[0].subset(slice(1 if k else 0, None))
+            for k, seg in enumerate(segments)
+        ]
+        assert corrected.frames.tolist() == list(range(anchor_frames[0], anchor_frames[-1] + 1))
+        assert np.array_equal(corrected.frames, np.concatenate([a.frames for a in alone]))
+        for name in ("quat", "trans"):
+            stitched = np.concatenate([getattr(a.poses, name) for a in alone])
+            assert getattr(corrected.poses, name).tobytes() == stitched.tobytes()
 
     def test_report_serializable(self):
         gt = still(range(5))

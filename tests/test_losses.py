@@ -205,7 +205,7 @@ class TestInducedReprojection:
     def test_identity_motion_maps_pixels_to_themselves(self):
         k = small_intr()
         depth = DepthMap(np.full((k.height, k.width), 80.0))
-        out = induced_reprojection(depth, k, k, Pose(Quaternion.identity()))
+        out = induced_reprojection(depth, k, Pose(Quaternion.identity()))
         uu, vv = np.meshgrid(np.arange(8.0), np.arange(6.0))
         assert np.abs(out.vectors[..., 0] - uu).max() < 1e-12
         assert np.abs(out.vectors[..., 1] - vv).max() < 1e-12
@@ -216,7 +216,7 @@ class TestInducedReprojection:
         z = 100.0
         depth = DepthMap(np.full((k.height, k.width), z))
         motion = Pose(Quaternion.identity(), (2.0, 0.0, 0.0))
-        out = induced_reprojection(depth, k, k, motion)
+        out = induced_reprojection(depth, k, motion)
         expected_du = k.fx * 2.0 / z
         assert np.abs(out.vectors[..., 0] - (np.arange(8.0) + expected_du)).max() < 1e-12
 
@@ -225,7 +225,7 @@ class TestInducedReprojection:
         z = 100.0
         depth = DepthMap(np.full((k.height, k.width), z))
         motion = Pose(Quaternion.identity(), (0.0, 0.0, -50.0))
-        out = induced_reprojection(depth, k, k, motion)
+        out = induced_reprojection(depth, k, motion)
         # pixel 10 px right of center lands 20 px right of center: X = 10/fx*z,
         # u' = cx + fx * X / (z - 50) = cx + 10 * z / (z - 50)
         assert out.vectors[8, 20, 0] == pytest.approx(30.0, abs=1e-12)
@@ -235,7 +235,7 @@ class TestInducedReprojection:
         k = small_intr()
         depth = DepthMap(np.full((k.height, k.width), 10.0))
         motion = Pose(Quaternion.identity(), (0.0, 0.0, -20.0))
-        out = induced_reprojection(depth, k, k, motion)
+        out = induced_reprojection(depth, k, motion)
         assert not out.valid.any()
 
 
@@ -243,7 +243,7 @@ class TestFlowConsistency:
     def test_zero_flow_identity_motion(self):
         k = small_intr()
         depth = DepthMap(np.full((k.height, k.width), 60.0))
-        value, raster, mask = c_flow(depth, k, k, Pose(Quaternion.identity()), zero_flow(k.width, k.height))
+        value, raster, mask = c_flow(depth, k, Pose(Quaternion.identity()), zero_flow(k.width, k.height))
         assert value < 1e-12  # unproject/project round trip leaves ~1 ulp
         assert mask.all()
 
@@ -252,7 +252,7 @@ class TestFlowConsistency:
         depth = DepthMap(np.full((k.height, k.width), 60.0))
         vectors = np.zeros((k.height, k.width, 2))
         vectors[..., 0] = 1.0
-        value, _, mask = c_flow(depth, k, k, Pose(Quaternion.identity()), FlowField(vectors))
+        value, _, mask = c_flow(depth, k, Pose(Quaternion.identity()), FlowField(vectors))
         assert value == pytest.approx(1.0, abs=1e-12)
         assert not mask[:, -1].any()  # targets past the right edge drop out
 
@@ -265,7 +265,7 @@ class TestFlowConsistency:
         )
         depth = render_depth(scene, pose_i, intr)
         flow = induced_flow(depth, pose_i, pose_j, intr)
-        value, _, mask = c_flow(depth, intr, intr, relative_motion(pose_i, pose_j), flow)
+        value, _, mask = c_flow(depth, intr, relative_motion(pose_i, pose_j), flow)
         assert mask.sum() > 0.7 * mask.size
         assert value < 1e-9
 
@@ -274,7 +274,7 @@ class TestFlowConsistency:
         depth = DepthMap(np.full((k.height, k.width), 10.0))
         motion = Pose(Quaternion.identity(), (0.0, 0.0, -20.0))  # all behind camera
         with pytest.raises(ValidationError):
-            c_flow(depth, k, k, motion, zero_flow(k.width, k.height))
+            c_flow(depth, k, motion, zero_flow(k.width, k.height))
 
 
 @st.composite
@@ -308,7 +308,7 @@ def flow_cases(draw):
     if depths and draw(st.integers(0, 3)) == 0:
         # no rotation: the points at this depth land exactly on the plane z = 0
         quat, translation[2] = [1.0, 0.0, 0.0, 0.0], -draw(st.sampled_from(depths))
-    return depth, camera(), camera(), Pose(Quaternion(*quat), translation), flow
+    return depth, camera(), Pose(Quaternion(*quat), translation), flow
 
 
 class TestFlowOracle:
@@ -320,26 +320,25 @@ class TestFlowOracle:
         (
             DepthMap(np.full((4, 5), 3.0), np.arange(20).reshape(4, 5) == 5),
             CameraIntrinsics(5.0, 5.0, 0.0, 0.0, 5, 4),
-            CameraIntrinsics(5.0, 5.0, 0.0, 0.0, 5, 4),
             Pose(Quaternion(1.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0)),
             FlowField(np.zeros((4, 5, 2)), np.arange(20).reshape(4, 5) == 5),
         )
     )
     def test_matches_straight_loop_oracle(self, case):
-        depth, k_from, k_to, motion, flow = case
+        depth, k, motion, flow = case
         q = motion.rotation
+        camera = (k.fx, k.fy, k.cx, k.cy)
         try:
             want = oracle_c_flow(
-                depth.values.tolist(), depth.valid.tolist(),
-                (k_from.fx, k_from.fy, k_from.cx, k_from.cy), (k_to.fx, k_to.fy, k_to.cx, k_to.cy),
+                depth.values.tolist(), depth.valid.tolist(), camera, camera,
                 (q.w, q.x, q.y, q.z), motion.translation.tolist(),
                 flow.vectors.tolist(), flow.valid.tolist(), depth.width, depth.height,
             )
         except ValueError:
             with pytest.raises(ValidationError, match="no valid pixels"):
-                c_flow(depth, k_from, k_to, motion, flow)
+                c_flow(depth, k, motion, flow)
             return
-        got, raster, mask = c_flow(depth, k_from, k_to, motion, flow)
+        got, raster, mask = c_flow(depth, k, motion, flow)
         # the relative 1e-12 of the c_temp oracle test, taken against at least
         # 1 px, so a mean that nearly cancels is compared to 1e-12 px
         assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
@@ -371,21 +370,21 @@ def _band_case(width, height, seed):
                      rng.uniform(size=shape) > 0.1)
     quat = Quaternion(rng.uniform(1.0, 3.0), *rng.uniform(-1.0, 1.0, 3))
     motion = Pose(quat, (*rng.uniform(-3.0, 3.0, 2), rng.uniform(-12.0, 3.0)))
-    return depth(), depth(), camera(), camera(), motion, flow
+    return depth(), depth(), camera(), motion, flow
 
 
 def _outcomes(case):
     """Each chunked kernel's result on ``case``, or the message it raised."""
-    depth_i, depth_j, k_i, k_j, motion, flow = case
+    depth_i, depth_j, k, motion, flow = case
 
     def targets():
-        reprojection = induced_reprojection(depth_i, k_i, k_j, motion)
+        reprojection = induced_reprojection(depth_i, k, motion)
         return reprojection.vectors, reprojection.valid
 
     calls = (
-        lambda: c_flow(depth_i, k_i, k_j, motion, flow),
-        lambda: c_temp(depth_i, depth_j, k_i, k_j, motion, flow),
-        lambda: c_prior(depth_i, depth_j, k_i, CFG),
+        lambda: c_flow(depth_i, k, motion, flow),
+        lambda: c_temp(depth_i, depth_j, k, motion, flow),
+        lambda: c_prior(depth_i, depth_j, k, CFG),
         targets,
     )
     results = []
@@ -460,7 +459,7 @@ class TestRowBands:
         # every pixel valid up to flat index ``count``, so that c_flow, c_temp
         # and the log residual have exactly ``count`` candidates
         width, height = 128, 130
-        depth_i, depth_j, k_i, k_j, motion, flow = _band_case(width, height, seed)
+        depth_i, depth_j, k, motion, flow = _band_case(width, height, seed)
         first = (np.arange(width * height) < count).reshape(height, width)
         depth_i = DepthMap(np.where(first, np.abs(np.nan_to_num(depth_i.values, posinf=1.0, neginf=1.0)) + 0.5, -1.0))
         flow = FlowField(np.nan_to_num(flow.vectors, posinf=1.0, neginf=-1.0), first)
@@ -468,7 +467,7 @@ class TestRowBands:
         assert _chunk_sizes(depth_i.valid & flow.valid) == {
             _DEFAULT_BAND - 1: [_DEFAULT_BAND - 1], _DEFAULT_BAND: [_DEFAULT_BAND], _DEFAULT_BAND + 1: [_DEFAULT_BAND, 1]
         }[count]
-        case = (depth_i, depth_j, k_i, k_j, motion, flow)
+        case = (depth_i, depth_j, k, motion, flow)
         (whole,) = _outcomes_at((8 * width * height,), case)
         assert _identical(_outcomes(case), whole)
 
@@ -504,13 +503,13 @@ class TestRowBands:
         assert np.array_equal(u, cols) and np.array_equal(v, rows)
 
     def test_no_candidates_keep_the_messages(self):
-        depth_i, depth_j, k_i, k_j, motion, flow = _band_case(6, 5, 7)
+        depth_i, depth_j, k, motion, flow = _band_case(6, 5, 7)
         no_depth = DepthMap(depth_i.values, np.zeros((5, 6), dtype=bool))
         no_flow = FlowField(flow.vectors, np.zeros((5, 6), dtype=bool))
         for budget in (1, rasters.BAND_BYTES):
             (depthless,), (flowless,) = (
                 _outcomes_at((budget,), case)
-                for case in ((no_depth, depth_j, k_i, k_j, motion, flow), (depth_i, depth_j, k_i, k_j, motion, no_flow))
+                for case in ((no_depth, depth_j, k, motion, flow), (depth_i, depth_j, k, motion, no_flow))
             )
             assert depthless[:3] == [
                 "no valid pixels for the flow-consistency loss",
@@ -530,16 +529,14 @@ _LARGE = small_intr(80, 60)
 @pytest.mark.parametrize(
     "call",
     [
-        lambda depth, large, flow, m: c_flow(depth, _LARGE, _SMALL, m, flow),
-        lambda depth, large, flow, m: c_flow(depth, _SMALL, _LARGE, m, flow),
-        lambda depth, large, flow, m: c_temp(depth, depth, _LARGE, _SMALL, m, flow),
-        lambda depth, large, flow, m: c_temp(depth, depth, _SMALL, _LARGE, m, flow),
-        # depth_j matches its own camera but not depth_i
-        lambda depth, large, flow, m: c_temp(depth, large, _SMALL, _LARGE, m, flow),
+        lambda depth, large, flow, m: c_flow(depth, _LARGE, m, flow),
+        lambda depth, large, flow, m: c_temp(depth, depth, _LARGE, m, flow),
+        # depth_j does not match depth_i and the camera
+        lambda depth, large, flow, m: c_temp(depth, large, _SMALL, m, flow),
         lambda depth, large, flow, m: c_prior(depth, depth, _LARGE, CFG),
-        lambda depth, large, flow, m: induced_reprojection(depth, _LARGE, _SMALL, m),
+        lambda depth, large, flow, m: induced_reprojection(depth, _LARGE, m),
     ],
-    ids=["c_flow-k_from", "c_flow-k_to", "c_temp-k_i", "c_temp-k_j", "c_temp-depth_j", "c_prior", "induced"],
+    ids=["c_flow-k_from", "c_temp-k_i", "c_temp-depth_j", "c_prior", "induced"],
 )
 def test_sizes_must_match_their_cameras(call):
     # each of these used to return a value with no error
@@ -565,7 +562,7 @@ class TestTemporalConsistency:
     def test_identical_depths_zero(self):
         k = small_intr()
         depth = DepthMap(np.full((k.height, k.width), 42.0))
-        value, _, mask = c_temp(depth, depth, k, k, Pose(Quaternion.identity()), zero_flow(k.width, k.height))
+        value, _, mask = c_temp(depth, depth, k, Pose(Quaternion.identity()), zero_flow(k.width, k.height))
         assert value == 0.0
         assert mask.all()
 
@@ -573,7 +570,7 @@ class TestTemporalConsistency:
         k = small_intr()
         d = np.full((k.height, k.width), 42.0)
         value, _, _ = c_temp(
-            DepthMap(d), DepthMap(2.0 * d), k, k, Pose(Quaternion.identity()), zero_flow(k.width, k.height)
+            DepthMap(d), DepthMap(2.0 * d), k, Pose(Quaternion.identity()), zero_flow(k.width, k.height)
         )
         assert value == pytest.approx(1.0, abs=1e-12)
 
@@ -581,10 +578,10 @@ class TestTemporalConsistency:
         k = small_intr()
         d = np.full((k.height, k.width), 42.0)
         halved, _, _ = c_temp(
-            DepthMap(d), DepthMap(0.5 * d), k, k, Pose(Quaternion.identity()), zero_flow(k.width, k.height)
+            DepthMap(d), DepthMap(0.5 * d), k, Pose(Quaternion.identity()), zero_flow(k.width, k.height)
         )
         doubled, _, _ = c_temp(
-            DepthMap(d), DepthMap(2.0 * d), k, k, Pose(Quaternion.identity()), zero_flow(k.width, k.height)
+            DepthMap(d), DepthMap(2.0 * d), k, Pose(Quaternion.identity()), zero_flow(k.width, k.height)
         )
         assert halved == pytest.approx(doubled, abs=1e-12)
 
@@ -594,7 +591,7 @@ class TestTemporalConsistency:
         valid_j = np.ones((k.height, k.width), dtype=bool)
         valid_j[2, 3] = False
         _, _, mask = c_temp(
-            DepthMap(d), DepthMap(d, valid_j), k, k, Pose(Quaternion.identity()),
+            DepthMap(d), DepthMap(d, valid_j), k, Pose(Quaternion.identity()),
             zero_flow(k.width, k.height),
         )
         # every pixel whose 2x2 bilinear support includes (2, 3) is rejected,
@@ -828,8 +825,8 @@ class TestNonNegativity:
                 Quaternion.from_axis_angle((0, 1, 0), rng.normal(scale=0.002)),
                 rng.normal(scale=0.2, size=3),
             )
-            v_flow, _, _ = c_flow(DepthMap(d_i), k, k, motion, flow)
-            v_temp, _, _ = c_temp(DepthMap(d_i), DepthMap(d_j), k, k, motion, flow)
+            v_flow, _, _ = c_flow(DepthMap(d_i), k, motion, flow)
+            v_temp, _, _ = c_temp(DepthMap(d_i), DepthMap(d_j), k, motion, flow)
             _, parts = c_prior(DepthMap(d_i), DepthMap(d_j), k, CFG)
             assert v_flow >= 0.0
             assert v_temp >= 0.0

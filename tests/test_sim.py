@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import warnings
@@ -410,18 +411,31 @@ class TestSimulateDataset:
         on_disk = json.loads((out / "manifest.json").read_text())
         assert on_disk == manifest
 
-    def test_config_echo_passthrough(self, tmp_path):
-        manifest = simulate_dataset(
-            str(tmp_path / "d"),
-            seed=2,
-            n_frames=4,
-            stride=2,
-            width=16,
-            height=12,
-            depth_count=1,
-            config_echo={"seed": 2, "n_frames": 4},
-        )
-        assert manifest["config_echo"] == {"seed": 2, "n_frames": 4}
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            # a depth_count above n_frames is echoed as given, though 4 maps are rendered
+            {"seed": 2, "n_frames": 4, "stride": 2, "width": 16, "height": 12, "depth_count": 9},
+            # numpy numbers are echoed as the Python ones they equal, and an int as an int
+            {"n_frames": np.int64(5), "stride": np.uint8(3), "path": "spline", "scene": "sphere",
+             "extent": np.float32(50.5), "sigma_rot": 0, "width": 16, "height": 12, "depth_count": 1},
+        ],
+        ids=["defaults", "depth-count-above-n-frames", "numpy-numbers"],
+    )
+    def test_manifest_echoes_its_arguments(self, tmp_path, kwargs):
+        out = tmp_path / "d"
+        manifest = simulate_dataset(str(out), **kwargs)
+        defaults = {
+            name: p.default for name, p in inspect.signature(simulate_dataset).parameters.items() if name != "out_dir"
+        }
+        given = {k: v.item() if isinstance(v, np.generic) else v for k, v in kwargs.items()}
+        echo = manifest["config_echo"]
+        assert echo == {**defaults, **given}
+        assert {k: type(v) for k, v in echo.items()} == {k: type(v) for k, v in {**defaults, **given}.items()}
+        assert json.loads((out / "manifest.json").read_text()) == manifest
+        depth_maps = sorted(a["path"] for a in manifest["artifacts"] if a["path"].startswith("depth_"))
+        assert len(depth_maps) == min(echo["depth_count"], echo["n_frames"])
 
     def test_each_depth_map_rendered_once(self, tmp_path, monkeypatch):
         calls = []
