@@ -35,6 +35,7 @@ from . import fileio, losses, metrics, sim, stereo
 from .drift import correct_long_trajectory
 from .errors import FormatError, NumericError, ValidationError
 from .geometry import compose, inverse
+from .rasters import check_same_size
 from .trajectory import load_tum, save_tum
 
 log = logging.getLogger("endogeo")
@@ -306,10 +307,7 @@ def _cmd_disparity2depth(cfg: dict) -> None:
     calib = stereo.load_calibration(cfg["calib"])
     disparity = fileio.read_disparity_pfm(cfg["input"])
     left = calib.left.intrinsics  # rectified intrinsics are the left camera's
-    if (disparity.width, disparity.height) != (left.width, left.height):
-        raise ValidationError(
-            f"camera dimensions differ: {disparity.width}x{disparity.height} vs {left.width}x{left.height}"
-        )
+    check_same_size(disparity, left, "camera")
     focal = left.fx
     depth = stereo.disparity_to_depth(disparity, calib.baseline, focal)
     fileio.write_depth_pfm(cfg["out"], depth)
@@ -396,7 +394,6 @@ _COMMANDS = {
             w_si="scale-invariant prior sub-weight",
             w_grad="gradient-matching prior sub-weight",
             w_normal="normal-consistency prior sub-weight",
-            uncertainty_constant="scalar uncertainty multiplier on flow/temporal terms",
         ),
         _Param("out", "loss report JSON (default: stdout)", None),
     ]),

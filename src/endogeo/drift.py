@@ -2,10 +2,15 @@
 starting anchor, measure the residual transform at the next anchor, and spread
 that residual over the segment's frames by interpolation, then stitch.
 
-Error convention: the drift error is the LEFT multiplicative transform in the
-world frame, E = next_anchor o inverse(aligned_end), so applying the full
-error to the segment end lands exactly on the anchor. The interpolation
-parameter is linear in frame index.
+Error convention: each segment is corrected about its start anchor's
+position c. Its two anchors and its aligned poses are taken in the frame of
+the world shifted by -c, where the drift error is the LEFT multiplicative
+transform E = next_anchor o inverse(aligned_end), so applying the full error
+to the segment end lands exactly on the anchor. The interpolation parameter
+is linear in frame index, and c is added back to every corrected pose. A
+world-frame error would carry a lever arm (I - R_E) c that a linear spread
+does not follow, so the result would depend on where the world origin is;
+here it does not. The drift and residuals are reported in the shifted frame.
 """
 
 from __future__ import annotations
@@ -83,7 +88,8 @@ def compute_drift_error(aligned_end, next_anchor):
 
 
 def correct_long_trajectory(anchors: Trajectory, segments) -> tuple:
-    """Run align -> drift error -> distribute on every segment and stitch.
+    """Run align -> drift error -> distribute on every segment, about its start
+    anchor's position (see the module docstring), and stitch.
 
     ``anchors`` are at least 2 poses, at frames with gaps of any size;
     ``segments`` are Trajectories, one per consecutive anchor gap in order,
@@ -111,9 +117,14 @@ def correct_long_trajectory(anchors: Trajectory, segments) -> tuple:
     starts = ends - lengths + 1
     frames = np.concatenate([seg.frames for seg in segments])
     poses = PoseBatch.stack(seg.poses for seg in segments)
-    a_end = anchors.poses[1:]
+    # each segment about its start anchor's position c: moved by -c, its
+    # start anchor sits at the origin, wherever the world's origin is
+    origin = anchors.poses.trans[:-1]
+    identity = np.tile([1.0, 0.0, 0.0, 0.0], (len(origin), 1))
+    to_start = PoseBatch(identity, -origin)
+    a_end = compose(to_start, anchors.poses[1:])
 
-    aligned = _align(poses, starts, anchors.poses[:-1])
+    aligned = _align(poses, starts, compose(to_start, anchors.poses[:-1]))
     errors = compute_drift_error(aligned[ends], a_end)
     corrected = _distribute(frames, aligned, starts, ends, errors)
     res_rot, res_trans = pose_distance(corrected[ends], a_end)
@@ -133,10 +144,10 @@ def correct_long_trajectory(anchors: Trajectory, segments) -> tuple:
         max_res_rot = max(max_res_rot, r_rot)
         max_res_trans = max(max_res_trans, r_trans)
 
-    # exact anchor pass-through at both boundaries (_align and _distribute
-    # already leave the anchors on the first rows); each inner boundary frame
-    # is emitted once, by the segment that ends there
-    corrected = corrected.with_rows(ends, a_end)
+    # moved back by c, with exact anchor pass-through at both boundaries;
+    # each inner boundary frame is emitted once, by the segment that ends there
+    corrected = compose(PoseBatch(identity, origin)[_segment_of(starts, len(frames))], corrected)
+    corrected = corrected.with_rows(starts, anchors.poses[:-1]).with_rows(ends, anchors.poses[1:])
     keep = np.ones(len(frames), dtype=bool)
     keep[starts[1:]] = False
     report = CorrectionReport(tuple(reports), max_res_rot, max_res_trans)

@@ -1,11 +1,11 @@
-"""Raster file codecs: PFM (1- and 3-channel) and Middlebury .flo.
+"""Raster file codecs: 1-channel PFM and Middlebury .flo.
 
-PFM layout: header ``Pf\\n<width> <height>\\n<scale>\\n`` (``PF`` for
-3-channel), scale sign encodes endianness (negative = little-endian), pixel
-rows are stored bottom-to-top as 32-bit floats. The writer always stores
-little-endian with scale -1.0; the reader takes either byte order, as PFM
-files come from other programs too. Depth/disparity wrappers serialize
-invalid pixels as 0.0.
+PFM layout: header ``Pf\\n<width> <height>\\n<scale>\\n``, scale sign encodes
+endianness (negative = little-endian), pixel rows are stored bottom-to-top
+as 32-bit floats. A 3-channel (``PF``) file is not read: every raster the
+package stores is a single plane. The writer always stores little-endian
+with scale -1.0; the reader takes either byte order, as PFM files come from
+other programs too. Depth/disparity wrappers serialize invalid pixels as 0.0.
 
 .flo layout: float32 magic 202021.25, int32 width, int32 height, then
 interleaved float32 (du, dv) top-to-bottom, always little-endian. Components
@@ -33,7 +33,7 @@ from .errors import FormatError, ValidationError
 from .geometry import floats
 from .rasters import DepthMap, DisparityMap, FlowField
 
-_PFM_CHANNELS = {b"Pf": (), b"PF": (3,)}  # magic -> channel axis of the array
+_PFM_MAGIC = b"Pf"  # 1-channel; the 3-channel "PF" is not read
 _FLO_HEADER = struct.Struct("<fii")  # magic, width, height
 _FLO_MAGIC = 202021.25
 _FLO_INVALID_READ = 1e9
@@ -129,33 +129,28 @@ def _as_float32(array, path) -> np.ndarray:
 
 
 def write_pfm(path, array) -> None:
-    """Write a (H, W) or (H, W, 3) array of numbers (read by
+    """Write a (H, W) array of numbers (read by
     :func:`~endogeo.geometry.floats`), with a positive height and width, as
     little-endian float32 with scale -1.0."""
     data = _as_float32(floats(array, "PFM array"), path)
-    if data.ndim == 2:
-        magic = b"Pf"
-    elif data.ndim == 3 and data.shape[2] == 3:
-        magic = b"PF"
-    else:
-        raise ValidationError(f"{path}: PFM supports (H, W) or (H, W, 3) arrays, got shape {data.shape}")
-    height, width = data.shape[:2]
+    if data.ndim != 2:
+        raise ValidationError(f"{path}: PFM supports (H, W) arrays, got shape {data.shape}")
+    height, width = data.shape
     if not (height and width):
         raise ValidationError(f"{path}: PFM dimensions must be positive, got {width}x{height}")
     with open(path, "wb") as fh:
-        fh.write(magic + b"\n")
+        fh.write(_PFM_MAGIC + b"\n")
         fh.write(f"{width} {height}\n".encode("ascii"))
         fh.write(b"-1.0\n")
         fh.write(np.flipud(data).astype("<f4").tobytes())
 
 
 def read_pfm(path):
-    """Returns (float32 array of shape (H, W) or (H, W, 3), scale magnitude)."""
+    """Returns (float32 array of shape (H, W), scale magnitude)."""
     with open(path, "rb") as fh:
         magic = fh.readline().rstrip()
-        channels = _PFM_CHANNELS.get(magic)
-        if channels is None:
-            raise FormatError(f"not a PFM file (magic {magic!r})", path=path)
+        if magic != _PFM_MAGIC:
+            raise FormatError(f"not a 1-channel PFM file (magic {magic!r})", path=path)
         dims = fh.readline().split()
         if len(dims) != 2:
             raise FormatError("malformed PFM dimensions line", path=path)
@@ -170,7 +165,7 @@ def read_pfm(path):
         if not (math.isfinite(scale) and scale != 0):
             raise FormatError(f"PFM scale must be finite and nonzero, got {scale}", path=path)
         dtype = "<f4" if scale < 0 else ">f4"
-        data = _read_payload(fh, (height, width) + channels, dtype, "PFM", path)
+        data = _read_payload(fh, (height, width), dtype, "PFM", path)
     return np.flipud(data).astype(np.float32), abs(scale)
 
 
@@ -179,20 +174,14 @@ def write_depth_pfm(path, depth: DepthMap) -> None:
     write_pfm(path, np.where(depth.valid, depth.values, 0.0))
 
 
-def _read_pfm_values(path, what: str) -> np.ndarray:
-    data, _ = read_pfm(path)
-    if data.ndim != 2:
-        raise FormatError(f"{what} PFM must be single-channel", path=path)
-    return data  # float32: the raster constructors convert it to float64
-
-
 def read_depth_pfm(path) -> DepthMap:
-    # the stored 0.0 of an invalid pixel is below the raster's own floor
-    return DepthMap(_read_pfm_values(path, "depth"))
+    # the stored 0.0 of an invalid pixel is below the raster's own floor;
+    # the float32 values are converted to float64 by the raster constructor
+    return DepthMap(read_pfm(path)[0])
 
 
 def read_disparity_pfm(path) -> DisparityMap:
-    return DisparityMap(_read_pfm_values(path, "disparity"))
+    return DisparityMap(read_pfm(path)[0])
 
 
 def write_flo(path, flow: FlowField) -> None:

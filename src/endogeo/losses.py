@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ValidationError, real
 from .geometry import CameraIntrinsics, Pose, PoseBatch, pixel_rays, project_planes
-from .rasters import ConfidenceMap, DepthMap, FlowField, Pointmap, bilinear_sample, candidate_chunks, cell_coords, in_bounds, scatter_chunks
+from .rasters import ConfidenceMap, DepthMap, FlowField, Pointmap, bilinear_sample, candidate_chunks, cell_coords, check_same_size, in_bounds, scatter_chunks
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,6 @@ class LossConfig:
     w_si: float = 1.0
     w_grad: float = 1.0
     w_normal: float = 1.0
-    uncertainty_constant: float = 1.0  # scalar stand-in for per-pixel uncertainty maps
 
     def __post_init__(self):
         for f in fields(self):  # alpha positive, every weight after it non-negative
@@ -76,21 +75,14 @@ def point_set_scale(pointmap: Pointmap) -> float:
     return float(norms[pointmap.valid].mean())
 
 
-def _require_same_shape(a, b, what: str):
-    if (a.height, a.width) != (b.height, b.width):
-        raise ValidationError(
-            f"{what} dimensions differ: {a.width}x{a.height} vs {b.width}x{b.height}"
-        )
-
-
 def conf_loss(pred: Pointmap, ref: Pointmap, conf: ConfidenceMap, cfg: LossConfig):
     """Sum over jointly valid pixels of c * ||x/s_hat - y/s||_2 - alpha * log c.
 
     s_hat and s are the per-map point-set scales, so a uniform scaling of
     either map cancels out.
     """
-    _require_same_shape(pred, ref, "pointmap")
-    _require_same_shape(pred, conf, "confidence")
+    check_same_size(pred, ref, "pointmap")
+    check_same_size(pred, conf, "confidence")
     mask = pred.valid & ref.valid
     if not mask.any():
         raise ValidationError("no jointly valid pixels")
@@ -128,7 +120,7 @@ def induced_reprojection(depth: DepthMap, intrinsics: CameraIntrinsics, motion: 
     Returns absolute target coordinates (not deltas); pixels whose transformed
     z is non-positive, or whose depth is invalid, are masked out.
     """
-    _require_same_shape(depth, intrinsics, "camera")
+    check_same_size(depth, intrinsics, "camera")
 
     def targets(index):
         rays = pixel_rays(*cell_coords(index, depth.width), intrinsics)
@@ -152,8 +144,8 @@ def c_flow(depth: DepthMap, intrinsics: CameraIntrinsics, motion: Pose, flow: Fl
     :func:`induced_reprojection` and the flow target p' = p + flow. A pixel
     counts where the moved point is in front of the camera, its reprojection
     is finite, its flow is valid and p' is in bounds."""
-    _require_same_shape(depth, flow, "flow")
-    _require_same_shape(depth, intrinsics, "camera")
+    check_same_size(depth, flow, "flow")
+    check_same_size(depth, intrinsics, "camera")
     height, width = depth.values.shape
     vectors = flow.vectors.reshape(-1, 2)
 
@@ -180,9 +172,9 @@ def c_temp(depth_i: DepthMap, depth_j: DepthMap, intrinsics: CameraIntrinsics, m
     and the sample is rejected if any of the four neighbors is invalid or the
     location is out of bounds.
     """
-    _require_same_shape(depth_i, flow, "flow")
-    _require_same_shape(depth_i, depth_j, "depth")
-    _require_same_shape(depth_i, intrinsics, "camera")
+    check_same_size(depth_i, flow, "flow")
+    check_same_size(depth_i, depth_j, "depth")
+    check_same_size(depth_i, intrinsics, "camera")
     vectors = flow.vectors.reshape(-1, 2)
 
     def ratio_error(index):
@@ -296,8 +288,8 @@ def c_prior(depth: DepthMap, ref: DepthMap, intrinsics: CameraIntrinsics, cfg: L
       (needs intrinsics to unproject).
     Total = w_si * c_si + w_grad * c_grad + w_normal * c_normal.
     """
-    _require_same_shape(depth, ref, "depth")
-    _require_same_shape(depth, intrinsics, "camera")
+    check_same_size(depth, ref, "depth")
+    check_same_size(depth, intrinsics, "camera")
     mask = depth.valid & ref.valid
     if not mask.any():
         raise ValidationError("no jointly valid pixels for the prior loss")
@@ -323,12 +315,12 @@ def c_prior(depth: DepthMap, ref: DepthMap, intrinsics: CameraIntrinsics, cfg: L
 
 
 def consistency_total(flow_term: float, temp_term: float, prior_term: float, cfg: LossConfig):
-    """Weighted composite of the three consistency terms. The scalar
-    uncertainty constant multiplies the flow and temporal terms (the terms
-    that carried per-pixel uncertainty in the method this evaluator mirrors)."""
+    """Weighted composite of the three consistency terms: each term times its
+    weight (``w_flow``, ``w_temp``, ``w_prior``), and their sum. Returns
+    (total, weighted terms by name)."""
     weighted = {
-        "flow": cfg.uncertainty_constant * cfg.w_flow * flow_term,
-        "temp": cfg.uncertainty_constant * cfg.w_temp * temp_term,
+        "flow": cfg.w_flow * flow_term,
+        "temp": cfg.w_temp * temp_term,
         "prior": cfg.w_prior * prior_term,
     }
     return weighted["flow"] + weighted["temp"] + weighted["prior"], weighted

@@ -152,6 +152,13 @@ class ConfidenceMap(_Raster):
         object.__setattr__(self, "values", _freeze(values))
 
 
+def check_same_size(a, b, what: str) -> None:
+    """:class:`ValidationError` naming ``what`` unless ``a`` and ``b`` (rasters
+    or cameras) have the same width and height."""
+    if (a.height, a.width) != (b.height, b.width):
+        raise ValidationError(f"{what} dimensions differ: {a.width}x{a.height} vs {b.width}x{b.height}")
+
+
 def candidate_chunks(plane: np.ndarray):
     """The flat indices of the True cells of the (H, W) bool ``plane`` in
     row-major order, in chunks of at most BAND_BYTES // 8 cells (at least

@@ -27,7 +27,6 @@ nothing here touches the platform RNG.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -115,9 +114,8 @@ def default_intrinsics(width: int = 64, height: int = 48, focal: float = 700.0) 
     return CameraIntrinsics(focal, focal, width / 2.0, height / 2.0, width, height)
 
 
-@functools.lru_cache(maxsize=16)
 def _heightfield_components(spec: SceneSpec) -> np.ndarray:
-    """Read-only (4, 3) array: per cosine component m, the rows hold the
+    """A (4, 3) array: per cosine component m, the rows hold the
     amplitude, the angular wavenumbers along x and y, and the phase, so the
     surface is z = extent + sum_m a_m cos(kx_m x + ky_m y + phase_m)."""
     stream = SplitMix64(spec.seed).derive("heightfield")
@@ -128,9 +126,7 @@ def _heightfield_components(spec: SceneSpec) -> np.ndarray:
         freq_y = stream.uniform_in(0.3, 0.9) * (m + 1) / spec.extent
         phase = stream.uniform_in(0.0, 2.0 * math.pi)
         components.append((amplitude, 2.0 * math.pi * freq_x, 2.0 * math.pi * freq_y, phase))
-    table = np.array(components).T
-    table.setflags(write=False)
-    return table
+    return np.array(components).T
 
 
 def _plane_hits(scene: SceneSpec, o, d):

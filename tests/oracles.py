@@ -759,25 +759,30 @@ def oracle_inject_drift(entries, sigma_rot, sigma_trans, stream):
 
 def oracle_correct_long_trajectory(anchors, segments):
     """Align, measure and spread the drift of each segment (a trajectory from
-    one anchor frame to the next), then stitch. Returns (entries, per-segment
-    (drift rot, drift trans, residual rot, residual trans))."""
+    one anchor frame to the next) in the world shifted by minus its start
+    anchor's position c, shift the result back by c, then stitch. Returns
+    (entries, per-segment (drift rot, drift trans, residual rot, residual
+    trans)), the drift and residuals in the shifted world."""
     anchor_poses = dict(anchors)
     out = []
     reports = []
     for i, seg in enumerate(segments):
         a_start = anchor_poses[seg[0][0]]
         a_end = anchor_poses[seg[-1][0]]
-        t = oracle_compose(a_start, oracle_inverse(seg[0][1]))
-        aligned = [(seg[0][0], a_start)] + [(f, oracle_compose(t, p)) for f, p in seg[1:]]
-        error = oracle_compose(a_end, oracle_inverse(aligned[-1][1]))
+        c = a_start[1]
+        start, end = (a_start[0], a_start[1] - c), (a_end[0], a_end[1] - c)
+        t = oracle_compose(start, oracle_inverse(seg[0][1]))
+        aligned = [(seg[0][0], start)] + [(f, oracle_compose(t, p)) for f, p in seg[1:]]
+        error = oracle_compose(end, oracle_inverse(aligned[-1][1]))
         f0, f1 = seg[0][0], seg[-1][0]
         corrected = [aligned[0]] + [
             (f, oracle_compose(oracle_pose_interp(error, (f - f0) / (f1 - f0)), p))
             for f, p in aligned[1:]
         ]
-        res_rot, res_trans = oracle_pose_distance(corrected[-1][1], a_end)
+        res_rot, res_trans = oracle_pose_distance(corrected[-1][1], end)
         drift_trans = float((error[1] ** 2).sum() ** 0.5)
         reports.append((oracle_angle(error[0]), drift_trans, res_rot, res_trans))
+        corrected = [(f, (q, p + c)) for f, (q, p) in corrected]
         corrected[0] = (corrected[0][0], a_start)
         corrected[-1] = (corrected[-1][0], a_end)
         out.extend(corrected if i == 0 else corrected[1:])

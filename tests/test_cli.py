@@ -262,6 +262,9 @@ class TestEvalDepth:
         assert report["abs_rel"] == pytest.approx(0.25, abs=1e-6)
         assert report["delta_1_25"] == 0.0
         assert report["config_echo"]["median_scaling"] is False
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"median_scaling": false}')
+        assert run_json(self.base_args(pred_dir, gt_dir) + ["--config", str(cfg_path)], capsys) == report
 
     def test_median_scaling_absorbs_uniform_factor(self, tmp_path, capsys):
         pred_dir, gt_dir = self.write_dirs(tmp_path, factor=1.25)
@@ -686,6 +689,12 @@ def _eval_consistency_with_focal(tmp_path, focal: float):
     return args
 
 
+def _eval_consistency_with(tmp_path, flag: str, value: str):
+    args = TestEvalConsistency().write_fixture(tmp_path)
+    args[args.index(flag) + 1] = value
+    return args
+
+
 def _ideal(tmp_path):
     ideal_calib(tmp_path / "calib.json")
     return str(tmp_path / "calib.json")
@@ -704,12 +713,15 @@ _PFM_1x1 = b"Pf\n1 1\n-1.0\n" + struct.pack("<f", 10.0)
         lambda p: _eval_traj_on(p, b"0 0 0 0 0 0 0 1\n# \xff\xfe\n"),
         lambda p: _eval_traj_config(p, b'{"pred": "\xe9.tum", "gt": "g.tum"}'),
         lambda p: _eval_traj_config(p, b'{"pred": "p.tum", "gt": "g.tum", "window": NaN}'),
+        lambda p: _eval_traj_config(p, b'["pred", "p.tum"]'),
         lambda p: ["eval-depth", "--pred", str(p), "--gt", str(p),
                    "--config", _write(p, "cfg.json", b'{"depth_max": 1e999}')],
         lambda p: ["rectify-maps", "--calib", _calib_with_fx(p, "Infinity"), "--out-prefix", str(p / "r")],
         lambda p: _disparity2depth(p, _calib_with_fx(p, "1e999"), _PFM_1x1),
         lambda p: ["rectify-maps", "--calib", _write(p, "calib.json", b"0"), "--out-prefix", str(p / "r")],
         lambda p: _disparity2depth(p, _ideal(p), b"Pf\n99999999999 99999999999\n-1.0\n" + b"\0" * 16),
+        # a 3-channel PFM, which no command reads
+        lambda p: _disparity2depth(p, _ideal(p), b"PF\n1 1\n-1.0\n" + b"\0" * 12),
         lambda p: _eval_consistency_on_flo(p, struct.pack("<fii", 202021.25, 2147483647, 2147483647)),
         lambda p: ["rectify-maps", "--calib", _calib_with_width(p, "16.7"), "--out-prefix", str(p / "r")],
         lambda p: ["rectify-maps", "--calib", _calib_with_width(p, "true"), "--out-prefix", str(p / "r")],
@@ -723,9 +735,9 @@ _PFM_1x1 = b"Pf\n1 1\n-1.0\n" + struct.pack("<f", 10.0)
     ],
     ids=[
         "tum-inf-frame", "tum-nan-field", "tum-inf-field", "tum-not-utf8",
-        "config-not-utf8", "config-nan", "config-overflow",
+        "config-not-utf8", "config-nan", "config-array", "config-overflow",
         "calib-inf-fx", "calib-overflow-fx", "calib-not-object",
-        "pfm-huge-header", "flo-huge-header",
+        "pfm-huge-header", "pfm-three-channel", "flo-huge-header",
         "calib-fractional-width", "calib-bool-width",
         "calib-string-fx", "calib-bool-cy", "calib-string-dist", "calib-string-T", "calib-reflection-R",
     ],
@@ -767,6 +779,16 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
         # the pixel rays fit, but the distortion terms overflowed with a RuntimeWarning, and it exited 0
         (lambda p: ["rectify-maps", "--calib", _calib_with_lens(p, 1e-100, (-0.12, 0.03, 5e-4, -4e-4, 0.0)),
                     "--out-prefix", str(p / "r")], "distortion"),
+        # a config value outside its choices or of the wrong type
+        (lambda p: _eval_traj_config(p, b'{"pred": "p.tum", "gt": "g.tum", "align": "bogus"}'), "align must be one of"),
+        (lambda p: ["eval-depth", "--pred", str(p), "--gt", str(p),
+                    "--config", _write(p, "cfg.json", b'{"median_scaling": 0}')], "median_scaling must be a boolean"),
+        # inputs that are not there
+        (lambda p: ["eval-depth", "--pred", _ideal(p), "--gt", str(p)], "not a directory"),
+        (lambda p: _eval_consistency_with(p, "--depths", str(p / "calib.json")), "not a directory"),
+        (lambda p: _eval_consistency_with(p, "--flows", str(p / "depths")), "no flow_NNNN_NNNN.flo files"),
+        (lambda p: _eval_consistency_with(p, "--poses", _write(p, "one.tum", b"0 0 0 0 0 0 0 1\n")),
+         "pose for frame 1 missing"),
     ],
     ids=[
         "calib-huge-width", "simulate-width", "simulate-height", "eval-depth-width",
@@ -775,6 +797,9 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
         "simulate-orbit-radius-overflow", "simulate-spline-radius-overflow",
         "simulate-linear-extent-inf", "calib-tiny-fx", "calib-fx-1e-308", "eval-consistency-tiny-focal",
         "simulate-tiny-focal", "calib-distortion-overflow",
+        "config-align-bogus", "config-median-scaling-0",
+        "eval-depth-pred-not-a-directory", "eval-consistency-depths-not-a-directory",
+        "eval-consistency-no-flows", "eval-consistency-missing-pose",
     ],
 )
 def test_image_larger_than_ceiling_exits_3(tmp_path, capsys, caplog, argv, logged):
@@ -810,15 +835,16 @@ def test_flow_read_back_as_unknown_exits_3(tmp_path, capsys, caplog):
 
 
 def test_report_that_would_hold_infinity_exits_3(tmp_path, capsys, caplog):
-    # a flow weight of 1e308 makes the weighted flow term and the total inf;
-    # the report was written with "Infinity", which is not JSON, and exited 0
+    # against the drifted poses c_flow is about 1.6 px, so a flow weight of
+    # 1.7e308 makes the weighted flow term and the total inf; the report was
+    # written with "Infinity", which is not JSON, and exited 0
     sim = tmp_path / "sim"
     code, _, err = run(["simulate", "--out", str(sim), "--width", "16", "--height", "12", "--n-frames", "4",
                         "--depth-count", "2"], capsys)
     assert code == 0, err
     report = tmp_path / "report.json"
-    code, out, _ = run(["eval-consistency", "--depths", str(sim), "--poses", str(sim / "gt.tum"), "--flows", str(sim),
-                        "--calib", str(sim / "calib.json"), "--w-flow", "1e308", "--uncertainty-constant", "10",
+    code, out, _ = run(["eval-consistency", "--depths", str(sim), "--poses", str(sim / "drifted.tum"),
+                        "--flows", str(sim), "--calib", str(sim / "calib.json"), "--w-flow", "1.7e308",
                         "--out", str(report)], capsys)
     assert code == 3
     assert "JSON" in caplog.text

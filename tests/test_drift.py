@@ -3,16 +3,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from builders import line, pairs, still, trajectory
-from endogeo.drift import compute_drift_error, correct_long_trajectory
-from endogeo.errors import ValidationError
-from endogeo.geometry import Pose, Quaternion, compose, inverse, pose_distance
+from endogeo.drift import CorrectionReport, compute_drift_error, correct_long_trajectory
+from endogeo.errors import NumericError, ValidationError
+from endogeo.geometry import Pose, PoseBatch, Quaternion, compose, inverse, pose_distance
+from endogeo.metrics import ate, rpe
 from endogeo.rng import SplitMix64
 from endogeo.sim import DriftSpec, gen_trajectory, inject_drift
-from endogeo.trajectory import split_into_segments
+from endogeo.trajectory import Trajectory, split_into_segments
 
 
 def rand_pose(stream):
@@ -251,6 +252,45 @@ class TestCorrectLongTrajectory:
         for name in ("quat", "trans"):
             stitched = np.concatenate([getattr(a.poses, name) for a in alone])
             assert getattr(corrected.poses, name).tobytes() == stitched.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 3),
+        anchor_frames=st.lists(st.integers(0, _SPLINE_FRAMES - 1), min_size=2, max_size=12, unique=True).map(sorted),
+        shift=st.tuples(*[st.floats(-1e9, 1e9)] * 3),
+    )
+    @example(seed=1, anchor_frames=list(range(0, _SPLINE_FRAMES, 64)), shift=(1e3, -1e3, 5e2))
+    @example(seed=2, anchor_frames=list(range(0, _SPLINE_FRAMES, 64)), shift=(1e9, -1e9, 5e8))
+    def test_no_result_depends_on_the_world_origin(self, seed, anchor_frames, shift):
+        # shifting the anchors and the segments by d shifts the corrected
+        # poses by d and leaves their rotations and errors alone, up to the
+        # rounding of positions of magnitude |d| + 100 mm (the spline's own
+        # are below 100 mm); the bounds were fixed before the first run
+        d = np.array(shift)
+        bound = 64 * np.finfo(float).eps * (np.abs(d).max() + 100.0)
+
+        def moved(traj):
+            return Trajectory(traj.frames, PoseBatch(traj.poses.quat, traj.poses.trans + d))
+
+        gt, local = _drifted_spline(seed)
+        runs = []
+        for g, drifted in ((gt, local), (moved(gt), moved(local))):
+            anchors = g.restricted_to(anchor_frames)
+            corrected, report = correct_long_trajectory(anchors, split_into_segments(drifted, anchors))
+            truth = g.restricted_to(corrected.frames)
+            runs.append((corrected, report, ate(corrected, truth, "se3"), rpe(corrected, truth, 1)[0]))
+        (base, base_report, *base_errors), (shifted, shifted_report, *shifted_errors) = runs
+        assert np.array_equal(shifted.poses.quat, base.poses.quat)
+        assert np.abs(shifted.poses.trans - d - base.poses.trans).max() <= bound
+        for got, want in zip(shifted_errors, base_errors):
+            assert abs(got - want) <= 1e-9 * want + 8 * bound
+        for got, want in zip(shifted_report.segments, base_report.segments):
+            assert got.drift_rot_rad == want.drift_rot_rad
+            assert abs(got.drift_trans_mm - want.drift_trans_mm) <= 8 * bound
+
+    def test_a_report_beyond_the_anchor_tolerance_is_a_numeric_error(self):
+        with pytest.raises(NumericError, match=r"anchor residual exceeds tolerance: rot 1\.000e\+00 rad"):
+            CorrectionReport((), 1.0, 0.0)
 
     def test_report_serializable(self):
         gt = still(range(5))

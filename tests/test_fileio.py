@@ -40,9 +40,11 @@ class TestPfmFormat:
         assert len(raw) == len(b"Pf\n3 2\n-1.0\n") + 2 * 3 * 4
 
     def test_three_channel_magic(self, tmp_path):
+        # a 3-channel file is not read: every raster the package stores is one plane
         path = tmp_path / "x.pfm"
-        write_pfm(path, np.zeros((2, 3, 3), dtype=np.float32))
-        assert path.read_bytes().startswith(b"PF\n")
+        path.write_bytes(b"PF\n3 2\n-1.0\n" + b"\0" * (2 * 3 * 3 * 4))
+        with pytest.raises(FormatError, match="not a 1-channel PFM file"):
+            read_pfm(path)
 
     def test_rows_stored_bottom_to_top(self, tmp_path):
         path = tmp_path / "x.pfm"
@@ -72,20 +74,12 @@ class TestPfmFormat:
         assert (back == img).all()
         assert scale == 2.5
 
-    def test_round_trip_three_channel(self, tmp_path):
-        path = tmp_path / "x.pfm"
-        img = np.arange(36, dtype=np.float32).reshape(3, 4, 3)
-        write_pfm(path, img)
-        back, _ = read_pfm(path)
-        assert back.shape == (3, 4, 3)
-        assert (back == img).all()
-
     def test_rejects_bad_shapes(self, tmp_path):
         # the array is an argument, so a bad shape is a ValidationError; the
         # empty ones were written, and the reader then refused them
-        supported = r"PFM supports \(H, W\) or \(H, W, 3\) arrays"
-        for shape, message in (((2, 2, 4), supported), ((5,), supported), ((), supported),
-                               ((0, 3), "positive"), ((2, 0), "positive"), ((0, 2, 3), "positive")):
+        supported = r"PFM supports \(H, W\) arrays"
+        for shape, message in (((3, 4, 3), supported), ((2, 2, 4), supported), ((5,), supported), ((), supported),
+                               ((0, 3), "positive"), ((2, 0), "positive"), ((0, 2, 3), supported)):
             with pytest.raises(ValidationError, match=message):
                 write_pfm(tmp_path / "x.pfm", np.zeros(shape))
         assert not (tmp_path / "x.pfm").exists()
@@ -154,9 +148,10 @@ class TestRasterPfmWrappers:
 
     def test_depth_reader_rejects_three_channel(self, tmp_path):
         path = tmp_path / "x.pfm"
-        write_pfm(path, np.ones((2, 2, 3)))
-        with pytest.raises(FormatError, match="single-channel"):
-            read_depth_pfm(path)
+        path.write_bytes(b"PF\n2 2\n-1.0\n" + np.ones((2, 2, 3), dtype="<f4").tobytes())
+        for read in (read_depth_pfm, read_disparity_pfm):
+            with pytest.raises(FormatError, match="1-channel"):
+                read(path)
 
 
 class TestFlo:
@@ -271,7 +266,7 @@ class TestHostileHeaders:
         with pytest.raises(FormatError, match="dimensions"):
             read_flo(path)
 
-    @pytest.mark.parametrize("scale", [b"inf", b"-inf", b"nan", b"0"])
+    @pytest.mark.parametrize("scale", [b"inf", b"-inf", b"nan", b"0", b"-1.0.0"])
     def test_pfm_scale_must_be_finite_and_nonzero(self, tmp_path, scale):
         path = tmp_path / "x.pfm"
         path.write_bytes(b"Pf\n1 1\n" + scale + b"\n" + b"\0" * 4)

@@ -352,6 +352,12 @@ class TestUmeyama:
         with pytest.raises(ValidationError):
             umeyama_align([[0, 0, 0]], [[1, 1, 1]], with_scale=False)
 
+    def test_rejects_a_source_variance_beyond_the_float_range(self):
+        # the covariance with unit targets is finite; the scale's variance is not
+        src = np.array([[1e155, 0.0, 0.0], [-1e155, 0.0, 0.0]])
+        with pytest.raises(ValidationError, match="their variance overflows"):
+            umeyama_align(src, np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]), with_scale=True)
+
     def test_reflection_guard(self):
         # mirrored clouds must still produce a proper rotation
         cloud = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], dtype=float)

@@ -789,12 +789,6 @@ class TestComposites:
         assert total == pytest.approx(0.5 + 0.5 + 0.375)
         assert parts["temp"] == pytest.approx(0.5)
 
-    def test_uncertainty_constant_touches_flow_and_temp_only(self):
-        cfg = LossConfig(uncertainty_constant=2.0)
-        total, parts = consistency_total(1.0, 1.0, 1.0, cfg)
-        assert parts["flow"] == 2.0 and parts["temp"] == 2.0 and parts["prior"] == 1.0
-        assert total == 5.0
-
     def test_total_loss_example(self):
         cfg = LossConfig(lambda_consist=0.1)
         assert total_loss(1.0, 0.5, 2.0, cfg) == pytest.approx(1.7)
@@ -805,6 +799,10 @@ class TestComposites:
                 LossConfig(alpha=alpha)
         with pytest.raises(ValidationError):
             LossConfig(w_grad=-1.0)
+        # an int beyond the float range reads as ±inf, which no weight may be
+        for huge in (10**400, -(10**400)):
+            with pytest.raises(ValidationError, match="w_flow must be a finite number"):
+                LossConfig(w_flow=huge)
         with pytest.raises(ValidationError):
             NormalizationSpec(0.0, 1.0)
         for scales in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, -2.0)):

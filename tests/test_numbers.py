@@ -91,8 +91,7 @@ SITES = {
     "resize_depth.out_height": lambda v: resize_depth(DepthMap(_MAP), 5, v),
     "SimilarityTransform.scale": lambda v: SimilarityTransform(v, Quaternion.identity(), (1.0, 2.0, 3.0)),
     **{f"LossConfig.{name}": (lambda name: lambda v: LossConfig(**{name: v}))(name)
-       for name in ("alpha", "lambda_consist", "w_flow", "w_temp", "w_prior", "w_si", "w_grad", "w_normal",
-                    "uncertainty_constant")},
+       for name in ("alpha", "lambda_consist", "w_flow", "w_temp", "w_prior", "w_si", "w_grad", "w_normal")},
     "NormalizationSpec.s_hat": lambda v: NormalizationSpec(v, 1.0),
     "NormalizationSpec.s": lambda v: NormalizationSpec(1.0, v),
     **{f"MonoCalibration.dist[{k}]": _dist(k) for k in range(5)},

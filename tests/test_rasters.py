@@ -130,6 +130,18 @@ def test_a_raster_without_rows_or_columns_is_rejected(kind, shape):
             kind(np.ones(empty))
 
 
+@pytest.mark.parametrize("kind, shape", [k for k in _KINDS if k[0] is not ConfidenceMap])
+def test_a_mask_of_another_shape_is_rejected(kind, shape):
+    with pytest.raises(ValidationError, match=r"mask shape \(3, 2\) does not match values \(2, 3\)"):
+        kind(np.ones(shape), np.ones((3, 2), dtype=bool))
+
+
+@pytest.mark.parametrize("kind, channels", [(FlowField, 2), (Pointmap, 3)])
+def test_a_vector_raster_of_another_channel_count_is_rejected(kind, channels):
+    with pytest.raises(ValidationError, match=f"must have {channels} channels, got 4"):
+        kind(np.ones((2, 3, 4)))
+
+
 # every value a channel validity rule can turn on: NaN, infinities, the .flo
 # "unknown flow" threshold 1e9 and its float32 neighbours, the written
 # sentinel 1e10, and both zeros

@@ -374,6 +374,11 @@ def test_numpy_integer_seed_is_the_int_seed():
     assert SceneSpec("heightfield", 100.0, np.uint8(7)) == SceneSpec("heightfield", 100.0, 7)
 
 
+def test_scene_kind_must_be_known():
+    with pytest.raises(ValidationError, match="scene kind must be one of"):
+        SceneSpec("cube")
+
+
 @pytest.mark.parametrize("extent", [0.0, -1.0, math.inf, math.nan])
 def test_scene_extent_must_be_positive_and_finite(extent):
     with pytest.raises(ValidationError, match="extent"):

@@ -126,6 +126,11 @@ class TestDistortion:
                 MonoCalibration(make_intr(), dist)
         assert MonoCalibration(make_intr(), np.zeros(5, dtype=np.int32)).dist == NO_DIST
 
+    def test_requires_a_camera(self):
+        for camera in ((700.0, 700.0, 32.0, 24.0, 64, 48), None):
+            with pytest.raises(ValidationError, match="camera intrinsics must be CameraIntrinsics"):
+                MonoCalibration(camera, NO_DIST)
+
 
 class TestRectification:
     def test_already_rectified_rig_gives_identity_maps(self):
@@ -180,6 +185,13 @@ class TestRectification:
         cam = MonoCalibration(make_intr(), NO_DIST)
         with pytest.raises(ValidationError, match="baseline"):
             StereoCalibration(cam, cam, Quaternion.identity(), (0.0, 0.0, 0.0))
+
+    def test_baseline_along_the_optical_axis_rejected(self):
+        # no rectified orientation has x along the baseline and z near the view direction
+        cam = MonoCalibration(make_intr(), NO_DIST)
+        calib = StereoCalibration(cam, cam, Quaternion.identity(), (0.0, 0.0, 5.0))
+        with pytest.raises(ValidationError, match="baseline parallel to the optical axis"):
+            compute_rectify_maps(calib)
 
     # the last two have finite entries whose norm, the baseline, overflows
     # the last four raised numpy's untyped ValueError, or built as if they were numbers

@@ -36,6 +36,17 @@ def two_poses():
 
 
 class TestTrajectory:
+    def test_a_pose_or_trajectory_equals_no_other_type(self):
+        # __eq__ defers to the other operand, so Python falls back to identity
+        traj = still([0, 1])
+        for item in (traj, traj.pose_at(1)):
+            assert item == item
+            assert not (item == 1) and item != 1
+
+    def test_repr_names_the_size_and_frames(self):
+        assert repr(still([3, 4, 9])) == "Trajectory(3 poses, frames 3..9)"
+        assert repr(still([3]).restricted_to([])) == "Trajectory(empty)"
+
     def test_frames_strictly_increasing(self):
         with pytest.raises(ValidationError, match="strictly increasing: 0 after 0"):
             Trajectory([0, 0], two_poses())
